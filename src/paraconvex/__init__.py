@@ -14,7 +14,7 @@ from .networks import (
     subgrad_u,
 )
 from .numerics import BoxDomain, Rng
-from .solver import SolveOptions, SolveResult, minimize
+from .solver import SolveOptions, SolveResult, minimize, minimize_batch
 from .training import Dataset, TrainConfig, init_network, train
 from .verification import run_check_suite
 
@@ -38,6 +38,7 @@ __all__ = [
     "init_network",
     "load_model",
     "minimize",
+    "minimize_batch",
     "save_model",
     "subgrad_u",
     "train",

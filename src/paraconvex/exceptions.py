@@ -5,6 +5,10 @@ class DimensionMismatch(ValueError):
     """An input's length or shape does not match what the operation expects."""
 
 
+class NonFiniteInput(ValueError):
+    """An input vector holds NaN or infinity."""
+
+
 class NumericOverflow(ArithmeticError):
     """A forward evaluation or line search produced a non-finite value."""
 

@@ -273,17 +273,33 @@ def forward_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     return out
 
 
+def u_bank_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine banks in u for B conditions: (A_u (B, I, m), c (B, I)), row b
+    being the bank u_bank gives at X[b].
+
+    ma/lse planes share one slope matrix, returned as a read-only broadcast
+    view; pma/plse banks are the embedded net's outputs, one forward pass
+    for all rows.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != net.n:
+        raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
+    if net.kind in ("ma", "lse"):
+        A_u = np.broadcast_to(net.A[:, net.n :], (X.shape[0], net.I, net.m))
+        return A_u, X @ net.A[:, : net.n].T + net.b
+    if net.kind in ("pma", "plse"):
+        out = mlp_forward_batch(net.embed, X)
+        return out[:, : net.I * net.m].reshape(-1, net.I, net.m), out[:, net.I * net.m :]
+    raise UnsupportedNetwork(f"{net.kind} has no affine bank in u")
+
+
 def batch_scores(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Plane values (B, I) for bank-based kinds."""
     if net.kind in ("ma", "lse"):
         Z = np.hstack([X, U])
         return Z @ net.A.T + net.b
-    if net.kind in ("pma", "plse"):
-        out = mlp_forward_batch(net.embed, X)
-        A_x = out[:, : net.I * net.m].reshape(-1, net.I, net.m)
-        b_x = out[:, net.I * net.m :]
-        return np.einsum("bim,bm->bi", A_x, U) + b_x
-    raise UnsupportedNetwork(f"{net.kind} has no plane scores")
+    A_u, c = u_bank_batch(net, X)
+    return np.einsum("bim,bm->bi", A_u, U) + c
 
 
 def grad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -370,12 +386,12 @@ def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     U = np.asarray(U, dtype=np.float64)
     if net.kind == "fnn":
         return _mlp_input_grad_batch(net.mlp, np.hstack([X, U]))[:, net.n :]
-    sigma = softmax_over_T(batch_scores(net, X, U), net.T, axis=1)
     if net.kind == "lse":
+        sigma = softmax_over_T(batch_scores(net, X, U), net.T, axis=1)
         return sigma @ net.A[:, net.n :]
-    out = mlp_forward_batch(net.embed, X)
-    A_x = out[:, : net.I * net.m].reshape(-1, net.I, net.m)
-    return np.einsum("bi,bim->bm", sigma, A_x)
+    A_u, c = u_bank_batch(net, X)
+    sigma = softmax_over_T(np.einsum("bim,bm->bi", A_u, U) + c, net.T, axis=1)
+    return np.einsum("bi,bim->bm", sigma, A_u)
 
 
 def subgrad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -10,6 +10,12 @@ Three routes:
     T * log I everywhere.
   - fnn: multi-start projected gradient (nonconvex, no certificate).
 
+`minimize` solves one condition. `minimize_batch` solves many in lockstep:
+every row takes the serial route's step sequence, with its own Armijo step,
+and leaves the working set when it stops, so the per-call NumPy overhead is
+paid once per sweep instead of once per condition and iteration. Every
+result says why it stopped: "converged", "max_iters" or "step_underflow".
+
 Convex certificates use the first-order gap at the returned point: for a
 convex f and any feasible v, f(u) - f(v) <= <g, u - v>, so
 max_v <g, u - v> over the box (a per-coordinate corner choice) upper-bounds
@@ -24,19 +30,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NumericOverflow, UnsupportedNetwork
+from .exceptions import (
+    DimensionMismatch,
+    NonFiniteInput,
+    NumericOverflow,
+    UnsupportedNetwork,
+)
 from .networks import (
     Network,
     forward,
     forward_batch,
     grad_u_batch,
+    mlp_forward_batch,
     shifted_lse,
     softmax_over_T,
     u_bank,
+    u_bank_batch,
 )
 from .numerics import BoxDomain, Rng, sample_uniform_box
 
 _MIN_STEP = 1e-18
+
+# Why a solve stopped; the batch cores carry the index into this tuple per
+# row, and _FAILED for a row whose objective went non-finite.
+STATUSES = ("converged", "max_iters", "step_underflow")
+_CONVERGED, _MAX_ITERS, _STEP_UNDERFLOW = range(3)
+_FAILED = -1
 
 
 @dataclass
@@ -79,6 +98,7 @@ class SolveResult:
     certificate: float
     iterations: int
     wall_time_s: float
+    status: str  # one of STATUSES
     trace: list | None = None
 
     def to_json(self) -> dict:
@@ -89,6 +109,7 @@ class SolveResult:
             "certificate": self.certificate if certified else None,
             "certified": bool(certified),
             "iterations": self.iterations,
+            "status": self.status,
             "wall_time_s": self.wall_time_s,
         }
 
@@ -100,16 +121,28 @@ def project_box(u: np.ndarray, domain: BoxDomain) -> np.ndarray:
     return np.clip(u, domain.lower, domain.upper)
 
 
-def first_order_gap(g: np.ndarray, u: np.ndarray, domain: BoxDomain) -> float:
+def first_order_gap(g: np.ndarray, u: np.ndarray, domain: BoxDomain):
     """max over feasible v of <g, u - v>: per-coordinate corner maximization.
-    Nonnegative, and an upper bound on f(u) - min f for convex f."""
+    Nonnegative, and an upper bound on f(u) - min f for convex f. Row-wise
+    for (B, m) inputs, one gap per row."""
     terms = np.maximum(g * (u - domain.lower), g * (u - domain.upper))
-    return float(np.sum(np.maximum(terms, 0.0)))
+    return np.sum(np.maximum(terms, 0.0), axis=-1)
+
+
+def _checked_conditions(net: Network, X, domain: BoxDomain) -> np.ndarray:
+    """The checks every solve entry point makes: box dimension and finite
+    conditions. Shapes are checked where the conditions are used."""
+    if domain.dim != net.m:
+        raise DimensionMismatch("domain dimension must equal the net's m")
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise NonFiniteInput("conditions must be finite")
+    return X
 
 
 def _pg_on_bank(A_u, c, T, domain, u0, opts):
     """Projected gradient with Armijo backtracking on the log-sum-exp of an
-    affine bank. Returns (u, value, iterations, trace)."""
+    affine bank. Returns (u, value, iterations, trace, status)."""
 
     def value(u):
         v = float(shifted_lse(A_u @ u + c, T))
@@ -125,6 +158,7 @@ def _pg_on_bank(A_u, c, T, domain, u0, opts):
     trace = [f] if opts.keep_trace else None
     s = opts.initial_step
     iters = 0
+    status = "max_iters"
     for _ in range(opts.max_iters):
         g = grad(u)
         # stationarity at a fixed unit reference step; the line-search step
@@ -132,6 +166,7 @@ def _pg_on_bank(A_u, c, T, domain, u0, opts):
         # make a step-relative residual meaningless
         residual = np.linalg.norm(u - project_box(u - g, domain))
         if residual <= opts.grad_tolerance * max(1.0, abs(f)):
+            status = "converged"
             break
         accepted = False
         while s >= _MIN_STEP:
@@ -142,13 +177,14 @@ def _pg_on_bank(A_u, c, T, domain, u0, opts):
                 break
             s *= opts.backtrack
         if not accepted:
-            break  # flat to numeric precision
+            status = "step_underflow"  # flat to numeric precision
+            break
         iters += 1
         u, f = cand, f_cand
         if trace is not None:
             trace.append(f)
         s *= 2.0  # Armijo will cut an overgrown step right back
-    return u, f, iters, trace
+    return u, f, iters, trace, status
 
 
 def minimize_smooth_convex(
@@ -157,13 +193,12 @@ def minimize_smooth_convex(
     """Minimize an lse/plse net over u in the box at fixed x."""
     if net.kind not in ("lse", "plse"):
         raise UnsupportedNetwork(f"smooth solver requires lse or plse, got {net.kind}")
-    if domain.dim != net.m:
-        raise DimensionMismatch("domain dimension must equal the net's m")
+    x = _checked_conditions(net, x, domain)
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
     A_u, c = u_bank(net, x)
     u0 = 0.5 * (domain.lower + domain.upper)
-    u, _, iters, trace = _pg_on_bank(A_u, c, net.T, domain, u0, opts)
+    u, _, iters, trace, status = _pg_on_bank(A_u, c, net.T, domain, u0, opts)
     g = A_u.T @ softmax_over_T(A_u @ u + c, net.T)
     cert = first_order_gap(g, u, domain)
     return SolveResult(
@@ -172,6 +207,7 @@ def minimize_smooth_convex(
         certificate=cert,
         iterations=iters,
         wall_time_s=time.perf_counter() - t0,
+        status=status,
         trace=trace,
     )
 
@@ -182,8 +218,7 @@ def minimize_pma(
     """Minimize an ma/pma net over u by temperature homotopy on its smooth twin."""
     if net.kind not in ("ma", "pma"):
         raise UnsupportedNetwork(f"homotopy solver requires ma or pma, got {net.kind}")
-    if domain.dim != net.m:
-        raise DimensionMismatch("domain dimension must equal the net's m")
+    x = _checked_conditions(net, x, domain)
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
     A_u, c = u_bank(net, x)  # the twin shares the bank; T enters only the smoothing
@@ -191,7 +226,7 @@ def minimize_pma(
     total_iters = 0
     trace = [] if opts.keep_trace else None
     for T in opts.homotopy_schedule:
-        u, _, iters, stage_trace = _pg_on_bank(A_u, c, T, domain, u, opts)
+        u, _, iters, stage_trace, status = _pg_on_bank(A_u, c, T, domain, u, opts)
         total_iters += iters
         if trace is not None:
             trace.extend(stage_trace)
@@ -205,6 +240,7 @@ def minimize_pma(
         certificate=cert,
         iterations=total_iters,
         wall_time_s=time.perf_counter() - t0,
+        status=status,  # the last stage's
         trace=trace,
     )
 
@@ -212,56 +248,15 @@ def minimize_pma(
 def minimize_fnn(
     net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
 ) -> SolveResult:
-    """Best of `restarts` projected-gradient runs from seeded uniform starts.
-
-    The restarts advance in lockstep: each sweep takes one Armijo-tested step
-    per restart, halving that restart's step on rejection. Iterates only move
-    on accepted decrease, so every restart descends monotonically. The
-    certificate is +inf: the objective is nonconvex and carries no bound.
-    """
+    """Best of `restarts` projected-gradient runs from seeded uniform starts:
+    `minimize_batch` on one condition. Raises NumericOverflow where the
+    objective went non-finite."""
     if net.kind != "fnn":
         raise UnsupportedNetwork(f"multi-start solver is for fnn, got {net.kind}")
-    if domain.dim != net.m:
-        raise DimensionMismatch("domain dimension must equal the net's m")
-    opts = opts or SolveOptions()
-    t0 = time.perf_counter()
-    R = opts.restarts
-    Us = sample_uniform_box(domain, R, Rng(opts.seed))
-    X_rep = np.tile(np.asarray(x, dtype=np.float64), (R, 1))
-    fs = forward_batch(net, X_rep, Us)
-    steps = np.full(R, opts.initial_step)
-    done = np.zeros(R, dtype=bool)
-    trace = [float(fs.min())] if opts.keep_trace else None
-    sweeps = 0
-    for _ in range(opts.max_iters):
-        sweeps += 1
-        G = grad_u_batch(net, X_rep, Us)
-        ref = np.clip(Us - G, domain.lower, domain.upper)  # unit reference step
-        residual = np.linalg.norm(Us - ref, axis=1)
-        done |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs))
-        cand = np.clip(Us - steps[:, None] * G, domain.lower, domain.upper)
-        f_cand = forward_batch(net, X_rep, cand)
-        decrease = f_cand <= fs + opts.armijo * np.sum(G * (cand - Us), axis=1)
-        move = decrease & ~done
-        Us[move] = cand[move]
-        fs[move] = f_cand[move]
-        steps[move] *= 2.0
-        steps[~decrease & ~done] *= opts.backtrack
-        done |= steps < _MIN_STEP
-        if trace is not None:
-            trace.append(float(fs.min()))
-        if done.all():
-            break
-    best = int(np.argmin(fs))
-    u = Us[best]
-    return SolveResult(
-        u_star=u,
-        value=forward(net, x, u),
-        certificate=np.inf,
-        iterations=sweeps,
-        wall_time_s=time.perf_counter() - t0,
-        trace=trace,
-    )
+    (res,) = minimize_batch(net, np.asarray(x, dtype=np.float64)[None, :], domain, opts)
+    if res is None:
+        raise NumericOverflow("fnn objective became non-finite")
+    return res
 
 
 def minimize(
@@ -273,3 +268,244 @@ def minimize(
     if net.kind in ("ma", "pma"):
         return minimize_pma(net, x, domain, opts)
     return minimize_fnn(net, x, domain, opts)
+
+
+# --- lockstep batch solves --------------------------------------------------
+
+
+def _bank_scores(A, U, c):
+    """Plane values (B, I) of banks A (B, I, m), c (B, I) at points U (B, m)."""
+    return (A @ U[:, :, None])[:, :, 0] + c
+
+
+def _bank_grad(P, A):
+    """Row-wise P[b] @ A[b]: the gradient (B, m) for softmax weights P (B, I)."""
+    return (P[:, None, :] @ A)[:, 0, :]
+
+
+def _lse_and_softmax(S, T):
+    """Row-wise T-log-sum-exp of scores S (B, I) and its softmax, from one
+    shifted exponential: the value and the gradient weights of a candidate."""
+    top = np.max(S, axis=1, keepdims=True)
+    e = np.exp((S - top) / T)
+    total = np.sum(e, axis=1)
+    return T * np.log(total) + top[:, 0], e / total[:, None]
+
+
+def _pg_batch(A, c, T, domain, U0, opts, traces):
+    """`_pg_on_bank` on B banks at once: A (B, I, m), c (B, I), U0 (B, m).
+
+    Each sweep makes one candidate evaluation per active row with the row's
+    own step, which doubles on acceptance and shrinks by `backtrack` on
+    rejection, so every row takes the serial step sequence. The stopping
+    tests are the serial ones, and a row that stops leaves the working set.
+    An accepted candidate's softmax gives the gradient there without scoring
+    the planes again. Returns (U, G, iterations, status) per row: the last
+    iterate, the gradient there, the accepted steps and a STATUSES index,
+    or _FAILED where the objective went non-finite.
+    """
+    lo, hi = domain.lower, domain.upper
+    U = np.clip(U0, lo, hi)
+    f, p = _lse_and_softmax(_bank_scores(A, U, c), T)
+    G = _bank_grad(p, A)
+    iters = np.zeros(len(c), dtype=np.int64)
+    status = np.full(len(c), _FAILED)
+    if traces is not None:
+        for trace, v in zip(traces, f):
+            trace.append(float(v))
+    rows = np.arange(len(c))
+    u, g, it = U.copy(), G.copy(), iters.copy()
+    s = np.full(len(c), opts.initial_step)
+    bad = ~np.isfinite(f)
+    while rows.size:
+        residual = np.linalg.norm(u - np.clip(u - g, lo, hi), axis=1)
+        capped = it >= opts.max_iters
+        converged = residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
+        stop = bad | capped | converged | (s < _MIN_STEP)
+        if stop.any():
+            done = rows[stop]
+            U[done], G[done], iters[done] = u[stop], g[stop], it[stop]
+            status[done] = np.select(
+                [bad[stop], capped[stop], converged[stop]],
+                [_FAILED, _MAX_ITERS, _CONVERGED],
+                _STEP_UNDERFLOW,
+            )
+            keep = ~stop
+            rows, A, c, u, f, g, s, it = (
+                v[keep] for v in (rows, A, c, u, f, g, s, it)
+            )
+            if not rows.size:
+                break
+        cand = np.clip(u - s[:, None] * g, lo, hi)
+        f_cand, p = _lse_and_softmax(_bank_scores(A, cand, c), T)
+        bad = ~np.isfinite(f_cand)
+        accept = f_cand <= f + opts.armijo * np.sum(g * (cand - u), axis=1)
+        u[accept], f[accept] = cand[accept], f_cand[accept]
+        g[accept] = _bank_grad(p[accept], A[accept])
+        it[accept] += 1
+        s = np.where(accept, 2.0 * s, opts.backtrack * s)
+        if traces is not None:
+            for r, v in zip(rows[accept], f_cand[accept]):
+                traces[r].append(float(v))
+    return U, G, iters, status
+
+
+def _homotopy_batch(A, c, temperatures, domain, opts, traces):
+    """`_pg_batch` once per temperature, each stage warm-started where the
+    last one stopped; rows that failed sit out the later stages. A row's
+    iterations add up over its stages and its status is its last stage's."""
+    B = len(c)
+    U = np.tile(0.5 * (domain.lower + domain.upper), (B, 1))
+    G = np.zeros_like(U)
+    iters = np.zeros(B, dtype=np.int64)
+    status = np.zeros(B, dtype=np.int64)
+    live = np.arange(B)
+    for T in temperatures:
+        sub = None if traces is None else [traces[r] for r in live]
+        U[live], G[live], stage_iters, status[live] = _pg_batch(
+            A[live], c[live], T, domain, U[live], opts, sub
+        )
+        iters[live] += stage_iters
+        live = live[status[live] != _FAILED]
+    return U, G, iters, status
+
+
+def _fnn_values(net, X, U):
+    """(forward_batch values, mask of non-finite rows or None): a non-finite
+    row is flagged instead of failing the whole batch."""
+    try:
+        return forward_batch(net, X, U), None
+    except NumericOverflow:
+        f = mlp_forward_batch(net.mlp, np.hstack([X, U]))[:, 0]
+        return f, ~np.isfinite(f)
+
+
+def _multistart_batch(net, X, domain, opts, traces):
+    """Multi-start projected gradient for B conditions at once, R = restarts
+    rows per condition, all from the same seeded starts.
+
+    The restarts advance in lockstep: each sweep takes one Armijo-tested step
+    per row, halving that row's step on rejection. Iterates only move on
+    accepted decrease, so every restart descends monotonically. A condition
+    leaves the working set once all its restarts have stopped, when the sweep
+    cap is hit, or when its objective went non-finite, so a lone condition
+    does the same array work as in a batch of its own. Returns (U, values,
+    sweeps, status) per condition, U being its best restart's point.
+    """
+    B, R, m = len(X), opts.restarts, domain.dim
+    lo, hi = domain.lower, domain.upper
+    conds = np.arange(B)
+    X_rep = np.repeat(X, R, axis=0)
+    Us = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))
+    fs, bad = _fnn_values(net, X_rep, Us)
+    failed = None if bad is None else bad.reshape(B, R).any(axis=1)
+    steps = np.full(B * R, opts.initial_step)
+    done = np.zeros(B * R, dtype=bool)
+    best_u = np.zeros((B, m))
+    sweeps = np.zeros(B, dtype=np.int64)
+    status = np.full(B, _FAILED)
+    if traces is not None:
+        for b, v in zip(conds, fs.reshape(B, R).min(axis=1)):
+            traces[b].append(float(v))
+    for sweep in range(1, opts.max_iters + 1):
+        G = grad_u_batch(net, X_rep, Us)
+        ref = np.clip(Us - G, lo, hi)  # unit reference step
+        residual = np.linalg.norm(Us - ref, axis=1)
+        done |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs))
+        cand = np.clip(Us - steps[:, None] * G, lo, hi)
+        f_cand, bad = _fnn_values(net, X_rep, cand)
+        if bad is not None:
+            bad = bad.reshape(-1, R).any(axis=1)
+            failed = bad if failed is None else failed | bad
+        decrease = f_cand <= fs + opts.armijo * np.sum(G * (cand - Us), axis=1)
+        move = decrease & ~done
+        Us[move] = cand[move]
+        fs[move] = f_cand[move]
+        steps[move] *= 2.0
+        steps[~decrease & ~done] *= opts.backtrack
+        done |= steps < _MIN_STEP
+        if traces is not None:
+            for b, v in zip(conds, fs.reshape(-1, R).min(axis=1)):
+                traces[b].append(float(v))
+        if failed is None and sweep < opts.max_iters and np.count_nonzero(done) < R:
+            continue  # no condition can have all its restarts done yet
+        finished = done.reshape(-1, R).all(axis=1)
+        leaving = finished if sweep < opts.max_iters else np.ones_like(finished)
+        if failed is not None:
+            leaving = leaving | failed
+        if not leaving.any():
+            continue
+        out = conds[leaving]
+        best = np.argmin(fs.reshape(-1, R)[leaving], axis=1)
+        best_u[out] = Us.reshape(-1, R, m)[leaving, best]
+        sweeps[out] = sweep
+        status[out] = np.where(finished[leaving], _CONVERGED, _MAX_ITERS)
+        if failed is not None:
+            status[out[failed[leaving]]] = _FAILED
+            failed = failed[~leaving]
+        keep = ~leaving
+        if not keep.any():
+            break
+        keep_rows = np.repeat(keep, R)
+        conds = conds[keep]
+        X_rep, Us, fs, steps, done = (v[keep_rows] for v in (X_rep, Us, fs, steps, done))
+    values, bad = _fnn_values(net, X, best_u)
+    if bad is not None:
+        status[bad] = _FAILED
+    return best_u, values, sweeps, status
+
+
+def minimize_batch(
+    net: Network, X: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
+) -> list:
+    """Solve every condition row of X (B, n) in one lockstep batch.
+
+    Each row follows the route `minimize` takes for its kind, step for step,
+    with its own Armijo step, stopping rule and iteration count; rows that
+    stop leave the working set, so the slowest row does not hold back the
+    cost of the others. Results match `minimize` up to rounding in the last
+    bits. A row whose objective goes non-finite comes back as None without
+    affecting the other rows. Every result's wall_time_s is the batch's wall
+    time divided by B. For a single condition, `minimize` is faster.
+    """
+    X = _checked_conditions(net, X, domain)
+    if X.size == 0:
+        return []
+    if X.ndim != 2 or X.shape[1] != net.n:
+        raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
+    opts = opts or SolveOptions()
+    t0 = time.perf_counter()
+    B = X.shape[0]
+    traces = [[] for _ in range(B)] if opts.keep_trace else None
+    # overflow shows as a non-finite row, reported as None below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if net.kind == "fnn":
+            U, values, iters, status = _multistart_batch(net, X, domain, opts, traces)
+            certificates = np.full(B, np.inf)
+        else:
+            A, c = u_bank_batch(net, X)
+            smooth = net.kind in ("lse", "plse")
+            temperatures = (net.T,) if smooth else opts.homotopy_schedule
+            U, G, iters, status = _homotopy_batch(A, c, temperatures, domain, opts, traces)
+            certificates = first_order_gap(G, U, domain)
+            scores = _bank_scores(A, U, c)
+            if smooth:
+                values = _lse_and_softmax(scores, net.T)[0]
+            else:
+                values = np.max(scores, axis=1)
+                certificates = certificates + temperatures[-1] * np.log(net.I)
+    wall = (time.perf_counter() - t0) / B
+    return [
+        None
+        if status[b] == _FAILED or not np.isfinite(values[b])
+        else SolveResult(
+            u_star=U[b],
+            value=float(values[b]),
+            certificate=float(certificates[b]),
+            iterations=int(iters[b]),
+            wall_time_s=wall,
+            status=STATUSES[status[b]],
+            trace=None if traces is None else traces[b],
+        )
+        for b in range(B)
+    ]

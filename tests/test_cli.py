@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from paraconvex import cli
-from paraconvex.networks import forward, load_model
+from paraconvex.networks import MaxAffineNet, forward, load_model, save_model
 from paraconvex.training import init_network
-from paraconvex.networks import save_model
 from paraconvex.verification import CheckReport
 
 
@@ -33,7 +32,8 @@ class TestSolve:
         assert rc == 0
         doc = json.loads(out)
         assert set(doc) == {"u_star", "value", "certificate", "certified",
-                            "iterations", "wall_time_s"}
+                            "iterations", "status", "wall_time_s"}
+        assert doc["status"] in ("converged", "max_iters", "step_underflow")
         assert len(doc["u_star"]) == 2
         assert max(abs(v) for v in doc["u_star"]) <= 1.0
         assert doc["certified"] is True
@@ -83,6 +83,27 @@ class TestSolve:
         rc, _, err = run_cli(["solve", "--model", model_path, "--x", ","],
                              capsys)
         assert rc == 2 and "error:" in err
+
+    def test_non_finite_condition(self, tmp_path, capsys):
+        path = tmp_path / "ma.json"
+        save_model(init_network("ma", 2, 2, seed=5, I=6), path)
+        rc, out, err = run_cli(["solve", "--model", str(path), "--x", "nan,0"],
+                               capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    def test_overflowing_condition(self, tmp_path, capsys):
+        # the first plane's x-part is 2 * 1e308: the objective overflows
+        net = MaxAffineNet(n=2, m=2, A=np.array([[1.0, 1.0, 1.0, 0.0],
+                                                 [-1.0, 0.0, 0.0, 1.0]]),
+                           b=np.zeros(2))
+        path = tmp_path / "ma.json"
+        save_model(net, path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, out, err = run_cli(
+                ["solve", "--model", str(path), "--x", "1e308,1e308"], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "non-finite" in err
 
     def test_bad_tolerance(self, model_path, capsys):
         rc, _, err = run_cli(

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from paraconvex.exceptions import DimensionMismatch, UnsupportedNetwork
+from paraconvex.exceptions import (
+    DimensionMismatch,
+    NonFiniteInput,
+    NumericOverflow,
+    UnsupportedNetwork,
+)
 from paraconvex.networks import (
     FeedforwardNet,
+    MaxAffineNet,
     MlpParams,
     ParamLogSumExpNet,
     ParamMaxAffineNet,
@@ -21,6 +27,7 @@ from paraconvex.solver import (
     SolveResult,
     first_order_gap,
     minimize,
+    minimize_batch,
     minimize_fnn,
     minimize_pma,
     minimize_smooth_convex,
@@ -299,3 +306,147 @@ class TestDispatch:
         doc2 = minimize(net2, np.array([0.1]), BoxDomain.symmetric(1)).to_json()
         assert doc2["certified"] is True and doc2["certificate"] >= 0.0
         assert isinstance(doc2["u_star"], list)
+
+
+class TestStatus:
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    def test_iteration_cap(self, kind):
+        net = init_network(kind, 2, 3, seed=92, I=6, hidden=(8, 8))
+        x = np.array([0.4, -0.2])
+        opts = SolveOptions(max_iters=1, seed=4, restarts=4)
+        res = minimize(net, x, BoxDomain.symmetric(3), opts)
+        assert res.status == "max_iters"
+        assert res.to_json()["status"] == "max_iters"
+        (row,) = minimize_batch(net, x[None, :], BoxDomain.symmetric(3), opts)
+        assert row.status == "max_iters"
+
+    @pytest.mark.parametrize("kind", ["plse", "pma"])
+    def test_converged(self, kind):
+        net = init_network(kind, 2, 3, seed=92, I=6, hidden=(8, 8))
+        res = minimize(net, np.array([0.4, -0.2]), BoxDomain.symmetric(3))
+        assert res.status == "converged"
+        assert 0 < res.iterations < SolveOptions().max_iters
+        assert res.to_json()["status"] == "converged"
+
+    def test_fnn_converged(self):
+        res = minimize(_bowl_fnn(1, 1), np.array([0.3]), BoxDomain.symmetric(1),
+                       SolveOptions(seed=1, restarts=4))
+        assert res.status == "converged"
+        assert_allclose(res.u_star, [0.15], atol=1e-6)
+
+
+def _bowl_fnn(n, m):
+    # sum_j lrelu(u_j - x_1/2) + lrelu(x_1/2 - u_j) = 0.99 sum_j |u_j - x_1/2|
+    W1 = np.zeros((2 * m, n + m))
+    for j in range(m):
+        W1[2 * j, [0, n + j]] = [-0.5, 1.0]
+        W1[2 * j + 1, [0, n + j]] = [0.5, -1.0]
+    mlp = MlpParams(weights=[W1, np.ones((1, 2 * m))],
+                    biases=[np.zeros(2 * m), np.zeros(1)])
+    return FeedforwardNet(n=n, m=m, mlp=mlp)
+
+
+# (n, m) -> seed of fixtures on which every serial solve converges
+_BATCH_FIXTURES = {(1, 1): 90, (2, 3): 92}
+
+
+def _batch_fixture(kind, n, m):
+    seed = _BATCH_FIXTURES[(n, m)]
+    if kind == "fnn":
+        net = _bowl_fnn(n, m)
+    else:
+        net = init_network(kind, n, m, seed=seed, I=6, hidden=(8, 8))
+    X = np.array([Rng(seed + 1 + k).uniform_in(-1.0, 1.0, n) for k in range(6)])
+    return net, X, BoxDomain.symmetric(m), SolveOptions(seed=4, restarts=4)
+
+
+class TestMinimizeBatch:
+    @pytest.mark.parametrize("dims", sorted(_BATCH_FIXTURES))
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    def test_rows_match_serial(self, kind, dims):
+        net, X, dom, opts = _batch_fixture(kind, *dims)
+        rows = minimize_batch(net, X, dom, opts)
+        assert len(rows) == len(X)
+        for x, row in zip(X, rows):
+            ref = minimize(net, x, dom, opts)
+            assert ref.status == "converged"
+            assert (row.iterations, row.status) == (ref.iterations, ref.status)
+            assert_allclose(row.u_star, ref.u_star, rtol=0, atol=1e-12)
+            assert abs(row.value - ref.value) <= 1e-12
+            if kind == "fnn":
+                assert row.certificate == ref.certificate == np.inf
+            else:
+                assert abs(row.certificate - ref.certificate) <= 1e-12
+
+    def test_traces_match_serial(self):
+        for kind in ("fnn", "pma", "plse"):
+            net, X, dom, _ = _batch_fixture(kind, 2, 3)
+            opts = SolveOptions(seed=4, restarts=4, keep_trace=True)
+            rows = minimize_batch(net, X, dom, opts)
+            for x, row in zip(X, rows):
+                ref = minimize(net, x, dom, opts)
+                assert_allclose(row.trace, ref.trace, rtol=0, atol=1e-12)
+
+    def test_overflowing_row_is_none(self):
+        # x = 1e308 sends the first plane to +inf; the other rows solve
+        net = MaxAffineNet(n=1, m=1, A=np.array([[2.0, 1.0], [-1.0, -1.0]]),
+                           b=np.zeros(2))
+        X = np.array([[0.5], [1e308], [-0.25]])
+        dom = BoxDomain.symmetric(1)
+        rows = minimize_batch(net, X, dom)
+        assert rows[1] is None
+        for i in (0, 2):
+            ref = minimize(net, X[i], dom)
+            assert rows[i].iterations == ref.iterations
+            assert abs(rows[i].value - ref.value) <= 1e-12
+        with pytest.raises(NumericOverflow), np.errstate(over="ignore",
+                                                          invalid="ignore"):
+            minimize(net, X[1], dom)
+
+    def test_overflowing_fnn_condition_is_none(self):
+        W1 = np.array([[10.0, 1.0], [0.0, -1.0]])
+        net = FeedforwardNet(n=1, m=1, mlp=MlpParams(
+            weights=[W1, np.ones((1, 2))], biases=[np.zeros(2), np.zeros(1)]))
+        X = np.array([[0.3], [1e308]])
+        rows = minimize_batch(net, X, BoxDomain.symmetric(1), SolveOptions(restarts=3))
+        assert rows[1] is None
+        ref = minimize(net, X[0], BoxDomain.symmetric(1), SolveOptions(restarts=3))
+        assert rows[0].iterations == ref.iterations
+        assert_array_equal(rows[0].u_star, ref.u_star)
+
+    @pytest.mark.parametrize("kind", ["ma", "lse", "pma", "plse"])
+    def test_certificates_bound_grid_gap(self, kind):
+        net = init_network(kind, 2, 1, seed=21, I=8, hidden=(12, 10))
+        X = np.array([Rng(22 + k).uniform_in(-1.0, 1.0, 2) for k in range(8)])
+        dom = BoxDomain.symmetric(1)
+        for x, row in zip(X, minimize_batch(net, X, dom)):
+            gval = _grid_value(net, x, dom, 4001)
+            assert row.value - gval <= row.certificate + 1e-12
+
+    def test_amortized_wall_time(self):
+        net, X, dom, opts = _batch_fixture("plse", 1, 1)
+        rows = minimize_batch(net, X, dom, opts)
+        assert len({row.wall_time_s for row in rows}) == 1
+        assert rows[0].wall_time_s > 0.0
+
+    def test_empty(self):
+        net = init_network("plse", 2, 1, seed=0, I=3)
+        assert minimize_batch(net, np.empty((0, 2)), BoxDomain.symmetric(1)) == []
+
+    def test_shape_checked(self):
+        net = init_network("plse", 2, 1, seed=0, I=3)
+        with pytest.raises(DimensionMismatch):
+            minimize_batch(net, np.zeros((3, 1)), BoxDomain.symmetric(1))
+        with pytest.raises(DimensionMismatch):
+            minimize_batch(net, np.zeros((3, 2)), BoxDomain.symmetric(2))
+
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    def test_non_finite_conditions_rejected(self, kind):
+        net = init_network(kind, 2, 1, seed=0, I=3, hidden=(4,))
+        dom = BoxDomain.symmetric(1)
+        for bad in (np.nan, np.inf):
+            x = np.array([0.1, bad])
+            with pytest.raises(NonFiniteInput):
+                minimize(net, x, dom)
+            with pytest.raises(NonFiniteInput):
+                minimize_batch(net, np.array([[0.0, 0.0], x]), dom)
