@@ -9,6 +9,10 @@ class NonFiniteInput(ValueError):
     """An input vector holds NaN or infinity."""
 
 
+class ModelFormatError(ValueError):
+    """A model document lacks a required key or holds inconsistent shapes."""
+
+
 class NumericOverflow(ArithmeticError):
     """A forward evaluation or line search produced a non-finite value."""
 

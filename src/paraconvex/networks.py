@@ -19,7 +19,12 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NumericOverflow, UnsupportedNetwork
+from .exceptions import (
+    DimensionMismatch,
+    ModelFormatError,
+    NumericOverflow,
+    UnsupportedNetwork,
+)
 
 FORMAT_VERSION = 1
 
@@ -313,36 +318,18 @@ def grad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     if net.kind == "fnn":
         x = _check_vec(x, net.n, "x")
         u = _check_vec(u, net.m, "u")
-        g = _mlp_input_grad(net.mlp, np.concatenate([x, u]))
-        return g[net.n :]
+        _, g = _mlp_input_grad_batch(net.mlp, np.concatenate([x, u])[None, :])
+        return g[0, net.n :]
     A_u, c = u_bank(net, x)
     u = _check_vec(u, net.m, "u")
     sigma = softmax_over_T(A_u @ u + c, net.T)
     return A_u.T @ sigma
 
 
-def _mlp_input_grad(params: MlpParams, inp: np.ndarray) -> np.ndarray:
-    """d(scalar output)/d(input) by reverse mode; n_out must be 1."""
-    if params.n_out != 1:
-        raise DimensionMismatch("input gradient defined for scalar outputs only")
-    pres = []
-    h = inp
-    last = len(params.weights) - 1
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = W @ h + b
-        pres.append(z)
-        h = leaky_relu(z, params.leaky_slope) if k != last else z
-    g = np.ones(1)
-    for k in range(last, -1, -1):
-        if k != last:
-            # kink at 0 resolved to the shallow branch; measure-zero set
-            g = g * np.where(pres[k] > 0, 1.0, params.leaky_slope)
-        g = params.weights[k].T @ g
-    return g
-
-
-def _mlp_input_grad_batch(params: MlpParams, Z: np.ndarray) -> np.ndarray:
-    """Row-wise d(scalar output)/d(input); Z is (B, n_in), result (B, n_in)."""
+def _mlp_input_grad_batch(params: MlpParams, Z: np.ndarray) -> tuple:
+    """One trace of a scalar-output MLP at rows Z (B, n_in): the outputs (B,),
+    equal to mlp_forward_batch's, and their input gradients (B, n_in) by
+    reverse mode."""
     if params.n_out != 1:
         raise DimensionMismatch("input gradient defined for scalar outputs only")
     pres = []
@@ -355,9 +342,10 @@ def _mlp_input_grad_batch(params: MlpParams, Z: np.ndarray) -> np.ndarray:
     g = np.ones((Z.shape[0], 1))
     for k in range(last, -1, -1):
         if k != last:
+            # kink at 0 resolved to the shallow branch; measure-zero set
             g = g * np.where(pres[k] > 0, 1.0, params.leaky_slope)
         g = g @ params.weights[k]
-    return g
+    return h[:, 0], g
 
 
 def hidden_preactivations(params: MlpParams, inp: np.ndarray) -> list:
@@ -385,7 +373,7 @@ def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
     if net.kind == "fnn":
-        return _mlp_input_grad_batch(net.mlp, np.hstack([X, U]))[:, net.n :]
+        return _mlp_input_grad_batch(net.mlp, np.hstack([X, U]))[1][:, net.n :]
     if net.kind == "lse":
         sigma = softmax_over_T(batch_scores(net, X, U), net.T, axis=1)
         return sigma @ net.A[:, net.n :]
@@ -439,12 +427,6 @@ def replace_temperature(net: Network, T: float) -> Network:
             n=net.n, m=net.m, I=net.I, embed=net.embed, T=T, seed=net.seed
         )
     raise UnsupportedNetwork(f"{net.kind} has no temperature")
-
-
-def plane_count(net: Network) -> int:
-    if net.kind not in _BANK_KINDS:
-        raise UnsupportedNetwork(f"{net.kind} has no planes")
-    return net.I
 
 
 def _clone_mlp(mlp: MlpParams) -> MlpParams:
@@ -508,15 +490,30 @@ def model_to_json(net: Network) -> dict:
 
 
 def _mlp_from_json(doc: dict) -> MlpParams:
-    widths = doc["layer_widths"]
+    widths, layers = doc["layer_widths"], doc["weights"]
+    if len(layers) != len(widths) - 1:
+        raise ModelFormatError(f"{len(widths)} layer widths, {len(layers)} layers")
     Ws, bs = [], []
-    for k, layer in enumerate(doc["weights"]):
-        Ws.append(np.array(layer["W"], dtype=np.float64).reshape(widths[k + 1], widths[k]))
+    for n_in, n_out, layer in zip(widths, widths[1:], layers):
+        Ws.append(np.array(layer["W"], dtype=np.float64).reshape(n_out, n_in))
         bs.append(np.array(layer["b"], dtype=np.float64))
     return MlpParams(weights=Ws, biases=bs)
 
 
 def model_from_json(doc: dict) -> Network:
+    """The network a model document describes. Raises ModelFormatError for a
+    document that is not one: a missing key, or shapes that disagree."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"model JSON is a {type(doc).__name__}, not an object")
+    try:
+        return _model_from_doc(doc)
+    except KeyError as exc:
+        raise ModelFormatError(f"model JSON lacks key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model JSON: {exc}") from exc
+
+
+def _model_from_doc(doc: dict) -> Network:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {doc.get('format_version')}")
     kind, n, m = doc["kind"], doc["n"], doc["m"]
@@ -524,6 +521,8 @@ def model_from_json(doc: dict) -> Network:
     if kind == "fnn":
         return FeedforwardNet(n=n, m=m, mlp=_mlp_from_json(doc), seed=seed)
     if kind in ("ma", "lse"):
+        if len(doc["weights"]) != 1:
+            raise ModelFormatError(f"a {kind} bank is one layer, got {len(doc['weights'])}")
         layer = doc["weights"][0]
         I = doc["I"]
         A = np.array(layer["W"], dtype=np.float64).reshape(I, n + m)

@@ -10,6 +10,10 @@ Three routes:
     T * log I everywhere.
   - fnn: multi-start projected gradient (nonconvex, no certificate).
 
+Every loop evaluates the model once per candidate, value and gradient
+together. Inside the loops the NumPy wrappers (clip, norm, max, sum) give
+way to the ufuncs and methods they call: the same numbers, less overhead.
+
 `minimize` solves one condition. `minimize_batch` solves many in lockstep:
 every row takes the serial route's step sequence, with its own Armijo step,
 and leaves the working set when it stops, so the per-call NumPy overhead is
@@ -25,6 +29,7 @@ in any dimension.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -38,11 +43,8 @@ from .exceptions import (
 )
 from .networks import (
     Network,
+    _mlp_input_grad_batch,
     forward,
-    forward_batch,
-    grad_u_batch,
-    mlp_forward_batch,
-    shifted_lse,
     softmax_over_T,
     u_bank,
     u_bank_batch,
@@ -142,49 +144,90 @@ def _checked_conditions(net: Network, X, domain: BoxDomain) -> np.ndarray:
 
 def _pg_on_bank(A_u, c, T, domain, u0, opts):
     """Projected gradient with Armijo backtracking on the log-sum-exp of an
-    affine bank. Returns (u, value, iterations, trace, status)."""
+    affine bank. Returns (u, value, iterations, trace, status).
 
-    def value(u):
-        v = float(shifted_lse(A_u @ u + c, T))
-        if not np.isfinite(v):
+    Each candidate is scored once: one shifted exponential gives both its
+    log-sum-exp value and its softmax weights, so an accepted candidate's
+    gradient A_u.T @ p needs no second scoring."""
+    lo, hi = domain.lower, domain.upper
+
+    def evaluate(u):
+        scores = A_u @ u + c
+        top = scores.max()
+        e = np.exp((scores - top) / T)
+        total = e.sum()
+        f = float(T * np.log(total) + top)
+        if not math.isfinite(f):
             raise NumericOverflow("objective became non-finite during line search")
-        return v
-
-    def grad(u):
-        return A_u.T @ softmax_over_T(A_u @ u + c, T)
+        return f, e, total
 
     u = project_box(u0, domain)
-    f = value(u)
+    f, e, total = evaluate(u)
+    g = A_u.T @ (e / total)
     trace = [f] if opts.keep_trace else None
     s = opts.initial_step
     iters = 0
     status = "max_iters"
     for _ in range(opts.max_iters):
-        g = grad(u)
         # stationarity at a fixed unit reference step; the line-search step
         # itself may grow arbitrarily large on flat objectives, which would
         # make a step-relative residual meaningless
-        residual = np.linalg.norm(u - project_box(u - g, domain))
-        if residual <= opts.grad_tolerance * max(1.0, abs(f)):
+        r = u - np.minimum(np.maximum(u - g, lo), hi)
+        if math.sqrt(r @ r) <= opts.grad_tolerance * max(1.0, abs(f)):
             status = "converged"
             break
-        accepted = False
         while s >= _MIN_STEP:
-            cand = project_box(u - s * g, domain)
-            f_cand = value(cand)
+            cand = np.minimum(np.maximum(u - s * g, lo), hi)
+            f_cand, e, total = evaluate(cand)
             if f_cand <= f + opts.armijo * float(g @ (cand - u)):
-                accepted = True
                 break
             s *= opts.backtrack
-        if not accepted:
+        else:
             status = "step_underflow"  # flat to numeric precision
             break
         iters += 1
-        u, f = cand, f_cand
+        u, f, g = cand, f_cand, A_u.T @ (e / total)
         if trace is not None:
             trace.append(f)
         s *= 2.0  # Armijo will cut an overgrown step right back
     return u, f, iters, trace, status
+
+
+def _minimize_bank(net, x, domain, opts):
+    """Projected gradient on the affine bank of an lse/plse net at its own
+    temperature, or of an ma/pma net along the homotopy schedule: the smooth
+    twin shares the bank, and T enters only the smoothing. Each stage warm
+    starts where the last one stopped; the status is the last stage's."""
+    x = _checked_conditions(net, x, domain)
+    opts = opts or SolveOptions()
+    t0 = time.perf_counter()
+    A_u, c = u_bank(net, x)
+    # a certificate built on overflowed offsets or slopes bounds nothing
+    if not (np.isfinite(A_u).all() and np.isfinite(c).all()):
+        raise NumericOverflow("plane bank is non-finite at this condition")
+    smooth = net.kind in ("lse", "plse")
+    temperatures = (net.T,) if smooth else opts.homotopy_schedule
+    u = 0.5 * (domain.lower + domain.upper)
+    total_iters = 0
+    trace = [] if opts.keep_trace else None
+    for T in temperatures:
+        u, _, iters, stage_trace, status = _pg_on_bank(A_u, c, T, domain, u, opts)
+        total_iters += iters
+        if trace is not None:
+            trace.extend(stage_trace)
+    g = A_u.T @ softmax_over_T(A_u @ u + c, temperatures[-1])
+    cert = first_order_gap(g, u, domain)
+    if not smooth:
+        cert = cert + temperatures[-1] * np.log(net.I)
+    return SolveResult(
+        u_star=u,
+        value=forward(net, x, u),
+        certificate=cert,
+        iterations=total_iters,
+        wall_time_s=time.perf_counter() - t0,
+        status=status,
+        trace=trace,
+    )
 
 
 def minimize_smooth_convex(
@@ -193,23 +236,7 @@ def minimize_smooth_convex(
     """Minimize an lse/plse net over u in the box at fixed x."""
     if net.kind not in ("lse", "plse"):
         raise UnsupportedNetwork(f"smooth solver requires lse or plse, got {net.kind}")
-    x = _checked_conditions(net, x, domain)
-    opts = opts or SolveOptions()
-    t0 = time.perf_counter()
-    A_u, c = u_bank(net, x)
-    u0 = 0.5 * (domain.lower + domain.upper)
-    u, _, iters, trace, status = _pg_on_bank(A_u, c, net.T, domain, u0, opts)
-    g = A_u.T @ softmax_over_T(A_u @ u + c, net.T)
-    cert = first_order_gap(g, u, domain)
-    return SolveResult(
-        u_star=u,
-        value=forward(net, x, u),
-        certificate=cert,
-        iterations=iters,
-        wall_time_s=time.perf_counter() - t0,
-        status=status,
-        trace=trace,
-    )
+    return _minimize_bank(net, x, domain, opts)
 
 
 def minimize_pma(
@@ -218,31 +245,7 @@ def minimize_pma(
     """Minimize an ma/pma net over u by temperature homotopy on its smooth twin."""
     if net.kind not in ("ma", "pma"):
         raise UnsupportedNetwork(f"homotopy solver requires ma or pma, got {net.kind}")
-    x = _checked_conditions(net, x, domain)
-    opts = opts or SolveOptions()
-    t0 = time.perf_counter()
-    A_u, c = u_bank(net, x)  # the twin shares the bank; T enters only the smoothing
-    u = 0.5 * (domain.lower + domain.upper)
-    total_iters = 0
-    trace = [] if opts.keep_trace else None
-    for T in opts.homotopy_schedule:
-        u, _, iters, stage_trace, status = _pg_on_bank(A_u, c, T, domain, u, opts)
-        total_iters += iters
-        if trace is not None:
-            trace.extend(stage_trace)
-    T_final = opts.homotopy_schedule[-1]
-    g = A_u.T @ softmax_over_T(A_u @ u + c, T_final)
-    smooth_gap = first_order_gap(g, u, domain)
-    cert = smooth_gap + T_final * np.log(net.I)
-    return SolveResult(
-        u_star=u,
-        value=forward(net, x, u),
-        certificate=cert,
-        iterations=total_iters,
-        wall_time_s=time.perf_counter() - t0,
-        status=status,  # the last stage's
-        trace=trace,
-    )
+    return _minimize_bank(net, x, domain, opts)
 
 
 def minimize_fnn(
@@ -263,11 +266,9 @@ def minimize(
     net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
 ) -> SolveResult:
     """Dispatch to the solver matching the net's kind."""
-    if net.kind in ("lse", "plse"):
-        return minimize_smooth_convex(net, x, domain, opts)
-    if net.kind in ("ma", "pma"):
-        return minimize_pma(net, x, domain, opts)
-    return minimize_fnn(net, x, domain, opts)
+    if net.kind == "fnn":
+        return minimize_fnn(net, x, domain, opts)
+    return _minimize_bank(net, x, domain, opts)
 
 
 # --- lockstep batch solves --------------------------------------------------
@@ -370,14 +371,13 @@ def _homotopy_batch(A, c, temperatures, domain, opts, traces):
     return U, G, iters, status
 
 
-def _fnn_values(net, X, U):
-    """(forward_batch values, mask of non-finite rows or None): a non-finite
-    row is flagged instead of failing the whole batch."""
-    try:
-        return forward_batch(net, X, U), None
-    except NumericOverflow:
-        f = mlp_forward_batch(net.mlp, np.hstack([X, U]))[:, 0]
-        return f, ~np.isfinite(f)
+def _fnn_trace(net, X, U):
+    """(values, u-gradients, mask of non-finite rows or None) from one MLP
+    trace at rows (X, U): a non-finite row is flagged instead of failing the
+    whole batch."""
+    f, G = _mlp_input_grad_batch(net.mlp, np.hstack([X, U]))
+    bad = ~np.isfinite(f)
+    return f, G[:, net.n :], bad if bad.any() else None
 
 
 def _multistart_batch(net, X, domain, opts, traces):
@@ -386,18 +386,20 @@ def _multistart_batch(net, X, domain, opts, traces):
 
     The restarts advance in lockstep: each sweep takes one Armijo-tested step
     per row, halving that row's step on rejection. Iterates only move on
-    accepted decrease, so every restart descends monotonically. A condition
-    leaves the working set once all its restarts have stopped, when the sweep
-    cap is hit, or when its objective went non-finite, so a lone condition
-    does the same array work as in a batch of its own. Returns (U, values,
-    sweeps, status) per condition, U being its best restart's point.
+    accepted decrease, so every restart descends monotonically; a moved row
+    keeps the gradient from its candidate's trace, one MLP trace per sweep.
+    A condition leaves the working set once all its restarts have stopped,
+    when the sweep cap is hit, or when its objective went non-finite, so a
+    lone condition does the same array work as in a batch of its own.
+    Returns (U, values, sweeps, status) per condition, U being its best
+    restart's point.
     """
     B, R, m = len(X), opts.restarts, domain.dim
     lo, hi = domain.lower, domain.upper
     conds = np.arange(B)
     X_rep = np.repeat(X, R, axis=0)
     Us = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))
-    fs, bad = _fnn_values(net, X_rep, Us)
+    fs, G, bad = _fnn_trace(net, X_rep, Us)
     failed = None if bad is None else bad.reshape(B, R).any(axis=1)
     steps = np.full(B * R, opts.initial_step)
     done = np.zeros(B * R, dtype=bool)
@@ -408,19 +410,19 @@ def _multistart_batch(net, X, domain, opts, traces):
         for b, v in zip(conds, fs.reshape(B, R).min(axis=1)):
             traces[b].append(float(v))
     for sweep in range(1, opts.max_iters + 1):
-        G = grad_u_batch(net, X_rep, Us)
-        ref = np.clip(Us - G, lo, hi)  # unit reference step
-        residual = np.linalg.norm(Us - ref, axis=1)
+        r = Us - np.minimum(np.maximum(Us - G, lo), hi)  # unit reference step
+        residual = np.sqrt(np.add.reduce(r * r, axis=1))
         done |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs))
-        cand = np.clip(Us - steps[:, None] * G, lo, hi)
-        f_cand, bad = _fnn_values(net, X_rep, cand)
+        cand = np.minimum(np.maximum(Us - steps[:, None] * G, lo), hi)
+        f_cand, G_cand, bad = _fnn_trace(net, X_rep, cand)
         if bad is not None:
             bad = bad.reshape(-1, R).any(axis=1)
             failed = bad if failed is None else failed | bad
-        decrease = f_cand <= fs + opts.armijo * np.sum(G * (cand - Us), axis=1)
+        decrease = f_cand <= fs + opts.armijo * (G * (cand - Us)).sum(axis=1)
         move = decrease & ~done
         Us[move] = cand[move]
         fs[move] = f_cand[move]
+        G[move] = G_cand[move]
         steps[move] *= 2.0
         steps[~decrease & ~done] *= opts.backtrack
         done |= steps < _MIN_STEP
@@ -448,8 +450,10 @@ def _multistart_batch(net, X, domain, opts, traces):
             break
         keep_rows = np.repeat(keep, R)
         conds = conds[keep]
-        X_rep, Us, fs, steps, done = (v[keep_rows] for v in (X_rep, Us, fs, steps, done))
-    values, bad = _fnn_values(net, X, best_u)
+        X_rep, Us, fs, G, steps, done = (
+            v[keep_rows] for v in (X_rep, Us, fs, G, steps, done)
+        )
+    values, _, bad = _fnn_trace(net, X, best_u)
     if bad is not None:
         status[bad] = _FAILED
     return best_u, values, sweeps, status
@@ -464,9 +468,10 @@ def minimize_batch(
     with its own Armijo step, stopping rule and iteration count; rows that
     stop leave the working set, so the slowest row does not hold back the
     cost of the others. Results match `minimize` up to rounding in the last
-    bits. A row whose objective goes non-finite comes back as None without
-    affecting the other rows. Every result's wall_time_s is the batch's wall
-    time divided by B. For a single condition, `minimize` is faster.
+    bits. A row whose bank or objective goes non-finite comes back as None
+    without affecting the other rows. Every result's wall_time_s is the
+    batch's wall time divided by B. For a single condition, `minimize` is
+    faster.
     """
     X = _checked_conditions(net, X, domain)
     if X.size == 0:
@@ -487,6 +492,9 @@ def minimize_batch(
             smooth = net.kind in ("lse", "plse")
             temperatures = (net.T,) if smooth else opts.homotopy_schedule
             U, G, iters, status = _homotopy_batch(A, c, temperatures, domain, opts, traces)
+            # an overflowed plane leaves no sound certificate, as in minimize
+            finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(c).all(axis=1)
+            status[~finite] = _FAILED
             certificates = first_order_gap(G, U, domain)
             scores = _bank_scores(A, U, c)
             if smooth:

@@ -9,7 +9,6 @@ so a (seed, data, config) triple reproduces training bit for bit.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -149,11 +148,6 @@ def parse_train_config(text: str) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def load_train_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_train_config(fh.read())
-
-
 @dataclass
 class TrainReport:
     train_losses: list
@@ -169,11 +163,6 @@ class TrainReport:
             "final_test_mse": self.final_test_mse,
             "wall_time_s": self.wall_time_s,
         }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
 
 
 # --- initialization --------------------------------------------------------

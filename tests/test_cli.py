@@ -105,6 +105,29 @@ class TestSolve:
         assert rc == 2 and out == ""
         assert err.startswith("error:") and "non-finite" in err
 
+    def test_overflowed_bank_is_not_certified(self, tmp_path, capsys):
+        # one plane's offset overflows to -inf while the top plane stays
+        # finite: the solve used to exit 0 with a certificate
+        path = tmp_path / "ma.json"
+        save_model(init_network("ma", 2, 2, seed=0, I=6), path)
+        with np.errstate(over="ignore"):
+            rc, out, err = run_cli(
+                ["solve", "--model", str(path), "--x", "1e308,1e308"], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "non-finite" in err
+
+    @pytest.mark.parametrize("key", ["weights", "kind", "I"])
+    def test_malformed_model(self, model_path, key, capsys):
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc[key]
+        with open(model_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        rc, out, err = run_cli(["solve", "--model", model_path, "--x", "0.1,0.1"],
+                               capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and key in err
+
     def test_bad_tolerance(self, model_path, capsys):
         rc, _, err = run_cli(
             ["solve", "--model", model_path, "--x", "0.1,0.1", "--tol", "-1"],

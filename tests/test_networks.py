@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from paraconvex.exceptions import (
     DimensionMismatch,
+    ModelFormatError,
     NumericOverflow,
     UnsupportedNetwork,
 )
@@ -371,6 +372,34 @@ class TestSerialization:
         doc["kind"] = "rbf"
         with pytest.raises(ValueError):
             model_from_json(doc)
+
+    @pytest.mark.parametrize("key", ["kind", "n", "m", "I", "T", "layer_widths",
+                                     "weights"])
+    def test_missing_key_rejected(self, key):
+        for net in self._nets():
+            doc = model_to_json(net)
+            if doc[key] is None or (key == "layer_widths" and net.kind in ("ma", "lse")):
+                continue  # a key this kind does not use
+            del doc[key]
+            with pytest.raises(ModelFormatError, match=key):
+                model_from_json(doc)
+
+    def test_bad_shapes_rejected(self):
+        for net in self._nets():
+            doc = model_to_json(net)
+            doc["weights"][0]["W"] = doc["weights"][0]["W"][:-1]
+            with pytest.raises(ModelFormatError):
+                model_from_json(doc)
+            doc = model_to_json(net)
+            doc["weights"][-1]["b"] = doc["weights"][-1]["b"] + [0.0]
+            with pytest.raises(ModelFormatError):
+                model_from_json(doc)
+            doc = model_to_json(net)
+            doc["weights"] = doc["weights"][:1] + doc["weights"]
+            with pytest.raises(ModelFormatError):
+                model_from_json(doc)
+        with pytest.raises(ModelFormatError):
+            model_from_json([1, 2, 3])
 
     def test_json_fields_present(self):
         doc = model_to_json(self._nets()[4])

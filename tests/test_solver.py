@@ -10,18 +10,24 @@ from paraconvex.exceptions import (
     NumericOverflow,
     UnsupportedNetwork,
 )
+from paraconvex import solver as solver_module
 from paraconvex.networks import (
     FeedforwardNet,
     MaxAffineNet,
     MlpParams,
     ParamLogSumExpNet,
     ParamMaxAffineNet,
+    _mlp_input_grad_batch,
     forward,
     forward_batch,
+    grad_u_batch,
+    mlp_forward_batch,
+    shifted_lse,
     smooth_twin,
+    softmax_over_T,
     u_bank,
 )
-from paraconvex.numerics import BoxDomain, Rng, grid_minimize
+from paraconvex.numerics import BoxDomain, Rng, grid_minimize, sample_uniform_box
 from paraconvex.solver import (
     SolveOptions,
     SolveResult,
@@ -450,3 +456,167 @@ class TestMinimizeBatch:
                 minimize(net, x, dom)
             with pytest.raises(NonFiniteInput):
                 minimize_batch(net, np.array([[0.0, 0.0], x]), dom)
+
+    def test_overflowed_bank_row_is_none(self):
+        # x = 1e308 sends one plane's offset to -inf while the top plane stays
+        # finite: a certificate from that bank would bound nothing
+        net = init_network("ma", 2, 2, seed=0, I=6)
+        X = np.array([[0.1, 0.2], [1e308, 1e308]])
+        dom = BoxDomain.symmetric(2)
+        with np.errstate(over="ignore"):
+            rows = minimize_batch(net, X, dom)
+            with pytest.raises(NumericOverflow):
+                minimize(net, X[1], dom)
+        assert rows[1] is None
+        ref = minimize(net, X[0], dom)
+        assert rows[0].iterations == ref.iterations
+        assert abs(rows[0].value - ref.value) <= 1e-12
+
+
+# --- the fused loops against the two-pass loops they replaced ---------------
+
+
+def _two_pass_pg_on_bank(A_u, c, T, domain, u0, opts):
+    """The projected-gradient loop that scores an accepted point a second time
+    for its gradient: the reference the fused `_pg_on_bank` must reproduce."""
+
+    def value(u):
+        v = float(shifted_lse(A_u @ u + c, T))
+        if not np.isfinite(v):
+            raise NumericOverflow("objective became non-finite during line search")
+        return v
+
+    def grad(u):
+        return A_u.T @ softmax_over_T(A_u @ u + c, T)
+
+    u = project_box(u0, domain)
+    f = value(u)
+    trace = [f] if opts.keep_trace else None
+    s = opts.initial_step
+    iters = 0
+    status = "max_iters"
+    for _ in range(opts.max_iters):
+        g = grad(u)
+        residual = np.linalg.norm(u - project_box(u - g, domain))
+        if residual <= opts.grad_tolerance * max(1.0, abs(f)):
+            status = "converged"
+            break
+        accepted = False
+        while s >= 1e-18:
+            cand = project_box(u - s * g, domain)
+            f_cand = value(cand)
+            if f_cand <= f + opts.armijo * float(g @ (cand - u)):
+                accepted = True
+                break
+            s *= opts.backtrack
+        if not accepted:
+            status = "step_underflow"
+            break
+        iters += 1
+        u, f = cand, f_cand
+        if trace is not None:
+            trace.append(f)
+        s *= 2.0
+    return u, f, iters, trace, status
+
+
+def _two_pass_multistart(net, x, domain, opts):
+    """Multi-start sweep for one condition that runs the MLP twice per sweep
+    (forward at the candidates, a separate gradient pass at the iterates).
+    Returns (u*, value, sweeps, status, trace)."""
+    R, lo, hi = opts.restarts, domain.lower, domain.upper
+    X = np.tile(x, (R, 1))
+    Us = sample_uniform_box(domain, R, Rng(opts.seed))
+    fs = forward_batch(net, X, Us)
+    steps = np.full(R, opts.initial_step)
+    done = np.zeros(R, dtype=bool)
+    trace = [float(fs.min())]
+    for sweep in range(1, opts.max_iters + 1):
+        G = grad_u_batch(net, X, Us)
+        residual = np.linalg.norm(Us - np.clip(Us - G, lo, hi), axis=1)
+        done |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs))
+        cand = np.clip(Us - steps[:, None] * G, lo, hi)
+        f_cand = forward_batch(net, X, cand)
+        decrease = f_cand <= fs + opts.armijo * np.sum(G * (cand - Us), axis=1)
+        move = decrease & ~done
+        Us[move], fs[move] = cand[move], f_cand[move]
+        steps[move] *= 2.0
+        steps[~decrease & ~done] *= opts.backtrack
+        done |= steps < 1e-18
+        trace.append(float(fs.min()))
+        if done.all():
+            break
+    u = Us[np.argmin(fs)]
+    status = "converged" if done.all() else "max_iters"
+    return u, forward_batch(net, x[None, :], u[None, :])[0], sweep, status, trace
+
+
+def _assert_same_result(res, ref):
+    assert_array_equal(res.u_star, ref.u_star)
+    assert (res.value, res.iterations, res.status, res.trace) == (
+        ref.value, ref.iterations, ref.status, ref.trace)
+
+
+class TestFusedLoops:
+    """The fused loops change how often the model is evaluated, not the
+    arithmetic: every result must equal the two-pass loop's bit for bit."""
+
+    @pytest.mark.parametrize("kind,n,m,seed,max_iters", [
+        ("ma", 2, 3, 92, 500),
+        ("lse", 2, 3, 92, 500),
+        ("pma", 2, 3, 92, 500),
+        ("plse", 2, 3, 92, 500),
+        ("plse", 3, 20, 7, 500),
+        ("pma", 3, 20, 0, 500),  # every homotopy stage hits the cap
+        ("lse", 2, 3, 93, 3),
+    ])
+    def test_bank_solves_match_two_pass(self, kind, n, m, seed, max_iters,
+                                        monkeypatch):
+        net = init_network(kind, n, m, seed=seed, I=12, hidden=(16,))
+        dom = BoxDomain.symmetric(m)
+        opts = SolveOptions(max_iters=max_iters, keep_trace=True)
+        for k in range(3):
+            x = Rng(seed + k).uniform_in(-1.0, 1.0, n)
+            res = minimize(net, x, dom, opts)
+            with monkeypatch.context() as mp:
+                mp.setattr(solver_module, "_pg_on_bank", _two_pass_pg_on_bank)
+                ref = minimize(net, x, dom, opts)
+            _assert_same_result(res, ref)
+            assert res.certificate == ref.certificate
+            if (kind, m) == ("pma", 20):
+                assert res.status == "max_iters"
+
+    def test_mlp_trace_matches_forward_and_gradient(self):
+        rng = np.random.default_rng(3)
+        for widths in ([4, 16, 16, 1], [81, 64, 64, 1], [3, 1]):
+            mlp = MlpParams(
+                weights=[rng.normal(size=(b, a)) for a, b in zip(widths, widths[1:])],
+                biases=[rng.normal(size=b) for b in widths[1:]],
+            )
+            Z = rng.uniform(-1.0, 1.0, size=(33, widths[0]))
+            out, grad = _mlp_input_grad_batch(mlp, Z)
+            assert_array_equal(out, mlp_forward_batch(mlp, Z)[:, 0])
+            # the reverse pass as a separate function computed it
+            pres, h = [], Z
+            for W, b in zip(mlp.weights, mlp.biases):
+                pres.append(h @ W.T + b)
+                h = np.maximum(mlp.leaky_slope * pres[-1], pres[-1])
+            g = np.ones((len(Z), 1))
+            for k in range(len(mlp.weights) - 1, -1, -1):
+                if k != len(mlp.weights) - 1:
+                    g = g * np.where(pres[k] > 0, 1.0, mlp.leaky_slope)
+                g = g @ mlp.weights[k]
+            assert_array_equal(grad, g)
+
+    @pytest.mark.parametrize("n,m,seed", [(1, 1, 90), (2, 3, 92), (3, 20, 5)])
+    def test_fnn_solves_match_two_pass(self, n, m, seed):
+        net = init_network("fnn", n, m, seed=seed, hidden=(16, 16))
+        dom = BoxDomain.symmetric(m)
+        for k in range(3):
+            x = Rng(seed + k).uniform_in(-1.0, 1.0, n)
+            opts = SolveOptions(seed=k, restarts=4, max_iters=200, keep_trace=True)
+            res = minimize(net, x, dom, opts)
+            u, value, sweeps, status, trace = _two_pass_multistart(net, x, dom, opts)
+            assert_array_equal(res.u_star, u)
+            assert (res.value, res.iterations, res.status, res.trace) == (
+                value, sweeps, status, trace)
