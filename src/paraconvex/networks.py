@@ -240,6 +240,16 @@ def softmax_over_T(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def lse_and_softmax(S: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise T-log-sum-exp of scores S (B, I) and its softmax, from one
+    shifted exponential: equal to shifted_lse(S, T, axis=1) and
+    softmax_over_T(S, T, axis=1)."""
+    top = np.max(S, axis=1, keepdims=True)
+    e = np.exp((S - top) / T)
+    total = np.sum(e, axis=1)
+    return T * np.log(total) + top[:, 0], e / total[:, None]
+
+
 def forward(net: Network, x: np.ndarray, u: np.ndarray) -> float:
     """Scalar prediction at (x, u). Raises NumericOverflow on non-finite."""
     if net.kind == "fnn":

@@ -56,15 +56,19 @@ class Rng:
         return low + (high - low) * self.uniform(count)
 
     def shuffle_indices(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n), driven by this stream."""
-        idx = np.arange(n)
+        """Fisher-Yates permutation of range(n), driven by this stream.
+
+        Step k (k = 0 .. n-2) swaps position i = n-1-k with
+        j = floor(uniform_k * (i + 1)). Every j comes from one float64
+        product and truncation; the swaps run on a Python list.
+        """
         if n < 2:
-            return idx
-        draws = self.uniform(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = int(draws[n - 1 - i] * (i + 1))
+            return np.arange(n)
+        js = (self.uniform(n - 1) * np.arange(n, 1, -1)).astype(np.int64).tolist()
+        idx = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx)
 
     def spawn(self) -> "Rng":
         """Independent child stream seeded from this one."""

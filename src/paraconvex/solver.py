@@ -45,6 +45,7 @@ from .networks import (
     Network,
     _mlp_input_grad_batch,
     forward,
+    lse_and_softmax,
     softmax_over_T,
     u_bank,
     u_bank_batch,
@@ -284,15 +285,6 @@ def _bank_grad(P, A):
     return (P[:, None, :] @ A)[:, 0, :]
 
 
-def _lse_and_softmax(S, T):
-    """Row-wise T-log-sum-exp of scores S (B, I) and its softmax, from one
-    shifted exponential: the value and the gradient weights of a candidate."""
-    top = np.max(S, axis=1, keepdims=True)
-    e = np.exp((S - top) / T)
-    total = np.sum(e, axis=1)
-    return T * np.log(total) + top[:, 0], e / total[:, None]
-
-
 def _pg_batch(A, c, T, domain, U0, opts, traces):
     """`_pg_on_bank` on B banks at once: A (B, I, m), c (B, I), U0 (B, m).
 
@@ -307,7 +299,7 @@ def _pg_batch(A, c, T, domain, U0, opts, traces):
     """
     lo, hi = domain.lower, domain.upper
     U = np.clip(U0, lo, hi)
-    f, p = _lse_and_softmax(_bank_scores(A, U, c), T)
+    f, p = lse_and_softmax(_bank_scores(A, U, c), T)
     G = _bank_grad(p, A)
     iters = np.zeros(len(c), dtype=np.int64)
     status = np.full(len(c), _FAILED)
@@ -338,7 +330,7 @@ def _pg_batch(A, c, T, domain, U0, opts, traces):
             if not rows.size:
                 break
         cand = np.clip(u - s[:, None] * g, lo, hi)
-        f_cand, p = _lse_and_softmax(_bank_scores(A, cand, c), T)
+        f_cand, p = lse_and_softmax(_bank_scores(A, cand, c), T)
         bad = ~np.isfinite(f_cand)
         accept = f_cand <= f + opts.armijo * np.sum(g * (cand - u), axis=1)
         u[accept], f[accept] = cand[accept], f_cand[accept]
@@ -353,14 +345,16 @@ def _pg_batch(A, c, T, domain, U0, opts, traces):
 
 def _homotopy_batch(A, c, temperatures, domain, opts, traces):
     """`_pg_batch` once per temperature, each stage warm-started where the
-    last one stopped; rows that failed sit out the later stages. A row's
-    iterations add up over its stages and its status is its last stage's."""
+    last one stopped; rows that failed sit out the later stages, and a row
+    whose bank is non-finite sits out every stage, failed from the start.
+    A row's iterations add up over its stages and its status is its last
+    stage's."""
     B = len(c)
     U = np.tile(0.5 * (domain.lower + domain.upper), (B, 1))
     G = np.zeros_like(U)
     iters = np.zeros(B, dtype=np.int64)
-    status = np.zeros(B, dtype=np.int64)
-    live = np.arange(B)
+    status = np.full(B, _FAILED)
+    live = np.flatnonzero(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(c).all(axis=1))
     for T in temperatures:
         sub = None if traces is None else [traces[r] for r in live]
         U[live], G[live], stage_iters, status[live] = _pg_batch(
@@ -492,13 +486,10 @@ def minimize_batch(
             smooth = net.kind in ("lse", "plse")
             temperatures = (net.T,) if smooth else opts.homotopy_schedule
             U, G, iters, status = _homotopy_batch(A, c, temperatures, domain, opts, traces)
-            # an overflowed plane leaves no sound certificate, as in minimize
-            finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(c).all(axis=1)
-            status[~finite] = _FAILED
             certificates = first_order_gap(G, U, domain)
             scores = _bank_scores(A, U, c)
             if smooth:
-                values = _lse_and_softmax(scores, net.T)[0]
+                values = lse_and_softmax(scores, net.T)[0]
             else:
                 values = np.max(scores, axis=1)
                 certificates = certificates + temperatures[-1] * np.log(net.I)

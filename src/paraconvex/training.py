@@ -4,6 +4,12 @@ Loss is mean squared error over shuffled mini-batches, optimized with
 bias-corrected Adam. Weights start from Xavier-uniform draws with zero
 biases. All randomness (init, split, shuffles) flows through one seeded Rng,
 so a (seed, data, config) triple reproduces training bit for bit.
+
+The trained copy's parameters are reshaped views into one flat float64
+buffer, so a step is one Adam update over the buffer, made in place with
+the per-array rounding; the lse/plse gradients take the prediction and its
+softmax weights from one shifted exponential. Both give the same bits as
+updating array by array and exponentiating twice.
 """
 
 from __future__ import annotations
@@ -28,11 +34,9 @@ from .networks import (
     Network,
     ParamLogSumExpNet,
     ParamMaxAffineNet,
-    batch_scores,
     clone_network,
     forward_batch,
-    mlp_forward_batch,
-    softmax_over_T,
+    lse_and_softmax,
 )
 from .numerics import Rng
 
@@ -154,6 +158,7 @@ class TrainReport:
     test_losses: list
     final_test_mse: float
     wall_time_s: float
+    epoch_times_s: list = field(default_factory=list)  # per epoch, losses included
 
     def to_json(self) -> dict:
         return {
@@ -162,6 +167,7 @@ class TrainReport:
             "test_losses": list(self.test_losses),
             "final_test_mse": self.final_test_mse,
             "wall_time_s": self.wall_time_s,
+            "epoch_times_s": list(self.epoch_times_s),
         }
 
 
@@ -244,6 +250,24 @@ def parameters(net: Network) -> list:
     return out
 
 
+def _flatten_parameters(net: Network) -> np.ndarray:
+    """Copy parameters(net) into one float64 buffer, in that order, and
+    rebind the net's arrays to reshaped views of it, so one update of the
+    buffer updates every parameter. Shapes and values are unchanged."""
+    params = parameters(net)
+    flat = np.concatenate(params, axis=None)
+    views, start = [], 0
+    for p in params:
+        views.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
+    if net.kind in ("ma", "lse"):
+        net.A, net.b = views
+    else:
+        mlp = net.mlp if net.kind == "fnn" else net.embed
+        mlp.weights, mlp.biases = views[0::2], views[1::2]
+    return flat
+
+
 def _mlp_trace(params: MlpParams, Z: np.ndarray):
     """Forward pass keeping activations: returns (acts, pres) with acts[0]=Z."""
     acts, pres = [Z], []
@@ -272,13 +296,15 @@ def _mlp_backprop(params: MlpParams, acts, pres, delta_out: np.ndarray) -> list:
     return grads
 
 
-def _score_weights(net: Network, scores: np.ndarray) -> np.ndarray:
-    """(B, I) row weights: softmax for lse/plse, argmax one-hot for ma/pma."""
+def _pred_and_weights(net: Network, scores: np.ndarray) -> tuple:
+    """Predictions (B,) and their row weights (B, I) over the planes:
+    log-sum-exp and its softmax from one exponential for lse/plse, the max
+    and its argmax one-hot for ma/pma."""
     if net.kind in ("lse", "plse"):
-        return softmax_over_T(scores, net.T, axis=1)
+        return lse_and_softmax(scores, net.T)
     onehot = np.zeros_like(scores)
     onehot[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1.0
-    return onehot
+    return scores.max(1), onehot
 
 
 def weight_gradients(
@@ -310,14 +336,7 @@ def _weight_gradients(net, X, U, y, B):
         return _mlp_backprop(net.mlp, acts, pres, dpred[:, None])
     if net.kind in ("ma", "lse"):
         Z = np.hstack([X, U])
-        scores = Z @ net.A.T + net.b
-        w = _score_weights(net, scores)
-        if net.kind == "lse":
-            pred = net.T * np.log(
-                np.sum(np.exp((scores - scores.max(1, keepdims=True)) / net.T), axis=1)
-            ) + scores.max(1)
-        else:
-            pred = scores.max(1)
+        pred, w = _pred_and_weights(net, Z @ net.A.T + net.b)
         dpred = (2.0 / B) * (pred - y)
         wd = w * dpred[:, None]
         return [wd.T @ Z, wd.sum(axis=0)]
@@ -327,15 +346,7 @@ def _weight_gradients(net, X, U, y, B):
         I, m = net.I, net.m
         A_x = out[:, : I * m].reshape(B, I, m)
         b_x = out[:, I * m :]
-        scores = np.einsum("bim,bm->bi", A_x, U) + b_x
-        w = _score_weights(net, scores)
-        if net.kind == "plse":
-            top = scores.max(1)
-            pred = net.T * np.log(
-                np.sum(np.exp((scores - top[:, None]) / net.T), axis=1)
-            ) + top
-        else:
-            pred = scores.max(1)
+        pred, w = _pred_and_weights(net, np.einsum("bim,bm->bi", A_x, U) + b_x)
         dpred = (2.0 / B) * (pred - y)
         wd = w * dpred[:, None]
         # d pred / d A_x[i, j] = w_i * u_j and d pred / d b_x[i] = w_i
@@ -373,20 +384,37 @@ def adam_step(
     eps: float = 1e-8,
 ) -> list:
     """One bias-corrected Adam update; returns new parameter arrays and
-    advances state in place."""
+    advances state in place.
+
+    The moments are updated in place and each array's step is formed in one
+    scratch buffer and the returned array, with the rounding of
+    p - lr * m_hat / (sqrt(v_hat) + eps) term for term, so one call over a
+    flat concatenation of arrays equals one call over the arrays.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise DimensionMismatch("params, grads, state lengths disagree")
     state.t += 1
     t = state.t
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise DimensionMismatch(f"param {i}: gradient shape {g.shape} != {p.shape}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[i] / (1.0 - beta1**t)
-        v_hat = state.v[i] / (1.0 - beta2**t)
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        m, v = state.m[i], state.v[i]
+        scratch = np.multiply(g, 1.0 - beta1)
+        m *= beta1
+        m += scratch  # beta1 * m + (1 - beta1) * g
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - beta2
+        v *= beta2
+        v += scratch  # beta2 * v + (1 - beta2) * (g * g)
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps  # sqrt(v_hat) + eps
+        step = np.divide(m, c1)
+        step *= lr
+        step /= scratch  # lr * m_hat / (sqrt(v_hat) + eps)
+        out.append(np.subtract(p, step, out=step))
     return out
 
 
@@ -417,19 +445,20 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[Network, TrainRe
     rng = Rng(cfg.seed)
     train_ds, test_ds = split_dataset(ds, cfg.split_ratio, rng)
     net = clone_network(net)
-    params = parameters(net)
-    state = AdamState.for_params(params)
-    train_losses, test_losses = [], []
+    flat = _flatten_parameters(net)
+    state = AdamState.for_params([flat])
+    train_losses, test_losses, epoch_times = [], [], []
     for _ in range(cfg.epochs):
+        t_epoch = time.perf_counter()
         perm = rng.shuffle_indices(train_ds.size)
         for start in range(0, train_ds.size, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             grads = weight_gradients(net, train_ds.X[idx], train_ds.U[idx],
                                      train_ds.y[idx])
-            new = adam_step(state, params, grads, cfg.learning_rate,
-                            cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-            for p, q in zip(params, new):
-                p[:] = q
+            new = adam_step(state, [flat], [np.concatenate(grads, axis=None)],
+                            cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
+                            cfg.adam_eps)
+            flat[:] = new[0]
         try:
             tr = mse_loss(net, train_ds.X, train_ds.U, train_ds.y)
             te = mse_loss(net, test_ds.X, test_ds.U, test_ds.y)
@@ -439,10 +468,12 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[Network, TrainRe
             raise TrainingDiverged(f"loss became non-finite (train={tr}, test={te})")
         train_losses.append(tr)
         test_losses.append(te)
+        epoch_times.append(time.perf_counter() - t_epoch)
     report = TrainReport(
         train_losses=train_losses,
         test_losses=test_losses,
         final_test_mse=test_losses[-1],
         wall_time_s=time.perf_counter() - t0,
+        epoch_times_s=epoch_times,
     )
     return net, report

@@ -20,14 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, UnsupportedNetwork
+from .exceptions import DimensionMismatch, NumericOverflow, UnsupportedNetwork
 from .networks import (
     Network,
     forward,
     forward_batch,
     grad_u,
     hidden_preactivations,
+    mlp_forward_batch,
     nonsmooth_twin,
+    shifted_lse,
 )
 from .numerics import BoxDomain, Rng, grid_axes
 from .training import init_network
@@ -110,29 +112,65 @@ def convexity_violation(
     Returns (violation, inequalities tested). Positive violation beyond
     slack means fn is not convex in u on [-1,1]^m for some sampled x.
     """
+
+    def on_repeated_conditions(X):
+        X_rep = np.repeat(X, u_pairs, axis=0)
+        return lambda U: fn(X_rep, U)
+
+    return _convexity_violation(on_repeated_conditions, n, m, x_samples, u_pairs, rng)
+
+
+def _convexity_violation(values_at, n, m, x_samples, u_pairs, rng):
+    """convexity_violation for values_at(X) -> f, where f(U) evaluates the
+    function at the rows of U, grouped u_pairs rows per condition of X."""
     X = rng.uniform_in(-1.0, 1.0, x_samples * n).reshape(-1, n)
     U1 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(-1, m)
     U2 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(-1, m)
-    X_rep = np.repeat(X, u_pairs, axis=0)
-    f1 = fn(X_rep, U1)
-    f2 = fn(X_rep, U2)
+    f = values_at(X)
+    f1 = f(U1)
+    f2 = f(U2)
     worst = -np.inf
     for lam in _LAMBDAS:
-        mid = fn(X_rep, lam * U1 + (1.0 - lam) * U2)
+        mid = f(lam * U1 + (1.0 - lam) * U2)
         worst = max(worst, float(np.max(mid - lam * f1 - (1.0 - lam) * f2)))
     return worst, x_samples * u_pairs * len(_LAMBDAS)
+
+
+def _embedded_bank_values(net: Network, X: np.ndarray, u_pairs: int):
+    """pma/plse f(U), equal to forward_batch(net, np.repeat(X, u_pairs,
+    axis=0), U): the embedded net runs once per condition of X and its
+    output rows are repeated, in the layout forward_batch scores."""
+    out = np.repeat(mlp_forward_batch(net.embed, X), u_pairs, axis=0)
+    A_u = out[:, : net.I * net.m].reshape(-1, net.I, net.m)
+    c = out[:, net.I * net.m :]
+
+    def f(U):
+        s = np.einsum("bim,bm->bi", A_u, U) + c
+        v = np.max(s, axis=1) if net.kind == "pma" else shifted_lse(s, net.T, axis=1)
+        if not np.isfinite(v).all():
+            raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
+        return v
+
+    return f
 
 
 def check_convexity(
     net: Network, x_samples: int = 100, u_pairs: int = 100, seed: int = 0
 ) -> CheckReport:
-    """Midpoint convexity in u for a bank-based net."""
+    """Midpoint convexity in u for a bank-based net. For pma/plse the
+    embedded net is evaluated once per sampled condition."""
     if net.kind == "fnn":
         raise UnsupportedNetwork("fnn carries no convexity guarantee to check")
-    worst, count = convexity_violation(
-        lambda X, U: forward_batch(net, X, U), net.n, net.m, x_samples, u_pairs,
-        Rng(seed),
-    )
+    if net.kind in ("pma", "plse"):
+        worst, count = _convexity_violation(
+            lambda X: _embedded_bank_values(net, X, u_pairs), net.n, net.m,
+            x_samples, u_pairs, Rng(seed),
+        )
+    else:
+        worst, count = convexity_violation(
+            lambda X, U: forward_batch(net, X, U), net.n, net.m, x_samples,
+            u_pairs, Rng(seed),
+        )
     return CheckReport(
         name=f"convexity:{net.kind}",
         samples=count,

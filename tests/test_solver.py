@@ -26,6 +26,7 @@ from paraconvex.networks import (
     smooth_twin,
     softmax_over_T,
     u_bank,
+    u_bank_batch,
 )
 from paraconvex.numerics import BoxDomain, Rng, grid_minimize, sample_uniform_box
 from paraconvex.solver import (
@@ -471,6 +472,33 @@ class TestMinimizeBatch:
         ref = minimize(net, X[0], dom)
         assert rows[0].iterations == ref.iterations
         assert abs(rows[0].value - ref.value) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["ma", "lse"])
+    def test_overflowed_bank_row_leaves_before_the_solve(self, kind):
+        net = init_network(kind, 2, 2, seed=0, I=6, T=0.1)
+        X = np.array([[0.1, 0.2], [1e308, 1e308], [-0.3, 0.5]])
+        dom = BoxDomain.symmetric(2)
+        opts = SolveOptions(keep_trace=True)
+        with np.errstate(over="ignore"):
+            rows = minimize_batch(net, X, dom, opts)
+        alone = minimize_batch(net, X[[0, 2]], dom, opts)
+        assert rows[1] is None
+        for res, ref in zip([rows[0], rows[2]], alone):
+            assert_array_equal(res.u_star, ref.u_star)
+            assert (res.value, res.certificate) == (ref.value, ref.certificate)
+            assert (res.iterations, res.status) == (ref.iterations, ref.status)
+            assert res.trace == ref.trace
+        # the bad row takes no step and leaves no trace
+        with np.errstate(over="ignore"):
+            A, c = u_bank_batch(net, X)
+        traces = [[], [], []]
+        temperatures = (net.T,) if kind == "lse" else opts.homotopy_schedule
+        _, _, iters, status = solver_module._homotopy_batch(
+            A, c, temperatures, dom, opts, traces
+        )
+        assert traces[1] == [] and iters[1] == 0
+        assert status[1] == solver_module._FAILED
+        assert traces[0] == rows[0].trace and traces[2] == rows[2].trace
 
 
 # --- the fused loops against the two-pass loops they replaced ---------------

@@ -5,12 +5,19 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from paraconvex.exceptions import ConfigError, DimensionMismatch, TrainingDiverged
-from paraconvex.networks import forward_batch, model_to_json
+from paraconvex.networks import (
+    clone_network,
+    forward_batch,
+    model_to_json,
+    softmax_over_T,
+)
 from paraconvex.numerics import BoxDomain, Rng, sample_uniform_box
 from paraconvex.training import (
     AdamState,
     Dataset,
     TrainConfig,
+    _mlp_backprop,
+    _mlp_trace,
     adam_step,
     init_network,
     load_dataset,
@@ -357,3 +364,156 @@ class TestTrain:
         ds = _quadratic_dataset(2, 1, 50, 17)
         with pytest.raises(DimensionMismatch):
             train(init_network("fnn", 1, 1, seed=6), ds, TrainConfig(epochs=1))
+
+
+# --- the per-array training step the fast one must reproduce bit for bit ----
+
+
+def _reference_shuffle(rng, n):
+    """Fisher-Yates with one int() truncation and one numpy swap per step."""
+    idx = np.arange(n)
+    if n < 2:
+        return idx
+    draws = rng.uniform(n - 1)
+    for i in range(n - 1, 0, -1):
+        j = int(draws[n - 1 - i] * (i + 1))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+def _reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999,
+                         eps=1e-8):
+    """Adam array by array, each moment rebuilt from allocated temporaries."""
+    state.t += 1
+    t = state.t
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
+        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
+        m_hat = state.m[i] / (1.0 - beta1**t)
+        v_hat = state.v[i] / (1.0 - beta2**t)
+        out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+    return out
+
+
+def _reference_weight_gradients(net, X, U, y):
+    """Gradients with the softmax and the log-sum-exp from two exponentials."""
+    B = y.shape[0]
+    if net.kind == "fnn":
+        acts, pres = _mlp_trace(net.mlp, np.hstack([X, U]))
+        dpred = (2.0 / B) * (acts[-1][:, 0] - y)
+        return _mlp_backprop(net.mlp, acts, pres, dpred[:, None])
+    if net.kind in ("ma", "lse"):
+        Z = np.hstack([X, U])
+        scores = Z @ net.A.T + net.b
+    else:
+        acts, pres = _mlp_trace(net.embed, X)
+        out = acts[-1]
+        A_x = out[:, : net.I * net.m].reshape(B, net.I, net.m)
+        scores = np.einsum("bim,bm->bi", A_x, U) + out[:, net.I * net.m :]
+    if net.kind in ("lse", "plse"):
+        w = softmax_over_T(scores, net.T, axis=1)
+        top = scores.max(1)
+        pred = net.T * np.log(
+            np.sum(np.exp((scores - top[:, None]) / net.T), axis=1)
+        ) + top
+    else:
+        w = np.zeros_like(scores)
+        w[np.arange(B), np.argmax(scores, axis=1)] = 1.0
+        pred = scores.max(1)
+    wd = w * ((2.0 / B) * (pred - y))[:, None]
+    if net.kind in ("ma", "lse"):
+        return [wd.T @ Z, wd.sum(axis=0)]
+    dout = np.concatenate(
+        [(wd[:, :, None] * U[:, None, :]).reshape(B, -1), wd], axis=1
+    )
+    return _mlp_backprop(net.embed, acts, pres, dout)
+
+
+def _reference_train(net, ds, cfg):
+    """The train loop with one Adam update per parameter array."""
+    rng = Rng(cfg.seed)
+    perm = _reference_shuffle(rng, ds.size)
+    cut = int(cfg.split_ratio * ds.size)
+    tr, te = ds.subset(perm[:cut]), ds.subset(perm[cut:])
+    net = clone_network(net)
+    params = parameters(net)
+    state = AdamState.for_params(params)
+    train_losses, test_losses = [], []
+    for _ in range(cfg.epochs):
+        perm = _reference_shuffle(rng, tr.size)
+        for start in range(0, tr.size, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            grads = _reference_weight_gradients(net, tr.X[idx], tr.U[idx], tr.y[idx])
+            new = _reference_adam_step(state, params, grads, cfg.learning_rate,
+                                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            for p, q in zip(params, new):
+                p[:] = q
+        train_losses.append(mse_loss(net, tr.X, tr.U, tr.y))
+        test_losses.append(mse_loss(net, te.X, te.U, te.y))
+    return net, train_losses, test_losses
+
+
+class TestFastStepMatchesReference:
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3)])
+    def test_train_bit_identical(self, kind, dims):
+        n, m = dims
+        ds = _quadratic_dataset(n, m, 150, 30)
+        # 135 training rows in batches of 32: a ragged last batch of 7
+        cfg = TrainConfig(epochs=4, batch_size=32, seed=5, learning_rate=1e-2)
+        net0 = init_network(kind, n, m, seed=8, I=5, T=0.1, hidden=(9, 6))
+        net, rep = train(net0, ds, cfg)
+        ref, ref_train, ref_test = _reference_train(net0, ds, cfg)
+        assert rep.train_losses == ref_train
+        assert rep.test_losses == ref_test
+        for p, q in zip(parameters(net), parameters(ref)):
+            assert p.shape == q.shape and p.flags.c_contiguous
+            assert_array_equal(p, q)
+        assert model_to_json(net) == model_to_json(ref)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_shuffle_matches_reference(self, seed):
+        for n in (0, 1, 2, 3, 50, 4500):
+            fast, ref = Rng(seed), Rng(seed)
+            perm = fast.shuffle_indices(n)
+            expected = _reference_shuffle(ref, n)
+            assert perm.dtype == expected.dtype
+            assert_array_equal(perm, expected)
+            assert fast.uniform(1)[0] == ref.uniform(1)[0]  # same stream position
+
+    def test_fused_adam_matches_per_array(self):
+        rng = np.random.default_rng(11)
+        shapes = [(4, 3), (4,), (1, 4), (1,)]
+        params = [rng.normal(size=s) for s in shapes]
+        ref_state = AdamState.for_params(params)
+        flat = np.concatenate(params, axis=None)
+        state = AdamState.for_params([flat])
+        for _ in range(50):
+            grads = [rng.normal(scale=rng.uniform(1e-3, 10.0), size=s) for s in shapes]
+            params = _reference_adam_step(ref_state, params, grads, 1e-2)
+            (flat,) = adam_step(state, [flat], [np.concatenate(grads, axis=None)], 1e-2)
+            assert_array_equal(flat, np.concatenate(params, axis=None))
+        assert_array_equal(state.m[0], np.concatenate(ref_state.m, axis=None))
+        assert_array_equal(state.v[0], np.concatenate(ref_state.v, axis=None))
+        assert state.t == ref_state.t == 50
+
+    def test_adam_returns_new_arrays(self):
+        p = [np.array([1.0, 2.0])]
+        st = AdamState.for_params(p)
+        new = adam_step(st, p, [np.array([0.5, -0.5])], lr=1e-3)
+        assert new[0] is not p[0]
+        assert_array_equal(p[0], [1.0, 2.0])
+
+
+class TestEpochTimes:
+    def test_one_positive_time_per_epoch(self):
+        ds = _quadratic_dataset(1, 1, 100, 18)
+        _, rep = train(init_network("lse", 1, 1, seed=3, I=4), ds,
+                       TrainConfig(epochs=6, seed=2))
+        assert len(rep.epoch_times_s) == 6
+        assert all(t > 0 for t in rep.epoch_times_s)
+        assert sum(rep.epoch_times_s) <= rep.wall_time_s
+        doc = rep.to_json()
+        assert doc["epoch_times_s"] == rep.epoch_times_s
+        assert len(doc["epoch_times_s"]) == doc["epochs"]

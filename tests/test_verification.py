@@ -71,6 +71,20 @@ class TestCheckConvexity:
         assert report.passed
         assert report.samples == 100 * 100 * 3
 
+    @pytest.mark.parametrize("kind", ["pma", "plse"])
+    @pytest.mark.parametrize("dims", [(2, 2), (5, 4)])
+    def test_embedded_bank_once_equals_repeated_forward(self, kind, dims):
+        # the bank built once per condition gives the violation that
+        # forward_batch on every repeated condition row gives
+        n, m = dims
+        net = init_network(kind, n, m, seed=40 + n, I=9, T=0.1, hidden=(16, 12))
+        report = check_convexity(net, x_samples=30, u_pairs=40, seed=3)
+        viol, count = convexity_violation(
+            lambda X, U: forward_batch(net, X, U), n, m, 30, 40, Rng(3)
+        )
+        assert report.max_violation == viol
+        assert report.samples == count == 30 * 40 * 3
+
     def test_fnn_rejected(self):
         net = init_network("fnn", 1, 1, seed=7)
         with pytest.raises(UnsupportedNetwork):
