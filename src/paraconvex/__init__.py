@@ -1,11 +1,8 @@
 """Parameterized-convex function approximators with training and solvers."""
 
 from .networks import (
+    Bank,
     FeedforwardNet,
-    LogSumExpNet,
-    MaxAffineNet,
-    ParamLogSumExpNet,
-    ParamMaxAffineNet,
     forward,
     forward_batch,
     grad_u,
@@ -21,13 +18,10 @@ from .verification import run_check_suite
 __version__ = "0.1.0"
 
 __all__ = [
+    "Bank",
     "BoxDomain",
     "Dataset",
     "FeedforwardNet",
-    "LogSumExpNet",
-    "MaxAffineNet",
-    "ParamLogSumExpNet",
-    "ParamMaxAffineNet",
     "Rng",
     "SolveOptions",
     "SolveResult",

@@ -28,7 +28,14 @@ from .exceptions import ConfigError, DimensionMismatch, TrainingDiverged
 from .networks import Network, forward_batch, save_model
 from .numerics import BoxDomain, Rng, sample_uniform_box
 from .solver import SolveOptions, minimize_batch
-from .training import Dataset, TrainConfig, init_network, split_dataset, train
+from .training import (
+    Dataset,
+    TrainConfig,
+    init_network,
+    key_value_lines,
+    split_dataset,
+    train,
+)
 from .verification import check_convexity
 
 ALL_KINDS = ("plse", "pma", "lse", "ma", "fnn")
@@ -155,14 +162,7 @@ _FLOAT_KEYS = {"temperature", "learning_rate", "split_ratio"}
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """key=value lines; # starts a comment; unknown keys rejected."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+    for lineno, key, val in key_value_lines(text):
         if key == "dims":
             values[key] = parse_dims(val)
         elif key == "kinds":

@@ -1,20 +1,26 @@
-"""Network kinds, forward evaluation, and differentiation in the decision u.
+"""Network types, forward evaluation, and differentiation in the decision u.
 
-Five kinds. Two are classic convex approximators over the joint vector
-z = [x; u]: a max of affine planes ("ma") and its log-sum-exp smoothing
-("lse"). Two are their parameterized versions where the plane coefficients
-a_i(x), b_i(x) come from an embedded feedforward net evaluated at the
-condition x ("pma", "plse"). The fifth ("fnn") is an unstructured
-feedforward baseline on [x; u].
+Two types. A `Bank` is a bank of I planes affine in u, reduced by a max or
+by a T-log-sum-exp. Its coefficients are either fixed, (A, b) over the
+joint vector z = [x; u], or the output of an embedded feedforward net at
+the condition x. The four combinations are the convex kinds: a max of
+affine planes ("ma"), its log-sum-exp smoothing ("lse"), and their
+parameterized versions ("pma", "plse"). A `FeedforwardNet` ("fnn") is an
+unstructured baseline on [x; u].
 
-For fixed x, ma/lse/pma/plse are convex in u by construction: each is a max
-or log-sum-exp of functions affine in u.
+For fixed x every bank is convex in u by construction: a max or
+log-sum-exp of functions affine in u.
+
+Evaluation is batch-first: `forward`, `grad_u`, `subgrad_u` and `u_bank`
+are a batch of one through the row-wise functions.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
@@ -28,9 +34,8 @@ from .exceptions import (
 
 FORMAT_VERSION = 1
 
-
-def leaky_relu(v: np.ndarray, slope: float) -> np.ndarray:
-    return np.maximum(slope * v, v)
+# LeakyReLU slope of every hidden layer; the model format does not carry it.
+LEAKY_SLOPE = 0.01
 
 
 @dataclass
@@ -43,7 +48,6 @@ class MlpParams:
 
     weights: list
     biases: list
-    leaky_slope: float = 0.01
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -69,6 +73,21 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
 
+def mlp_trace(params: MlpParams, Z: np.ndarray) -> tuple[list, list]:
+    """Forward pass at rows Z (B, n_in) keeping what backprop needs:
+    (acts, pres) with acts[0] = Z, acts[k + 1] the output of layer k and
+    pres[k] its pre-activation; acts[-1] is the net's output (B, n_out)."""
+    acts, pres = [Z], []
+    h = Z
+    last = len(params.weights) - 1
+    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ W.T + b
+        pres.append(z)
+        h = np.maximum(LEAKY_SLOPE * z, z) if k != last else z
+        acts.append(h)
+    return acts, pres
+
+
 def mlp_forward_batch(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     """(B, n_in) -> (B, n_out). Hidden layers LeakyReLU, output affine."""
     h = np.asarray(inputs, dtype=np.float64)
@@ -76,22 +95,35 @@ def mlp_forward_batch(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected input width {params.n_in}, got {h.shape}"
         )
+    # mlp_trace's arithmetic without keeping the layers: each layer's arrays
+    # are freed before the next layer's are allocated. Holding them to the
+    # end, as mlp_trace does, measured about a third slower on 4,500 rows.
+    # Overflow surfaces as NumericOverflow/TrainingDiverged at the callers
+    # that own the finiteness contract, not as a numpy warning here.
     last = len(params.weights) - 1
-    # overflow surfaces as NumericOverflow/TrainingDiverged at the callers
-    # that own the finiteness contract, not as a numpy warning here
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (W, b) in enumerate(zip(params.weights, params.biases)):
             h = h @ W.T + b
             if k != last:
-                h = leaky_relu(h, params.leaky_slope)
+                h = np.maximum(LEAKY_SLOPE * h, h)
     return h
 
 
-def mlp_forward(params: MlpParams, inp: np.ndarray) -> np.ndarray:
-    inp = np.asarray(inp, dtype=np.float64)
-    if inp.ndim != 1:
-        raise DimensionMismatch("mlp_forward expects a 1-D input")
-    return mlp_forward_batch(params, inp[None, :])[0]
+def _mlp_input_grad_batch(params: MlpParams, Z: np.ndarray) -> tuple:
+    """One trace of a scalar-output MLP at rows Z (B, n_in): the outputs (B,),
+    equal to mlp_forward_batch's, and their input gradients (B, n_in) by
+    reverse mode."""
+    if params.n_out != 1:
+        raise DimensionMismatch("input gradient defined for scalar outputs only")
+    acts, pres = mlp_trace(params, Z)
+    g = np.ones((Z.shape[0], 1))
+    last = len(params.weights) - 1
+    for k in range(last, -1, -1):
+        if k != last:
+            # kink at 0 resolved to the shallow branch; measure-zero set
+            g = g * np.where(pres[k] > 0, 1.0, LEAKY_SLOPE)
+        g = g @ params.weights[k]
+    return acts[-1][:, 0], g
 
 
 @dataclass
@@ -108,93 +140,64 @@ class FeedforwardNet:
 
 
 @dataclass
-class MaxAffineNet:
-    """max_i <A[i], [x;u]> + b[i]."""
+class Bank:
+    """I planes affine in u, reduced by max_i (T None) or by
+    T * log sum_i exp(. / T).
 
-    kind: ClassVar[str] = "ma"
+    The coefficients are fixed, plane i being <A[i], [x; u]> + b[i], or
+    come from `embed` at x: its first I*m outputs are the slopes a_i(x) row
+    by row, its last I the offsets b_i(x). Give A and b, or embed.
+    """
+
     n: int
     m: int
-    A: np.ndarray
-    b: np.ndarray
+    A: np.ndarray | None = None
+    b: np.ndarray | None = None
+    embed: MlpParams | None = None
+    T: float | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.A.ndim != 2 or self.A.shape[1] != self.n + self.m:
-            raise DimensionMismatch("bank A must be (I, n+m)")
-        if self.b.shape != (self.A.shape[0],):
-            raise DimensionMismatch("bank b must have one entry per plane")
+        if (self.A is not None or self.b is not None) == (self.embed is not None):
+            raise ValueError("a bank takes either A and b or an embedded net")
+        if self.embed is None:
+            self.A = np.asarray(self.A, dtype=np.float64)
+            self.b = np.asarray(self.b, dtype=np.float64)
+            if self.A.ndim != 2 or self.A.shape[1] != self.n + self.m:
+                raise DimensionMismatch("bank A must be (I, n+m)")
+            if self.b.shape != (self.A.shape[0],):
+                raise DimensionMismatch("bank b must have one entry per plane")
+        else:
+            if self.embed.n_in != self.n:
+                raise DimensionMismatch("embedded net input width must equal n")
+            if self.embed.n_out % (self.m + 1):
+                raise DimensionMismatch(
+                    f"embedded net must output (m+1)*I values, m+1 = {self.m + 1}"
+                )
+        if self.I < 1:
+            raise ValueError("need at least one plane")
+        if self.T is not None and not self.T > 0:
+            raise ValueError("temperature must be positive")
 
     @property
     def I(self) -> int:
-        return self.A.shape[0]
+        if self.embed is None:
+            return self.b.shape[0]
+        return self.embed.n_out // (self.m + 1)
+
+    @property
+    def kind(self) -> str:
+        """The kind name: ma, lse, pma or plse."""
+        return ("" if self.embed is None else "p") + ("ma" if self.T is None else "lse")
 
 
-@dataclass
-class LogSumExpNet(MaxAffineNet):
-    """T * log sum_i exp((<A[i], [x;u]> + b[i]) / T)."""
-
-    kind: ClassVar[str] = "lse"
-    T: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.T > 0:
-            raise ValueError("temperature must be positive")
+Network = Union[FeedforwardNet, Bank]
 
 
-@dataclass
-class ParamMaxAffineNet:
-    """max_i <a_i(x), u> + b_i(x), coefficients from the embedded net."""
-
-    kind: ClassVar[str] = "pma"
-    n: int
-    m: int
-    I: int
-    embed: MlpParams
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.I < 1:
-            raise ValueError("need at least one plane")
-        if self.embed.n_in != self.n:
-            raise DimensionMismatch("embedded net input width must equal n")
-        if self.embed.n_out != (self.m + 1) * self.I:
-            raise DimensionMismatch(
-                f"embedded net must output (m+1)*I = {(self.m + 1) * self.I} values"
-            )
-
-
-@dataclass
-class ParamLogSumExpNet(ParamMaxAffineNet):
-    kind: ClassVar[str] = "plse"
-    T: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.T > 0:
-            raise ValueError("temperature must be positive")
-
-
-Network = Union[
-    FeedforwardNet, MaxAffineNet, LogSumExpNet, ParamMaxAffineNet, ParamLogSumExpNet
-]
-
-_BANK_KINDS = ("ma", "lse", "pma", "plse")
-
-
-def embedded_coeffs(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A_of_x (I, m), b_of_x (I,)) from the embedded net's output at x.
-
-    Layout is frozen: the first I*m outputs fill A_of_x row by row, the
-    remaining I fill b_of_x.
-    """
-    if net.kind not in ("pma", "plse"):
-        raise UnsupportedNetwork(f"{net.kind} has no embedded coefficient net")
-    x = _check_vec(x, net.n, "x")
-    out = mlp_forward(net.embed, x)
-    return out[: net.I * net.m].reshape(net.I, net.m), out[net.I * net.m :]
+def net_mlp(net: Network) -> MlpParams | None:
+    """The feedforward net inside `net`: an fnn's own, a parameterized
+    bank's embedded one, None for a fixed bank."""
+    return net.mlp if isinstance(net, FeedforwardNet) else net.embed
 
 
 def _check_vec(v, length: int, name: str) -> np.ndarray:
@@ -204,25 +207,72 @@ def _check_vec(v, length: int, name: str) -> np.ndarray:
     return v
 
 
-def u_bank(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine bank in u at fixed x: (A_u (I, m), c (I,)) with plane values
-    A_u @ u + c.
+def _one(net: Network, x, u) -> tuple[np.ndarray, np.ndarray]:
+    """(x, u) checked and made a batch of one row each."""
+    return _check_vec(x, net.n, "x")[None, :], _check_vec(u, net.m, "u")[None, :]
 
-    For ma/lse the x-part of each joint plane folds into the offset; for
-    pma/plse the bank is the embedded net's output at x.
+
+def _check_rows(net: Network, X, U) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=np.float64)
+    U = np.asarray(U, dtype=np.float64)
+    if X.ndim != 2 or U.ndim != 2 or X.shape[0] != U.shape[0]:
+        raise DimensionMismatch("X and U must be 2-D with equal row counts")
+    if X.shape[1] != net.n or U.shape[1] != net.m:
+        raise DimensionMismatch("column counts must match (n, m)")
+    return X, U
+
+
+# --- banks -----------------------------------------------------------------
+
+
+def u_bank_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine banks in u for B conditions: (A_u (B, I, m), c (B, I)), row b
+    giving the plane values A_u[b] @ u + c[b] at X[b].
+
+    A fixed bank's planes share one slope matrix, returned as a read-only
+    broadcast view, and the x-part of each joint plane folds into the
+    offset; a parameterized bank's are the embedded net's outputs, one
+    forward pass for all rows.
     """
-    if net.kind in ("ma", "lse"):
-        x = _check_vec(x, net.n, "x")
-        return net.A[:, net.n :], net.A[:, : net.n] @ x + net.b
-    if net.kind in ("pma", "plse"):
-        return embedded_coeffs(net, x)
-    raise UnsupportedNetwork(f"{net.kind} has no affine bank in u")
+    if isinstance(net, FeedforwardNet):
+        raise UnsupportedNetwork("fnn has no affine bank in u")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != net.n:
+        raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
+    if net.embed is None:
+        A_u = np.broadcast_to(net.A[:, net.n :], (X.shape[0], net.I, net.m))
+        return A_u, X @ net.A[:, : net.n].T + net.b
+    return embedded_bank(net, mlp_forward_batch(net.embed, X))
 
 
-def _scores(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    A_u, c = u_bank(net, x)
-    u = _check_vec(u, net.m, "u")
-    return A_u @ u + c
+def embedded_bank(net: Bank, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The banks (A_u (B, I, m), c (B, I)) laid out in the embedded net's
+    outputs out (B, (m+1)*I). The layout is frozen: the first I*m outputs
+    fill A_u row by row, the remaining I fill c."""
+    m = net.m
+    I = out.shape[1] // (m + 1)
+    return out[:, : I * m].reshape(-1, I, m), out[:, I * m :]
+
+
+def u_bank(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The affine bank in u at one condition x: (A_u (I, m), c (I,))."""
+    A_u, c = u_bank_batch(net, _check_vec(x, net.n, "x")[None, :])
+    return A_u[0], c[0]
+
+
+def _scores_and_slopes(net: Bank, X: np.ndarray, U: np.ndarray) -> tuple:
+    """Plane values (B, I) at rows (X, U) and the slopes in u: (I, m) shared
+    by all rows of a fixed bank, which is scored over the joint rows
+    [X, U] as it is defined, or (B, I, m) from u_bank_batch."""
+    if isinstance(net, Bank) and net.embed is None:
+        return np.hstack([X, U]) @ net.A.T + net.b, net.A[:, net.n :]
+    A_u, c = u_bank_batch(net, X)
+    return np.einsum("bim,bm->bi", A_u, U) + c, A_u
+
+
+def batch_scores(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Plane values (B, I) of a bank at rows (X, U)."""
+    return _scores_and_slopes(net, X, U)[0]
 
 
 def shifted_lse(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
@@ -250,247 +300,128 @@ def lse_and_softmax(S: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     return T * np.log(total) + top[:, 0], e / total[:, None]
 
 
-def forward(net: Network, x: np.ndarray, u: np.ndarray) -> float:
-    """Scalar prediction at (x, u). Raises NumericOverflow on non-finite."""
-    if net.kind == "fnn":
-        x = _check_vec(x, net.n, "x")
-        u = _check_vec(u, net.m, "u")
-        val = float(mlp_forward(net.mlp, np.concatenate([x, u]))[0])
-    else:
-        s = _scores(net, x, u)
-        if net.kind in ("ma", "pma"):
-            val = float(np.max(s))
-        else:
-            val = float(shifted_lse(s, net.T))
-    if not np.isfinite(val):
-        raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
-    return val
+def bank_values(S: np.ndarray, T: float | None) -> np.ndarray:
+    """Values (B,) of banks at plane scores S (B, I): the max for T None,
+    else the T-log-sum-exp. Equal to bank_weights(S, T)[0], without the
+    cost of the weights."""
+    return S.max(1) if T is None else shifted_lse(S, T, axis=1)
+
+
+def bank_weights(S: np.ndarray, T: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """bank_values(S, T) and their weights (B, I) over the planes: for T
+    None the one-hot of the argmax (lowest index on ties), else the
+    softmax, from the same exponential as the log-sum-exp."""
+    if T is not None:
+        return lse_and_softmax(S, T)
+    onehot = np.zeros_like(S)
+    onehot[np.arange(S.shape[0]), np.argmax(S, axis=1)] = 1.0
+    return S.max(1), onehot
+
+
+def _weighted_slopes(net: Bank, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Row-wise sum of the plane slopes weighted by bank_weights: the
+    u-gradient of a log-sum-exp bank, the active plane's slope of a max."""
+    S, A_u = _scores_and_slopes(net, X, U)
+    return (bank_weights(S, net.T)[1][:, None, :] @ A_u)[:, 0, :]
+
+
+# --- evaluation ------------------------------------------------------------
 
 
 def forward_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Row-wise predictions: X is (B, n), U is (B, m), result is (B,)."""
-    X = np.asarray(X, dtype=np.float64)
-    U = np.asarray(U, dtype=np.float64)
-    if X.ndim != 2 or U.ndim != 2 or X.shape[0] != U.shape[0]:
-        raise DimensionMismatch("X and U must be 2-D with equal row counts")
-    if X.shape[1] != net.n or U.shape[1] != net.m:
-        raise DimensionMismatch("column counts must match (n, m)")
-    if net.kind == "fnn":
+    """Row-wise predictions: X is (B, n), U is (B, m), result is (B,).
+    Raises NumericOverflow on a non-finite value."""
+    X, U = _check_rows(net, X, U)
+    if isinstance(net, FeedforwardNet):
         out = mlp_forward_batch(net.mlp, np.hstack([X, U]))[:, 0]
     else:
-        s = batch_scores(net, X, U)
-        if net.kind in ("ma", "pma"):
-            out = np.max(s, axis=1)
-        else:
-            out = shifted_lse(s, net.T, axis=1)
+        out = bank_values(batch_scores(net, X, U), net.T)
     if not np.isfinite(out).all():
         raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
     return out
 
 
-def u_bank_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine banks in u for B conditions: (A_u (B, I, m), c (B, I)), row b
-    being the bank u_bank gives at X[b].
-
-    ma/lse planes share one slope matrix, returned as a read-only broadcast
-    view; pma/plse banks are the embedded net's outputs, one forward pass
-    for all rows.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.n:
-        raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
-    if net.kind in ("ma", "lse"):
-        A_u = np.broadcast_to(net.A[:, net.n :], (X.shape[0], net.I, net.m))
-        return A_u, X @ net.A[:, : net.n].T + net.b
-    if net.kind in ("pma", "plse"):
-        out = mlp_forward_batch(net.embed, X)
-        return out[:, : net.I * net.m].reshape(-1, net.I, net.m), out[:, net.I * net.m :]
-    raise UnsupportedNetwork(f"{net.kind} has no affine bank in u")
+def forward(net: Network, x: np.ndarray, u: np.ndarray) -> float:
+    """Scalar prediction at (x, u). Raises NumericOverflow on non-finite."""
+    return float(forward_batch(net, *_one(net, x, u))[0])
 
 
-def batch_scores(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Plane values (B, I) for bank-based kinds."""
-    if net.kind in ("ma", "lse"):
-        Z = np.hstack([X, U])
-        return Z @ net.A.T + net.b
-    A_u, c = u_bank_batch(net, X)
-    return np.einsum("bim,bm->bi", A_u, U) + c
-
-
-def grad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Gradient in u for the smooth kinds (lse, plse, fnn).
+def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Gradient in u for the smooth kinds (lse, plse, fnn), row-wise: X is
+    (B, n), U is (B, m), result (B, m).
 
     ma/pma are piecewise linear; callers must opt into subgrad_u instead of
     silently receiving one arbitrary subgradient.
     """
-    if net.kind in ("ma", "pma"):
-        raise UnsupportedNetwork(f"{net.kind} is nonsmooth in u; use subgrad_u")
-    if net.kind == "fnn":
-        x = _check_vec(x, net.n, "x")
-        u = _check_vec(u, net.m, "u")
-        _, g = _mlp_input_grad_batch(net.mlp, np.concatenate([x, u])[None, :])
-        return g[0, net.n :]
-    A_u, c = u_bank(net, x)
-    u = _check_vec(u, net.m, "u")
-    sigma = softmax_over_T(A_u @ u + c, net.T)
-    return A_u.T @ sigma
-
-
-def _mlp_input_grad_batch(params: MlpParams, Z: np.ndarray) -> tuple:
-    """One trace of a scalar-output MLP at rows Z (B, n_in): the outputs (B,),
-    equal to mlp_forward_batch's, and their input gradients (B, n_in) by
-    reverse mode."""
-    if params.n_out != 1:
-        raise DimensionMismatch("input gradient defined for scalar outputs only")
-    pres = []
-    h = Z
-    last = len(params.weights) - 1
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W.T + b
-        pres.append(z)
-        h = leaky_relu(z, params.leaky_slope) if k != last else z
-    g = np.ones((Z.shape[0], 1))
-    for k in range(last, -1, -1):
-        if k != last:
-            # kink at 0 resolved to the shallow branch; measure-zero set
-            g = g * np.where(pres[k] > 0, 1.0, params.leaky_slope)
-        g = g @ params.weights[k]
-    return h[:, 0], g
-
-
-def hidden_preactivations(params: MlpParams, inp: np.ndarray) -> list:
-    """Pre-activation vectors of each hidden layer at a single input.
-
-    Finite-difference probes use these to stay away from LeakyReLU kinks,
-    where one-sided derivatives disagree.
-    """
-    inp = np.asarray(inp, dtype=np.float64)
-    out = []
-    h = inp
-    last = len(params.weights) - 1
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = W @ h + b
-        if k != last:
-            out.append(z)
-            h = leaky_relu(z, params.leaky_slope)
-    return out
-
-
-def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Row-wise grad_u; X is (B, n), U is (B, m), result (B, m)."""
-    if net.kind in ("ma", "pma"):
-        raise UnsupportedNetwork(f"{net.kind} is nonsmooth in u; use subgrad_u")
-    X = np.asarray(X, dtype=np.float64)
-    U = np.asarray(U, dtype=np.float64)
-    if net.kind == "fnn":
+    X, U = _check_rows(net, X, U)
+    if isinstance(net, FeedforwardNet):
         return _mlp_input_grad_batch(net.mlp, np.hstack([X, U]))[1][:, net.n :]
-    if net.kind == "lse":
-        sigma = softmax_over_T(batch_scores(net, X, U), net.T, axis=1)
-        return sigma @ net.A[:, net.n :]
-    A_u, c = u_bank_batch(net, X)
-    sigma = softmax_over_T(np.einsum("bim,bm->bi", A_u, U) + c, net.T, axis=1)
-    return np.einsum("bi,bim->bm", sigma, A_u)
+    if net.T is None:
+        raise UnsupportedNetwork(f"{net.kind} is nonsmooth in u; use subgrad_u")
+    return _weighted_slopes(net, X, U)
+
+
+def grad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """grad_u_batch at one point (x, u)."""
+    return grad_u_batch(net, *_one(net, x, u))[0]
 
 
 def subgrad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A subgradient in u for ma/pma: the active plane's slope, lowest index
     on ties."""
-    if net.kind not in ("ma", "pma"):
+    if isinstance(net, FeedforwardNet) or net.T is not None:
         raise UnsupportedNetwork(f"{net.kind}: use grad_u for smooth kinds")
-    A_u, c = u_bank(net, x)
-    u = _check_vec(u, net.m, "u")
-    i_star = int(np.argmax(A_u @ u + c))  # argmax returns the first maximizer
-    return A_u[i_star].copy()
+    return _weighted_slopes(net, *_one(net, x, u))[0]
+
+
+# --- twins and copies ------------------------------------------------------
 
 
 def smooth_twin(net: Network, T: float) -> Network:
-    """lse/plse sharing the given net's weights (ma -> lse, pma -> plse)."""
-    if net.kind == "ma":
-        return LogSumExpNet(n=net.n, m=net.m, A=net.A, b=net.b, T=T, seed=net.seed)
-    if net.kind == "pma":
-        return ParamLogSumExpNet(
-            n=net.n, m=net.m, I=net.I, embed=net.embed, T=T, seed=net.seed
-        )
-    if net.kind in ("lse", "plse"):
-        return replace_temperature(net, T)
-    raise UnsupportedNetwork(f"{net.kind} has no log-sum-exp twin")
+    """The log-sum-exp bank at temperature T sharing the given bank's
+    coefficients (ma -> lse, pma -> plse)."""
+    if isinstance(net, FeedforwardNet):
+        raise UnsupportedNetwork("fnn has no log-sum-exp twin")
+    return dataclasses.replace(net, T=T)
 
 
 def nonsmooth_twin(net: Network) -> Network:
-    """ma/pma sharing the given net's weights (lse -> ma, plse -> pma)."""
-    if net.kind == "lse":
-        return MaxAffineNet(n=net.n, m=net.m, A=net.A, b=net.b, seed=net.seed)
-    if net.kind == "plse":
-        return ParamMaxAffineNet(
-            n=net.n, m=net.m, I=net.I, embed=net.embed, seed=net.seed
-        )
-    if net.kind in ("ma", "pma"):
-        return net
-    raise UnsupportedNetwork(f"{net.kind} has no max-affine twin")
-
-
-def replace_temperature(net: Network, T: float) -> Network:
-    if net.kind == "lse":
-        return LogSumExpNet(n=net.n, m=net.m, A=net.A, b=net.b, T=T, seed=net.seed)
-    if net.kind == "plse":
-        return ParamLogSumExpNet(
-            n=net.n, m=net.m, I=net.I, embed=net.embed, T=T, seed=net.seed
-        )
-    raise UnsupportedNetwork(f"{net.kind} has no temperature")
-
-
-def _clone_mlp(mlp: MlpParams) -> MlpParams:
-    return MlpParams(
-        weights=[W.copy() for W in mlp.weights],
-        biases=[b.copy() for b in mlp.biases],
-        leaky_slope=mlp.leaky_slope,
-    )
+    """The max bank sharing the given bank's coefficients (lse -> ma,
+    plse -> pma)."""
+    if isinstance(net, FeedforwardNet):
+        raise UnsupportedNetwork("fnn has no max-affine twin")
+    return dataclasses.replace(net, T=None)
 
 
 def clone_network(net: Network) -> Network:
     """Deep copy; the clone's weights can be mutated without aliasing."""
-    if net.kind == "fnn":
-        return FeedforwardNet(n=net.n, m=net.m, mlp=_clone_mlp(net.mlp), seed=net.seed)
-    if net.kind == "ma":
-        return MaxAffineNet(n=net.n, m=net.m, A=net.A.copy(), b=net.b.copy(),
-                            seed=net.seed)
-    if net.kind == "lse":
-        return LogSumExpNet(n=net.n, m=net.m, A=net.A.copy(), b=net.b.copy(),
-                            T=net.T, seed=net.seed)
-    if net.kind == "pma":
-        return ParamMaxAffineNet(n=net.n, m=net.m, I=net.I,
-                                 embed=_clone_mlp(net.embed), seed=net.seed)
-    if net.kind == "plse":
-        return ParamLogSumExpNet(n=net.n, m=net.m, I=net.I,
-                                 embed=_clone_mlp(net.embed), T=net.T, seed=net.seed)
-    raise UnsupportedNetwork(f"unknown kind {net.kind!r}")
+    return copy.deepcopy(net)
 
 
 # --- serialization ---------------------------------------------------------
 # One frozen JSON layout for all kinds. "weights" holds one {"W", "b"} entry
-# per layer, W flattened row-major. Bank kinds store the bank as a single
-# layer; mlp kinds store the mlp/embed layers in order.
+# per layer, W flattened row-major. Fixed banks store the bank as a single
+# layer; fnn and parameterized banks store their MLP's layers in order.
+
+_BANK_KINDS = ("ma", "lse", "pma", "plse")
 
 
 def model_to_json(net: Network) -> dict:
+    bank = isinstance(net, Bank)
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": net.kind,
         "n": net.n,
         "m": net.m,
-        "I": None,
-        "T": None,
+        "I": net.I if bank else None,
+        "T": net.T if bank else None,
         "seed": net.seed,
     }
-    if net.kind in _BANK_KINDS:
-        doc["I"] = net.I
-    if net.kind in ("lse", "plse"):
-        doc["T"] = net.T
-    if net.kind in ("ma", "lse"):
+    mlp = net_mlp(net)
+    if mlp is None:
         doc["layer_widths"] = [net.n + net.m, net.I]
         doc["weights"] = [{"W": net.A.ravel().tolist(), "b": net.b.tolist()}]
     else:
-        mlp = net.mlp if net.kind == "fnn" else net.embed
         doc["layer_widths"] = mlp.layer_widths
         doc["weights"] = [
             {"W": W.ravel().tolist(), "b": b.tolist()}
@@ -512,7 +443,8 @@ def _mlp_from_json(doc: dict) -> MlpParams:
 
 def model_from_json(doc: dict) -> Network:
     """The network a model document describes. Raises ModelFormatError for a
-    document that is not one: a missing key, or shapes that disagree."""
+    document that is not one: a missing key, shapes that disagree, or a
+    kind that disagrees with the stored temperature or plane count."""
     if not isinstance(doc, dict):
         raise ModelFormatError(f"model JSON is a {type(doc).__name__}, not an object")
     try:
@@ -530,24 +462,26 @@ def _model_from_doc(doc: dict) -> Network:
     seed = doc.get("seed")
     if kind == "fnn":
         return FeedforwardNet(n=n, m=m, mlp=_mlp_from_json(doc), seed=seed)
+    if kind not in _BANK_KINDS:
+        raise ValueError(f"unknown network kind {kind!r}")
+    T, I = doc.get("T"), doc["I"]
+    if (T is None) != kind.endswith("ma"):
+        raise ModelFormatError(
+            f"a {kind} model {'needs a' if T is None else 'takes no'} temperature T"
+        )
     if kind in ("ma", "lse"):
         if len(doc["weights"]) != 1:
             raise ModelFormatError(f"a {kind} bank is one layer, got {len(doc['weights'])}")
         layer = doc["weights"][0]
-        I = doc["I"]
         A = np.array(layer["W"], dtype=np.float64).reshape(I, n + m)
-        b = np.array(layer["b"], dtype=np.float64)
-        if kind == "ma":
-            return MaxAffineNet(n=n, m=m, A=A, b=b, seed=seed)
-        return LogSumExpNet(n=n, m=m, A=A, b=b, T=doc["T"], seed=seed)
-    if kind in ("pma", "plse"):
-        embed = _mlp_from_json(doc)
-        if kind == "pma":
-            return ParamMaxAffineNet(n=n, m=m, I=doc["I"], embed=embed, seed=seed)
-        return ParamLogSumExpNet(
-            n=n, m=m, I=doc["I"], embed=embed, T=doc["T"], seed=seed
+        return Bank(n=n, m=m, A=A, b=np.array(layer["b"], dtype=np.float64), T=T,
+                    seed=seed)
+    net = Bank(n=n, m=m, embed=_mlp_from_json(doc), T=T, seed=seed)
+    if net.I != I:
+        raise ModelFormatError(
+            f"I={I} disagrees with the embedded net's {net.embed.n_out} outputs"
         )
-    raise ValueError(f"unknown network kind {kind!r}")
+    return net
 
 
 def save_model(net: Network, path) -> None:

@@ -42,9 +42,10 @@ from .exceptions import (
     UnsupportedNetwork,
 )
 from .networks import (
+    FeedforwardNet,
     Network,
     _mlp_input_grad_batch,
-    forward,
+    bank_values,
     lse_and_softmax,
     softmax_over_T,
     u_bank,
@@ -143,6 +144,14 @@ def _checked_conditions(net: Network, X, domain: BoxDomain) -> np.ndarray:
     return X
 
 
+def _checked_condition(net: Network, x, domain: BoxDomain) -> np.ndarray:
+    """_checked_conditions for one condition, which must have length n."""
+    x = _checked_conditions(net, x, domain)
+    if x.shape != (net.n,):
+        raise DimensionMismatch(f"condition must have length {net.n}, got shape {x.shape}")
+    return x
+
+
 def _pg_on_bank(A_u, c, T, domain, u0, opts):
     """Projected gradient with Armijo backtracking on the log-sum-exp of an
     affine bank. Returns (u, value, iterations, trace, status).
@@ -198,21 +207,23 @@ def _minimize_bank(net, x, domain, opts):
     """Projected gradient on the affine bank of an lse/plse net at its own
     temperature, or of an ma/pma net along the homotopy schedule: the smooth
     twin shares the bank, and T enters only the smoothing. Each stage warm
-    starts where the last one stopped; the status is the last stage's."""
-    x = _checked_conditions(net, x, domain)
+    starts where the last one stopped; the status is the last stage's. The
+    value is the net's at the returned point, taken from the bank already
+    built: the last stage's log-sum-exp, or the top plane's value."""
+    x = _checked_condition(net, x, domain)
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
     A_u, c = u_bank(net, x)
     # a certificate built on overflowed offsets or slopes bounds nothing
     if not (np.isfinite(A_u).all() and np.isfinite(c).all()):
         raise NumericOverflow("plane bank is non-finite at this condition")
-    smooth = net.kind in ("lse", "plse")
+    smooth = net.T is not None
     temperatures = (net.T,) if smooth else opts.homotopy_schedule
     u = 0.5 * (domain.lower + domain.upper)
     total_iters = 0
     trace = [] if opts.keep_trace else None
     for T in temperatures:
-        u, _, iters, stage_trace, status = _pg_on_bank(A_u, c, T, domain, u, opts)
+        u, f, iters, stage_trace, status = _pg_on_bank(A_u, c, T, domain, u, opts)
         total_iters += iters
         if trace is not None:
             trace.extend(stage_trace)
@@ -220,9 +231,12 @@ def _minimize_bank(net, x, domain, opts):
     cert = first_order_gap(g, u, domain)
     if not smooth:
         cert = cert + temperatures[-1] * np.log(net.I)
+        f = float((A_u @ u + c).max())
+    if not math.isfinite(f):
+        raise NumericOverflow(f"{net.kind} value is non-finite at the solution")
     return SolveResult(
         u_star=u,
-        value=forward(net, x, u),
+        value=f,
         certificate=cert,
         iterations=total_iters,
         wall_time_s=time.perf_counter() - t0,
@@ -235,7 +249,7 @@ def minimize_smooth_convex(
     net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
 ) -> SolveResult:
     """Minimize an lse/plse net over u in the box at fixed x."""
-    if net.kind not in ("lse", "plse"):
+    if isinstance(net, FeedforwardNet) or net.T is None:
         raise UnsupportedNetwork(f"smooth solver requires lse or plse, got {net.kind}")
     return _minimize_bank(net, x, domain, opts)
 
@@ -244,7 +258,7 @@ def minimize_pma(
     net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
 ) -> SolveResult:
     """Minimize an ma/pma net over u by temperature homotopy on its smooth twin."""
-    if net.kind not in ("ma", "pma"):
+    if isinstance(net, FeedforwardNet) or net.T is not None:
         raise UnsupportedNetwork(f"homotopy solver requires ma or pma, got {net.kind}")
     return _minimize_bank(net, x, domain, opts)
 
@@ -255,9 +269,10 @@ def minimize_fnn(
     """Best of `restarts` projected-gradient runs from seeded uniform starts:
     `minimize_batch` on one condition. Raises NumericOverflow where the
     objective went non-finite."""
-    if net.kind != "fnn":
+    if not isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork(f"multi-start solver is for fnn, got {net.kind}")
-    (res,) = minimize_batch(net, np.asarray(x, dtype=np.float64)[None, :], domain, opts)
+    (res,) = minimize_batch(net, _checked_condition(net, x, domain)[None, :], domain,
+                            opts)
     if res is None:
         raise NumericOverflow("fnn objective became non-finite")
     return res
@@ -267,7 +282,7 @@ def minimize(
     net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
 ) -> SolveResult:
     """Dispatch to the solver matching the net's kind."""
-    if net.kind == "fnn":
+    if isinstance(net, FeedforwardNet):
         return minimize_fnn(net, x, domain, opts)
     return _minimize_bank(net, x, domain, opts)
 
@@ -478,20 +493,16 @@ def minimize_batch(
     traces = [[] for _ in range(B)] if opts.keep_trace else None
     # overflow shows as a non-finite row, reported as None below
     with np.errstate(over="ignore", invalid="ignore"):
-        if net.kind == "fnn":
+        if isinstance(net, FeedforwardNet):
             U, values, iters, status = _multistart_batch(net, X, domain, opts, traces)
             certificates = np.full(B, np.inf)
         else:
             A, c = u_bank_batch(net, X)
-            smooth = net.kind in ("lse", "plse")
-            temperatures = (net.T,) if smooth else opts.homotopy_schedule
+            temperatures = (net.T,) if net.T is not None else opts.homotopy_schedule
             U, G, iters, status = _homotopy_batch(A, c, temperatures, domain, opts, traces)
             certificates = first_order_gap(G, U, domain)
-            scores = _bank_scores(A, U, c)
-            if smooth:
-                values = lse_and_softmax(scores, net.T)[0]
-            else:
-                values = np.max(scores, axis=1)
+            values = bank_values(_bank_scores(A, U, c), net.T)
+            if net.T is None:
                 certificates = certificates + temperatures[-1] * np.log(net.I)
     wall = (time.perf_counter() - t0) / B
     return [

@@ -27,16 +27,17 @@ from .exceptions import (
     TrainingDiverged,
 )
 from .networks import (
+    LEAKY_SLOPE,
+    Bank,
     FeedforwardNet,
-    LogSumExpNet,
-    MaxAffineNet,
     MlpParams,
     Network,
-    ParamLogSumExpNet,
-    ParamMaxAffineNet,
+    bank_weights,
     clone_network,
+    embedded_bank,
     forward_batch,
-    lse_and_softmax,
+    mlp_trace,
+    net_mlp,
 )
 from .numerics import Rng
 
@@ -132,9 +133,10 @@ class TrainConfig:
 _INT_KEYS = {"epochs", "batch_size", "seed"}
 
 
-def parse_train_config(text: str) -> TrainConfig:
-    """key=value lines; '#' starts a comment; unknown keys rejected."""
-    values = {}
+def key_value_lines(text: str):
+    """(line number, key, value) for each key=value line of a config text,
+    key and value stripped; '#' starts a comment and blank lines are
+    skipped. Raises ConfigError naming the line for any other line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,7 +144,13 @@ def parse_train_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+        yield lineno, key.strip(), val.strip()
+
+
+def parse_train_config(text: str) -> TrainConfig:
+    """key=value lines; '#' starts a comment; unknown keys rejected."""
+    values = {}
+    for lineno, key, val in key_value_lines(text):
         if key not in TrainConfig.__dataclass_fields__:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
@@ -199,7 +207,7 @@ def init_network(
 ) -> Network:
     """Fresh network of the given kind with Xavier weights and zero biases.
 
-    Bank kinds (ma/lse) draw every plane coefficient, offsets included, with
+    Fixed banks (ma/lse) draw every plane coefficient, offsets included, with
     the per-scalar Xavier bound (n_in = n_out = 1), i.e. uniform in
     +-sqrt(3).
     """
@@ -208,17 +216,14 @@ def init_network(
         return FeedforwardNet(
             n=n, m=m, mlp=init_mlp([n + m, *hidden, 1], rng), seed=seed
         )
+    T = T if kind in ("lse", "plse") else None
     if kind in ("ma", "lse"):
         A = rng.uniform_in(-np.sqrt(3.0), np.sqrt(3.0), I * (n + m)).reshape(I, n + m)
         b = rng.uniform_in(-np.sqrt(3.0), np.sqrt(3.0), I)
-        if kind == "ma":
-            return MaxAffineNet(n=n, m=m, A=A, b=b, seed=seed)
-        return LogSumExpNet(n=n, m=m, A=A, b=b, T=T, seed=seed)
+        return Bank(n=n, m=m, A=A, b=b, T=T, seed=seed)
     if kind in ("pma", "plse"):
         embed = init_mlp([n, *hidden, (m + 1) * I], rng)
-        if kind == "pma":
-            return ParamMaxAffineNet(n=n, m=m, I=I, embed=embed, seed=seed)
-        return ParamLogSumExpNet(n=n, m=m, I=I, embed=embed, T=T, seed=seed)
+        return Bank(n=n, m=m, embed=embed, T=T, seed=seed)
     raise ConfigError(f"unknown network kind {kind!r}")
 
 
@@ -235,15 +240,11 @@ def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray) -> float
 
 def parameters(net: Network) -> list:
     """Live references to the trainable arrays, in the frozen canonical order:
-    mlp kinds interleave [W0, b0, W1, b1, ...]; bank kinds are [A, b]."""
-    if net.kind == "fnn":
-        mlp = net.mlp
-    elif net.kind in ("pma", "plse"):
-        mlp = net.embed
-    elif net.kind in ("ma", "lse"):
+    nets with an MLP interleave its [W0, b0, W1, b1, ...]; fixed banks are
+    [A, b]."""
+    mlp = net_mlp(net)
+    if mlp is None:
         return [net.A, net.b]
-    else:
-        raise ConfigError(f"unknown network kind {net.kind!r}")
     out = []
     for W, b in zip(mlp.weights, mlp.biases):
         out.extend([W, b])
@@ -260,25 +261,12 @@ def _flatten_parameters(net: Network) -> np.ndarray:
     for p in params:
         views.append(flat[start : start + p.size].reshape(p.shape))
         start += p.size
-    if net.kind in ("ma", "lse"):
+    mlp = net_mlp(net)
+    if mlp is None:
         net.A, net.b = views
     else:
-        mlp = net.mlp if net.kind == "fnn" else net.embed
         mlp.weights, mlp.biases = views[0::2], views[1::2]
     return flat
-
-
-def _mlp_trace(params: MlpParams, Z: np.ndarray):
-    """Forward pass keeping activations: returns (acts, pres) with acts[0]=Z."""
-    acts, pres = [Z], []
-    h = Z
-    last = len(params.weights) - 1
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W.T + b
-        pres.append(z)
-        h = np.maximum(params.leaky_slope * z, z) if k != last else z
-        acts.append(h)
-    return acts, pres
 
 
 def _mlp_backprop(params: MlpParams, acts, pres, delta_out: np.ndarray) -> list:
@@ -291,20 +279,9 @@ def _mlp_backprop(params: MlpParams, acts, pres, delta_out: np.ndarray) -> list:
         grads[2 * k + 1] = delta.sum(axis=0)
         if k > 0:
             delta = (delta @ params.weights[k]) * np.where(
-                pres[k - 1] > 0, 1.0, params.leaky_slope
+                pres[k - 1] > 0, 1.0, LEAKY_SLOPE
             )
     return grads
-
-
-def _pred_and_weights(net: Network, scores: np.ndarray) -> tuple:
-    """Predictions (B,) and their row weights (B, I) over the planes:
-    log-sum-exp and its softmax from one exponential for lse/plse, the max
-    and its argmax one-hot for ma/pma."""
-    if net.kind in ("lse", "plse"):
-        return lse_and_softmax(scores, net.T)
-    onehot = np.zeros_like(scores)
-    onehot[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1.0
-    return scores.max(1), onehot
 
 
 def weight_gradients(
@@ -328,33 +305,28 @@ def weight_gradients(
 
 
 def _weight_gradients(net, X, U, y, B):
-    if net.kind == "fnn":
+    if isinstance(net, FeedforwardNet):
         Z = np.hstack([X, U])
-        acts, pres = _mlp_trace(net.mlp, Z)
+        acts, pres = mlp_trace(net.mlp, Z)
         resid = acts[-1][:, 0] - y
         dpred = (2.0 / B) * resid
         return _mlp_backprop(net.mlp, acts, pres, dpred[:, None])
-    if net.kind in ("ma", "lse"):
+    if net.embed is None:
         Z = np.hstack([X, U])
-        pred, w = _pred_and_weights(net, Z @ net.A.T + net.b)
+        pred, w = bank_weights(Z @ net.A.T + net.b, net.T)
         dpred = (2.0 / B) * (pred - y)
         wd = w * dpred[:, None]
         return [wd.T @ Z, wd.sum(axis=0)]
-    if net.kind in ("pma", "plse"):
-        acts, pres = _mlp_trace(net.embed, X)
-        out = acts[-1]
-        I, m = net.I, net.m
-        A_x = out[:, : I * m].reshape(B, I, m)
-        b_x = out[:, I * m :]
-        pred, w = _pred_and_weights(net, np.einsum("bim,bm->bi", A_x, U) + b_x)
-        dpred = (2.0 / B) * (pred - y)
-        wd = w * dpred[:, None]
-        # d pred / d A_x[i, j] = w_i * u_j and d pred / d b_x[i] = w_i
-        dout = np.concatenate(
-            [(wd[:, :, None] * U[:, None, :]).reshape(B, I * m), wd], axis=1
-        )
-        return _mlp_backprop(net.embed, acts, pres, dout)
-    raise ConfigError(f"unknown network kind {net.kind!r}")
+    acts, pres = mlp_trace(net.embed, X)
+    A_x, b_x = embedded_bank(net, acts[-1])
+    pred, w = bank_weights(np.einsum("bim,bm->bi", A_x, U) + b_x, net.T)
+    dpred = (2.0 / B) * (pred - y)
+    wd = w * dpred[:, None]
+    # d pred / d A_x[i, j] = w_i * u_j and d pred / d b_x[i] = w_i
+    dout = np.concatenate(
+        [(wd[:, :, None] * U[:, None, :]).reshape(B, -1), wd], axis=1
+    )
+    return _mlp_backprop(net.embed, acts, pres, dout)
 
 
 # --- Adam ------------------------------------------------------------------

@@ -22,14 +22,15 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, NumericOverflow, UnsupportedNetwork
 from .networks import (
+    FeedforwardNet,
     Network,
+    bank_values,
     forward,
     forward_batch,
     grad_u,
-    hidden_preactivations,
-    mlp_forward_batch,
+    mlp_trace,
     nonsmooth_twin,
-    shifted_lse,
+    u_bank_batch,
 )
 from .numerics import BoxDomain, Rng, grid_axes
 from .training import init_network
@@ -139,14 +140,11 @@ def _convexity_violation(values_at, n, m, x_samples, u_pairs, rng):
 def _embedded_bank_values(net: Network, X: np.ndarray, u_pairs: int):
     """pma/plse f(U), equal to forward_batch(net, np.repeat(X, u_pairs,
     axis=0), U): the embedded net runs once per condition of X and its
-    output rows are repeated, in the layout forward_batch scores."""
-    out = np.repeat(mlp_forward_batch(net.embed, X), u_pairs, axis=0)
-    A_u = out[:, : net.I * net.m].reshape(-1, net.I, net.m)
-    c = out[:, net.I * net.m :]
+    banks are repeated, scored as forward_batch scores them."""
+    A_u, c = (np.repeat(v, u_pairs, axis=0) for v in u_bank_batch(net, X))
 
     def f(U):
-        s = np.einsum("bim,bm->bi", A_u, U) + c
-        v = np.max(s, axis=1) if net.kind == "pma" else shifted_lse(s, net.T, axis=1)
+        v = bank_values(np.einsum("bim,bm->bi", A_u, U) + c, net.T)
         if not np.isfinite(v).all():
             raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
         return v
@@ -159,9 +157,9 @@ def check_convexity(
 ) -> CheckReport:
     """Midpoint convexity in u for a bank-based net. For pma/plse the
     embedded net is evaluated once per sampled condition."""
-    if net.kind == "fnn":
+    if isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork("fnn carries no convexity guarantee to check")
-    if net.kind in ("pma", "plse"):
+    if net.embed is not None:
         worst, count = _convexity_violation(
             lambda X: _embedded_bank_values(net, X, u_pairs), net.n, net.m,
             x_samples, u_pairs, Rng(seed),
@@ -185,9 +183,9 @@ def check_convexity(
 
 def _kink_margin(net: Network, x: np.ndarray, u: np.ndarray) -> float:
     """Smallest |pre-activation| across hidden units; only fnn has kinks in u."""
-    if net.kind != "fnn":
+    if not isinstance(net, FeedforwardNet):
         return np.inf
-    pres = hidden_preactivations(net.mlp, np.concatenate([x, u]))
+    pres = mlp_trace(net.mlp, np.concatenate([x, u])[None, :])[1][:-1]
     return min(float(np.min(np.abs(z))) for z in pres)
 
 

@@ -15,8 +15,7 @@ import pytest
 
 from paraconvex.bench import ExperimentConfig, run_benchmark
 from paraconvex.networks import (
-    LogSumExpNet,
-    MaxAffineNet,
+    Bank,
     batch_scores,
     forward_batch,
     nonsmooth_twin,
@@ -76,8 +75,8 @@ def test_criterion_2_equal_plane_identity():
         row = rng.uniform_in(-1, 1, 4)
         A = np.tile(row, (I, 1))
         b = np.full(I, float(rng.uniform_in(-1, 1, 1)[0]))
-        lse = LogSumExpNet(n=2, m=2, A=A, b=b, T=0.1)
-        ma = MaxAffineNet(n=2, m=2, A=A, b=b)
+        lse = Bank(n=2, m=2, A=A, b=b, T=0.1)
+        ma = Bank(n=2, m=2, A=A, b=b)
         X = rng.uniform_in(-1, 1, 100).reshape(50, 2)
         U = rng.uniform_in(-1, 1, 100).reshape(50, 2)
         gap = forward_batch(lse, X, U) - forward_batch(ma, X, U)

@@ -25,7 +25,7 @@ from paraconvex.bench import (
     _assert_disjoint,
 )
 from paraconvex.exceptions import ConfigError, DimensionMismatch
-from paraconvex.networks import MaxAffineNet
+from paraconvex.networks import Bank
 from paraconvex.numerics import Rng
 from paraconvex.training import Dataset
 
@@ -263,7 +263,7 @@ class TestRunBenchmark:
 
 class TestSurfaceDump:
     def test_row_count_and_header(self, tmp_path):
-        net = MaxAffineNet(n=1, m=1, A=np.array([[1.0, 1.0]]), b=np.zeros(1))
+        net = Bank(n=1, m=1, A=np.array([[1.0, 1.0]]), b=np.zeros(1))
         path = tmp_path / "surf.csv"
         surface_dump(net, 3, path)
         lines = path.read_text().strip().split("\n")
@@ -271,7 +271,7 @@ class TestSurfaceDump:
         assert len(lines) == 1 + 9
 
     def test_constant_net(self, tmp_path):
-        net = MaxAffineNet(n=1, m=1, A=np.zeros((1, 2)), b=np.array([2.5]))
+        net = Bank(n=1, m=1, A=np.zeros((1, 2)), b=np.array([2.5]))
         path = tmp_path / "surf.csv"
         surface_dump(net, 4, path)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -288,10 +288,10 @@ class TestSurfaceDump:
         assert table[(0.0, 1.0)] == 0.5
 
     def test_wrong_dims_rejected(self, tmp_path):
-        net = MaxAffineNet(n=2, m=1, A=np.ones((1, 3)), b=np.zeros(1))
+        net = Bank(n=2, m=1, A=np.ones((1, 3)), b=np.zeros(1))
         with pytest.raises(DimensionMismatch):
             surface_dump(net, 3, tmp_path / "surf.csv")
-        good = MaxAffineNet(n=1, m=1, A=np.ones((1, 2)), b=np.zeros(1))
+        good = Bank(n=1, m=1, A=np.ones((1, 2)), b=np.zeros(1))
         with pytest.raises(ValueError):
             surface_dump(good, 1, tmp_path / "surf.csv")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from paraconvex import cli
-from paraconvex.networks import MaxAffineNet, forward, load_model, save_model
+from paraconvex.networks import Bank, forward, load_model, save_model
 from paraconvex.training import init_network
 from paraconvex.verification import CheckReport
 
@@ -94,9 +94,9 @@ class TestSolve:
 
     def test_overflowing_condition(self, tmp_path, capsys):
         # the first plane's x-part is 2 * 1e308: the objective overflows
-        net = MaxAffineNet(n=2, m=2, A=np.array([[1.0, 1.0, 1.0, 0.0],
-                                                 [-1.0, 0.0, 0.0, 1.0]]),
-                           b=np.zeros(2))
+        net = Bank(n=2, m=2, A=np.array([[1.0, 1.0, 1.0, 0.0],
+                                         [-1.0, 0.0, 0.0, 1.0]]),
+                   b=np.zeros(2))
         path = tmp_path / "ma.json"
         save_model(net, path)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -11,20 +11,16 @@ from paraconvex.exceptions import (
     UnsupportedNetwork,
 )
 from paraconvex.networks import (
+    Bank,
     FeedforwardNet,
-    LogSumExpNet,
-    MaxAffineNet,
     MlpParams,
-    ParamLogSumExpNet,
-    ParamMaxAffineNet,
-    embedded_coeffs,
     forward,
     forward_batch,
     grad_u,
+    mlp_forward_batch,
     model_from_json,
     model_to_json,
     nonsmooth_twin,
-    mlp_forward,
     smooth_twin,
     subgrad_u,
     u_bank,
@@ -40,12 +36,12 @@ def _random_mlp(widths, rng):
 def _random_plse(n, m, I, T, seed, hidden=(16, 16)):
     rng = np.random.default_rng(seed)
     embed = _random_mlp([n, *hidden, (m + 1) * I], rng)
-    return ParamLogSumExpNet(n=n, m=m, I=I, embed=embed, T=T, seed=seed)
+    return Bank(n=n, m=m, embed=embed, T=T, seed=seed)
 
 
 def _random_lse(n, m, I, T, seed):
     rng = np.random.default_rng(seed)
-    return LogSumExpNet(
+    return Bank(
         n=n, m=m, A=rng.normal(size=(I, n + m)), b=rng.normal(size=I), T=T, seed=seed
     )
 
@@ -56,25 +52,29 @@ class TestMlpForward:
             weights=[np.zeros((4, 3)), np.zeros((2, 4))],
             biases=[np.zeros(4), np.zeros(2)],
         )
-        assert_array_equal(mlp_forward(mp, np.array([1.0, -2.0, 3.0])), np.zeros(2))
+        assert_array_equal(
+            mlp_forward_batch(mp, np.array([1.0, -2.0, 3.0])[None, :])[0], np.zeros(2)
+        )
 
     def test_single_affine_layer_is_identity(self):
         # one layer means no hidden activation at all
         mp = MlpParams(weights=[np.eye(2)], biases=[np.zeros(2)])
-        assert_array_equal(mlp_forward(mp, np.array([-1.0, 2.0])), [-1.0, 2.0])
+        assert_array_equal(
+            mlp_forward_batch(mp, np.array([-1.0, 2.0])[None, :])[0], [-1.0, 2.0]
+        )
 
     def test_leaky_relu_applied_on_hidden(self):
         mp = MlpParams(
             weights=[np.array([[1.0]]), np.array([[1.0]])],
             biases=[np.zeros(1), np.zeros(1)],
         )
-        assert_allclose(mlp_forward(mp, np.array([-2.0])), [-0.02])
-        assert_allclose(mlp_forward(mp, np.array([2.0])), [2.0])
+        assert_allclose(mlp_forward_batch(mp, np.array([-2.0])[None, :])[0], [-0.02])
+        assert_allclose(mlp_forward_batch(mp, np.array([2.0])[None, :])[0], [2.0])
 
     def test_dimension_checks(self):
         mp = MlpParams(weights=[np.zeros((2, 3))], biases=[np.zeros(2)])
         with pytest.raises(DimensionMismatch):
-            mlp_forward(mp, np.zeros(4))
+            mlp_forward_batch(mp, np.zeros(4)[None, :])[0]
         with pytest.raises(DimensionMismatch):
             MlpParams(weights=[np.zeros((2, 3)), np.zeros((2, 5))],
                       biases=[np.zeros(2), np.zeros(2)])
@@ -86,15 +86,15 @@ class TestEmbeddedCoeffs:
         embed = _random_mlp([2, 8, 6], rng)
         embed.weights[-1][:] = 0.0
         embed.biases[-1][:] = 0.0
-        net = ParamMaxAffineNet(n=2, m=1, I=3, embed=embed)
-        A, b = embedded_coeffs(net, np.array([0.4, -0.9]))
+        net = Bank(n=2, m=1, embed=embed)
+        A, b = u_bank(net, np.array([0.4, -0.9]))
         assert_array_equal(A, np.zeros((3, 1)))
         assert_array_equal(b, np.zeros(3))
 
     def test_layout_single_plane(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
-        net = ParamMaxAffineNet(n=1, m=1, I=1, embed=embed)
-        A, b = embedded_coeffs(net, np.array([0.0]))
+        net = Bank(n=1, m=1, embed=embed)
+        A, b = u_bank(net, np.array([0.0]))
         assert_array_equal(A, [[2.0]])
         assert_array_equal(b, [3.0])
 
@@ -102,15 +102,15 @@ class TestEmbeddedCoeffs:
         embed = MlpParams(
             weights=[np.zeros((6, 1))], biases=[np.arange(1.0, 7.0)]
         )
-        net = ParamMaxAffineNet(n=1, m=2, I=2, embed=embed)
-        A, b = embedded_coeffs(net, np.array([0.0]))
+        net = Bank(n=1, m=2, embed=embed)
+        A, b = u_bank(net, np.array([0.0]))
         assert_array_equal(A, [[1.0, 2.0], [3.0, 4.0]])
         assert_array_equal(b, [5.0, 6.0])
 
     def test_output_width_validated(self):
         embed = MlpParams(weights=[np.zeros((5, 1))], biases=[np.zeros(5)])
         with pytest.raises(DimensionMismatch):
-            ParamMaxAffineNet(n=1, m=2, I=2, embed=embed)  # needs (2+1)*2 = 6
+            Bank(n=1, m=2, embed=embed)  # 5 outputs, not a multiple of m+1 = 3
 
 
 def _two_plane_pma():
@@ -118,14 +118,14 @@ def _two_plane_pma():
     embed = MlpParams(
         weights=[np.zeros((4, 1))], biases=[np.array([1.0, -1.0, 0.0, 0.0])]
     )
-    return ParamMaxAffineNet(n=1, m=1, I=2, embed=embed)
+    return Bank(n=1, m=1, embed=embed)
 
 
 class TestForward:
     def test_plse_single_plane_collapses(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
         for T in (0.01, 0.1, 1.0, 10.0):
-            net = ParamLogSumExpNet(n=1, m=1, I=1, embed=embed, T=T)
+            net = Bank(n=1, m=1, embed=embed, T=T)
             assert_allclose(forward(net, np.array([5.0]), np.array([0.5])), 4.0)
 
     def test_pma_max_of_planes(self):
@@ -139,7 +139,7 @@ class TestForward:
         assert_allclose(got, 0.1 * np.log(2.0), rtol=1e-12)
 
     def test_max_shift_stability(self):
-        net = LogSumExpNet(
+        net = Bank(
             n=1,
             m=1,
             A=np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]),
@@ -169,7 +169,7 @@ class TestForward:
             _random_plse(2, 3, 5, 0.1, seed=1),
             nonsmooth_twin(_random_plse(2, 3, 5, 0.1, seed=2)),
             _random_lse(2, 3, 5, 0.5, seed=3),
-            MaxAffineNet(n=2, m=3, A=rng.normal(size=(4, 5)), b=rng.normal(size=4)),
+            Bank(n=2, m=3, A=rng.normal(size=(4, 5)), b=rng.normal(size=4)),
             FeedforwardNet(n=2, m=3, mlp=_random_mlp([5, 8, 1], rng)),
         ]
         X = rng.uniform(-1, 1, size=(6, 2))
@@ -184,7 +184,7 @@ class TestForward:
 class TestGradU:
     def test_single_plane_gradient(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
-        net = ParamLogSumExpNet(n=1, m=1, I=1, embed=embed, T=0.7)
+        net = Bank(n=1, m=1, embed=embed, T=0.7)
         assert_allclose(grad_u(net, np.array([1.0]), np.array([0.3])), [2.0])
 
     def test_symmetric_bank_cancels(self):
@@ -237,7 +237,7 @@ class TestGradU:
 class TestSubgradU:
     def test_single_plane(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
-        net = ParamMaxAffineNet(n=1, m=1, I=1, embed=embed)
+        net = Bank(n=1, m=1, embed=embed)
         assert_array_equal(subgrad_u(net, np.array([0.0]), np.array([0.9])), [2.0])
 
     def test_tie_takes_lowest_index(self):
@@ -246,7 +246,7 @@ class TestSubgradU:
 
     def test_active_plane_selected(self):
         # planes: u (value 1 at u=1) and 2u-0.5 (value 1.5): second is active
-        ma = MaxAffineNet(
+        ma = Bank(
             n=1, m=1, A=np.array([[0.0, 1.0], [0.0, 2.0]]), b=np.array([0.0, -0.5])
         )
         assert_array_equal(subgrad_u(ma, np.array([0.0]), np.array([1.0])), [2.0])
@@ -346,7 +346,7 @@ class TestSerialization:
         rng = np.random.default_rng(7)
         return [
             FeedforwardNet(n=2, m=1, mlp=_random_mlp([3, 8, 8, 1], rng), seed=7),
-            MaxAffineNet(n=2, m=1, A=rng.normal(size=(4, 3)), b=rng.normal(size=4)),
+            Bank(n=2, m=1, A=rng.normal(size=(4, 3)), b=rng.normal(size=4)),
             _random_lse(2, 1, 4, T=0.2, seed=8),
             nonsmooth_twin(_random_plse(2, 1, 4, T=0.2, seed=9)),
             _random_plse(2, 1, 4, T=0.2, seed=10),

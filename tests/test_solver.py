@@ -12,11 +12,10 @@ from paraconvex.exceptions import (
 )
 from paraconvex import solver as solver_module
 from paraconvex.networks import (
+    LEAKY_SLOPE,
+    Bank,
     FeedforwardNet,
-    MaxAffineNet,
     MlpParams,
-    ParamLogSumExpNet,
-    ParamMaxAffineNet,
     _mlp_input_grad_batch,
     forward,
     forward_batch,
@@ -57,7 +56,7 @@ def _single_plane_plse(slope, offset, T=0.1):
     embed = MlpParams(
         weights=[np.zeros((2, 1))], biases=[np.array([slope, offset])]
     )
-    return ParamLogSumExpNet(n=1, m=1, I=1, embed=embed, T=T)
+    return Bank(n=1, m=1, embed=embed, T=T)
 
 
 def _symmetric_embed():
@@ -135,7 +134,7 @@ class TestMinimizeSmoothConvex:
         assert res.certificate <= 1e-9
 
     def test_symmetric_planes_center(self):
-        net = ParamLogSumExpNet(n=1, m=1, I=2, embed=_symmetric_embed(), T=0.1)
+        net = Bank(n=1, m=1, embed=_symmetric_embed(), T=0.1)
         res = minimize_smooth_convex(net, np.array([0.0]), BoxDomain.symmetric(1))
         assert abs(res.u_star[0]) <= 1e-6
         assert_allclose(res.value, 0.1 * np.log(2.0), atol=1e-9)
@@ -184,13 +183,13 @@ class TestMinimizeSmoothConvex:
 class TestMinimizePma:
     def test_single_plane_corner(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 0.5])])
-        net = ParamMaxAffineNet(n=1, m=1, I=1, embed=embed)
+        net = Bank(n=1, m=1, embed=embed)
         res = minimize_pma(net, np.array([0.0]), BoxDomain.symmetric(1))
         assert_allclose(res.u_star, [-1.0], atol=1e-9)
         assert_allclose(res.value, -1.5, atol=1e-9)
 
     def test_symmetric_planes(self):
-        net = ParamMaxAffineNet(n=1, m=1, I=2, embed=_symmetric_embed())
+        net = Bank(n=1, m=1, embed=_symmetric_embed())
         res = minimize_pma(net, np.array([0.0]), BoxDomain.symmetric(1))
         assert abs(res.u_star[0]) <= 1e-4
         assert abs(res.value) <= 1e-4 * np.log(2.0) + 1e-9
@@ -304,6 +303,14 @@ class TestDispatch:
         assert BoxDomain.symmetric(1).contains(res.u_star)
         assert res.value == forward(net, np.array([0.2]), res.u_star)
 
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    @pytest.mark.parametrize("x", [np.float64(0.3), np.zeros((1, 2)), np.zeros(3)],
+                             ids=["0-d", "1xn", "wrong-length"])
+    def test_condition_shape_is_a_typed_error(self, kind, x):
+        net = init_network(kind, 2, 1, seed=0, I=3, hidden=(4,))
+        with pytest.raises(DimensionMismatch, match="length 2"):
+            minimize(net, x, BoxDomain.symmetric(1))
+
     def test_json_shape(self):
         net = init_network("fnn", 1, 1, seed=61, hidden=(6,))
         res = minimize(net, np.array([0.1]), BoxDomain.symmetric(1))
@@ -396,8 +403,8 @@ class TestMinimizeBatch:
 
     def test_overflowing_row_is_none(self):
         # x = 1e308 sends the first plane to +inf; the other rows solve
-        net = MaxAffineNet(n=1, m=1, A=np.array([[2.0, 1.0], [-1.0, -1.0]]),
-                           b=np.zeros(2))
+        net = Bank(n=1, m=1, A=np.array([[2.0, 1.0], [-1.0, -1.0]]),
+                   b=np.zeros(2))
         X = np.array([[0.5], [1e308], [-0.25]])
         dom = BoxDomain.symmetric(1)
         rows = minimize_batch(net, X, dom)
@@ -628,11 +635,11 @@ class TestFusedLoops:
             pres, h = [], Z
             for W, b in zip(mlp.weights, mlp.biases):
                 pres.append(h @ W.T + b)
-                h = np.maximum(mlp.leaky_slope * pres[-1], pres[-1])
+                h = np.maximum(LEAKY_SLOPE * pres[-1], pres[-1])
             g = np.ones((len(Z), 1))
             for k in range(len(mlp.weights) - 1, -1, -1):
                 if k != len(mlp.weights) - 1:
-                    g = g * np.where(pres[k] > 0, 1.0, mlp.leaky_slope)
+                    g = g * np.where(pres[k] > 0, 1.0, LEAKY_SLOPE)
                 g = g @ mlp.weights[k]
             assert_array_equal(grad, g)
 

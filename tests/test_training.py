@@ -8,6 +8,7 @@ from paraconvex.exceptions import ConfigError, DimensionMismatch, TrainingDiverg
 from paraconvex.networks import (
     clone_network,
     forward_batch,
+    mlp_trace,
     model_to_json,
     softmax_over_T,
 )
@@ -17,7 +18,6 @@ from paraconvex.training import (
     Dataset,
     TrainConfig,
     _mlp_backprop,
-    _mlp_trace,
     adam_step,
     init_network,
     load_dataset,
@@ -400,14 +400,14 @@ def _reference_weight_gradients(net, X, U, y):
     """Gradients with the softmax and the log-sum-exp from two exponentials."""
     B = y.shape[0]
     if net.kind == "fnn":
-        acts, pres = _mlp_trace(net.mlp, np.hstack([X, U]))
+        acts, pres = mlp_trace(net.mlp, np.hstack([X, U]))
         dpred = (2.0 / B) * (acts[-1][:, 0] - y)
         return _mlp_backprop(net.mlp, acts, pres, dpred[:, None])
     if net.kind in ("ma", "lse"):
         Z = np.hstack([X, U])
         scores = Z @ net.A.T + net.b
     else:
-        acts, pres = _mlp_trace(net.embed, X)
+        acts, pres = mlp_trace(net.embed, X)
         out = acts[-1]
         A_x = out[:, : net.I * net.m].reshape(B, net.I, net.m)
         scores = np.einsum("bim,bm->bi", A_x, U) + out[:, net.I * net.m :]

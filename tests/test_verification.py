@@ -8,9 +8,8 @@ from numpy.testing import assert_allclose
 
 from paraconvex.exceptions import DimensionMismatch, UnsupportedNetwork
 from paraconvex.networks import (
+    Bank,
     FeedforwardNet,
-    LogSumExpNet,
-    MaxAffineNet,
     MlpParams,
     forward_batch,
 )
@@ -50,8 +49,8 @@ class TestCheckSandwich:
         for I in (2, 30):
             A = np.tile(np.array([[0.7, -0.3]]), (I, 1))
             b = np.full(I, 0.2)
-            lse = LogSumExpNet(n=1, m=1, A=A, b=b, T=0.1)
-            ma = MaxAffineNet(n=1, m=1, A=A, b=b)
+            lse = Bank(n=1, m=1, A=A, b=b, T=0.1)
+            ma = Bank(n=1, m=1, A=A, b=b)
             X = np.array([[0.5], [-0.9]])
             U = np.array([[0.1], [0.8]])
             gap = forward_batch(lse, X, U) - forward_batch(ma, X, U)
