@@ -1,59 +1,46 @@
 """Box-constrained minimization over the decision u at a fixed condition x.
 
-Three routes:
-  - lse/plse: projected gradient with Armijo backtracking on the smooth
-    convex objective.
-  - ma/pma: smoothing homotopy: solve the weight-identical log-sum-exp twin
-    along a decreasing temperature schedule with warm starts. The final
-    certificate adds T_final * log I to the smooth gap, which is sound
-    because the twin sandwiches the piecewise-linear objective within
-    T * log I everywhere.
+`minimize_batch` solves B conditions in lockstep, one route per kind:
+  - ma/pma: the epigraph LP min t s.t. A u + c <= t over the box, by a
+    primal-dual interior-point method (Mehrotra predictor-corrector).
+    Certificate: value - D(lam), where lam are the plane multipliers
+    normalized to the simplex, g = A.T lam and D(lam) = lam.c +
+    sum_j min(g_j lo_j, g_j hi_j), a lower bound on the minimum for any
+    such lam by weak duality.
+  - lse/plse: projected gradient with Armijo backtracking. Certificate: the
+    first-order gap max_v <g, u - v> over the box, which bounds f(u) - min f
+    for convex f.
   - fnn: multi-start projected gradient (nonconvex, no certificate).
-
-Every loop evaluates the model once per candidate, value and gradient
-together. Inside the loops the NumPy wrappers (clip, norm, max, sum) give
-way to the ufuncs and methods they call: the same numbers, less overhead.
-
-`minimize` solves one condition. `minimize_batch` solves many in lockstep:
-every row takes the serial route's step sequence, with its own Armijo step,
-and leaves the working set when it stops, so the per-call NumPy overhead is
-paid once per sweep instead of once per condition and iteration. Every
-result says why it stopped: "converged", "max_iters" or "step_underflow".
-
-Convex certificates use the first-order gap at the returned point: for a
-convex f and any feasible v, f(u) - f(v) <= <g, u - v>, so
-max_v <g, u - v> over the box (a per-coordinate corner choice) upper-bounds
-the suboptimality. No oracle or dual solve is needed, and the bound is valid
-in any dimension.
+Every row keeps its own iterate and stopping rule and leaves the working
+set when it stops, so the per-call NumPy overhead is paid once per sweep,
+not once per condition and iteration. `minimize` is a batch of one. A
+result's value is scored the way `forward_batch` scores it, and its status
+says why it stopped: "converged", "max_iters" or "step_underflow".
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatch,
-    NonFiniteInput,
-    NumericOverflow,
-    UnsupportedNetwork,
-)
+from .exceptions import DimensionMismatch, NonFiniteInput, NumericOverflow
 from .networks import (
     FeedforwardNet,
     Network,
     _mlp_input_grad_batch,
     bank_values,
+    batch_scores,
     lse_and_softmax,
-    softmax_over_T,
-    u_bank,
     u_bank_batch,
 )
 from .numerics import BoxDomain, Rng, sample_uniform_box
 
 _MIN_STEP = 1e-18
+# share of the way to the boundary an interior-point step takes
+_TO_BOUNDARY = 0.99
+_EPS = np.finfo(np.float64).eps
 
 # Why a solve stopped; the batch cores carry the index into this tuple per
 # row, and _FAILED for a row whose objective went non-finite.
@@ -69,7 +56,6 @@ class SolveOptions:
     initial_step: float = 1.0
     backtrack: float = 0.5
     armijo: float = 1e-4
-    homotopy_schedule: tuple = (0.1, 0.01, 1e-3, 1e-4)
     restarts: int = 16
     seed: int = 0
     keep_trace: bool = False
@@ -85,12 +71,6 @@ class SolveOptions:
             raise ValueError("backtrack factor must lie in (0, 1)")
         if not (0.0 < self.armijo < 1.0):
             raise ValueError("armijo constant must lie in (0, 1)")
-        sched = tuple(float(t) for t in self.homotopy_schedule)
-        if not sched or any(t <= 0 for t in sched):
-            raise ValueError("homotopy schedule must be nonempty and positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("homotopy schedule must be strictly decreasing")
-        self.homotopy_schedule = sched
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -118,176 +98,12 @@ class SolveResult:
         }
 
 
-def project_box(u: np.ndarray, domain: BoxDomain) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (domain.dim,):
-        raise DimensionMismatch(f"point has shape {u.shape}, box has dim {domain.dim}")
-    return np.clip(u, domain.lower, domain.upper)
-
-
 def first_order_gap(g: np.ndarray, u: np.ndarray, domain: BoxDomain):
     """max over feasible v of <g, u - v>: per-coordinate corner maximization.
     Nonnegative, and an upper bound on f(u) - min f for convex f. Row-wise
     for (B, m) inputs, one gap per row."""
     terms = np.maximum(g * (u - domain.lower), g * (u - domain.upper))
     return np.sum(np.maximum(terms, 0.0), axis=-1)
-
-
-def _checked_conditions(net: Network, X, domain: BoxDomain) -> np.ndarray:
-    """The checks every solve entry point makes: box dimension and finite
-    conditions. Shapes are checked where the conditions are used."""
-    if domain.dim != net.m:
-        raise DimensionMismatch("domain dimension must equal the net's m")
-    X = np.asarray(X, dtype=np.float64)
-    if not np.isfinite(X).all():
-        raise NonFiniteInput("conditions must be finite")
-    return X
-
-
-def _checked_condition(net: Network, x, domain: BoxDomain) -> np.ndarray:
-    """_checked_conditions for one condition, which must have length n."""
-    x = _checked_conditions(net, x, domain)
-    if x.shape != (net.n,):
-        raise DimensionMismatch(f"condition must have length {net.n}, got shape {x.shape}")
-    return x
-
-
-def _pg_on_bank(A_u, c, T, domain, u0, opts):
-    """Projected gradient with Armijo backtracking on the log-sum-exp of an
-    affine bank. Returns (u, value, iterations, trace, status).
-
-    Each candidate is scored once: one shifted exponential gives both its
-    log-sum-exp value and its softmax weights, so an accepted candidate's
-    gradient A_u.T @ p needs no second scoring."""
-    lo, hi = domain.lower, domain.upper
-
-    def evaluate(u):
-        scores = A_u @ u + c
-        top = scores.max()
-        e = np.exp((scores - top) / T)
-        total = e.sum()
-        f = float(T * np.log(total) + top)
-        if not math.isfinite(f):
-            raise NumericOverflow("objective became non-finite during line search")
-        return f, e, total
-
-    u = project_box(u0, domain)
-    f, e, total = evaluate(u)
-    g = A_u.T @ (e / total)
-    trace = [f] if opts.keep_trace else None
-    s = opts.initial_step
-    iters = 0
-    status = "max_iters"
-    for _ in range(opts.max_iters):
-        # stationarity at a fixed unit reference step; the line-search step
-        # itself may grow arbitrarily large on flat objectives, which would
-        # make a step-relative residual meaningless
-        r = u - np.minimum(np.maximum(u - g, lo), hi)
-        if math.sqrt(r @ r) <= opts.grad_tolerance * max(1.0, abs(f)):
-            status = "converged"
-            break
-        while s >= _MIN_STEP:
-            cand = np.minimum(np.maximum(u - s * g, lo), hi)
-            f_cand, e, total = evaluate(cand)
-            if f_cand <= f + opts.armijo * float(g @ (cand - u)):
-                break
-            s *= opts.backtrack
-        else:
-            status = "step_underflow"  # flat to numeric precision
-            break
-        iters += 1
-        u, f, g = cand, f_cand, A_u.T @ (e / total)
-        if trace is not None:
-            trace.append(f)
-        s *= 2.0  # Armijo will cut an overgrown step right back
-    return u, f, iters, trace, status
-
-
-def _minimize_bank(net, x, domain, opts):
-    """Projected gradient on the affine bank of an lse/plse net at its own
-    temperature, or of an ma/pma net along the homotopy schedule: the smooth
-    twin shares the bank, and T enters only the smoothing. Each stage warm
-    starts where the last one stopped; the status is the last stage's. The
-    value is the net's at the returned point, taken from the bank already
-    built: the last stage's log-sum-exp, or the top plane's value."""
-    x = _checked_condition(net, x, domain)
-    opts = opts or SolveOptions()
-    t0 = time.perf_counter()
-    A_u, c = u_bank(net, x)
-    # a certificate built on overflowed offsets or slopes bounds nothing
-    if not (np.isfinite(A_u).all() and np.isfinite(c).all()):
-        raise NumericOverflow("plane bank is non-finite at this condition")
-    smooth = net.T is not None
-    temperatures = (net.T,) if smooth else opts.homotopy_schedule
-    u = 0.5 * (domain.lower + domain.upper)
-    total_iters = 0
-    trace = [] if opts.keep_trace else None
-    for T in temperatures:
-        u, f, iters, stage_trace, status = _pg_on_bank(A_u, c, T, domain, u, opts)
-        total_iters += iters
-        if trace is not None:
-            trace.extend(stage_trace)
-    g = A_u.T @ softmax_over_T(A_u @ u + c, temperatures[-1])
-    cert = first_order_gap(g, u, domain)
-    if not smooth:
-        cert = cert + temperatures[-1] * np.log(net.I)
-        f = float((A_u @ u + c).max())
-    if not math.isfinite(f):
-        raise NumericOverflow(f"{net.kind} value is non-finite at the solution")
-    return SolveResult(
-        u_star=u,
-        value=f,
-        certificate=cert,
-        iterations=total_iters,
-        wall_time_s=time.perf_counter() - t0,
-        status=status,
-        trace=trace,
-    )
-
-
-def minimize_smooth_convex(
-    net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
-) -> SolveResult:
-    """Minimize an lse/plse net over u in the box at fixed x."""
-    if isinstance(net, FeedforwardNet) or net.T is None:
-        raise UnsupportedNetwork(f"smooth solver requires lse or plse, got {net.kind}")
-    return _minimize_bank(net, x, domain, opts)
-
-
-def minimize_pma(
-    net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
-) -> SolveResult:
-    """Minimize an ma/pma net over u by temperature homotopy on its smooth twin."""
-    if isinstance(net, FeedforwardNet) or net.T is not None:
-        raise UnsupportedNetwork(f"homotopy solver requires ma or pma, got {net.kind}")
-    return _minimize_bank(net, x, domain, opts)
-
-
-def minimize_fnn(
-    net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
-) -> SolveResult:
-    """Best of `restarts` projected-gradient runs from seeded uniform starts:
-    `minimize_batch` on one condition. Raises NumericOverflow where the
-    objective went non-finite."""
-    if not isinstance(net, FeedforwardNet):
-        raise UnsupportedNetwork(f"multi-start solver is for fnn, got {net.kind}")
-    (res,) = minimize_batch(net, _checked_condition(net, x, domain)[None, :], domain,
-                            opts)
-    if res is None:
-        raise NumericOverflow("fnn objective became non-finite")
-    return res
-
-
-def minimize(
-    net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
-) -> SolveResult:
-    """Dispatch to the solver matching the net's kind."""
-    if isinstance(net, FeedforwardNet):
-        return minimize_fnn(net, x, domain, opts)
-    return _minimize_bank(net, x, domain, opts)
-
-
-# --- lockstep batch solves --------------------------------------------------
 
 
 def _bank_scores(A, U, c):
@@ -300,30 +116,37 @@ def _bank_grad(P, A):
     return (P[:, None, :] @ A)[:, 0, :]
 
 
-def _pg_batch(A, c, T, domain, U0, opts, traces):
-    """`_pg_on_bank` on B banks at once: A (B, I, m), c (B, I), U0 (B, m).
+def _start(live, domain):
+    """The outputs every bank core fills, (U, iterations, status), with every
+    row at the box centre and failed until solved, and the live row indices."""
+    B = len(live)
+    U = np.tile(0.5 * (domain.lower + domain.upper), (B, 1))
+    return U, np.zeros(B, dtype=np.int64), np.full(B, _FAILED), np.flatnonzero(live)
 
-    Each sweep makes one candidate evaluation per active row with the row's
-    own step, which doubles on acceptance and shrinks by `backtrack` on
-    rejection, so every row takes the serial step sequence. The stopping
-    tests are the serial ones, and a row that stops leaves the working set.
-    An accepted candidate's softmax gives the gradient there without scoring
-    the planes again. Returns (U, G, iterations, status) per row: the last
-    iterate, the gradient there, the accepted steps and a STATUSES index,
-    or _FAILED where the objective went non-finite.
+
+def _pg_batch(A, c, live, T, domain, opts, traces):
+    """Projected gradient on the T-log-sum-exp of the banks A (B, I, m),
+    c (B, I) in the `live` rows, from the box centre.
+
+    Each sweep scores one candidate per active row with the row's own step,
+    doubled on acceptance and cut by `backtrack` on rejection; an accepted
+    candidate's softmax gives the gradient there. A row stops when its
+    projected-gradient residual at a unit step is at most grad_tolerance *
+    max(1, |f|), at max_iters, or when its step underflows. Returns
+    (U, G, iterations, status): the last iterates, their gradients, the
+    accepted steps and STATUSES indices, _FAILED for a row not live or whose
+    objective went non-finite.
     """
     lo, hi = domain.lower, domain.upper
-    U = np.clip(U0, lo, hi)
-    f, p = lse_and_softmax(_bank_scores(A, U, c), T)
-    G = _bank_grad(p, A)
-    iters = np.zeros(len(c), dtype=np.int64)
-    status = np.full(len(c), _FAILED)
+    U, iters, status, rows = _start(live, domain)
+    G = np.zeros_like(U)
+    A, c, u, it = A[rows], c[rows], U[rows], iters[rows]
+    f, p = lse_and_softmax(_bank_scores(A, u, c), T)
+    g = _bank_grad(p, A)
     if traces is not None:
-        for trace, v in zip(traces, f):
-            trace.append(float(v))
-    rows = np.arange(len(c))
-    u, g, it = U.copy(), G.copy(), iters.copy()
-    s = np.full(len(c), opts.initial_step)
+        for r, v in zip(rows, f):
+            traces[r].append(float(v))
+    s = np.full(len(rows), opts.initial_step)
     bad = ~np.isfinite(f)
     while rows.size:
         residual = np.linalg.norm(u - np.clip(u - g, lo, hi), axis=1)
@@ -358,26 +181,114 @@ def _pg_batch(A, c, T, domain, U0, opts, traces):
     return U, G, iters, status
 
 
-def _homotopy_batch(A, c, temperatures, domain, opts, traces):
-    """`_pg_batch` once per temperature, each stage warm-started where the
-    last one stopped; rows that failed sit out the later stages, and a row
-    whose bank is non-finite sits out every stage, failed from the start.
-    A row's iterations add up over its stages and its status is its last
-    stage's."""
-    B = len(c)
-    U = np.tile(0.5 * (domain.lower + domain.upper), (B, 1))
-    G = np.zeros_like(U)
-    iters = np.zeros(B, dtype=np.int64)
-    status = np.full(B, _FAILED)
-    live = np.flatnonzero(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(c).all(axis=1))
-    for T in temperatures:
-        sub = None if traces is None else [traces[r] for r in live]
-        U[live], G[live], stage_iters, status[live] = _pg_batch(
-            A[live], c[live], T, domain, U[live], opts, sub
-        )
-        iters[live] += stage_iters
-        live = live[status[live] != _FAILED]
-    return U, G, iters, status
+def _max_step(v, dv):
+    """Row-wise largest a with v + a * dv >= 0, inf where dv >= 0."""
+    ratio = np.divide(v, -dv, out=np.full_like(v, np.inf), where=dv < 0)
+    return ratio.min(axis=1)
+
+
+def _snapped(A, c, u, f, s, z, domain):
+    """The iterates u (B, m) in the box, with each coordinate whose box row
+    looks active (slack below multiplier) moved onto that bound where this
+    does not raise the value f: interior points only approach a corner."""
+    m = u.shape[1]
+    u = np.clip(u, domain.lower, domain.upper)
+    v = np.where(s[:, -m:] < z[:, -m:], domain.lower,
+                 np.where(s[:, -2 * m : -m] < z[:, -2 * m : -m], domain.upper, u))
+    return np.where((_bank_scores(A, v, c).max(1) <= f)[:, None], v, u)
+
+
+def _lp_batch(A, c, live, domain, opts, traces):
+    """Mehrotra predictor-corrector on the epigraph LPs, min t over (u, t)
+    s.t. A u + c <= t and the box, of the banks A (B, I, m), c (B, I) in the
+    `live` rows.
+
+    The constraints' slacks s and multipliers z hold the plane rows, then
+    u <= hi, then u >= lo. The start is strictly feasible: u at the box
+    centre, t above every plane, z uniform on the planes and balancing
+    their mean slope on the box rows. Each iteration solves one (m+1)x(m+1)
+    system in (du, dt) for the affine and then the centred direction. A row
+    stops once value - D(lam) is at most grad_tolerance * max(1, |value|),
+    at max_iters, or, as "step_underflow", once its complementarity gap s.z
+    is down to rounding. The certificate takes the best D(lam) seen.
+    Returns (U, D, iterations, status): the last iterates, their dual
+    bounds and STATUSES indices, _FAILED for a row not live.
+    """
+    lo, hi = domain.lower, domain.upper
+    U, iters, status, rows = _start(live, domain)
+    D = np.zeros(len(U))
+    A, c, u, it = A[rows], c[rows], U[rows], iters[rows]
+    (B, I, m), half = A.shape, 0.5 * (hi - lo)
+    S = _bank_scores(A, u, c)
+    top = S.max(1)
+    spread = np.maximum(1.0, top - S.min(1))
+    g = _bank_grad(np.full((B, I), 1.0 / I), A)
+    balance = (spread / I)[:, None] / half
+    s = np.hstack([(top + spread)[:, None] - S, np.tile(half, (B, 2))])
+    z = np.hstack([np.full((B, I), 1.0 / I), np.maximum(-g, 0.0) + balance,
+                   np.maximum(g, 0.0) + balance])
+    bound, diag = np.full(B, -np.inf), np.arange(m)
+    while rows.size:
+        f = _bank_scores(A, u, c).max(1)
+        lam = z[:, :I] / z[:, :I].sum(1, keepdims=True)
+        g = _bank_grad(lam, A)
+        # any lam gives a bound, so keep the best one seen
+        bound = np.maximum(bound, (lam * c).sum(1) + np.minimum(g * lo, g * hi).sum(1))
+        if traces is not None:
+            for r, v in zip(rows, f):
+                traces[r].append(float(v))
+        sz = s * z
+        scale = np.maximum(1.0, np.abs(f))
+        capped = it >= opts.max_iters
+        converged = f - bound <= opts.grad_tolerance * scale
+        stalled = sz.sum(1) <= _EPS * scale  # the gap left is rounding
+        stop = capped | converged | stalled
+        if stop.any():
+            done = rows[stop]
+            U[done] = _snapped(A[stop], c[stop], u[stop], f[stop], s[stop], z[stop],
+                               domain)
+            D[done], iters[done] = bound[stop], it[stop]
+            status[done] = np.select([capped[stop], converged[stop]],
+                                     [_MAX_ITERS, _CONVERGED], _STEP_UNDERFLOW)
+            keep = ~stop
+            rows, A, c, u, s, z, sz, bound, it = (
+                v[keep] for v in (rows, A, c, u, s, z, sz, bound, it)
+            )
+            if not rows.size:
+                break
+        w = z / s
+        # K [du; dt] = rhs is the Newton system with ds and dz eliminated:
+        # ds = (dt - A du, -du, du) and dz = -rc / s - w ds
+        w_p = w[:, :I]
+        Aw = A * w_p[:, :, None]
+        K = np.empty((len(rows), m + 1, m + 1))
+        K[:, :m, :m] = np.swapaxes(Aw, 1, 2) @ A
+        K[:, diag, diag] += w[:, I : I + m] + w[:, I + m :]
+        K[:, :m, m] = K[:, m, :m] = -Aw.sum(1)
+        K[:, m, m] = w_p.sum(1)
+
+        def direction(rc):
+            q = rc / s
+            rhs = np.empty((len(rows), m + 1))
+            rhs[:, :m] = _bank_grad(q[:, :I], A) + q[:, I : I + m] - q[:, I + m :]
+            rhs[:, m] = -q[:, :I].sum(1)
+            d = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+            du, dt = d[:, :m], d[:, m:]
+            ds = np.hstack([dt - _bank_scores(A, du, 0.0), -du, du])
+            return du, ds, -q - w * ds
+
+        mu = sz.sum(1) / sz.shape[1]
+        du, ds, dz = direction(sz)
+        a_p = np.minimum(1.0, _max_step(s, ds))[:, None]
+        a_d = np.minimum(1.0, _max_step(z, dz))[:, None]
+        mu_aff = ((s + a_p * ds) * (z + a_d * dz)).sum(1) / sz.shape[1]
+        sigma = (mu_aff / mu) ** 3
+        du, ds, dz = direction(sz + ds * dz - (sigma * mu)[:, None])
+        a_p = np.minimum(1.0, _TO_BOUNDARY * _max_step(s, ds))[:, None]
+        a_d = np.minimum(1.0, _TO_BOUNDARY * _max_step(z, dz))[:, None]
+        u, s, z = u + a_p * du, s + a_p * ds, z + a_d * dz
+        it += 1
+    return U, D, iters, status
 
 
 def _fnn_trace(net, X, U):
@@ -473,16 +384,16 @@ def minimize_batch(
 ) -> list:
     """Solve every condition row of X (B, n) in one lockstep batch.
 
-    Each row follows the route `minimize` takes for its kind, step for step,
-    with its own Armijo step, stopping rule and iteration count; rows that
-    stop leave the working set, so the slowest row does not hold back the
-    cost of the others. Results match `minimize` up to rounding in the last
-    bits. A row whose bank or objective goes non-finite comes back as None
-    without affecting the other rows. Every result's wall_time_s is the
-    batch's wall time divided by B. For a single condition, `minimize` is
-    faster.
+    A row's result does not depend on its batch-mates. A row whose bank or
+    objective goes non-finite comes back as None. Every result's trace
+    holds the model value at each iterate (for fnn, the best restart's),
+    and its wall_time_s is the batch's wall time divided by B.
     """
-    X = _checked_conditions(net, X, domain)
+    if domain.dim != net.m:
+        raise DimensionMismatch("domain dimension must equal the net's m")
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise NonFiniteInput("conditions must be finite")
     if X.size == 0:
         return []
     if X.ndim != 2 or X.shape[1] != net.n:
@@ -498,12 +409,17 @@ def minimize_batch(
             certificates = np.full(B, np.inf)
         else:
             A, c = u_bank_batch(net, X)
-            temperatures = (net.T,) if net.T is not None else opts.homotopy_schedule
-            U, G, iters, status = _homotopy_batch(A, c, temperatures, domain, opts, traces)
-            certificates = first_order_gap(G, U, domain)
-            values = bank_values(_bank_scores(A, U, c), net.T)
+            # a certificate built on overflowed offsets or slopes bounds nothing
+            live = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(c).all(axis=1)
             if net.T is None:
-                certificates = certificates + temperatures[-1] * np.log(net.I)
+                U, D, iters, status = _lp_batch(A, c, live, domain, opts, traces)
+            else:
+                U, G, iters, status = _pg_batch(A, c, live, net.T, domain, opts, traces)
+            values = bank_values(batch_scores(net, X, U), net.T)
+            if net.T is None:
+                certificates = np.maximum(values - D, 0.0)
+            else:
+                certificates = first_order_gap(G, U, domain)
     wall = (time.perf_counter() - t0) / B
     return [
         None
@@ -519,3 +435,17 @@ def minimize_batch(
         )
         for b in range(B)
     ]
+
+
+def minimize(
+    net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
+) -> SolveResult:
+    """`minimize_batch` on the one condition x. Raises NumericOverflow where
+    the batch returns None: the bank or the objective is non-finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (net.n,):
+        raise DimensionMismatch(f"condition must have length {net.n}, got shape {x.shape}")
+    (res,) = minimize_batch(net, x[None, :], domain, opts)
+    if res is None:
+        raise NumericOverflow(f"{net.kind} objective is non-finite at this condition")
+    return res

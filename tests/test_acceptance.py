@@ -22,7 +22,7 @@ from paraconvex.networks import (
     u_bank,
 )
 from paraconvex.numerics import BoxDomain, Rng, grid_minimize
-from paraconvex.solver import minimize_pma, minimize_smooth_convex
+from paraconvex.solver import minimize
 from paraconvex.training import (
     init_network,
     mse_loss,
@@ -161,13 +161,13 @@ def test_criterion_4_solver_vs_grid_oracle():
         lip = float(np.max(np.linalg.norm(A_u, axis=1)))
         grid_err = lip * (2.0 / (pts - 1) / 2) * np.sqrt(m)
 
-        res = minimize_smooth_convex(net, x, domain)
+        res = minimize(net, x, domain)
         gval = _grid_oracle(net, x, domain, pts)
         worst_smooth = max(worst_smooth,
                            abs(res.value - gval) - (1e-4 + grid_err))
 
         twin = nonsmooth_twin(net)
-        pres = minimize_pma(twin, x, domain)
+        pres = minimize(twin, x, domain)
         pval = _grid_oracle(twin, x, domain, pts)
         over = (pres.value - pval) - pres.certificate
         under = (pval - pres.value) - grid_err
@@ -176,7 +176,7 @@ def test_criterion_4_solver_vs_grid_oracle():
     ok = worst_smooth <= 0 and worst_pma <= 1e-12 and dt < 60
     report_line(4, "solver value vs exhaustive lattice oracle, 50 instances",
                 ok,
-                f"smooth slack margin {worst_smooth:.3e}, homotopy margin "
+                f"smooth slack margin {worst_smooth:.3e}, max-affine margin "
                 f"{worst_pma:.3e}, {dt:.1f}s")
     assert worst_smooth <= 0
     assert worst_pma <= 1e-12

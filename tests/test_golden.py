@@ -3,6 +3,9 @@
 The files were written by tests/data/make_golden.py before networks of all
 kinds became one Bank type; they pin the model files, training, forward
 values and solver results (traces included) of every kind at 1x1 and 2x3.
+The solver records of the bank kinds were rewritten by the same script when
+ma/pma became an exact LP solve and every value came to be scored as
+`forward_batch` scores it.
 """
 
 import json
