@@ -10,9 +10,11 @@ Each cell solves all of its held-out conditions in one
 samples.json are that batch's wall time divided by its number of
 conditions, amortized over the cell's batch.
 
-Reported means cover only valid solves on the test split; solver
-failures and non-finite or out-of-box outputs are tallied separately
-instead of poisoning the averages.
+Dataclass fields are the schema: a RunResult's fields but `net` are its
+samples.json record; a cell reports `mean_<sample>` for each of SAMPLES,
+pooled over its runs' valid solves on the test split, and tallies solver
+failures and non-finite or out-of-box outputs apart. A config line that
+does not parse raises ConfigError naming its line number.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,13 +93,11 @@ def parse_dims(text: str) -> tuple:
         part = part.strip()
         if not part:
             continue
-        pieces = part.lower().split("x")
-        if len(pieces) != 2:
-            raise ConfigError(f"bad dims entry {part!r}, expected NxM")
         try:
-            dims.append((int(pieces[0]), int(pieces[1])))
+            n, m = (int(p) for p in part.lower().split("x"))
         except ValueError:
             raise ConfigError(f"bad dims entry {part!r}, expected NxM") from None
+        dims.append((n, m))
     if not dims:
         raise ConfigError("dims list is empty")
     return tuple(dims)
@@ -132,20 +132,16 @@ class ExperimentConfig:
         self.dims = tuple((int(n), int(m)) for n, m in self.dims)
         self.kinds = tuple(self.kinds)
         self.seeds = tuple(int(s) for s in self.seeds)
-        for n, m in self.dims:
-            if n < 1 or m < 1:
-                raise ConfigError("dims entries must be >= 1")
+        if any(n < 1 or m < 1 for n, m in self.dims):
+            raise ConfigError("dims entries must be >= 1")
         for kind in self.kinds:
             if kind not in ALL_KINDS:
                 raise ConfigError(f"unknown kind {kind!r}")
-        if self.d < 10:
-            raise ConfigError("d must be >= 10")
+        for key, low in (("d", 10), ("planes", 1), ("surface_resolution", 2)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        if self.planes < 1:
-            raise ConfigError("planes must be >= 1")
-        if self.surface_resolution < 2:
-            raise ConfigError("surface_resolution must be >= 2")
 
     def budget_for(self, n: int, m: int) -> tuple[int, int]:
         """(points, epochs) for one cell; high-dim cells are trimmed
@@ -155,34 +151,45 @@ class ExperimentConfig:
         return min(self.d, REDUCED_D), min(self.epochs, REDUCED_EPOCHS)
 
 
-_INT_KEYS = {"d", "planes", "epochs", "batch_size", "surface_resolution"}
-_FLOAT_KEYS = {"temperature", "learning_rate", "split_ratio"}
+def _parse_ints(text: str) -> tuple:
+    return tuple(int(p) for p in text.split(",") if p.strip())
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "0", "1"):
+        raise ConfigError("full must be boolean")
+    return text.lower() in ("true", "1")
+
+
+# config key -> parser of its value text; a scalar key parses as its default's type
+_CONFIG_PARSERS = {
+    "dims": parse_dims,
+    "kinds": parse_kinds,
+    "seeds": _parse_ints,
+    "hidden": _parse_ints,
+    "full": _parse_bool,
+    **{
+        f.name: type(f.default)
+        for f in fields(ExperimentConfig)
+        if type(f.default) in (int, float, str)
+    },
+}
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    """key=value lines; # starts a comment; unknown keys rejected."""
+    """key=value lines; # starts a comment; unknown keys and unparsable
+    values rejected with the line number."""
     values = {}
     for lineno, key, val in key_value_lines(text):
-        if key == "dims":
-            values[key] = parse_dims(val)
-        elif key == "kinds":
-            values[key] = parse_kinds(val)
-        elif key == "seeds":
-            values[key] = tuple(int(p) for p in val.split(",") if p.strip())
-        elif key == "hidden":
-            values[key] = tuple(int(p) for p in val.split(",") if p.strip())
-        elif key == "full":
-            if val.lower() not in ("true", "false", "0", "1"):
-                raise ConfigError(f"line {lineno}: full must be boolean")
-            values[key] = val.lower() in ("true", "1")
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key == "outdir":
-            values[key] = val
-        else:
+        parse = _CONFIG_PARSERS.get(key)
+        if parse is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = parse(val)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     try:
         return ExperimentConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -199,44 +206,30 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 @dataclass
 class RunResult:
-    """One (kind, dims, seed) training-plus-solving pass."""
+    """One (kind, dims, seed) training-plus-solving pass. Every field but
+    `net` is its JSON record; a diverged run keeps the defaults."""
 
     seed: int
-    train_status: str  # "ok" or "diverged"
-    final_test_mse: float | None
-    train_time_s: float
-    convexity_violation: float | None  # None for fnn or diverged runs
-    solver_failures: int
-    invalid_values: int
-    solve_time_s: list
-    minimizer_error: list
-    value_error: list
-    value_error_true: list
-    certificate: list  # None entries for uncertified (fnn) solves
+    train_status: str = "ok"  # or "diverged"
+    final_test_mse: float | None = None
+    train_time_s: float = 0.0
+    convexity_violation: float | None = None  # None for fnn or diverged runs
+    solver_failures: int = 0
+    invalid_values: int = 0
+    solve_time_s: list = field(default_factory=list)
+    minimizer_error: list = field(default_factory=list)
+    value_error: list = field(default_factory=list)
+    value_error_true: list = field(default_factory=list)
+    certificate: list = field(default_factory=list)  # None for uncertified (fnn) solves
     net: Network | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train_status": self.train_status,
-            "final_test_mse": self.final_test_mse,
-            "train_time_s": self.train_time_s,
-            "convexity_violation": self.convexity_violation,
-            "solver_failures": self.solver_failures,
-            "invalid_values": self.invalid_values,
-            "solve_time_s": list(self.solve_time_s),
-            "minimizer_error": list(self.minimizer_error),
-            "value_error": list(self.value_error),
-            "value_error_true": list(self.value_error_true),
-            "certificate": list(self.certificate),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "net"}
+        return {k: list(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
-def _pooled_mean(runs, attr: str) -> float | None:
-    vals = [v for r in runs for v in getattr(r, attr)]
-    if not vals:
-        return None
-    return float(np.mean(np.asarray(vals, dtype=np.float64)))
+# the per-solve samples of a run that a cell pools into mean_<sample>
+SAMPLES = ("solve_time_s", "minimizer_error", "value_error", "value_error_true")
 
 
 @dataclass
@@ -248,21 +241,12 @@ class BenchmarkCell:
     epochs: int
     runs: list
 
-    @property
-    def mean_solve_time_s(self) -> float | None:
-        return _pooled_mean(self.runs, "solve_time_s")
-
-    @property
-    def mean_minimizer_error(self) -> float | None:
-        return _pooled_mean(self.runs, "minimizer_error")
-
-    @property
-    def mean_value_error(self) -> float | None:
-        return _pooled_mean(self.runs, "value_error")
-
-    @property
-    def mean_value_error_true(self) -> float | None:
-        return _pooled_mean(self.runs, "value_error_true")
+    def mean(self, sample: str) -> float | None:
+        """Mean of one of SAMPLES pooled over the runs, None if empty."""
+        vals = [v for r in self.runs for v in getattr(r, sample)]
+        if not vals:
+            return None
+        return float(np.mean(np.asarray(vals, dtype=np.float64)))
 
     @property
     def solver_failures(self) -> int:
@@ -273,20 +257,10 @@ class BenchmarkCell:
         return sum(r.invalid_values for r in self.runs)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "d": self.d,
-            "epochs": self.epochs,
-            "mean_solve_time_s": self.mean_solve_time_s,
-            "mean_minimizer_error": self.mean_minimizer_error,
-            "mean_value_error": self.mean_value_error,
-            "mean_value_error_true": self.mean_value_error_true,
-            "solver_failures": self.solver_failures,
-            "invalid_values": self.invalid_values,
-            "runs": [r.to_json() for r in self.runs],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "runs"}
+        doc.update((f"mean_{s}", self.mean(s)) for s in SAMPLES)
+        doc.update(solver_failures=self.solver_failures, invalid_values=self.invalid_values)
+        return {**doc, "runs": [r.to_json() for r in self.runs]}
 
 
 @dataclass
@@ -301,10 +275,7 @@ class BenchmarkReport:
         }
 
     def cell(self, kind: str, n: int, m: int) -> BenchmarkCell | None:
-        for c in self.cells:
-            if (c.kind, c.n, c.m) == (kind, n, m):
-                return c
-        return None
+        return next((c for c in self.cells if (c.kind, c.n, c.m) == (kind, n, m)), None)
 
 
 def _assert_disjoint(train_ds: Dataset, test_ds: Dataset) -> None:
@@ -320,9 +291,8 @@ def _run_cell(
     cfg: ExperimentConfig, kind: str, n: int, m: int, d: int, epochs: int, seed: int
 ) -> RunResult:
     rng = Rng(seed)
-    data_rng = rng.spawn()
+    ds = make_benchmark_dataset(n, m, d, rng.spawn())
     net_seed = int(rng.next_uint64(1)[0] % 2**31)
-    ds = make_benchmark_dataset(n, m, d, data_rng)
     net = init_network(
         kind, n, m, seed=net_seed, I=cfg.planes, T=cfg.temperature, hidden=cfg.hidden
     )
@@ -338,42 +308,28 @@ def _run_cell(
         trained, treport = train(net, ds, tcfg)
     except TrainingDiverged:
         return RunResult(
-            seed=seed,
-            train_status="diverged",
-            final_test_mse=None,
-            train_time_s=time.perf_counter() - t0,
-            convexity_violation=None,
-            solver_failures=0,
-            invalid_values=0,
-            solve_time_s=[],
-            minimizer_error=[],
-            value_error=[],
-            value_error_true=[],
-            certificate=[],
+            seed=seed, train_status="diverged", train_time_s=time.perf_counter() - t0
         )
-    train_time = time.perf_counter() - t0
+    run = RunResult(
+        seed=seed,
+        final_test_mse=treport.final_test_mse,
+        train_time_s=time.perf_counter() - t0,
+        net=trained,
+    )
 
     # recover the exact split the trainer used: splitting consumes the
     # first draws of a fresh stream seeded with the training seed
     train_ds, test_ds = split_dataset(ds, cfg.split_ratio, Rng(seed))
     _assert_disjoint(train_ds, test_ds)
 
-    convexity = None
     if kind in CONVEX_KINDS:
-        convexity = check_convexity(trained, seed=seed).max_violation
+        run.convexity_violation = check_convexity(trained, seed=seed).max_violation
 
     domain = BoxDomain.symmetric(m)
     results = minimize_batch(trained, test_ds.X, domain, SolveOptions(seed=seed))
-    failures = 0
-    invalid = 0
-    solve_time_s: list = []
-    minimizer_error: list = []
-    value_error: list = []
-    value_error_true: list = []
-    certificate: list = []
     for x, res in zip(test_ds.X, results):
         if res is None:
-            failures += 1
+            run.solver_failures += 1
             continue
         u_star, value_true = true_solution(x, n, m)
         ok = (
@@ -382,30 +338,16 @@ def _run_cell(
             and domain.contains(res.u_star, atol=1e-9)
         )
         if not ok:
-            invalid += 1
+            run.invalid_values += 1
             continue
-        solve_time_s.append(res.wall_time_s)
-        minimizer_error.append(float(np.linalg.norm(res.u_star - u_star)))
-        value_error.append(abs(res.value - value_true))
-        value_error_true.append(abs(target_function(x, res.u_star) - value_true))
-        certificate.append(
+        run.solve_time_s.append(res.wall_time_s)
+        run.minimizer_error.append(float(np.linalg.norm(res.u_star - u_star)))
+        run.value_error.append(abs(res.value - value_true))
+        run.value_error_true.append(abs(target_function(x, res.u_star) - value_true))
+        run.certificate.append(
             res.certificate if np.isfinite(res.certificate) else None
         )
-    return RunResult(
-        seed=seed,
-        train_status="ok",
-        final_test_mse=treport.final_test_mse,
-        train_time_s=train_time,
-        convexity_violation=convexity,
-        solver_failures=failures,
-        invalid_values=invalid,
-        solve_time_s=solve_time_s,
-        minimizer_error=minimizer_error,
-        value_error=value_error,
-        value_error_true=value_error_true,
-        certificate=certificate,
-        net=trained,
-    )
+    return run
 
 
 def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
@@ -461,28 +403,26 @@ def _csv_cell(v) -> str:
     return "" if v is None else repr(float(v))
 
 
+# report.csv's metric columns per dims: (column prefix, pooled sample)
+REPORT_COLUMNS = (
+    ("time", "solve_time_s"),
+    ("minimizer_err", "minimizer_error"),
+    ("value_err", "value_error"),
+)
+
+
 def export_report(report: BenchmarkReport, outdir) -> None:
     """report.csv (rows = kinds, metric columns per dims) plus
     samples.json with every per-condition sample."""
     os.makedirs(outdir, exist_ok=True)
     dims = [tuple(dm) for dm in report.metadata["dims"]]
-    header = ["kind"]
-    for n, m in dims:
-        tag = f"{n}x{m}"
-        header += [f"time_{tag}", f"minimizer_err_{tag}", f"value_err_{tag}"]
+    header = ["kind"] + [f"{p}_{n}x{m}" for n, m in dims for p, _ in REPORT_COLUMNS]
     lines = [",".join(header)]
     for kind in report.metadata["kinds"]:
         row = [kind]
         for n, m in dims:
             cell = report.cell(kind, n, m)
-            if cell is None:
-                row += ["", "", ""]
-            else:
-                row += [
-                    _csv_cell(cell.mean_solve_time_s),
-                    _csv_cell(cell.mean_minimizer_error),
-                    _csv_cell(cell.mean_value_error),
-                ]
+            row += [_csv_cell(cell and cell.mean(s)) for _, s in REPORT_COLUMNS]
         lines.append(",".join(row))
     with open(os.path.join(outdir, "report.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -294,9 +294,9 @@ def lse_and_softmax(S: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise T-log-sum-exp of scores S (B, I) and its softmax, from one
     shifted exponential: equal to shifted_lse(S, T, axis=1) and
     softmax_over_T(S, T, axis=1)."""
-    top = np.max(S, axis=1, keepdims=True)
+    top = S.max(axis=1, keepdims=True)
     e = np.exp((S - top) / T)
-    total = np.sum(e, axis=1)
+    total = e.sum(axis=1)
     return T * np.log(total) + top[:, 0], e / total[:, None]
 
 

@@ -149,7 +149,8 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
     s = np.full(len(rows), opts.initial_step)
     bad = ~np.isfinite(f)
     while rows.size:
-        residual = np.linalg.norm(u - np.clip(u - g, lo, hi), axis=1)
+        r = u - np.minimum(np.maximum(u - g, lo), hi)  # unit reference step
+        residual = np.sqrt(np.add.reduce(r * r, axis=1))
         capped = it >= opts.max_iters
         converged = residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
         stop = bad | capped | converged | (s < _MIN_STEP)
@@ -167,10 +168,10 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
             )
             if not rows.size:
                 break
-        cand = np.clip(u - s[:, None] * g, lo, hi)
+        cand = np.minimum(np.maximum(u - s[:, None] * g, lo), hi)
         f_cand, p = lse_and_softmax(_bank_scores(A, cand, c), T)
         bad = ~np.isfinite(f_cand)
-        accept = f_cand <= f + opts.armijo * np.sum(g * (cand - u), axis=1)
+        accept = f_cand <= f + opts.armijo * (g * (cand - u)).sum(axis=1)
         u[accept], f[accept] = cand[accept], f_cand[accept]
         g[accept] = _bank_grad(p[accept], A[accept])
         it[accept] += 1

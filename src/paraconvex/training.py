@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -169,14 +169,7 @@ class TrainReport:
     epoch_times_s: list = field(default_factory=list)  # per epoch, losses included
 
     def to_json(self) -> dict:
-        return {
-            "epochs": len(self.train_losses),
-            "train_losses": list(self.train_losses),
-            "test_losses": list(self.test_losses),
-            "final_test_mse": self.final_test_mse,
-            "wall_time_s": self.wall_time_s,
-            "epoch_times_s": list(self.epoch_times_s),
-        }
+        return {"epochs": len(self.train_losses), **asdict(self)}
 
 
 # --- initialization --------------------------------------------------------

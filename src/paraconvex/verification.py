@@ -16,7 +16,7 @@ Every check is a pure function of its seed, so reports are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,13 +51,7 @@ class CheckReport:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 # --- sandwich ---------------------------------------------------------------

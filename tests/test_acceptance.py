@@ -191,20 +191,20 @@ def test_criterion_5_desk_scale_reproduction(desk_benchmark):
         c.solver_failures == 0 and c.invalid_values == 0 for c in (plse, pma)
     )
     ok = (
-        plse.mean_minimizer_error <= 0.10
-        and plse.mean_value_error <= 0.05
-        and pma.mean_value_error <= 0.10
+        plse.mean("minimizer_error") <= 0.10
+        and plse.mean("value_error") <= 0.05
+        and pma.mean("value_error") <= 0.10
         and clean
         and elapsed < 300
     )
     report_line(5, "trained smooth model recovers minimizers and values", ok,
-                f"plse minimizer err {plse.mean_minimizer_error:.4f} "
-                f"(<=0.10), plse value err {plse.mean_value_error:.4f} "
-                f"(<=0.05), pma value err {pma.mean_value_error:.4f} "
+                f"plse minimizer err {plse.mean('minimizer_error'):.4f} "
+                f"(<=0.10), plse value err {plse.mean('value_error'):.4f} "
+                f"(<=0.05), pma value err {pma.mean('value_error'):.4f} "
                 f"(<=0.10), 3 seeds in {elapsed:.0f}s")
-    assert plse.mean_minimizer_error <= 0.10
-    assert plse.mean_value_error <= 0.05
-    assert pma.mean_value_error <= 0.10
+    assert plse.mean("minimizer_error") <= 0.10
+    assert plse.mean("value_error") <= 0.05
+    assert pma.mean("value_error") <= 0.10
     assert clean
     assert elapsed < 300
 
@@ -249,7 +249,7 @@ def test_criterion_8_high_dim_solve_time_trend():
     report = run_benchmark(cfg)
     small = report.cell("plse", 1, 1)
     big = report.cell("plse", 61, 20)
-    ratio = big.mean_solve_time_s / small.mean_solve_time_s
+    ratio = big.mean("solve_time_s") / small.mean("solve_time_s")
     feasible = all(
         c.solver_failures == 0 and c.invalid_values == 0 for c in (small, big)
     )
@@ -259,9 +259,9 @@ def test_criterion_8_high_dim_solve_time_trend():
     print("\ntrend table (per-solve time, trained plse):")
     print(f"{'dims':>8} {'d':>6} {'epochs':>7} {'solve_ms':>9} {'ratio':>7}")
     for cell in (small, big):
-        r = cell.mean_solve_time_s / small.mean_solve_time_s
+        r = cell.mean("solve_time_s") / small.mean("solve_time_s")
         print(f"{cell.n}x{cell.m:<6} {cell.d:>6} {cell.epochs:>7} "
-              f"{cell.mean_solve_time_s * 1e3:>9.3f} {r:>7.2f}")
+              f"{cell.mean('solve_time_s') * 1e3:>9.3f} {r:>7.2f}")
     ok = ratio <= 10 and feasible and certified
     report_line(8, "per-solve time grows sublinearly to high dims", ok,
                 f"ratio {ratio:.2f} (<=10), feasible={feasible}, "

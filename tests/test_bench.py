@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from paraconvex.bench import (
     ExperimentConfig,
+    RunResult,
     export_artifacts,
     export_report,
     load_experiment_config,
@@ -140,6 +141,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_experiment_config("full = maybe\n")
 
+    @pytest.mark.parametrize("line", [
+        "dims = 1x1,axb", "kinds = plse,spline", "seeds = 0,one", "hidden = 8,wide",
+        "full = maybe", "d = many", "planes = 3.5", "epochs = ten", "batch_size = 6.4e1",
+        "surface_resolution = x", "temperature = hot", "learning_rate = 1e-3e",
+        "split_ratio = nine tenths",
+    ])
+    def test_bad_value_names_its_line(self, line):
+        with pytest.raises(ConfigError, match=r"^line 1: "):
+            parse_experiment_config(line + "\n")
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "bench.cfg"
         path.write_text("d = 64\nkinds = ma\n")
@@ -200,10 +211,27 @@ class TestRunBenchmark:
         _, report = tiny_report
         for cell in report.cells:
             pooled = [v for r in cell.runs for v in r.minimizer_error]
-            assert_allclose(cell.mean_minimizer_error, np.mean(pooled), rtol=0,
+            assert_allclose(cell.mean("minimizer_error"), np.mean(pooled), rtol=0,
                             atol=0)
-            assert cell.mean_solve_time_s >= 0
-            assert cell.mean_value_error >= 0
+            assert cell.mean("solve_time_s") >= 0
+            assert cell.mean("value_error") >= 0
+
+    def test_json_keys(self, tiny_report):
+        _, report = tiny_report
+        run_keys = {"seed", "train_status", "final_test_mse", "train_time_s",
+                    "convexity_violation", "solver_failures", "invalid_values",
+                    "solve_time_s", "minimizer_error", "value_error",
+                    "value_error_true", "certificate"}
+        cell_keys = {"kind", "n", "m", "d", "epochs", "mean_solve_time_s",
+                     "mean_minimizer_error", "mean_value_error",
+                     "mean_value_error_true", "solver_failures", "invalid_values",
+                     "runs"}
+        for cell in report.cells:
+            doc = cell.to_json()
+            assert set(doc) == cell_keys
+            for run, run_doc in zip(cell.runs, doc["runs"]):
+                assert run.net is not None and set(run_doc) == run_keys
+        assert set(RunResult(seed=0, train_status="diverged").to_json()) == run_keys
 
     def test_trained_convex_kinds_stay_convex(self, tiny_report):
         _, report = tiny_report
@@ -244,7 +272,7 @@ class TestRunBenchmark:
         report = run_benchmark(cfg)
         (cell,) = report.cells
         assert cell.runs[0].train_status == "diverged"
-        assert cell.mean_minimizer_error is None
+        assert cell.mean("minimizer_error") is None
         assert cell.runs[0].minimizer_error == []
 
     def test_disjointness_guard(self):

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import paraconvex
 from paraconvex import cli
 from paraconvex.networks import Bank, forward, load_model, save_model
 from paraconvex.training import init_network
@@ -210,9 +214,28 @@ class TestBenchmark:
         rc, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
         assert rc == 2 and "error:" in err
 
+    def test_bad_config_value_names_its_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("d = many\n")
+        rc, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
+        assert rc == 2 and err.startswith("error: line 1:")
+
     def test_exported_model_round_trips(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.cfg"
         cfg_path.write_text(self.CFG + f"outdir = {tmp_path / 'out'}\n")
         run_cli(["benchmark", "--config", str(cfg_path)], capsys)
         net = load_model(tmp_path / "out" / "models" / "ma_1x1.json")
         assert net.kind == "ma" and net.n == 1 and net.m == 1
+
+
+def test_runtime_imports_numpy_only():
+    # scipy and hypothesis are test-only dependencies: no runtime module may
+    # pull them in
+    src = os.path.dirname(os.path.dirname(paraconvex.__file__))
+    code = ("import sys, paraconvex, paraconvex.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'hypothesis')))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,7 @@
 """Tests for forward evaluation, u-differentiation, twins, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -25,6 +27,7 @@ from paraconvex.networks import (
     subgrad_u,
     u_bank,
 )
+from paraconvex.training import init_network
 
 
 def _random_mlp(widths, rng):
@@ -360,6 +363,27 @@ class TestSerialization:
             clone = model_from_json(model_to_json(net))
             assert clone.kind == net.kind
             assert_array_equal(forward_batch(clone, X, U), forward_batch(net, X, U))
+
+    def test_json_round_trip_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(kind=st.sampled_from(["fnn", "ma", "lse", "pma", "plse"]),
+                          n=st.integers(1, 3), m=st.integers(1, 4), I=st.integers(1, 6),
+                          hidden=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+                          seed=st.integers(0, 2**16))
+        def check(kind, n, m, I, hidden, seed):
+            net = init_network(kind, n, m, seed=seed, I=I, hidden=tuple(hidden))
+            doc = model_to_json(net)
+            clone = model_from_json(json.loads(json.dumps(doc)))
+            assert model_to_json(clone) == doc
+            rng = np.random.default_rng(seed)
+            X, U = rng.uniform(-1, 1, (8, n)), rng.uniform(-1, 1, (8, m))
+            assert (forward_batch(clone, X, U) == forward_batch(net, X, U)).all()
+
+        check()
 
     def test_format_version_checked(self):
         doc = model_to_json(self._nets()[0])

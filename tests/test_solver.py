@@ -537,6 +537,37 @@ class TestLpOracle:
                     assert res.certificate <= tol
 
 
+def _lse_lbfgsb_value(A_u, c, T, domain):
+    """T log sum_i exp((A_u[i] @ u + c[i]) / T) where L-BFGS-B stops from the
+    box centre: a value at a feasible point, so at least the box minimum."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def value_and_grad(u):
+        s = A_u @ u + c
+        e = np.exp((s - s.max()) / T)
+        return T * np.log(e.sum()) + s.max(), (e / e.sum()) @ A_u
+
+    res = optimize.minimize(value_and_grad, 0.5 * (domain.lower + domain.upper),
+                            jac=True, method="L-BFGS-B",
+                            bounds=list(zip(domain.lower, domain.upper)))
+    assert res.success
+    return res.fun
+
+
+class TestLbfgsbOracle:
+    @pytest.mark.parametrize("kind,n,m", [("lse", 2, 3), ("plse", 2, 3),
+                                          ("lse", 61, 20), ("plse", 61, 20)])
+    def test_certificate_bounds_the_gap_to_lbfgsb(self, kind, n, m):
+        net = init_network(kind, n, m, seed=41, I=30, hidden=(8, 8))
+        X = np.array([Rng(700 + k).uniform_in(-1.0, 1.0, n) for k in range(20)])
+        dom, opts = BoxDomain.symmetric(m), SolveOptions()
+        batch = minimize_batch(net, X, dom, opts)
+        for x, row in zip(X, batch):
+            ref = _lse_lbfgsb_value(*u_bank(net, x), net.T, dom)
+            for res in (row, minimize(net, x, dom, opts)):
+                assert res.value - ref <= res.certificate + 1e-12 * (1.0 + abs(ref))
+
+
 # --- a row's result does not depend on its batch-mates ----------------------
 
 
