@@ -14,15 +14,18 @@ Dataclass fields are the schema: a RunResult's fields but `net` are its
 samples.json record; a cell reports `mean_<sample>` for each of SAMPLES,
 pooled over its runs' valid solves on the test split, and tallies solver
 failures and non-finite or out-of-box outputs apart. A config line that
-does not parse raises ConfigError naming its line number.
+does not parse, or whose value is out of range, raises ConfigError naming
+its line number, before any cell trains.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -142,6 +145,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= {low}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if not self.temperature > 0:
+            raise ConfigError("temperature must be positive")
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError("hidden widths must be >= 1")
+        # the training keys fail here, before any cell trains
+        TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
+                    batch_size=self.batch_size, split_ratio=self.split_ratio)
 
     def budget_for(self, n: int, m: int) -> tuple[int, int]:
         """(points, epochs) for one cell; high-dim cells are trimmed
@@ -177,8 +187,8 @@ _CONFIG_PARSERS = {
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    """key=value lines; # starts a comment; unknown keys and unparsable
-    values rejected with the line number."""
+    """key=value lines; # starts a comment; unknown keys, unparsable values
+    and values out of range rejected with the line number."""
     values = {}
     for lineno, key, val in key_value_lines(text):
         parse = _CONFIG_PARSERS.get(key)
@@ -186,6 +196,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             values[key] = parse(val)
+            # every check is on one key, so a value is checked on its line
+            ExperimentConfig(**{key: values[key]})
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
@@ -350,6 +362,38 @@ def _run_cell(
     return run
 
 
+def _git_rev(root) -> str | None:
+    """The commit checked out at `root`, read from .git/HEAD and the ref it
+    names, loose or packed; None where root holds no git checkout."""
+    git = Path(root) / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head or None
+        ref = head[len("ref: "):]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return sha
+    except OSError:
+        pass
+    return None
+
+
+def _environment() -> dict:
+    """What a benchmark ran on: interpreter, NumPy, CPU count and the git
+    rev of the source checkout (None for an installed package)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        # src/paraconvex/bench.py sits two levels below the checkout root
+        "git_rev": _git_rev(Path(__file__).resolve().parents[2]),
+    }
+
+
 def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     cells = []
     for kind in cfg.kinds:
@@ -370,6 +414,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
         "runs_per_cell": len(cfg.seeds),
         "value_error": "abs(model value at solver minimizer - true optimal value)",
         "value_error_true": "abs(target at solver minimizer - true optimal value)",
+        "env": _environment(),
     }
     return BenchmarkReport(cells=cells, metadata=metadata)
 

@@ -12,7 +12,9 @@ For fixed x every bank is convex in u by construction: a max or
 log-sum-exp of functions affine in u.
 
 Evaluation is batch-first: `forward`, `grad_u`, `subgrad_u` and `u_bank`
-are a batch of one through the row-wise functions.
+are a batch of one through the row-wise functions. An fnn's value and input
+gradient come from one kernel, `MlpWorkspace.value_and_grad`, which a
+solver reuses across its sweeps and `grad_u_batch` runs once.
 """
 
 from __future__ import annotations
@@ -109,21 +111,68 @@ def mlp_forward_batch(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     return h
 
 
+class MlpWorkspace:
+    """Buffers for value-and-gradient passes of a scalar-output MLP over up
+    to `rows` rows: the input Z, and per layer the pre-activation, the
+    activation and the input gradient.
+
+    A pass over k rows reads Z[:k] and uses the first k rows of every
+    buffer. Those are C-contiguous, so each matmul sees the operands a
+    freshly allocated (k, width) array would give it, and a pass's bits do
+    not depend on `rows`. A caller that solves in place writes its rows
+    into Z, runs passes, and compacts by moving its kept rows to the front.
+    """
+
+    def __init__(self, params: MlpParams, rows: int):
+        if params.n_out != 1:
+            raise DimensionMismatch("input gradient defined for scalar outputs only")
+        self.params = params
+        self.Z = np.empty((rows, params.n_in))
+        self.pres = [np.empty((rows, W.shape[0])) for W in params.weights]
+        # the hidden activations, reused for the LeakyReLU derivative once
+        # the forward pass is done with them
+        self.acts = [np.empty((rows, W.shape[0])) for W in params.weights[:-1]]
+        # the output layer's input gradient is the same for every pass
+        self.grads = [np.empty((rows, W.shape[1])) for W in params.weights[:-1]]
+        self.grads.append(np.ones((rows, 1)) @ params.weights[-1])
+
+    def value_and_grad(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """One trace at rows Z[:k]: the outputs (k,), equal to
+        mlp_forward_batch's, and their input gradients (k, n_in) by reverse
+        mode. Both are views into the workspace, valid until the next pass;
+        callers copy from them and do not write to them."""
+        Ws, bs = self.params.weights, self.params.biases
+        last = len(Ws) - 1
+        h = self.Z[:k]
+        for j, (W, b) in enumerate(zip(Ws, bs)):
+            pre = self.pres[j][:k]
+            np.matmul(h, W.T, out=pre)
+            pre += b
+            if j != last:
+                h = self.acts[j][:k]
+                np.multiply(pre, LEAKY_SLOPE, out=h)
+                np.maximum(h, pre, out=h)
+        g = self.grads[last][:k]
+        for j in range(last - 1, -1, -1):
+            # kink at 0 resolved to the shallow branch, as is NaN; the mask
+            # is exactly 1.0 or LEAKY_SLOPE
+            mask = self.acts[j][:k]
+            np.greater(self.pres[j][:k], 0.0, out=mask)
+            mask *= 1.0 - LEAKY_SLOPE
+            mask += LEAKY_SLOPE
+            np.multiply(g, mask, out=mask)
+            g = self.grads[j][:k]
+            np.matmul(mask, Ws[j], out=g)
+        return self.pres[last][:k, 0], g
+
+
 def _mlp_input_grad_batch(params: MlpParams, Z: np.ndarray) -> tuple:
     """One trace of a scalar-output MLP at rows Z (B, n_in): the outputs (B,),
     equal to mlp_forward_batch's, and their input gradients (B, n_in) by
     reverse mode."""
-    if params.n_out != 1:
-        raise DimensionMismatch("input gradient defined for scalar outputs only")
-    acts, pres = mlp_trace(params, Z)
-    g = np.ones((Z.shape[0], 1))
-    last = len(params.weights) - 1
-    for k in range(last, -1, -1):
-        if k != last:
-            # kink at 0 resolved to the shallow branch; measure-zero set
-            g = g * np.where(pres[k] > 0, 1.0, LEAKY_SLOPE)
-        g = g @ params.weights[k]
-    return acts[-1][:, 0], g
+    ws = MlpWorkspace(params, Z.shape[0])
+    ws.Z[...] = Z
+    return ws.value_and_grad(Z.shape[0])
 
 
 @dataclass

@@ -10,7 +10,9 @@
   - lse/plse: projected gradient with Armijo backtracking. Certificate: the
     first-order gap max_v <g, u - v> over the box, which bounds f(u) - min f
     for convex f.
-  - fnn: multi-start projected gradient (nonconvex, no certificate).
+  - fnn: multi-start projected gradient (nonconvex, no certificate). Each
+    sweep is one MLP value-and-gradient pass into buffers allocated once
+    per solve (`networks.MlpWorkspace`).
 Every row keeps its own iterate and stopping rule and leaves the working
 set when it stops, so the per-call NumPy overhead is paid once per sweep,
 not once per condition and iteration. `minimize` is a batch of one. A
@@ -28,8 +30,8 @@ import numpy as np
 from .exceptions import DimensionMismatch, NonFiniteInput, NumericOverflow
 from .networks import (
     FeedforwardNet,
+    MlpWorkspace,
     Network,
-    _mlp_input_grad_batch,
     bank_values,
     batch_scores,
     lse_and_softmax,
@@ -292,15 +294,6 @@ def _lp_batch(A, c, live, domain, opts, traces):
     return U, D, iters, status
 
 
-def _fnn_trace(net, X, U):
-    """(values, u-gradients, mask of non-finite rows or None) from one MLP
-    trace at rows (X, U): a non-finite row is flagged instead of failing the
-    whole batch."""
-    f, G = _mlp_input_grad_batch(net.mlp, np.hstack([X, U]))
-    bad = ~np.isfinite(f)
-    return f, G[:, net.n :], bad if bad.any() else None
-
-
 def _multistart_batch(net, X, domain, opts, traces):
     """Multi-start projected gradient for B conditions at once, R = restarts
     rows per condition, all from the same seeded starts.
@@ -312,55 +305,84 @@ def _multistart_batch(net, X, domain, opts, traces):
     A condition leaves the working set once all its restarts have stopped,
     when the sweep cap is hit, or when its objective went non-finite, so a
     lone condition does the same array work as in a batch of its own.
+
+    A sweep allocates nothing of the rows' size. One MlpWorkspace for the
+    B*R rows holds the MLP input [X_rep, U], its condition columns written
+    once and each sweep's candidates copied into its u-columns; the
+    candidate, residual and Armijo arithmetic write into two scratch arrays,
+    and moves are masked copies. The active rows are the first k of every
+    buffer: a leaving condition's rows are compacted out by moving the kept
+    rows to the front, so each pass sees the arrays a batch of k rows would.
     Returns (U, values, sweeps, status) per condition, U being its best
     restart's point.
     """
-    B, R, m = len(X), opts.restarts, domain.dim
+    B, R, n, m = len(X), opts.restarts, net.n, domain.dim
     lo, hi = domain.lower, domain.upper
     conds = np.arange(B)
-    X_rep = np.repeat(X, R, axis=0)
+    ws = MlpWorkspace(net.mlp, B * R)
+    ws.Z[:, :n] = np.repeat(X, R, axis=0)
     Us = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))
-    fs, G, bad = _fnn_trace(net, X_rep, Us)
-    failed = None if bad is None else bad.reshape(B, R).any(axis=1)
+    ws.Z[:, n:] = Us
+    f0, g0 = ws.value_and_grad(B * R)
+    fs, G = f0.copy(), g0[:, n:].copy()
+    bad = ~np.isfinite(fs)
+    failed = bad.reshape(B, R).any(axis=1) if bad.any() else None
     steps = np.full(B * R, opts.initial_step)
     done = np.zeros(B * R, dtype=bool)
+    scratch, C = np.empty_like(Us), np.empty_like(Us)
     best_u = np.zeros((B, m))
     sweeps = np.zeros(B, dtype=np.int64)
     status = np.full(B, _FAILED)
     if traces is not None:
         for b, v in zip(conds, fs.reshape(B, R).min(axis=1)):
             traces[b].append(float(v))
+    k = B * R
+    u, f, g, s, d, t, cand = (v[:k] for v in (Us, fs, G, steps, done, scratch, C))
     for sweep in range(1, opts.max_iters + 1):
-        r = Us - np.minimum(np.maximum(Us - G, lo), hi)  # unit reference step
-        residual = np.sqrt(np.add.reduce(r * r, axis=1))
-        done |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs))
-        cand = np.minimum(np.maximum(Us - steps[:, None] * G, lo), hi)
-        f_cand, G_cand, bad = _fnn_trace(net, X_rep, cand)
-        if bad is not None:
+        # unit reference step u - clip(u - g)
+        np.subtract(u, g, out=t)
+        np.maximum(t, lo, out=t)
+        np.minimum(t, hi, out=t)
+        np.subtract(u, t, out=t)
+        t *= t
+        residual = np.sqrt(np.add.reduce(t, axis=1))
+        d |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
+        np.multiply(s[:, None], g, out=cand)
+        np.subtract(u, cand, out=cand)
+        np.maximum(cand, lo, out=cand)
+        np.minimum(cand, hi, out=cand)
+        # formed in a contiguous buffer and copied once: the same four steps
+        # on the strided u-columns of Z measured more than twice as slow
+        ws.Z[:k, n:] = cand
+        f_cand, g_cand = ws.value_and_grad(k)
+        bad = ~np.isfinite(f_cand)
+        if bad.any():
             bad = bad.reshape(-1, R).any(axis=1)
             failed = bad if failed is None else failed | bad
-        decrease = f_cand <= fs + opts.armijo * (G * (cand - Us)).sum(axis=1)
-        move = decrease & ~done
-        Us[move] = cand[move]
-        fs[move] = f_cand[move]
-        G[move] = G_cand[move]
-        steps[move] *= 2.0
-        steps[~decrease & ~done] *= opts.backtrack
-        done |= steps < _MIN_STEP
+        np.subtract(cand, u, out=t)
+        t *= g
+        decrease = f_cand <= f + opts.armijo * np.add.reduce(t, axis=1)
+        move = decrease & ~d
+        np.copyto(u, cand, where=move[:, None])
+        np.copyto(f, f_cand, where=move)
+        np.copyto(g, g_cand[:, n:], where=move[:, None])
+        s[move] *= 2.0
+        s[~decrease & ~d] *= opts.backtrack
+        d |= s < _MIN_STEP
         if traces is not None:
-            for b, v in zip(conds, fs.reshape(-1, R).min(axis=1)):
+            for b, v in zip(conds, f.reshape(-1, R).min(axis=1)):
                 traces[b].append(float(v))
-        if failed is None and sweep < opts.max_iters and np.count_nonzero(done) < R:
+        if failed is None and sweep < opts.max_iters and np.count_nonzero(d) < R:
             continue  # no condition can have all its restarts done yet
-        finished = done.reshape(-1, R).all(axis=1)
+        finished = d.reshape(-1, R).all(axis=1)
         leaving = finished if sweep < opts.max_iters else np.ones_like(finished)
         if failed is not None:
             leaving = leaving | failed
         if not leaving.any():
             continue
         out = conds[leaving]
-        best = np.argmin(fs.reshape(-1, R)[leaving], axis=1)
-        best_u[out] = Us.reshape(-1, R, m)[leaving, best]
+        best = np.argmin(f.reshape(-1, R)[leaving], axis=1)
+        best_u[out] = u.reshape(-1, R, m)[leaving, best]
         sweeps[out] = sweep
         status[out] = np.where(finished[leaving], _CONVERGED, _MAX_ITERS)
         if failed is not None:
@@ -371,12 +393,13 @@ def _multistart_batch(net, X, domain, opts, traces):
             break
         keep_rows = np.repeat(keep, R)
         conds = conds[keep]
-        X_rep, Us, fs, G, steps, done = (
-            v[keep_rows] for v in (X_rep, Us, fs, G, steps, done)
-        )
-    values, _, bad = _fnn_trace(net, X, best_u)
-    if bad is not None:
-        status[bad] = _FAILED
+        for v in (ws.Z, Us, fs, G, steps, done):
+            v[: conds.size * R] = v[:k][keep_rows]
+        k = conds.size * R
+        u, f, g, s, d, t, cand = (v[:k] for v in (Us, fs, G, steps, done, scratch, C))
+    ws.Z[:B, :n], ws.Z[:B, n:] = X, best_u
+    values = ws.value_and_grad(B)[0]
+    status[~np.isfinite(values)] = _FAILED
     return best_u, values, sweeps, status
 
 

@@ -24,6 +24,7 @@ from paraconvex.bench import (
     target_function,
     true_solution,
     _assert_disjoint,
+    _git_rev,
 )
 from paraconvex.exceptions import ConfigError, DimensionMismatch
 from paraconvex.networks import Bank
@@ -150,6 +151,24 @@ class TestConfig:
     def test_bad_value_names_its_line(self, line):
         with pytest.raises(ConfigError, match=r"^line 1: "):
             parse_experiment_config(line + "\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("temperature = -1", "temperature must be positive"),
+        ("split_ratio = 1.5", "split_ratio must lie strictly between 0 and 1"),
+        ("epochs = 0", "epochs must be >= 1"),
+        ("batch_size = 0", "batch_size must be >= 1"),
+        ("hidden = 8,0", "hidden widths must be >= 1"),
+        ("learning_rate = 0", "learning_rate must be positive"),
+        ("learning_rate = -1e-3", "learning_rate must be positive"),
+    ])
+    def test_out_of_range_value_names_its_line(self, line, message):
+        # rejected while parsing, before run_benchmark trains any cell
+        with pytest.raises(ConfigError, match=rf"^line 2: {message}$"):
+            parse_experiment_config("kinds = ma\n" + line + "\n")
+        key, _, value = line.partition(" = ")
+        value = tuple(int(v) for v in value.split(",")) if key == "hidden" else float(value)
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            ExperimentConfig(**{key: value})
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "bench.cfg"
@@ -287,6 +306,31 @@ class TestRunBenchmark:
         meta = report.metadata
         assert meta["runs_per_cell"] == 2
         assert "value_error" in meta and "value_error_true" in meta
+
+    def test_metadata_env_block(self, tiny_report):
+        _, report = tiny_report
+        env = report.to_json()["metadata"]["env"]
+        assert set(env) == {"python", "numpy", "cpu_count", "git_rev"}
+        assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+        assert env["cpu_count"] == os.cpu_count()
+        rev = env["git_rev"]
+        assert rev is None or (len(rev) == 40 and set(rev) <= set("0123456789abcdef"))
+        assert json.loads(json.dumps(env)) == env
+
+    def test_git_rev_from_head(self, tmp_path):
+        sha, other = "a" * 40, "b" * 40
+        assert _git_rev(tmp_path) is None  # no checkout
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        assert _git_rev(tmp_path) is None  # a branch with no commit yet
+        (git / "packed-refs").write_text(
+            f"# pack-refs with: peeled\n{other} refs/heads/dev\n{sha} refs/heads/main\n")
+        assert _git_rev(tmp_path) == sha
+        (git / "refs" / "heads" / "main").write_text(other + "\n")
+        assert _git_rev(tmp_path) == other  # a loose ref wins over the packed one
+        (git / "HEAD").write_text(sha + "\n")
+        assert _git_rev(tmp_path) == sha  # detached
 
 
 class TestSurfaceDump:

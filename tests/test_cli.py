@@ -220,6 +220,19 @@ class TestBenchmark:
         rc, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
         assert rc == 2 and err.startswith("error: line 1:")
 
+    def test_out_of_range_value_fails_before_training(self, tmp_path, capsys,
+                                                      monkeypatch):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(self.CFG + "temperature = -1\n")
+
+        def trains(cfg):
+            raise AssertionError("a cell trained on a config with a bad value")
+
+        monkeypatch.setattr(cli, "run_benchmark", trains)
+        rc, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
+        assert rc == 2
+        assert err.startswith("error: line 9: temperature must be positive")
+
     def test_exported_model_round_trips(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.cfg"
         cfg_path.write_text(self.CFG + f"outdir = {tmp_path / 'out'}\n")

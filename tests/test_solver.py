@@ -11,6 +11,7 @@ from paraconvex.networks import (
     Bank,
     FeedforwardNet,
     MlpParams,
+    MlpWorkspace,
     _mlp_input_grad_batch,
     forward,
     forward_batch,
@@ -676,6 +677,21 @@ def _two_pass_multistart(net, x, domain, opts):
     return u, forward_batch(net, x[None, :], u[None, :])[0], sweep, status, trace
 
 
+def _where_reference_grad(mlp, Z):
+    """Input gradients (B, n_in) by the reverse pass with the LeakyReLU
+    derivative as a float np.where mask, as a separate function computed it."""
+    pres, h = [], Z
+    for W, b in zip(mlp.weights, mlp.biases):
+        pres.append(h @ W.T + b)
+        h = np.maximum(LEAKY_SLOPE * pres[-1], pres[-1])
+    g = np.ones((len(Z), 1))
+    for k in range(len(mlp.weights) - 1, -1, -1):
+        if k != len(mlp.weights) - 1:
+            g = g * np.where(pres[k] > 0, 1.0, LEAKY_SLOPE)
+        g = g @ mlp.weights[k]
+    return g
+
+
 def _assert_same_result(res, ref):
     assert_array_equal(res.u_star, ref.u_star)
     assert (res.value, res.iterations, res.status, res.trace) == (
@@ -716,17 +732,30 @@ class TestFusedLoops:
             Z = rng.uniform(-1.0, 1.0, size=(33, widths[0]))
             out, grad = _mlp_input_grad_batch(mlp, Z)
             assert_array_equal(out, mlp_forward_batch(mlp, Z)[:, 0])
-            # the reverse pass as a separate function computed it
-            pres, h = [], Z
-            for W, b in zip(mlp.weights, mlp.biases):
-                pres.append(h @ W.T + b)
-                h = np.maximum(LEAKY_SLOPE * pres[-1], pres[-1])
-            g = np.ones((len(Z), 1))
-            for k in range(len(mlp.weights) - 1, -1, -1):
-                if k != len(mlp.weights) - 1:
-                    g = g * np.where(pres[k] > 0, 1.0, LEAKY_SLOPE)
-                g = g @ mlp.weights[k]
-            assert_array_equal(grad, g)
+            assert_array_equal(grad, _where_reference_grad(mlp, Z))
+
+    @pytest.mark.parametrize("rows", [33, 40])
+    def test_workspace_kernel_on_kinks_and_non_finite_rows(self, rows):
+        rng = np.random.default_rng(4)
+        widths = [81, 64, 64, 1]
+        mlp = MlpParams(
+            weights=[rng.normal(size=(b, a)) for a, b in zip(widths, widths[1:])],
+            biases=[rng.normal(size=b) for b in widths[1:]],
+        )
+        mlp.biases[0][::2] = 0.0
+        Z = rng.uniform(-1.0, 1.0, size=(33, widths[0]))
+        Z[0] = 0.0  # exact-zero pre-activations: the kink goes to the slope
+        Z[1, 0] = np.inf  # +-inf and NaN pre-activations
+        ws = MlpWorkspace(mlp, rows)
+        ws.Z[:33] = Z
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, grad = ws.value_and_grad(33)
+            ref = _where_reference_grad(mlp, Z)
+            assert_array_equal(out, mlp_forward_batch(mlp, Z)[:, 0])
+        assert (ws.pres[0][0, ::2] == 0.0).all() and not np.isfinite(out[1])
+        assert np.isnan(ws.pres[1][1]).any()
+        assert_array_equal(grad, ref)
+        assert_array_equal(np.signbit(grad), np.signbit(ref))
 
     @pytest.mark.parametrize("n,m,seed", [(1, 1, 90), (2, 3, 92), (3, 20, 5)])
     def test_fnn_solves_match_two_pass(self, n, m, seed):
@@ -740,3 +769,127 @@ class TestFusedLoops:
             assert_array_equal(res.u_star, u)
             assert (res.value, res.iterations, res.status, res.trace) == (
                 value, sweeps, status, trace)
+
+
+def _allocating_multistart_batch(net, X, domain, opts, traces):
+    """The multi-start sweep with fresh arrays for every step and a separate
+    forward and np.where-mask reverse pass per trace: the reference the
+    workspace sweep `_multistart_batch` must reproduce bit for bit."""
+
+    def trace(X, U):
+        Z = np.hstack([X, U])
+        f = mlp_forward_batch(net.mlp, Z)[:, 0]
+        bad = ~np.isfinite(f)
+        return f, _where_reference_grad(net.mlp, Z)[:, net.n :], bad if bad.any() else None
+
+    B, R, m = len(X), opts.restarts, domain.dim
+    lo, hi = domain.lower, domain.upper
+    conds = np.arange(B)
+    X_rep = np.repeat(X, R, axis=0)
+    Us = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))
+    fs, G, bad = trace(X_rep, Us)
+    failed = None if bad is None else bad.reshape(B, R).any(axis=1)
+    steps = np.full(B * R, opts.initial_step)
+    done = np.zeros(B * R, dtype=bool)
+    best_u, sweeps = np.zeros((B, m)), np.zeros(B, dtype=np.int64)
+    status = np.full(B, solver_module._FAILED)
+    if traces is not None:
+        for b, v in zip(conds, fs.reshape(B, R).min(axis=1)):
+            traces[b].append(float(v))
+    for sweep in range(1, opts.max_iters + 1):
+        r = Us - np.minimum(np.maximum(Us - G, lo), hi)
+        residual = np.sqrt(np.add.reduce(r * r, axis=1))
+        done |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs))
+        cand = np.minimum(np.maximum(Us - steps[:, None] * G, lo), hi)
+        f_cand, G_cand, bad = trace(X_rep, cand)
+        if bad is not None:
+            bad = bad.reshape(-1, R).any(axis=1)
+            failed = bad if failed is None else failed | bad
+        decrease = f_cand <= fs + opts.armijo * (G * (cand - Us)).sum(axis=1)
+        move = decrease & ~done
+        Us[move], fs[move], G[move] = cand[move], f_cand[move], G_cand[move]
+        steps[move] *= 2.0
+        steps[~decrease & ~done] *= opts.backtrack
+        done |= steps < 1e-18
+        if traces is not None:
+            for b, v in zip(conds, fs.reshape(-1, R).min(axis=1)):
+                traces[b].append(float(v))
+        finished = done.reshape(-1, R).all(axis=1)
+        leaving = finished if sweep < opts.max_iters else np.ones_like(finished)
+        if failed is not None:
+            leaving = leaving | failed
+        if not leaving.any():
+            continue
+        out = conds[leaving]
+        best = np.argmin(fs.reshape(-1, R)[leaving], axis=1)
+        best_u[out] = Us.reshape(-1, R, m)[leaving, best]
+        sweeps[out] = sweep
+        status[out] = np.where(finished[leaving], solver_module._CONVERGED,
+                               solver_module._MAX_ITERS)
+        if failed is not None:
+            status[out[failed[leaving]]] = solver_module._FAILED
+            failed = failed[~leaving]
+        keep = ~leaving
+        if not keep.any():
+            break
+        keep_rows = np.repeat(keep, R)
+        conds = conds[keep]
+        X_rep, Us, fs, G, steps, done = (
+            v[keep_rows] for v in (X_rep, Us, fs, G, steps, done))
+    values, _, bad = trace(X, best_u)
+    if bad is not None:
+        status[bad] = solver_module._FAILED
+    return best_u, values, sweeps, status
+
+
+class TestMultistartWorkspace:
+    """The fnn sweep in its per-solve workspace, at the benchmark's shape
+    (61x20, hidden (64, 64), 16 restarts) and on a 1x1 net whose conditions
+    leave at different sweeps, so rows are compacted. Every batch row equals
+    the allocating sweep's bit for bit, and every `minimize` result equals
+    the two-pass loop's, traces included. A batch row and `minimize` agree
+    in sweeps and status; their last bits may differ, because a matmul
+    row's bits depend on the row count (B*R against R)."""
+
+    def _assert_rows_match(self, net, X, opts, monkeypatch):
+        dom = BoxDomain.symmetric(net.m)
+        batch = minimize_batch(net, X, dom, opts)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver_module, "_multistart_batch", _allocating_multistart_batch)
+            reference = minimize_batch(net, X, dom, opts)
+        for x, row, ref_row in zip(X, batch, reference):
+            if row is None:
+                assert ref_row is None
+                with pytest.raises(NumericOverflow):
+                    minimize(net, x, dom, opts)
+                continue
+            _assert_same_result(row, ref_row)
+            res = minimize(net, x, dom, opts)
+            u, value, sweeps, status, trace = _two_pass_multistart(net, x, dom, opts)
+            assert_array_equal(res.u_star, u)
+            assert (res.value, res.iterations, res.status, res.trace) == (
+                value, sweeps, status, trace)
+            assert (row.iterations, row.status) == (res.iterations, res.status)
+        return batch
+
+    def test_benchmark_shape(self, monkeypatch):
+        net = init_network("fnn", 61, 20, seed=5, hidden=(64, 64))
+        X = np.array([Rng(500 + k).uniform_in(-1.0, 1.0, 61) for k in range(4)])
+        # a condition scaled by 1e300 keeps the objective finite (about
+        # 1e300, converged at once); one at 1e308 in every entry overflows
+        # the first layer's sums, and the objective is non-finite
+        X[1] *= 1e300
+        X[2] = 1e308
+        opts = SolveOptions(seed=5, restarts=16, keep_trace=True)
+        batch = self._assert_rows_match(net, X, opts, monkeypatch)
+        assert [row is None for row in batch] == [False, False, True, False]
+        assert batch[0].iterations == opts.max_iters
+        assert batch[1].iterations < opts.max_iters
+
+    def test_conditions_leave_at_different_sweeps(self, monkeypatch):
+        net = init_network("fnn", 1, 1, seed=7, hidden=(8, 8))
+        X = np.array([Rng(70 + k).uniform_in(-1.0, 1.0, 1) for k in range(5)])
+        opts = SolveOptions(seed=7, keep_trace=True)
+        batch = self._assert_rows_match(net, X, opts, monkeypatch)
+        sweeps = [row.iterations for row in batch]
+        assert len(set(sweeps)) > 1 and min(sweeps) < 500 == max(sweeps)
