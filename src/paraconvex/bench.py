@@ -13,7 +13,8 @@ conditions, amortized over the cell's batch.
 Dataclass fields are the schema: a RunResult's fields but `net` are its
 samples.json record; a cell reports `mean_<sample>` for each of SAMPLES,
 pooled over its runs' valid solves on the test split, and tallies solver
-failures and non-finite or out-of-box outputs apart. A config line that
+failures and non-finite or out-of-box outputs apart. A run also counts
+its solved conditions per solver status (`statuses`). A config line that
 does not parse, or whose value is out of range, raises ConfigError naming
 its line number, before any cell trains.
 """
@@ -32,7 +33,7 @@ import numpy as np
 from .exceptions import ConfigError, DimensionMismatch, TrainingDiverged
 from .networks import Network, forward_batch, save_model
 from .numerics import BoxDomain, Rng, sample_uniform_box
-from .solver import SolveOptions, minimize_batch
+from .solver import STATUSES, SolveOptions, minimize_batch
 from .training import (
     Dataset,
     TrainConfig,
@@ -227,6 +228,8 @@ class RunResult:
     train_time_s: float = 0.0
     convexity_violation: float | None = None  # None for fnn or diverged runs
     solver_failures: int = 0
+    # solved conditions per solver status, one key per STATUSES entry
+    statuses: dict = field(default_factory=lambda: dict.fromkeys(STATUSES, 0))
     invalid_values: int = 0
     solve_time_s: list = field(default_factory=list)
     minimizer_error: list = field(default_factory=list)
@@ -237,7 +240,7 @@ class RunResult:
 
     def to_json(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "net"}
-        return {k: list(v) if isinstance(v, list) else v for k, v in doc.items()}
+        return {k: type(v)(v) if isinstance(v, (list, dict)) else v for k, v in doc.items()}
 
 
 # the per-solve samples of a run that a cell pools into mean_<sample>
@@ -343,6 +346,7 @@ def _run_cell(
         if res is None:
             run.solver_failures += 1
             continue
+        run.statuses[res.status] += 1
         u_star, value_true = true_solution(x, n, m)
         ok = (
             np.all(np.isfinite(res.u_star))

@@ -12,7 +12,10 @@
     for convex f.
   - fnn: multi-start projected gradient (nonconvex, no certificate). Each
     sweep is one MLP value-and-gradient pass into buffers allocated once
-    per solve (`networks.MlpWorkspace`).
+    per solve (`networks.MlpWorkspace`). A LeakyReLU MLP is piecewise
+    linear in u, so the residual seldom vanishes at a kink; a restart also
+    stops once an accepted move lowers its value by at most
+    grad_tolerance * max(1, |f|), the relative-reduction test of L-BFGS-B.
 Every row keeps its own iterate and stopping rule and leaves the working
 set when it stops, so the per-call NumPy overhead is paid once per sweep,
 not once per condition and iteration. `minimize` is a batch of one. A
@@ -54,6 +57,9 @@ _FAILED = -1
 @dataclass
 class SolveOptions:
     max_iters: int = 500
+    # relative, scaled by max(1, |value|); it bounds the value minus the dual
+    # bound on ma/pma, the projected-gradient residual on lse/plse, and on
+    # fnn both that residual and the value drop of an accepted move
     grad_tolerance: float = 1e-6
     initial_step: float = 1.0
     backtrack: float = 0.5
@@ -65,10 +71,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.grad_tolerance > 0:
-            raise ValueError("grad_tolerance must be positive")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
+        if not 0.0 < self.grad_tolerance < np.inf:
+            raise ValueError("grad_tolerance must be finite and positive")
+        if not 0.0 < self.initial_step < np.inf:
+            raise ValueError("initial_step must be finite and positive")
         if not (0.0 < self.backtrack < 1.0):
             raise ValueError("backtrack factor must lie in (0, 1)")
         if not (0.0 < self.armijo < 1.0):
@@ -302,9 +308,13 @@ def _multistart_batch(net, X, domain, opts, traces):
     per row, halving that row's step on rejection. Iterates only move on
     accepted decrease, so every restart descends monotonically; a moved row
     keeps the gradient from its candidate's trace, one MLP trace per sweep.
-    A condition leaves the working set once all its restarts have stopped,
-    when the sweep cap is hit, or when its objective went non-finite, so a
-    lone condition does the same array work as in a batch of its own.
+    A restart stops when its projected-gradient residual is at most
+    grad_tolerance * max(1, |f|), when its step underflows, or when an
+    accepted move lowers its value by at most grad_tolerance * max(1, |f|)
+    at the new point. A condition leaves the working set once all its
+    restarts have stopped ("converged"), when the sweep cap is hit
+    ("max_iters"), or when its objective went non-finite, so a lone
+    condition does the same array work as in a batch of its own.
 
     A sweep allocates nothing of the rows' size. One MlpWorkspace for the
     B*R rows holds the MLP input [X_rep, U], its condition columns written
@@ -363,12 +373,14 @@ def _multistart_batch(net, X, domain, opts, traces):
         t *= g
         decrease = f_cand <= f + opts.armijo * np.add.reduce(t, axis=1)
         move = decrease & ~d
+        tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
+        flat = move & (f - f_cand <= tol)
         np.copyto(u, cand, where=move[:, None])
         np.copyto(f, f_cand, where=move)
         np.copyto(g, g_cand[:, n:], where=move[:, None])
         s[move] *= 2.0
         s[~decrease & ~d] *= opts.backtrack
-        d |= s < _MIN_STEP
+        d |= flat | (s < _MIN_STEP)
         if traces is not None:
             for b, v in zip(conds, f.reshape(-1, R).min(axis=1)):
                 traces[b].append(float(v))
@@ -408,7 +420,9 @@ def minimize_batch(
 ) -> list:
     """Solve every condition row of X (B, n) in one lockstep batch.
 
-    A row's result does not depend on its batch-mates. A row whose bank or
+    A row's result does not depend on its batch-mates, except that an fnn
+    row may differ from a batch of one in the last bits: a matmul row's bits
+    depend on the row count (B*R against R). A row whose bank or
     objective goes non-finite comes back as None. Every result's trace
     holds the model value at each iterate (for fnn, the best restart's),
     and its wall_time_s is the batch's wall time divided by B.

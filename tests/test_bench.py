@@ -29,6 +29,7 @@ from paraconvex.bench import (
 from paraconvex.exceptions import ConfigError, DimensionMismatch
 from paraconvex.networks import Bank
 from paraconvex.numerics import Rng
+from paraconvex.solver import STATUSES
 from paraconvex.training import Dataset
 
 
@@ -226,6 +227,15 @@ class TestRunBenchmark:
                 assert len(run.solve_time_s) == n_used
                 assert len(run.certificate) == n_used
 
+    def test_statuses_tally_the_solved_conditions(self, tiny_report):
+        _, report = tiny_report
+        test_size = 60 - int(0.9 * 60)
+        for cell in report.cells:
+            for run in cell.runs:
+                assert tuple(run.statuses) == STATUSES
+                assert sum(run.statuses.values()) == test_size - run.solver_failures
+                assert run.to_json()["statuses"] == run.statuses
+
     def test_means_are_pooled_sample_means(self, tiny_report):
         _, report = tiny_report
         for cell in report.cells:
@@ -238,9 +248,9 @@ class TestRunBenchmark:
     def test_json_keys(self, tiny_report):
         _, report = tiny_report
         run_keys = {"seed", "train_status", "final_test_mse", "train_time_s",
-                    "convexity_violation", "solver_failures", "invalid_values",
-                    "solve_time_s", "minimizer_error", "value_error",
-                    "value_error_true", "certificate"}
+                    "convexity_violation", "solver_failures", "statuses",
+                    "invalid_values", "solve_time_s", "minimizer_error",
+                    "value_error", "value_error_true", "certificate"}
         cell_keys = {"kind", "n", "m", "d", "epochs", "mean_solve_time_s",
                      "mean_minimizer_error", "mean_value_error",
                      "mean_value_error_true", "solver_failures", "invalid_values",

@@ -138,6 +138,13 @@ class TestSolve:
             capsys)
         assert rc == 2 and "error:" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance(self, model_path, tol, capsys):
+        rc, out, err = run_cli(
+            ["solve", "--model", model_path, "--x", "0.1,0.1", "--tol", tol], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "grad_tolerance" in err
+
 
 class TestCheck:
     def test_envelope_suite(self, capsys):

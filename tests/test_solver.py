@@ -75,6 +75,9 @@ class TestSolveOptions:
             {"backtrack": 0.0},
             {"armijo": 1.0},
             {"restarts": 0},
+            {"grad_tolerance": float("inf")},
+            {"initial_step": float("inf")},
+            {"initial_step": float("nan")},
         ],
     )
     def test_validation(self, bad):
@@ -646,10 +649,12 @@ def _two_pass_pg_batch(A, c, live, T, domain, opts, traces):
     return U, G, iters, status
 
 
-def _two_pass_multistart(net, x, domain, opts):
+def _two_pass_multistart(net, x, domain, opts, relative_stop=True):
     """Multi-start sweep for one condition that runs the MLP twice per sweep
     (forward at the candidates, a separate gradient pass at the iterates).
-    Returns (u*, value, sweeps, status, trace)."""
+    With relative_stop=False an accepted move never ends a restart, which is
+    the earlier rule: sweep until the residual test or the cap. Returns
+    (u*, value, sweeps, status, trace)."""
     R, lo, hi = opts.restarts, domain.lower, domain.upper
     X = np.tile(x, (R, 1))
     Us = sample_uniform_box(domain, R, Rng(opts.seed))
@@ -665,10 +670,13 @@ def _two_pass_multistart(net, x, domain, opts):
         f_cand = forward_batch(net, X, cand)
         decrease = f_cand <= fs + opts.armijo * np.sum(G * (cand - Us), axis=1)
         move = decrease & ~done
+        tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
+        flat = move & (fs - f_cand <= tol)
+        flat &= relative_stop
         Us[move], fs[move] = cand[move], f_cand[move]
         steps[move] *= 2.0
         steps[~decrease & ~done] *= opts.backtrack
-        done |= steps < 1e-18
+        done |= flat | (steps < 1e-18)
         trace.append(float(fs.min()))
         if done.all():
             break
@@ -807,10 +815,12 @@ def _allocating_multistart_batch(net, X, domain, opts, traces):
             failed = bad if failed is None else failed | bad
         decrease = f_cand <= fs + opts.armijo * (G * (cand - Us)).sum(axis=1)
         move = decrease & ~done
+        tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
+        flat = move & (fs - f_cand <= tol)
         Us[move], fs[move], G[move] = cand[move], f_cand[move], G_cand[move]
         steps[move] *= 2.0
         steps[~decrease & ~done] *= opts.backtrack
-        done |= steps < 1e-18
+        done |= flat | (steps < 1e-18)
         if traces is not None:
             for b, v in zip(conds, fs.reshape(-1, R).min(axis=1)):
                 traces[b].append(float(v))
@@ -883,13 +893,30 @@ class TestMultistartWorkspace:
         opts = SolveOptions(seed=5, restarts=16, keep_trace=True)
         batch = self._assert_rows_match(net, X, opts, monkeypatch)
         assert [row is None for row in batch] == [False, False, True, False]
-        assert batch[0].iterations == opts.max_iters
-        assert batch[1].iterations < opts.max_iters
+        for row in (batch[0], batch[1], batch[3]):
+            assert row.status == "converged" and row.iterations < opts.max_iters
+
+    def test_relative_stop_loses_no_meaningful_value(self):
+        # against the earlier rule, which sweeps on to the cap at this shape
+        net = init_network("fnn", 61, 20, seed=5, hidden=(64, 64))
+        dom = BoxDomain.symmetric(20)
+        for k in range(8):
+            x = Rng(510 + k).uniform_in(-1.0, 1.0, 61)
+            opts = SolveOptions(seed=k)
+            res = minimize(net, x, dom, opts)
+            _, capped, _, capped_status, _ = _two_pass_multistart(
+                net, x, dom, opts, relative_stop=False)
+            assert capped_status == "max_iters"
+            assert res.status == "converged" and res.iterations < opts.max_iters
+            assert res.value <= capped + 1e-3 * max(1.0, abs(res.value))
 
     def test_conditions_leave_at_different_sweeps(self, monkeypatch):
         net = init_network("fnn", 1, 1, seed=7, hidden=(8, 8))
         X = np.array([Rng(70 + k).uniform_in(-1.0, 1.0, 1) for k in range(5)])
-        opts = SolveOptions(seed=7, keep_trace=True)
+        # a cap of 30 sweeps: three conditions leave early, one later, and
+        # the last stays until the cap
+        opts = SolveOptions(seed=7, max_iters=30, keep_trace=True)
         batch = self._assert_rows_match(net, X, opts, monkeypatch)
         sweeps = [row.iterations for row in batch]
-        assert len(set(sweeps)) > 1 and min(sweeps) < 500 == max(sweeps)
+        assert len(set(sweeps)) > 2 and min(sweeps) < 30 == max(sweeps)
+        assert [row.status for row in batch].count("max_iters") == 1
