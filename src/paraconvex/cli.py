@@ -111,8 +111,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_condition(argv: list) -> list:
+    """`--x -0.1,0.08` as `--x=-0.1,0.08`: argparse takes a value that
+    starts with '-' and is not a plain number for an option string."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--x" and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] = f"--x={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_condition(argv))
     try:
         return args.func(args)
     except (ConfigError, OSError, ValueError, ArithmeticError) as exc:

@@ -17,6 +17,7 @@ Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,3 +168,12 @@ def grid_minimize(
             best_val = v
             best_node = u
     return best_node, best_val
+
+
+def check_count(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` naming the field unless value is an integer >= 1: a
+    Python or NumPy integer, not a bool, a float or NaN."""
+    if isinstance(value, numbers.Real) and value < 1:
+        raise error(f"{name} must be >= 1")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")

@@ -39,7 +39,7 @@ from .networks import (
     mlp_trace,
     net_mlp,
 )
-from .numerics import Rng
+from .numerics import Rng, check_count
 
 
 @dataclass
@@ -116,14 +116,12 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        check_count("epochs", self.epochs, ConfigError)
+        check_count("batch_size", self.batch_size, ConfigError)
         if not (0.0 < self.split_ratio < 1.0):
             raise ConfigError("split_ratio must lie strictly between 0 and 1")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
         if not self.adam_eps > 0:

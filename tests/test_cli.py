@@ -61,6 +61,19 @@ class TestSolve:
         d1.pop("wall_time_s"), d2.pop("wall_time_s")
         assert d1 == d2
 
+    @pytest.mark.parametrize("n,x", [(2, "-0.1,0.08"), (2, "0.3,-0.7"), (1, "-0.5")])
+    def test_condition_after_a_space(self, tmp_path, n, x, capsys):
+        # "--x -0.1,0.08" used to exit 2: argparse read the value as an option
+        path = tmp_path / "model.json"
+        save_model(init_network("plse", n, 2, seed=5, I=6, hidden=(8, 8)), path)
+        docs = []
+        for argv in (["--x", x], [f"--x={x}"]):
+            rc, out, _ = run_cli(["solve", "--model", str(path), *argv], capsys)
+            assert rc == 0
+            docs.append(json.loads(out))
+            docs[-1].pop("wall_time_s")
+        assert docs[0] == docs[1]
+
     def test_fnn_result_is_uncertified(self, tmp_path, capsys):
         net = init_network("fnn", 1, 1, seed=2, hidden=(8, 8))
         path = tmp_path / "fnn.json"
@@ -144,6 +157,30 @@ class TestSolve:
             ["solve", "--model", model_path, "--x", "0.1,0.1", "--tol", tol], capsys)
         assert rc == 2 and out == ""
         assert err.startswith("error:") and "grad_tolerance" in err
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
+GOLDEN_CASES = sorted(f[: -len("_numbers.json")] for f in os.listdir(GOLDEN)
+                      if f.endswith("_numbers.json"))
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_solve_reproduces_golden_minimize(name, capsys):
+    """`paraconvex solve` on a golden trained model returns its recorded
+    `minimize` result at every recorded condition (make_golden.py options)."""
+    with open(os.path.join(GOLDEN, f"{name}_numbers.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    model = os.path.join(GOLDEN, f"{name}_trained.json")
+    keys = ("u_star", "value", "iterations", "status", "certificate")
+    for x, record in zip(doc["conditions"], doc["minimize"], strict=True):
+        rc, out, _ = run_cli(
+            ["solve", "--model", model, "--x", ",".join(map(repr, x)),
+             "--max-iters", "60", "--restarts", "4", "--seed", "5"], capsys)
+        assert rc == 0
+        want = {k: record[k] for k in keys}
+        if want["certificate"] == float("inf"):  # fnn: uncertified
+            want["certificate"] = None
+        assert {k: json.loads(out)[k] for k in keys} == want
 
 
 class TestCheck:

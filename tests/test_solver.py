@@ -16,6 +16,7 @@ from paraconvex.networks import (
     forward,
     forward_batch,
     grad_u_batch,
+    lse_and_softmax,
     mlp_forward_batch,
     shifted_lse,
     smooth_twin,
@@ -78,11 +79,23 @@ class TestSolveOptions:
             {"grad_tolerance": float("inf")},
             {"initial_step": float("inf")},
             {"initial_step": float("nan")},
+            {"max_iters": float("nan")},
+            {"max_iters": float("inf")},
+            {"max_iters": 2.5},
+            {"max_iters": 3.0},
+            {"max_iters": True},
+            {"restarts": 2.5},
+            {"restarts": float("nan")},
         ],
     )
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        (field,) = bad
+        with pytest.raises(ValueError, match=field):
             SolveOptions(**bad)
+
+    def test_numpy_integer_counts(self):
+        o = SolveOptions(max_iters=np.int64(7), restarts=np.int32(2))
+        assert (o.max_iters, o.restarts) == (7, 2)
 
 
 class TestFirstOrderGap:
@@ -920,3 +933,160 @@ class TestMultistartWorkspace:
         sweeps = [row.iterations for row in batch]
         assert len(set(sweeps)) > 2 and min(sweeps) < 30 == max(sweeps)
         assert [row.status for row in batch].count("max_iters") == 1
+
+
+# --- the backtracking ladder against the serial line search -----------------
+
+
+def _serial_pg_batch(A, c, live, T, domain, opts, traces):
+    """`_pg_batch` scoring one candidate per row and sweep: a rejection cuts
+    the row's step by `backtrack` and the next sweep tries again. The
+    reference the ladder must reproduce bit for bit, in more sweeps."""
+    lo, hi = domain.lower, domain.upper
+    U, iters, status, rows = solver_module._start(live, domain)
+    G = np.zeros_like(U)
+    A, c, u, it = A[rows], c[rows], U[rows], iters[rows]
+    f, p = lse_and_softmax(solver_module._bank_scores(A, u, c), T)
+    g = solver_module._bank_grad(p, A)
+    if traces is not None:
+        for r, v in zip(rows, f):
+            traces[r].append(float(v))
+    s = np.full(len(rows), opts.initial_step)
+    bad = ~np.isfinite(f)
+    while rows.size:
+        r = u - np.minimum(np.maximum(u - g, lo), hi)
+        residual = np.sqrt(np.add.reduce(r * r, axis=1))
+        capped = it >= opts.max_iters
+        converged = residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
+        stop = bad | capped | converged | (s < solver_module._MIN_STEP)
+        if stop.any():
+            done = rows[stop]
+            U[done], G[done], iters[done] = u[stop], g[stop], it[stop]
+            status[done] = np.select(
+                [bad[stop], capped[stop], converged[stop]],
+                [solver_module._FAILED, solver_module._MAX_ITERS,
+                 solver_module._CONVERGED],
+                solver_module._STEP_UNDERFLOW,
+            )
+            keep = ~stop
+            rows, A, c, u, f, g, s, it = (
+                v[keep] for v in (rows, A, c, u, f, g, s, it)
+            )
+            if not rows.size:
+                break
+        cand = np.minimum(np.maximum(u - s[:, None] * g, lo), hi)
+        f_cand, p = lse_and_softmax(solver_module._bank_scores(A, cand, c), T)
+        bad = ~np.isfinite(f_cand)
+        accept = f_cand <= f + opts.armijo * (g * (cand - u)).sum(axis=1)
+        u[accept], f[accept] = cand[accept], f_cand[accept]
+        g[accept] = solver_module._bank_grad(p[accept], A[accept])
+        it[accept] += 1
+        s = np.where(accept, 2.0 * s, opts.backtrack * s)
+        if traces is not None:
+            for r, v in zip(rows[accept], f_cand[accept]):
+                traces[r].append(float(v))
+    return U, G, iters, status
+
+
+def _assert_ladder_matches_serial(A, c, T, opts):
+    """Runs both cores on the banks A (B, I, m), c (B, I) and returns the
+    statuses after asserting (U, G, iterations, status) and every trace
+    equal."""
+    dom = BoxDomain.symmetric(A.shape[2])
+    live = np.ones(len(c), dtype=bool)
+    results, traces = [], []
+    for core in (solver_module._pg_batch, _serial_pg_batch):
+        trace = [[] for _ in c] if opts.keep_trace else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            results.append(core(A, c, live, T, dom, opts, trace))
+        traces.append(trace)
+    for got, ref in zip(*results):
+        assert_array_equal(got, ref)
+    assert traces[0] == traces[1]
+    return results[0][3]
+
+
+def _bank_batch(kind, n, m, seed, I=6, B=4):
+    net = init_network(kind, n, m, seed=seed, I=I, hidden=(8,))
+    X = np.random.default_rng(seed).uniform(-1.0, 1.0, (B, n))
+    A, c = u_bank_batch(net, X)
+    return np.array(A), c, net.T
+
+
+class TestBacktrackingLadder:
+    """Each `_pg_batch` sweep scores the candidates of up to _LADDER
+    rejections at once; iterates, counts, statuses and traces are the
+    serial line search's bit for bit."""
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(kind=st.sampled_from(["lse", "plse"]),
+                          n=st.integers(1, 3), m=st.sampled_from([1, 3, 20]),
+                          I=st.integers(1, 8), B=st.integers(1, 5),
+                          seed=st.integers(0, 2**16),
+                          backtrack=st.sampled_from([0.5, 0.3, 0.7]),
+                          max_iters=st.sampled_from([3, 500]),
+                          keep_trace=st.booleans())
+        def check(kind, n, m, I, B, seed, backtrack, max_iters, keep_trace):
+            A, c, T = _bank_batch(kind, n, m, seed, I=I, B=B)
+            opts = SolveOptions(backtrack=backtrack, max_iters=max_iters,
+                                keep_trace=keep_trace)
+            _assert_ladder_matches_serial(A, c, T, opts)
+
+        check()
+
+    @pytest.mark.parametrize("backtrack", [0.3, 0.7])
+    @pytest.mark.parametrize("keep_trace", [False, True])
+    @pytest.mark.parametrize("kind,m", [("lse", 3), ("plse", 20)])
+    def test_backtrack_not_a_power_of_two(self, kind, m, backtrack, keep_trace):
+        A, c, T = _bank_batch(kind, 2, m, seed=61)
+        opts = SolveOptions(backtrack=backtrack, keep_trace=keep_trace)
+        status = _assert_ladder_matches_serial(A, c, T, opts)
+        assert (status == solver_module._CONVERGED).all()
+
+    @pytest.mark.parametrize("kind,m,seed", [
+        ("lse", 3, 60), ("plse", 1, 62), ("plse", 3, 61), ("plse", 20, 61)])
+    def test_step_underflow(self, kind, m, seed):
+        A, c, T = _bank_batch(kind, 2, m, seed)
+        opts = SolveOptions(initial_step=1e-17, armijo=0.9, keep_trace=True)
+        status = _assert_ladder_matches_serial(A, c, T, opts)
+        assert (status == solver_module._STEP_UNDERFLOW).any()
+
+    def test_overflow_at_a_candidate_fails_the_row(self):
+        # at the box centre the planes score 0 and -1e3, the second's weight
+        # is exactly 0 and the gradient is (-1, -1); at the first candidate,
+        # (1, 1), the second plane's slopes of 1e308 overflow its score to
+        # inf and the value is NaN, while the next rungs are finite but
+        # rejected: the serial loop stops at the first rung, and so must
+        # the ladder
+        slopes = np.array([[-1.0, -1.0], [1e308, 1e308]])
+        offsets = np.array([0.0, -1e3])
+        A_ok, c_ok, _ = _bank_batch("lse", 1, 2, seed=63, I=2, B=2)
+        A = np.concatenate([slopes[None], A_ok])
+        c = np.concatenate([offsets[None], c_ok])
+        status = _assert_ladder_matches_serial(
+            A, c, 0.1, SolveOptions(keep_trace=True))
+        assert status[0] == solver_module._FAILED
+        assert (status[1:] == solver_module._CONVERGED).all()
+        net = Bank(n=1, m=2, A=np.hstack([np.zeros((2, 1)), slopes]), b=offsets, T=0.1)
+        assert minimize_batch(net, np.zeros((1, 1)), BoxDomain.symmetric(2)) == [None]
+
+    @pytest.mark.parametrize("kind,m", [("lse", 3), ("plse", 20)])
+    def test_iteration_cap(self, kind, m):
+        A, c, T = _bank_batch(kind, 2, m, seed=64)
+        status = _assert_ladder_matches_serial(
+            A, c, T, SolveOptions(max_iters=3, keep_trace=True))
+        assert (status == solver_module._MAX_ITERS).all()
+
+    @pytest.mark.parametrize("keep_trace", [False, True])
+    def test_rows_that_run_to_the_cap(self, keep_trace):
+        net = init_network("lse", 61, 20, seed=41, I=30)
+        X = np.array([Rng(410 + k).uniform_in(-1.0, 1.0, 61) for k in range(3)])
+        A, c = u_bank_batch(net, X)
+        status = _assert_ladder_matches_serial(
+            np.array(A), c, net.T, SolveOptions(keep_trace=keep_trace))
+        assert (status == solver_module._MAX_ITERS).all()

@@ -95,11 +95,21 @@ class TestTrainConfig:
             {"learning_rate": 0.0},
             {"batch_size": 0},
             {"adam_eps": 0.0},
+            {"epochs": 2.5},
+            {"epochs": float("nan")},
+            {"epochs": float("inf")},
+            {"batch_size": 2.5},
+            {"batch_size": float("nan")},
         ],
     )
     def test_validation(self, bad):
-        with pytest.raises(ConfigError):
+        (field,) = bad
+        with pytest.raises(ConfigError, match=field):
             TrainConfig(**bad)
+
+    def test_numpy_integer_counts(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(16))
+        assert (cfg.epochs, cfg.batch_size) == (3, 16)
 
     def test_parse_key_value_text(self):
         cfg = parse_train_config(
