@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatch, TrainingDiverged
 from .networks import Network, forward_batch, save_model
-from .numerics import BoxDomain, Rng, sample_uniform_box
+from .numerics import BoxDomain, Rng, check_count, sample_uniform_box
 from .solver import STATUSES, SolveOptions, minimize_batch
 from .training import (
     Dataset,
@@ -135,6 +135,8 @@ class ExperimentConfig:
     def __post_init__(self):
         self.dims = tuple((int(n), int(m)) for n, m in self.dims)
         self.kinds = tuple(self.kinds)
+        for seed in self.seeds:
+            check_count("seeds", seed, ConfigError, minimum=0)
         self.seeds = tuple(int(s) for s in self.seeds)
         if any(n < 1 or m < 1 for n, m in self.dims):
             raise ConfigError("dims entries must be >= 1")

@@ -12,9 +12,10 @@ For fixed x every bank is convex in u by construction: a max or
 log-sum-exp of functions affine in u.
 
 Evaluation is batch-first: `forward`, `grad_u`, `subgrad_u` and `u_bank`
-are a batch of one through the row-wise functions. An fnn's value and input
-gradient come from one kernel, `MlpWorkspace.value_and_grad`, which a
-solver reuses across its sweeps and `grad_u_batch` runs once.
+are a batch of one through the row-wise functions. An MLP's reverse pass
+is one kernel, `MlpWorkspace.backward`, over a trace kept in buffers
+allocated once: the fnn solver takes input gradients from it across its
+sweeps, training takes weight gradients written into its own arrays.
 """
 
 from __future__ import annotations
@@ -75,46 +76,47 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
 
-def mlp_trace(params: MlpParams, Z: np.ndarray) -> tuple[list, list]:
-    """Forward pass at rows Z (B, n_in) keeping what backprop needs:
-    (acts, pres) with acts[0] = Z, acts[k + 1] the output of layer k and
-    pres[k] its pre-activation; acts[-1] is the net's output (B, n_out)."""
-    acts, pres = [Z], []
-    h = Z
-    last = len(params.weights) - 1
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W.T + b
-        pres.append(z)
-        h = np.maximum(LEAKY_SLOPE * z, z) if k != last else z
-        acts.append(h)
-    return acts, pres
+def layer_buffers(params: MlpParams, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """mlp_forward_batch's buffers for `rows` rows: pre-activations, activations."""
+    widths = [W.shape[0] for W in params.weights]
+    return np.empty(rows * max(widths)), np.empty(rows * max(widths[:-1], default=0))
 
 
-def mlp_forward_batch(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    """(B, n_in) -> (B, n_out). Hidden layers LeakyReLU, output affine."""
+def _forward_layers(params: MlpParams, h: np.ndarray, pres=None, acts=None):
+    """Trace rows h into fresh arrays or the first len(h) rows of C-contiguous
+    buffers pres[j], acts[j] (the same bits either way); returns the outputs."""
+    k, last = len(h), len(params.weights) - 1
+    for j, (W, b) in enumerate(zip(params.weights, params.biases)):
+        pre = np.matmul(h, W.T, out=None if pres is None else pres[j][:k])
+        pre += b
+        if j != last:
+            h = np.multiply(pre, LEAKY_SLOPE, out=None if acts is None else acts[j][:k])
+            np.maximum(h, pre, out=h)
+    return pre
+
+
+def mlp_forward_batch(params: MlpParams, inputs: np.ndarray, buffers=None) -> np.ndarray:
+    """(B, n_in) -> (B, n_out). Hidden layers LeakyReLU, output affine. Runs
+    in `buffers` (layer_buffers for >= B rows), returning a view, if given."""
     h = np.asarray(inputs, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.n_in:
-        raise DimensionMismatch(
-            f"expected input width {params.n_in}, got {h.shape}"
-        )
-    # mlp_trace's arithmetic without keeping the layers: each layer's arrays
-    # are freed before the next layer's are allocated. Holding them to the
-    # end, as mlp_trace does, measured about a third slower on 4,500 rows.
-    # Overflow surfaces as NumericOverflow/TrainingDiverged at the callers
-    # that own the finiteness contract, not as a numpy warning here.
-    last = len(params.weights) - 1
+        raise DimensionMismatch(f"expected input width {params.n_in}, got {h.shape}")
+    # Callers running large batches again and again keep buffers: a fresh
+    # 4,500x64 layer (2.3 MB) is above glibc's mmap threshold and faults in
+    # new pages (`np.maximum(0.01*H, H)`: 2.5 ms, 0.43 ms in a kept buffer).
+    # Overflow surfaces at the callers that own finiteness, not as a warning.
+    B, pres, acts = h.shape[0], None, None
+    if buffers is not None:
+        pres = [buffers[0][: B * len(b)].reshape(B, len(b)) for b in params.biases]
+        acts = [buffers[1][: p.size].reshape(p.shape) for p in pres[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-            h = h @ W.T + b
-            if k != last:
-                h = np.maximum(LEAKY_SLOPE * h, h)
-    return h
+        return _forward_layers(params, h, pres, acts)
 
 
 class MlpWorkspace:
-    """Buffers for value-and-gradient passes of a scalar-output MLP over up
-    to `rows` rows: the input Z, and per layer the pre-activation, the
-    activation and the input gradient.
+    """Buffers for traces of an MLP over up to `rows` rows and their reverse
+    passes: the input Z, and per layer the pre-activation, the activation
+    and the gradient with respect to the layer's input.
 
     A pass over k rows reads Z[:k] and uses the first k rows of every
     buffer. Those are C-contiguous, so each matmul sees the operands a
@@ -124,46 +126,54 @@ class MlpWorkspace:
     """
 
     def __init__(self, params: MlpParams, rows: int):
-        if params.n_out != 1:
-            raise DimensionMismatch("input gradient defined for scalar outputs only")
         self.params = params
         self.Z = np.empty((rows, params.n_in))
         self.pres = [np.empty((rows, W.shape[0])) for W in params.weights]
-        # the hidden activations, reused for the LeakyReLU derivative once
-        # the forward pass is done with them
+        # hidden activations, then the reverse pass's LeakyReLU derivatives
         self.acts = [np.empty((rows, W.shape[0])) for W in params.weights[:-1]]
-        # the output layer's input gradient is the same for every pass
-        self.grads = [np.empty((rows, W.shape[1])) for W in params.weights[:-1]]
-        self.grads.append(np.ones((rows, 1)) @ params.weights[-1])
+        self.grads = [np.empty((rows, W.shape[1])) for W in params.weights]
+        # value_and_grad's unit output gradient through the output layer
+        if params.n_out == 1:
+            self.unit = np.ones((rows, 1)) @ params.weights[-1]
 
-    def value_and_grad(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """One trace at rows Z[:k]: the outputs (k,), equal to
-        mlp_forward_batch's, and their input gradients (k, n_in) by reverse
-        mode. Both are views into the workspace, valid until the next pass;
-        callers copy from them and do not write to them."""
-        Ws, bs = self.params.weights, self.params.biases
-        last = len(Ws) - 1
-        h = self.Z[:k]
-        for j, (W, b) in enumerate(zip(Ws, bs)):
-            pre = self.pres[j][:k]
-            np.matmul(h, W.T, out=pre)
-            pre += b
-            if j != last:
-                h = self.acts[j][:k]
-                np.multiply(pre, LEAKY_SLOPE, out=h)
-                np.maximum(h, pre, out=h)
-        g = self.grads[last][:k]
-        for j in range(last - 1, -1, -1):
+    def forward(self, k: int) -> np.ndarray:
+        """Trace rows Z[:k]; the outputs (k, n_out), a view."""
+        return _forward_layers(self.params, self.Z[:k], self.pres, self.acts)
+
+    def backward(self, k: int, delta, weight_grads: list | None = None):
+        """Reverse pass through the last forward(k) from delta (k, n_out), the
+        output gradient (None: a scalar output's unit one). Fills weight_grads
+        [dW0, db0, dW1, ...] if given, else returns the input gradients."""
+        Ws = self.params.weights
+        for j in range(len(Ws) - 1, -1, -1):
+            if weight_grads is not None:
+                inputs = self.Z[:k] if j == 0 else self.acts[j - 1][:k]
+                np.matmul(delta.T, inputs, out=weight_grads[2 * j])
+                np.add.reduce(delta, axis=0, out=weight_grads[2 * j + 1])
+                if j == 0:
+                    return None
+            if delta is None:
+                g = self.unit[:k]
+            else:
+                g = np.matmul(delta, Ws[j], out=self.grads[j][:k])
+            if j == 0:
+                return g
             # kink at 0 resolved to the shallow branch, as is NaN; the mask
             # is exactly 1.0 or LEAKY_SLOPE
-            mask = self.acts[j][:k]
-            np.greater(self.pres[j][:k], 0.0, out=mask)
-            mask *= 1.0 - LEAKY_SLOPE
-            mask += LEAKY_SLOPE
-            np.multiply(g, mask, out=mask)
-            g = self.grads[j][:k]
-            np.matmul(mask, Ws[j], out=g)
-        return self.pres[last][:k, 0], g
+            delta = self.acts[j - 1][:k]
+            np.greater(self.pres[j - 1][:k], 0.0, out=delta)
+            delta *= 1.0 - LEAKY_SLOPE
+            delta += LEAKY_SLOPE
+            np.multiply(g, delta, out=delta)
+
+    def value_and_grad(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """One trace of a scalar-output MLP at rows Z[:k]: the outputs (k,),
+        equal to mlp_forward_batch's, and their input gradients (k, n_in)
+        by reverse mode. Both are views into the workspace, valid until the
+        next pass; callers copy from them and do not write to them."""
+        if self.params.n_out != 1:
+            raise DimensionMismatch("input gradient defined for scalar outputs only")
+        return self.forward(k)[:, 0], self.backward(k, None)
 
 
 def _mlp_input_grad_batch(params: MlpParams, Z: np.ndarray) -> tuple:
@@ -274,14 +284,14 @@ def _check_rows(net: Network, X, U) -> tuple[np.ndarray, np.ndarray]:
 # --- banks -----------------------------------------------------------------
 
 
-def u_bank_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def u_bank_batch(net: Network, X: np.ndarray, buffers=None) -> tuple:
     """Affine banks in u for B conditions: (A_u (B, I, m), c (B, I)), row b
     giving the plane values A_u[b] @ u + c[b] at X[b].
 
     A fixed bank's planes share one slope matrix, returned as a read-only
     broadcast view, and the x-part of each joint plane folds into the
     offset; a parameterized bank's are the embedded net's outputs, one
-    forward pass for all rows.
+    forward pass for all rows (in mlp_forward_batch's `buffers`).
     """
     if isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork("fnn has no affine bank in u")
@@ -291,7 +301,7 @@ def u_bank_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if net.embed is None:
         A_u = np.broadcast_to(net.A[:, net.n :], (X.shape[0], net.I, net.m))
         return A_u, X @ net.A[:, : net.n].T + net.b
-    return embedded_bank(net, mlp_forward_batch(net.embed, X))
+    return embedded_bank(net, mlp_forward_batch(net.embed, X, buffers))
 
 
 def embedded_bank(net: Bank, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,28 +319,28 @@ def u_bank(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A_u[0], c[0]
 
 
-def _scores_and_slopes(net: Bank, X: np.ndarray, U: np.ndarray) -> tuple:
+def _scores_and_slopes(net: Bank, X: np.ndarray, U: np.ndarray, buffers=None) -> tuple:
     """Plane values (B, I) at rows (X, U) and the slopes in u: (I, m) shared
     by all rows of a fixed bank, which is scored over the joint rows
     [X, U] as it is defined, or (B, I, m) from u_bank_batch."""
     if isinstance(net, Bank) and net.embed is None:
         return np.hstack([X, U]) @ net.A.T + net.b, net.A[:, net.n :]
-    A_u, c = u_bank_batch(net, X)
+    A_u, c = u_bank_batch(net, X, buffers)
     return np.einsum("bim,bm->bi", A_u, U) + c, A_u
 
 
-def batch_scores(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+def batch_scores(net: Network, X: np.ndarray, U: np.ndarray, buffers=None) -> np.ndarray:
     """Plane values (B, I) of a bank at rows (X, U)."""
-    return _scores_and_slopes(net, X, U)[0]
+    return _scores_and_slopes(net, X, U, buffers)[0]
 
 
 def shifted_lse(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
     """T * log sum exp(scores/T), stabilized by subtracting the max first."""
     top = np.max(scores, axis=axis, keepdims=True)
-    out = T * np.log(np.sum(np.exp((scores - top) / T), axis=axis)) + np.squeeze(
-        top, axis=axis
-    )
-    return out
+    e = scores - top  # one temporary: a 4,500-row loss pass's is about 1 MB
+    e /= T
+    np.exp(e, out=e)
+    return T * np.log(np.sum(e, axis=axis)) + np.squeeze(top, axis=axis)
 
 
 def softmax_over_T(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
@@ -377,14 +387,14 @@ def _weighted_slopes(net: Bank, X: np.ndarray, U: np.ndarray) -> np.ndarray:
 # --- evaluation ------------------------------------------------------------
 
 
-def forward_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Row-wise predictions: X is (B, n), U is (B, m), result is (B,).
-    Raises NumericOverflow on a non-finite value."""
+def forward_batch(net: Network, X: np.ndarray, U: np.ndarray, buffers=None) -> np.ndarray:
+    """Row-wise predictions (B,) at X (B, n), U (B, m), an MLP running in
+    mlp_forward_batch's `buffers`. Raises NumericOverflow on non-finite."""
     X, U = _check_rows(net, X, U)
     if isinstance(net, FeedforwardNet):
-        out = mlp_forward_batch(net.mlp, np.hstack([X, U]))[:, 0]
+        out = mlp_forward_batch(net.mlp, np.hstack([X, U]), buffers)[:, 0]
     else:
-        out = bank_values(batch_scores(net, X, U), net.T)
+        out = bank_values(batch_scores(net, X, U, buffers), net.T)
     if not np.isfinite(out).all():
         raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
     return out

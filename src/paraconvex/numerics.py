@@ -170,10 +170,10 @@ def grid_minimize(
     return best_node, best_val
 
 
-def check_count(name: str, value, error: type[ValueError] = ValueError) -> None:
-    """Raise `error` naming the field unless value is an integer >= 1: a
-    Python or NumPy integer, not a bool, a float or NaN."""
-    if isinstance(value, numbers.Real) and value < 1:
-        raise error(f"{name} must be >= 1")
+def check_count(name: str, value, error=ValueError, minimum: int = 1) -> None:
+    """Raise `error` naming the field unless value is an integer >= minimum:
+    a Python or NumPy integer, not a bool, a float or NaN."""
+    if isinstance(value, numbers.Real) and value < minimum:
+        raise error(f"{name} must be >= {minimum}")
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")

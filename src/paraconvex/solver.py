@@ -76,6 +76,7 @@ class SolveOptions:
     def __post_init__(self):
         check_count("max_iters", self.max_iters)
         check_count("restarts", self.restarts)
+        check_count("seed", self.seed, minimum=0)
         if not 0.0 < self.grad_tolerance < np.inf:
             raise ValueError("grad_tolerance must be finite and positive")
         if not 0.0 < self.initial_step < np.inf:

@@ -6,15 +6,14 @@ biases. All randomness (init, split, shuffles) flows through one seeded Rng,
 so a (seed, data, config) triple reproduces training bit for bit.
 
 The trained copy's parameters are reshaped views into one flat float64
-buffer, so a step is one Adam update over the buffer, made in place with
-the per-array rounding; the lse/plse gradients take the prediction and its
-softmax weights from one shifted exponential. Both give the same bits as
-updating array by array and exponentiating twice.
+buffer. Every step and loss pass of a `train` call runs in one
+TrainWorkspace; a step ends with one in-place Adam update of the buffer.
+lse/plse take the prediction and softmax weights from one exponential. It
+all gives the bits of allocating every array and updating array by array.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -27,16 +26,16 @@ from .exceptions import (
     TrainingDiverged,
 )
 from .networks import (
-    LEAKY_SLOPE,
     Bank,
     FeedforwardNet,
     MlpParams,
+    MlpWorkspace,
     Network,
     bank_weights,
     clone_network,
     embedded_bank,
     forward_batch,
-    mlp_trace,
+    layer_buffers,
     net_mlp,
 )
 from .numerics import Rng, check_count
@@ -67,41 +66,8 @@ class Dataset:
     def size(self) -> int:
         return self.y.shape[0]
 
-    @property
-    def points(self) -> list:
-        return [(self.X[i], self.U[i], float(self.y[i])) for i in range(self.size)]
-
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.n, self.m, self.X[idx], self.U[idx], self.y[idx])
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    header = (
-        [f"x_{j + 1}" for j in range(ds.n)]
-        + [f"u_{j + 1}" for j in range(ds.m)]
-        + ["y"]
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(ds.size):
-            # repr round-trips float64 exactly
-            w.writerow(
-                [repr(float(v)) for v in ds.X[i]]
-                + [repr(float(v)) for v in ds.U[i]]
-                + [repr(float(ds.y[i]))]
-            )
-
-
-def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        n = sum(1 for c in header if c.startswith("x_"))
-        m = sum(1 for c in header if c.startswith("u_"))
-        if n + m + 1 != len(header) or header[-1] != "y":
-            raise ConfigError(f"unrecognized dataset header {header!r}")
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return Dataset(n=n, m=m, X=body[:, :n], U=body[:, n : n + m], y=body[:, -1])
 
 
 @dataclass
@@ -118,6 +84,7 @@ class TrainConfig:
     def __post_init__(self):
         check_count("epochs", self.epochs, ConfigError)
         check_count("batch_size", self.batch_size, ConfigError)
+        check_count("seed", self.seed, ConfigError, minimum=0)
         if not (0.0 < self.split_ratio < 1.0):
             raise ConfigError("split_ratio must lie strictly between 0 and 1")
         if not self.learning_rate > 0:
@@ -221,8 +188,10 @@ def init_network(
 # --- loss and gradients ----------------------------------------------------
 
 
-def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray) -> float:
-    pred = forward_batch(net, X, U)
+def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray,
+             ws: TrainWorkspace | None = None) -> float:
+    """MSE at rows (X, U); an MLP runs in the loss buffers of `ws`."""
+    pred = forward_batch(net, X, U, None if ws is None else ws.loss)
     r = pred - np.asarray(y, dtype=np.float64)
     # an overflowing square is the divergence signal the trainer checks for
     with np.errstate(over="ignore"):
@@ -236,10 +205,13 @@ def parameters(net: Network) -> list:
     mlp = net_mlp(net)
     if mlp is None:
         return [net.A, net.b]
-    out = []
-    for W, b in zip(mlp.weights, mlp.biases):
-        out.extend([W, b])
-    return out
+    return [p for W, b in zip(mlp.weights, mlp.biases) for p in (W, b)]
+
+
+def _views(flat: np.ndarray, arrays: list) -> list:
+    """Consecutive views of flat, shaped like arrays."""
+    parts = np.split(flat, np.cumsum([p.size for p in arrays])[:-1])
+    return [v.reshape(p.shape) for v, p in zip(parts, arrays)]
 
 
 def _flatten_parameters(net: Network) -> np.ndarray:
@@ -248,10 +220,7 @@ def _flatten_parameters(net: Network) -> np.ndarray:
     buffer updates every parameter. Shapes and values are unchanged."""
     params = parameters(net)
     flat = np.concatenate(params, axis=None)
-    views, start = [], 0
-    for p in params:
-        views.append(flat[start : start + p.size].reshape(p.shape))
-        start += p.size
+    views = _views(flat, params)
     mlp = net_mlp(net)
     if mlp is None:
         net.A, net.b = views
@@ -260,64 +229,74 @@ def _flatten_parameters(net: Network) -> np.ndarray:
     return flat
 
 
-def _mlp_backprop(params: MlpParams, acts, pres, delta_out: np.ndarray) -> list:
-    """Grads [dW0, db0, ...] given dLoss/d(output) rows in delta_out."""
-    last = len(params.weights) - 1
-    grads = [None] * (2 * len(params.weights))
-    delta = delta_out
-    for k in range(last, -1, -1):
-        grads[2 * k] = delta.T @ acts[k]
-        grads[2 * k + 1] = delta.sum(axis=0)
-        if k > 0:
-            delta = (delta @ params.weights[k]) * np.where(
-                pres[k - 1] > 0, 1.0, LEAKY_SLOPE
-            )
-    return grads
+class TrainWorkspace:
+    """A net's buffers for steps over up to `rows` rows and loss passes over
+    up to `loss_rows`: `grads`, views of the flat `grad` shaped like
+    parameters(net); the step's input rows `Z`, in the MlpWorkspace if the
+    net has an MLP; and mlp_forward_batch's buffers `loss`."""
+
+    def __init__(self, net: Network, rows: int, loss_rows: int = 0):
+        params = parameters(net)
+        self.grad = np.empty(sum(p.size for p in params))
+        self.grads = _views(self.grad, params)
+        mlp = net_mlp(net)
+        self.mlp = None if mlp is None else MlpWorkspace(mlp, rows)
+        self.loss = None if mlp is None else layer_buffers(mlp, loss_rows)
+        self.Z = np.empty((rows, net.n + net.m)) if mlp is None else self.mlp.Z
 
 
 def weight_gradients(
-    net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray
+    net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray,
+    ws: TrainWorkspace | None = None,
 ) -> list:
     """Gradient of mse_loss w.r.t. parameters(net), same order and shapes.
+
+    Returns the views `grads` of `ws`, or of a workspace made for the call,
+    valid until its next step.
 
     The max in ma/pma routes gradient to the active plane only (lowest index
     on ties), the standard subgradient choice for max-affine training.
     """
-    X = np.asarray(X, dtype=np.float64)
-    U = np.asarray(U, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X, U, y = (np.asarray(a, dtype=np.float64) for a in (X, U, y))
     B = y.shape[0]
     if B == 0:
         raise ValueError("batch must be nonempty")
+    if ws is None:
+        ws = TrainWorkspace(net, B)
+    elif B > len(ws.Z):
+        raise DimensionMismatch(f"batch of {B} rows, workspace for {len(ws.Z)}")
     # a run heading for divergence may pass non-finite values through here;
     # the train loop's loss check owns that failure, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        return _weight_gradients(net, X, U, y, B)
+        _weight_gradients(net, X, U, y, B, ws)
+    return ws.grads
 
 
-def _weight_gradients(net, X, U, y, B):
+def _weight_gradients(net, X, U, y, B, ws):
+    # an MLP's output gradient overwrites its outputs
+    Z = ws.Z[:B]
     if isinstance(net, FeedforwardNet):
-        Z = np.hstack([X, U])
-        acts, pres = mlp_trace(net.mlp, Z)
-        resid = acts[-1][:, 0] - y
-        dpred = (2.0 / B) * resid
-        return _mlp_backprop(net.mlp, acts, pres, dpred[:, None])
-    if net.embed is None:
-        Z = np.hstack([X, U])
+        Z[:, : net.n], Z[:, net.n :] = X, U
+        out = ws.mlp.forward(B)
+        np.subtract(out[:, 0], y, out=out[:, 0])
+        out *= 2.0 / B
+        ws.mlp.backward(B, out, ws.grads)
+    elif net.embed is None:
+        Z[:, : net.n], Z[:, net.n :] = X, U
         pred, w = bank_weights(Z @ net.A.T + net.b, net.T)
-        dpred = (2.0 / B) * (pred - y)
-        wd = w * dpred[:, None]
-        return [wd.T @ Z, wd.sum(axis=0)]
-    acts, pres = mlp_trace(net.embed, X)
-    A_x, b_x = embedded_bank(net, acts[-1])
-    pred, w = bank_weights(np.einsum("bim,bm->bi", A_x, U) + b_x, net.T)
-    dpred = (2.0 / B) * (pred - y)
-    wd = w * dpred[:, None]
-    # d pred / d A_x[i, j] = w_i * u_j and d pred / d b_x[i] = w_i
-    dout = np.concatenate(
-        [(wd[:, :, None] * U[:, None, :]).reshape(B, -1), wd], axis=1
-    )
-    return _mlp_backprop(net.embed, acts, pres, dout)
+        wd = w * ((2.0 / B) * (pred - y))[:, None]
+        np.matmul(wd.T, Z, out=ws.grads[0])
+        np.add.reduce(wd, axis=0, out=ws.grads[1])
+    else:
+        Z[...] = X
+        out = ws.mlp.forward(B)
+        A_x, b_x = embedded_bank(net, out)
+        pred, w = bank_weights(np.einsum("bim,bm->bi", A_x, U) + b_x, net.T)
+        # in the bank's layout: d pred / d A_x[i, j] is w_i * u_j and
+        # d pred / d b_x[i] is w_i
+        np.multiply(w, ((2.0 / B) * (pred - y))[:, None], out=b_x)
+        np.multiply(b_x[:, :, None], U[:, None, :], out=A_x)
+        ws.mlp.backward(B, out, ws.grads)
 
 
 # --- Adam ------------------------------------------------------------------
@@ -328,6 +307,10 @@ class AdamState:
     m: list
     v: list
     t: int = 0
+    scratch: list = field(init=False, repr=False, compare=False)  # one per m
+
+    def __post_init__(self):
+        self.scratch = [np.empty_like(a) for a in self.m]
 
     @staticmethod
     def for_params(params: list) -> "AdamState":
@@ -345,12 +328,14 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    out: list | None = None,
 ) -> list:
-    """One bias-corrected Adam update; returns new parameter arrays and
-    advances state in place.
+    """One bias-corrected Adam update; advances state in place and returns
+    the new parameter arrays: new ones, or `out` (which may be params), in
+    which case the step is formed in grads and nothing is allocated.
 
-    The moments are updated in place and each array's step is formed in one
-    scratch buffer and the returned array, with the rounding of
+    The moments are updated in place and each array's step is formed in the
+    state's scratch and one more array, with the rounding of
     p - lr * m_hat / (sqrt(v_hat) + eps) term for term, so one call over a
     flat concatenation of arrays equals one call over the arrays.
     """
@@ -359,12 +344,12 @@ def adam_step(
     state.t += 1
     t = state.t
     c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
-    out = []
+    new = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise DimensionMismatch(f"param {i}: gradient shape {g.shape} != {p.shape}")
-        m, v = state.m[i], state.v[i]
-        scratch = np.multiply(g, 1.0 - beta1)
+        m, v, scratch = state.m[i], state.v[i], state.scratch[i]
+        np.multiply(g, 1.0 - beta1, out=scratch)
         m *= beta1
         m += scratch  # beta1 * m + (1 - beta1) * g
         np.multiply(g, g, out=scratch)
@@ -374,11 +359,11 @@ def adam_step(
         np.divide(v, c2, out=scratch)
         np.sqrt(scratch, out=scratch)
         scratch += eps  # sqrt(v_hat) + eps
-        step = np.divide(m, c1)
+        step = np.divide(m, c1, out=None if out is None else g)
         step *= lr
         step /= scratch  # lr * m_hat / (sqrt(v_hat) + eps)
-        out.append(np.subtract(p, step, out=step))
-    return out
+        new.append(np.subtract(p, step, out=step if out is None else out[i]))
+    return new
 
 
 # --- split and train loop --------------------------------------------------
@@ -410,21 +395,21 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[Network, TrainRe
     net = clone_network(net)
     flat = _flatten_parameters(net)
     state = AdamState.for_params([flat])
+    ws = TrainWorkspace(net, min(cfg.batch_size, train_ds.size),
+                        max(train_ds.size, test_ds.size))
     train_losses, test_losses, epoch_times = [], [], []
     for _ in range(cfg.epochs):
         t_epoch = time.perf_counter()
         perm = rng.shuffle_indices(train_ds.size)
         for start in range(0, train_ds.size, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            grads = weight_gradients(net, train_ds.X[idx], train_ds.U[idx],
-                                     train_ds.y[idx])
-            new = adam_step(state, [flat], [np.concatenate(grads, axis=None)],
-                            cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
-                            cfg.adam_eps)
-            flat[:] = new[0]
+            weight_gradients(net, train_ds.X[idx], train_ds.U[idx],
+                             train_ds.y[idx], ws)
+            adam_step(state, [flat], [ws.grad], cfg.learning_rate, cfg.adam_beta1,
+                      cfg.adam_beta2, cfg.adam_eps, out=[flat])
         try:
-            tr = mse_loss(net, train_ds.X, train_ds.U, train_ds.y)
-            te = mse_loss(net, test_ds.X, test_ds.U, test_ds.y)
+            tr = mse_loss(net, train_ds.X, train_ds.U, train_ds.y, ws)
+            te = mse_loss(net, test_ds.X, test_ds.U, test_ds.y, ws)
         except NumericOverflow as exc:
             raise TrainingDiverged(str(exc)) from exc
         if not (np.isfinite(tr) and np.isfinite(te)):

@@ -23,12 +23,12 @@ import numpy as np
 from .exceptions import DimensionMismatch, NumericOverflow, UnsupportedNetwork
 from .networks import (
     FeedforwardNet,
+    MlpWorkspace,
     Network,
     bank_values,
     forward,
     forward_batch,
     grad_u,
-    mlp_trace,
     nonsmooth_twin,
     u_bank_batch,
 )
@@ -179,8 +179,10 @@ def _kink_margin(net: Network, x: np.ndarray, u: np.ndarray) -> float:
     """Smallest |pre-activation| across hidden units; only fnn has kinks in u."""
     if not isinstance(net, FeedforwardNet):
         return np.inf
-    pres = mlp_trace(net.mlp, np.concatenate([x, u])[None, :])[1][:-1]
-    return min(float(np.min(np.abs(z))) for z in pres)
+    ws = MlpWorkspace(net.mlp, 1)
+    ws.Z[0] = np.concatenate([x, u])
+    ws.forward(1)
+    return min(float(np.min(np.abs(z))) for z in ws.pres[:-1])
 
 
 def check_gradients(

@@ -171,6 +171,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{message}$"):
             ExperimentConfig(**{key: value})
 
+    @pytest.mark.parametrize("seeds", [(0, -1), (2.5,), (True,)])
+    def test_seeds_checked_before_training(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            ExperimentConfig(seeds=seeds)
+        if seeds == (0, -1):
+            with pytest.raises(ConfigError, match=r"^line 2: seeds must be >= 0$"):
+                parse_experiment_config("kinds = ma\nseeds = 0,-1\n")
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "bench.cfg"
         path.write_text("d = 64\nkinds = ma\n")

@@ -145,6 +145,12 @@ class TestSolve:
         assert rc == 2 and out == ""
         assert err.startswith("error:") and key in err
 
+    def test_negative_seed(self, model_path, capsys):
+        rc, out, err = run_cli(
+            ["solve", "--model", model_path, "--x", "0.1,0.1", "--seed", "-1"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: seed must be >= 0\n"
+
     def test_bad_tolerance(self, model_path, capsys):
         rc, _, err = run_cli(
             ["solve", "--model", model_path, "--x", "0.1,0.1", "--tol", "-1"],

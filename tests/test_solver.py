@@ -86,6 +86,11 @@ class TestSolveOptions:
             {"max_iters": True},
             {"restarts": 2.5},
             {"restarts": float("nan")},
+            {"seed": -1},
+            {"seed": 2.5},
+            {"seed": float("nan")},
+            {"seed": True},
+            {"seed": np.int64(-3)},
         ],
     )
     def test_validation(self, bad):
@@ -96,6 +101,10 @@ class TestSolveOptions:
     def test_numpy_integer_counts(self):
         o = SolveOptions(max_iters=np.int64(7), restarts=np.int32(2))
         assert (o.max_iters, o.restarts) == (7, 2)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**63), np.int32(5)])
+    def test_integer_seeds(self, seed):
+        assert SolveOptions(seed=seed).seed == seed
 
 
 class TestFirstOrderGap:

@@ -1,14 +1,18 @@
 """Tests for datasets, config parsing, init, gradients, Adam, and training."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from paraconvex.exceptions import ConfigError, DimensionMismatch, TrainingDiverged
 from paraconvex.networks import (
+    LEAKY_SLOPE,
+    MlpParams,
     clone_network,
     forward_batch,
-    mlp_trace,
     model_to_json,
     softmax_over_T,
 )
@@ -17,14 +21,12 @@ from paraconvex.training import (
     AdamState,
     Dataset,
     TrainConfig,
-    _mlp_backprop,
+    TrainWorkspace,
     adam_step,
     init_network,
-    load_dataset,
     mse_loss,
     parameters,
     parse_train_config,
-    save_dataset,
     split_dataset,
     train,
     weight_gradients,
@@ -51,31 +53,6 @@ class TestDataset:
             Dataset(n=1, m=1, X=np.array([[np.nan]]), U=np.zeros((1, 1)),
                     y=np.zeros(1))
 
-    def test_points_view(self):
-        ds = _quadratic_dataset(1, 1, 4, 0)
-        pts = ds.points
-        assert len(pts) == 4
-        x, u, y = pts[2]
-        assert x.shape == (1,) and u.shape == (1,) and isinstance(y, float)
-
-    def test_csv_round_trip(self, tmp_path):
-        ds = _quadratic_dataset(2, 3, 25, 9)
-        path = tmp_path / "data.csv"
-        save_dataset(ds, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "x_1,x_2,u_1,u_2,u_3,y"
-        back = load_dataset(path)
-        assert back.n == 2 and back.m == 3
-        assert_array_equal(back.X, ds.X)
-        assert_array_equal(back.U, ds.U)
-        assert_array_equal(back.y, ds.y)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigError):
-            load_dataset(path)
-
 
 class TestTrainConfig:
     def test_defaults(self):
@@ -100,6 +77,11 @@ class TestTrainConfig:
             {"epochs": float("inf")},
             {"batch_size": 2.5},
             {"batch_size": float("nan")},
+            {"seed": -1},
+            {"seed": 2.5},
+            {"seed": float("nan")},
+            {"seed": True},
+            {"seed": np.int64(-3)},
         ],
     )
     def test_validation(self, bad):
@@ -110,6 +92,10 @@ class TestTrainConfig:
     def test_numpy_integer_counts(self):
         cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(16))
         assert (cfg.epochs, cfg.batch_size) == (3, 16)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**63), np.int32(5)])
+    def test_integer_seeds(self, seed):
+        assert TrainConfig(seed=seed).seed == seed
 
     def test_parse_key_value_text(self):
         cfg = parse_train_config(
@@ -379,6 +365,36 @@ class TestTrain:
 # --- the per-array training step the fast one must reproduce bit for bit ----
 
 
+def mlp_trace(params: MlpParams, Z: np.ndarray) -> tuple[list, list]:
+    """Forward pass at rows Z (B, n_in) keeping what backprop needs:
+    (acts, pres) with acts[0] = Z, acts[k + 1] the output of layer k and
+    pres[k] its pre-activation; acts[-1] is the net's output (B, n_out)."""
+    acts, pres = [Z], []
+    h = Z
+    last = len(params.weights) - 1
+    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ W.T + b
+        pres.append(z)
+        h = np.maximum(LEAKY_SLOPE * z, z) if k != last else z
+        acts.append(h)
+    return acts, pres
+
+
+def _mlp_backprop(params: MlpParams, acts, pres, delta_out: np.ndarray) -> list:
+    """Grads [dW0, db0, ...] given dLoss/d(output) rows in delta_out."""
+    last = len(params.weights) - 1
+    grads = [None] * (2 * len(params.weights))
+    delta = delta_out
+    for k in range(last, -1, -1):
+        grads[2 * k] = delta.T @ acts[k]
+        grads[2 * k + 1] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ params.weights[k]) * np.where(
+                pres[k - 1] > 0, 1.0, LEAKY_SLOPE
+            )
+    return grads
+
+
 def _reference_shuffle(rng, n):
     """Fisher-Yates with one int() truncation and one numpy swap per step."""
     idx = np.arange(n)
@@ -514,6 +530,116 @@ class TestFastStepMatchesReference:
         new = adam_step(st, p, [np.array([0.5, -0.5])], lr=1e-3)
         assert new[0] is not p[0]
         assert_array_equal(p[0], [1.0, 2.0])
+
+
+KINDS = ["fnn", "ma", "lse", "pma", "plse"]
+
+
+def _assert_gradients_equal(net, ws, X, U, y):
+    got = weight_gradients(net, X, U, y, ws)
+    ref = _reference_weight_gradients(net, X, U, y)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert_array_equal(g, r)
+
+
+def _batch(n, m, k, rng):
+    return (rng.uniform(-1, 1, (k, n)), rng.uniform(-1, 1, (k, m)),
+            rng.uniform(-1, 1, k))
+
+
+class TestWorkspace:
+    """One TrainWorkspace serves every step and loss pass of a train call;
+    the gradients it gives must be the reference arithmetic's bit for bit."""
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(
+            kind=st.sampled_from(KINDS),
+            n=st.sampled_from([1, 3, 20]),
+            m=st.sampled_from([1, 3, 20]),
+            hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+            I=st.integers(1, 8),
+            rows=st.integers(1, 12),
+            counts=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+            seed=st.integers(0, 2**16),
+        )
+        def check(kind, n, m, hidden, I, rows, counts, seed):
+            net = init_network(kind, n, m, seed=seed, I=I, hidden=tuple(hidden))
+            ws = TrainWorkspace(net, rows)
+            rng = np.random.default_rng(seed)
+            # batches of one row, full and ragged, in the drawn order
+            for k in [min(c, rows) for c in counts] + [rows, 1]:
+                _assert_gradients_equal(net, ws, *_batch(n, m, k, rng))
+
+        check()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batches_of_every_size_in_any_order(self, kind):
+        net = init_network(kind, 2, 3, seed=21, I=5, hidden=(9, 6))
+        ws = TrainWorkspace(net, 32)
+        rng = np.random.default_rng(22)
+        for k in (32, 7, 1, 32, 1, 19, 7):
+            _assert_gradients_equal(net, ws, *_batch(2, 3, k, rng))
+
+    def test_batch_larger_than_workspace(self):
+        net = init_network("plse", 1, 1, seed=1, I=3, hidden=(4,))
+        ws = TrainWorkspace(net, 4)
+        with pytest.raises(DimensionMismatch):
+            weight_gradients(net, *_batch(1, 1, 5, np.random.default_rng(0)), ws)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loss_pass_matches_allocating_pass(self, kind):
+        ds = _quadratic_dataset(2, 3, 90, 23)
+        net = init_network(kind, 2, 3, seed=24, I=5, hidden=(9, 6))
+        ws = TrainWorkspace(net, 16, ds.size)
+        for rows in (ds.size, 40, ds.size, 1):
+            sub = ds.subset(np.arange(rows))
+            assert (mse_loss(net, sub.X, sub.U, sub.y, ws)
+                    == mse_loss(net, sub.X, sub.U, sub.y))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repeat_in_process_is_byte_identical(self, kind):
+        ds = _quadratic_dataset(2, 3, 150, 31)
+        cfg = TrainConfig(epochs=3, batch_size=32, seed=4, learning_rate=1e-2)
+        net0 = init_network(kind, 2, 3, seed=9, I=5, hidden=(9, 6))
+        (net_a, rep_a), (net_b, rep_b) = train(net0, ds, cfg), train(net0, ds, cfg)
+        assert (json.dumps(model_to_json(net_a), sort_keys=True).encode()
+                == json.dumps(model_to_json(net_b), sort_keys=True).encode())
+        assert rep_a.train_losses == rep_b.train_losses
+        assert rep_a.test_losses == rep_b.test_losses
+
+    # The smallest tracemalloc peak of four calls below (786,792 to 787,592
+    # bytes, one and three epochs) with the per-step allocating loop that
+    # the workspace replaced: a fresh gradient list, its concatenation and
+    # Adam's two temporaries each step. NumPy 2.4, Python 3.11.
+    ALLOCATING_LOOP_PEAK = 786_792
+
+    @staticmethod
+    def _traced_peak(epochs):
+        # a cell whose largest array is its parameter vector: 12,152 values
+        # (97 KB), against loss passes over 54 rows and steps of 16
+        ds = _quadratic_dataset(2, 3, 60, 40)
+        net = init_network("plse", 2, 3, seed=12, I=30, hidden=(64, 64))
+        cfg = TrainConfig(epochs=epochs, batch_size=16, seed=3)
+        tracemalloc.start()
+        try:
+            train(net, ds, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_flat_in_epochs(self):
+        self._traced_peak(1)  # first-call allocations outside the measurement
+        one, three = self._traced_peak(1), self._traced_peak(3)
+        # up to 2 KB for the per-epoch loss and time floats of the report
+        assert three <= one + 2048
+        assert max(one, three) < self.ALLOCATING_LOOP_PEAK
 
 
 class TestEpochTimes:
