@@ -1,18 +1,19 @@
 """Network types, forward evaluation, and differentiation in the decision u.
 
-Two types. A `Bank` is a bank of I planes affine in u, reduced by a max or
-by a T-log-sum-exp. Its coefficients are either fixed, (A, b) over the
-joint vector z = [x; u], or the output of an embedded feedforward net at
-the condition x. The four combinations are the convex kinds: a max of
-affine planes ("ma"), its log-sum-exp smoothing ("lse"), and their
-parameterized versions ("pma", "plse"). A `FeedforwardNet` ("fnn") is an
-unstructured baseline on [x; u].
+Two types, each holding its coefficients in one feedforward net `mlp`. A
+`Bank` is a bank of I planes affine in u, reduced by a max or by a
+T-log-sum-exp. Its net is either one affine layer over the joint vector
+z = [x; u], whose outputs are the planes (fixed coefficients), or a net of
+the condition x whose outputs are the planes' coefficients. The four
+combinations are the convex kinds: a max of affine planes ("ma"), its
+log-sum-exp smoothing ("lse"), and their parameterized versions ("pma",
+"plse"). A `FeedforwardNet` ("fnn") is an unstructured baseline on [x; u].
 
 For fixed x every bank is convex in u by construction: a max or
 log-sum-exp of functions affine in u.
 
-Evaluation is batch-first: `forward`, `grad_u`, `subgrad_u` and `u_bank`
-are a batch of one through the row-wise functions. An MLP's reverse pass
+Evaluation is batch-first: `forward`, `grad_u` and `subgrad_u` are a batch
+of one through the row-wise functions. An MLP's reverse pass
 is one kernel, `MlpWorkspace.backward`, over a trace kept in buffers
 allocated once: the fnn solver takes input gradients from it across its
 sweeps, training takes weight gradients written into its own arrays.
@@ -176,15 +177,6 @@ class MlpWorkspace:
         return self.forward(k)[:, 0], self.backward(k, None)
 
 
-def _mlp_input_grad_batch(params: MlpParams, Z: np.ndarray) -> tuple:
-    """One trace of a scalar-output MLP at rows Z (B, n_in): the outputs (B,),
-    equal to mlp_forward_batch's, and their input gradients (B, n_in) by
-    reverse mode."""
-    ws = MlpWorkspace(params, Z.shape[0])
-    ws.Z[...] = Z
-    return ws.value_and_grad(Z.shape[0])
-
-
 @dataclass
 class FeedforwardNet:
     kind: ClassVar[str] = "fnn"
@@ -203,60 +195,51 @@ class Bank:
     """I planes affine in u, reduced by max_i (T None) or by
     T * log sum_i exp(. / T).
 
-    The coefficients are fixed, plane i being <A[i], [x; u]> + b[i], or
-    come from `embed` at x: its first I*m outputs are the slopes a_i(x) row
-    by row, its last I the offsets b_i(x). Give A and b, or embed.
+    The net's input width says where the coefficients come from. A net of
+    the n-vector x makes the bank parameterized (pma/plse): its first I*m
+    outputs are the slopes a_i(x) row by row, its last I the offsets b_i(x).
+    One affine layer over the joint (n+m)-vector [x; u] makes it fixed
+    (ma/lse): plane i is <W[i], [x; u]> + b[i].
     """
 
     n: int
     m: int
-    A: np.ndarray | None = None
-    b: np.ndarray | None = None
-    embed: MlpParams | None = None
+    mlp: MlpParams
     T: float | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if (self.A is not None or self.b is not None) == (self.embed is not None):
-            raise ValueError("a bank takes either A and b or an embedded net")
-        if self.embed is None:
-            self.A = np.asarray(self.A, dtype=np.float64)
-            self.b = np.asarray(self.b, dtype=np.float64)
-            if self.A.ndim != 2 or self.A.shape[1] != self.n + self.m:
-                raise DimensionMismatch("bank A must be (I, n+m)")
-            if self.b.shape != (self.A.shape[0],):
-                raise DimensionMismatch("bank b must have one entry per plane")
-        else:
-            if self.embed.n_in != self.n:
-                raise DimensionMismatch("embedded net input width must equal n")
-            if self.embed.n_out % (self.m + 1):
+        if self.parameterized:
+            if self.mlp.n_out % (self.m + 1):
                 raise DimensionMismatch(
-                    f"embedded net must output (m+1)*I values, m+1 = {self.m + 1}"
+                    f"a parameterized bank's net must output (m+1)*I values, "
+                    f"m+1 = {self.m + 1}"
                 )
+        elif self.mlp.n_in != self.n + self.m or len(self.mlp.weights) != 1:
+            raise DimensionMismatch(
+                "a bank's net reads x (n inputs) or is one layer over [x; u] (n+m)"
+            )
         if self.I < 1:
             raise ValueError("need at least one plane")
         if self.T is not None and not self.T > 0:
             raise ValueError("temperature must be positive")
 
     @property
+    def parameterized(self) -> bool:
+        """Whether the coefficients are a function of x (pma/plse)."""
+        return self.mlp.n_in == self.n
+
+    @property
     def I(self) -> int:
-        if self.embed is None:
-            return self.b.shape[0]
-        return self.embed.n_out // (self.m + 1)
+        return self.mlp.n_out // (self.m + 1) if self.parameterized else self.mlp.n_out
 
     @property
     def kind(self) -> str:
         """The kind name: ma, lse, pma or plse."""
-        return ("" if self.embed is None else "p") + ("ma" if self.T is None else "lse")
+        return ("p" if self.parameterized else "") + ("ma" if self.T is None else "lse")
 
 
 Network = Union[FeedforwardNet, Bank]
-
-
-def net_mlp(net: Network) -> MlpParams | None:
-    """The feedforward net inside `net`: an fnn's own, a parameterized
-    bank's embedded one, None for a fixed bank."""
-    return net.mlp if isinstance(net, FeedforwardNet) else net.embed
 
 
 def _check_vec(v, length: int, name: str) -> np.ndarray:
@@ -290,41 +273,37 @@ def u_bank_batch(net: Network, X: np.ndarray, buffers=None) -> tuple:
 
     A fixed bank's planes share one slope matrix, returned as a read-only
     broadcast view, and the x-part of each joint plane folds into the
-    offset; a parameterized bank's are the embedded net's outputs, one
-    forward pass for all rows (in mlp_forward_batch's `buffers`).
+    offset; a parameterized bank's are its net's outputs, one forward pass
+    for all rows (in mlp_forward_batch's `buffers`).
     """
     if isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork("fnn has no affine bank in u")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.n:
         raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
-    if net.embed is None:
-        A_u = np.broadcast_to(net.A[:, net.n :], (X.shape[0], net.I, net.m))
-        return A_u, X @ net.A[:, : net.n].T + net.b
-    return embedded_bank(net, mlp_forward_batch(net.embed, X, buffers))
+    if not net.parameterized:
+        W = net.mlp.weights[0]
+        A_u = np.broadcast_to(W[:, net.n :], (X.shape[0], net.I, net.m))
+        return A_u, X @ W[:, : net.n].T + net.mlp.biases[0]
+    return embedded_bank(net, mlp_forward_batch(net.mlp, X, buffers))
 
 
 def embedded_bank(net: Bank, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The banks (A_u (B, I, m), c (B, I)) laid out in the embedded net's
-    outputs out (B, (m+1)*I). The layout is frozen: the first I*m outputs
-    fill A_u row by row, the remaining I fill c."""
+    """The banks (A_u (B, I, m), c (B, I)) laid out in the outputs out
+    (B, (m+1)*I) of a parameterized bank's net. The layout is frozen: the
+    first I*m outputs fill A_u row by row, the remaining I fill c."""
     m = net.m
     I = out.shape[1] // (m + 1)
     return out[:, : I * m].reshape(-1, I, m), out[:, I * m :]
 
 
-def u_bank(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The affine bank in u at one condition x: (A_u (I, m), c (I,))."""
-    A_u, c = u_bank_batch(net, _check_vec(x, net.n, "x")[None, :])
-    return A_u[0], c[0]
-
-
 def _scores_and_slopes(net: Bank, X: np.ndarray, U: np.ndarray, buffers=None) -> tuple:
     """Plane values (B, I) at rows (X, U) and the slopes in u: (I, m) shared
-    by all rows of a fixed bank, which is scored over the joint rows
-    [X, U] as it is defined, or (B, I, m) from u_bank_batch."""
-    if isinstance(net, Bank) and net.embed is None:
-        return np.hstack([X, U]) @ net.A.T + net.b, net.A[:, net.n :]
+    by all rows of a fixed bank, which is scored as its one layer over the
+    joint rows [X, U], or (B, I, m) from u_bank_batch."""
+    if isinstance(net, Bank) and not net.parameterized:
+        scores = mlp_forward_batch(net.mlp, np.hstack([X, U]), buffers)
+        return scores, net.mlp.weights[0][:, net.n :]
     A_u, c = u_bank_batch(net, X, buffers)
     return np.einsum("bim,bm->bi", A_u, U) + c, A_u
 
@@ -343,16 +322,10 @@ def shifted_lse(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
     return T * np.log(np.sum(e, axis=axis)) + np.squeeze(top, axis=axis)
 
 
-def softmax_over_T(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
-    top = np.max(scores, axis=axis, keepdims=True)
-    e = np.exp((scores - top) / T)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 def lse_and_softmax(S: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise T-log-sum-exp of scores S (B, I) and its softmax, from one
     shifted exponential: equal to shifted_lse(S, T, axis=1) and
-    softmax_over_T(S, T, axis=1)."""
+    exp((S - max) / T) normalized over each row."""
     top = S.max(axis=1, keepdims=True)
     e = np.exp((S - top) / T)
     total = e.sum(axis=1)
@@ -414,7 +387,9 @@ def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """
     X, U = _check_rows(net, X, U)
     if isinstance(net, FeedforwardNet):
-        return _mlp_input_grad_batch(net.mlp, np.hstack([X, U]))[1][:, net.n :]
+        ws = MlpWorkspace(net.mlp, X.shape[0])
+        ws.Z[:, : net.n], ws.Z[:, net.n :] = X, U
+        return ws.value_and_grad(X.shape[0])[1][:, net.n :]
     if net.T is None:
         raise UnsupportedNetwork(f"{net.kind} is nonsmooth in u; use subgrad_u")
     return _weighted_slopes(net, X, U)
@@ -459,15 +434,15 @@ def clone_network(net: Network) -> Network:
 
 # --- serialization ---------------------------------------------------------
 # One frozen JSON layout for all kinds. "weights" holds one {"W", "b"} entry
-# per layer, W flattened row-major. Fixed banks store the bank as a single
-# layer; fnn and parameterized banks store their MLP's layers in order.
+# per layer of the net, W flattened row-major: a fixed bank's is its single
+# layer over [x; u].
 
 _BANK_KINDS = ("ma", "lse", "pma", "plse")
 
 
 def model_to_json(net: Network) -> dict:
     bank = isinstance(net, Bank)
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "kind": net.kind,
         "n": net.n,
@@ -475,18 +450,12 @@ def model_to_json(net: Network) -> dict:
         "I": net.I if bank else None,
         "T": net.T if bank else None,
         "seed": net.seed,
-    }
-    mlp = net_mlp(net)
-    if mlp is None:
-        doc["layer_widths"] = [net.n + net.m, net.I]
-        doc["weights"] = [{"W": net.A.ravel().tolist(), "b": net.b.tolist()}]
-    else:
-        doc["layer_widths"] = mlp.layer_widths
-        doc["weights"] = [
+        "layer_widths": net.mlp.layer_widths,
+        "weights": [
             {"W": W.ravel().tolist(), "b": b.tolist()}
-            for W, b in zip(mlp.weights, mlp.biases)
-        ]
-    return doc
+            for W, b in zip(net.mlp.weights, net.mlp.biases)
+        ],
+    }
 
 
 def _mlp_from_json(doc: dict) -> MlpParams:
@@ -503,7 +472,8 @@ def _mlp_from_json(doc: dict) -> MlpParams:
 def model_from_json(doc: dict) -> Network:
     """The network a model document describes. Raises ModelFormatError for a
     document that is not one: a missing key, shapes that disagree, or a
-    kind that disagrees with the stored temperature or plane count."""
+    kind that disagrees with the stored temperature, layers or plane
+    count."""
     if not isinstance(doc, dict):
         raise ModelFormatError(f"model JSON is a {type(doc).__name__}, not an object")
     try:
@@ -528,18 +498,11 @@ def _model_from_doc(doc: dict) -> Network:
         raise ModelFormatError(
             f"a {kind} model {'needs a' if T is None else 'takes no'} temperature T"
         )
-    if kind in ("ma", "lse"):
-        if len(doc["weights"]) != 1:
-            raise ModelFormatError(f"a {kind} bank is one layer, got {len(doc['weights'])}")
-        layer = doc["weights"][0]
-        A = np.array(layer["W"], dtype=np.float64).reshape(I, n + m)
-        return Bank(n=n, m=m, A=A, b=np.array(layer["b"], dtype=np.float64), T=T,
-                    seed=seed)
-    net = Bank(n=n, m=m, embed=_mlp_from_json(doc), T=T, seed=seed)
+    net = Bank(n=n, m=m, mlp=_mlp_from_json(doc), T=T, seed=seed)
+    if net.kind != kind:
+        raise ModelFormatError(f"a {kind} model holds the layers of a {net.kind} bank")
     if net.I != I:
-        raise ModelFormatError(
-            f"I={I} disagrees with the embedded net's {net.embed.n_out} outputs"
-        )
+        raise ModelFormatError(f"I={I} disagrees with the net's {net.mlp.n_out} outputs")
     return net
 
 

@@ -5,11 +5,14 @@ bias-corrected Adam. Weights start from Xavier-uniform draws with zero
 biases. All randomness (init, split, shuffles) flows through one seeded Rng,
 so a (seed, data, config) triple reproduces training bit for bit.
 
-The trained copy's parameters are reshaped views into one flat float64
-buffer. Every step and loss pass of a `train` call runs in one
-TrainWorkspace; a step ends with one in-place Adam update of the buffer.
-lse/plse take the prediction and softmax weights from one exponential. It
-all gives the bits of allocating every array and updating array by array.
+Every kind's parameters are the layers of its net `mlp` (a fixed bank's is
+one layer over [x; u]), and the trained copy's are reshaped views into one
+flat float64 buffer. Every step and loss pass of a `train` call runs in one
+TrainWorkspace: a step traces the net, writes the output gradient over its
+outputs, makes one reverse pass and ends with one in-place Adam update of
+the buffer. lse/plse take the prediction and softmax weights from one
+exponential. It all gives the bits of allocating every array and updating
+array by array.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .networks import (
     embedded_bank,
     forward_batch,
     layer_buffers,
-    net_mlp,
 )
 from .numerics import Rng, check_count
 
@@ -165,9 +167,9 @@ def init_network(
 ) -> Network:
     """Fresh network of the given kind with Xavier weights and zero biases.
 
-    Fixed banks (ma/lse) draw every plane coefficient, offsets included, with
-    the per-scalar Xavier bound (n_in = n_out = 1), i.e. uniform in
-    +-sqrt(3).
+    Fixed banks (ma/lse) draw every plane coefficient of their one layer,
+    offsets included, with the per-scalar Xavier bound (n_in = n_out = 1),
+    i.e. uniform in +-sqrt(3).
     """
     rng = Rng(seed)
     if kind == "fnn":
@@ -178,10 +180,10 @@ def init_network(
     if kind in ("ma", "lse"):
         A = rng.uniform_in(-np.sqrt(3.0), np.sqrt(3.0), I * (n + m)).reshape(I, n + m)
         b = rng.uniform_in(-np.sqrt(3.0), np.sqrt(3.0), I)
-        return Bank(n=n, m=m, A=A, b=b, T=T, seed=seed)
+        return Bank(n=n, m=m, mlp=MlpParams([A], [b]), T=T, seed=seed)
     if kind in ("pma", "plse"):
-        embed = init_mlp([n, *hidden, (m + 1) * I], rng)
-        return Bank(n=n, m=m, embed=embed, T=T, seed=seed)
+        return Bank(n=n, m=m, mlp=init_mlp([n, *hidden, (m + 1) * I], rng), T=T,
+                    seed=seed)
     raise ConfigError(f"unknown network kind {kind!r}")
 
 
@@ -200,12 +202,8 @@ def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray,
 
 def parameters(net: Network) -> list:
     """Live references to the trainable arrays, in the frozen canonical order:
-    nets with an MLP interleave its [W0, b0, W1, b1, ...]; fixed banks are
-    [A, b]."""
-    mlp = net_mlp(net)
-    if mlp is None:
-        return [net.A, net.b]
-    return [p for W, b in zip(mlp.weights, mlp.biases) for p in (W, b)]
+    the layers of net.mlp interleaved, [W0, b0, W1, b1, ...]."""
+    return [p for W, b in zip(net.mlp.weights, net.mlp.biases) for p in (W, b)]
 
 
 def _views(flat: np.ndarray, arrays: list) -> list:
@@ -221,28 +219,22 @@ def _flatten_parameters(net: Network) -> np.ndarray:
     params = parameters(net)
     flat = np.concatenate(params, axis=None)
     views = _views(flat, params)
-    mlp = net_mlp(net)
-    if mlp is None:
-        net.A, net.b = views
-    else:
-        mlp.weights, mlp.biases = views[0::2], views[1::2]
+    net.mlp.weights, net.mlp.biases = views[0::2], views[1::2]
     return flat
 
 
 class TrainWorkspace:
     """A net's buffers for steps over up to `rows` rows and loss passes over
     up to `loss_rows`: `grads`, views of the flat `grad` shaped like
-    parameters(net); the step's input rows `Z`, in the MlpWorkspace if the
-    net has an MLP; and mlp_forward_batch's buffers `loss`."""
+    parameters(net); the step's MlpWorkspace `mlp`; and mlp_forward_batch's
+    buffers `loss`."""
 
     def __init__(self, net: Network, rows: int, loss_rows: int = 0):
         params = parameters(net)
         self.grad = np.empty(sum(p.size for p in params))
         self.grads = _views(self.grad, params)
-        mlp = net_mlp(net)
-        self.mlp = None if mlp is None else MlpWorkspace(mlp, rows)
-        self.loss = None if mlp is None else layer_buffers(mlp, loss_rows)
-        self.Z = np.empty((rows, net.n + net.m)) if mlp is None else self.mlp.Z
+        self.mlp = MlpWorkspace(net.mlp, rows)
+        self.loss = layer_buffers(net.mlp, loss_rows)
 
 
 def weight_gradients(
@@ -263,8 +255,8 @@ def weight_gradients(
         raise ValueError("batch must be nonempty")
     if ws is None:
         ws = TrainWorkspace(net, B)
-    elif B > len(ws.Z):
-        raise DimensionMismatch(f"batch of {B} rows, workspace for {len(ws.Z)}")
+    elif B > len(ws.mlp.Z):
+        raise DimensionMismatch(f"batch of {B} rows, workspace for {len(ws.mlp.Z)}")
     # a run heading for divergence may pass non-finite values through here;
     # the train loop's loss check owns that failure, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,30 +265,29 @@ def weight_gradients(
 
 
 def _weight_gradients(net, X, U, y, B, ws):
-    # an MLP's output gradient overwrites its outputs
-    Z = ws.Z[:B]
-    if isinstance(net, FeedforwardNet):
+    # the net reads x alone (pma/plse) or [x; u]; the output gradient
+    # overwrites its outputs
+    Z = ws.mlp.Z[:B]
+    if net.mlp.n_in == net.n:
+        Z[...] = X
+    else:
         Z[:, : net.n], Z[:, net.n :] = X, U
-        out = ws.mlp.forward(B)
+    out = ws.mlp.forward(B)
+    if isinstance(net, FeedforwardNet):
         np.subtract(out[:, 0], y, out=out[:, 0])
         out *= 2.0 / B
-        ws.mlp.backward(B, out, ws.grads)
-    elif net.embed is None:
-        Z[:, : net.n], Z[:, net.n :] = X, U
-        pred, w = bank_weights(Z @ net.A.T + net.b, net.T)
-        wd = w * ((2.0 / B) * (pred - y))[:, None]
-        np.matmul(wd.T, Z, out=ws.grads[0])
-        np.add.reduce(wd, axis=0, out=ws.grads[1])
+    elif not net.parameterized:
+        # the outputs are the plane scores; d pred / d score_i is w_i
+        pred, w = bank_weights(out, net.T)
+        np.multiply(w, ((2.0 / B) * (pred - y))[:, None], out=out)
     else:
-        Z[...] = X
-        out = ws.mlp.forward(B)
         A_x, b_x = embedded_bank(net, out)
         pred, w = bank_weights(np.einsum("bim,bm->bi", A_x, U) + b_x, net.T)
         # in the bank's layout: d pred / d A_x[i, j] is w_i * u_j and
         # d pred / d b_x[i] is w_i
         np.multiply(w, ((2.0 / B) * (pred - y))[:, None], out=b_x)
         np.multiply(b_x[:, :, None], U[:, None, :], out=A_x)
-        ws.mlp.backward(B, out, ws.grads)
+    ws.mlp.backward(B, out, ws.grads)
 
 
 # --- Adam ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .networks import (
     nonsmooth_twin,
     u_bank_batch,
 )
-from .numerics import BoxDomain, Rng, grid_axes
+from .numerics import BoxDomain, Rng, check_count, grid_axes
 from .training import init_network
 
 SANDWICH_SLACK = 1e-9
@@ -133,8 +133,8 @@ def _convexity_violation(values_at, n, m, x_samples, u_pairs, rng):
 
 def _embedded_bank_values(net: Network, X: np.ndarray, u_pairs: int):
     """pma/plse f(U), equal to forward_batch(net, np.repeat(X, u_pairs,
-    axis=0), U): the embedded net runs once per condition of X and its
-    banks are repeated, scored as forward_batch scores them."""
+    axis=0), U): the bank's net runs once per condition of X and its banks
+    are repeated, scored as forward_batch scores them."""
     A_u, c = (np.repeat(v, u_pairs, axis=0) for v in u_bank_batch(net, X))
 
     def f(U):
@@ -150,10 +150,10 @@ def check_convexity(
     net: Network, x_samples: int = 100, u_pairs: int = 100, seed: int = 0
 ) -> CheckReport:
     """Midpoint convexity in u for a bank-based net. For pma/plse the
-    embedded net is evaluated once per sampled condition."""
+    bank's net is evaluated once per sampled condition."""
     if isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork("fnn carries no convexity guarantee to check")
-    if net.embed is not None:
+    if net.parameterized:
         worst, count = _convexity_violation(
             lambda X: _embedded_bank_values(net, X, u_pairs), net.n, net.m,
             x_samples, u_pairs, Rng(seed),
@@ -190,13 +190,8 @@ def check_gradients(
     trials: int = 100,
     seed: int = 0,
     h: float = 1e-4,
-    gradient_scale: float = 1.0,
 ) -> CheckReport:
-    """Central finite differences vs grad_u at kink-free random points.
-
-    gradient_scale multiplies the analytic gradient; anything but 1.0 is a
-    deliberate corruption so tests can confirm the check actually fails.
-    """
+    """Central finite differences vs grad_u at kink-free random points."""
     bad = set(kinds) - {"fnn", "lse", "plse"}
     if bad:
         raise UnsupportedNetwork(f"no smooth u-gradient for kinds {sorted(bad)}")
@@ -213,7 +208,7 @@ def check_gradients(
                 if _kink_margin(net, x, u) > 100 * h:
                     break
                 u = rng.uniform_in(-1.0, 1.0, 2)
-            g = gradient_scale * grad_u(net, x, u)
+            g = grad_u(net, x, u)
             fd = np.zeros_like(u)
             for j in range(u.shape[0]):
                 e = np.zeros_like(u)
@@ -255,10 +250,9 @@ def moreau_envelope(
     domain: BoxDomain,
     eta: float,
     resolution: int,
-    vectorized: bool = False,
 ) -> EnvelopeTable:
     """Grid Moreau-Yosida envelope; dimension capped at 2 (cost is quadratic
-    in the node count). With vectorized=True, f maps an (N, dim) array to (N,)."""
+    in the node count). f maps an (N, dim) array of nodes to (N,)."""
     if not eta > 0:
         raise ValueError("eta must be positive")
     if resolution < 2:
@@ -271,10 +265,7 @@ def moreau_envelope(
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([g.ravel() for g in mesh], axis=-1)
-    if vectorized:
-        f_vals = np.asarray(f(nodes), dtype=np.float64)
-    else:
-        f_vals = np.array([float(f(u)) for u in nodes])
+    f_vals = np.asarray(f(nodes), dtype=np.float64)
     K = nodes.shape[0]
     env = np.empty(K)
     arg = np.empty(K, dtype=np.int64)
@@ -296,7 +287,6 @@ def check_envelope_properties(
     etas,
     domain: BoxDomain,
     resolution: int = 4001,
-    vectorized: bool = False,
     name: str = "envelope",
 ) -> CheckReport:
     """Under-approximation, monotonicity in eta, and sup-gap decrease.
@@ -307,7 +297,7 @@ def check_envelope_properties(
     etas = [float(e) for e in etas]
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("etas must be strictly decreasing")
-    tables = [moreau_envelope(f, domain, eta, resolution, vectorized) for eta in etas]
+    tables = [moreau_envelope(f, domain, eta, resolution) for eta in etas]
     worst = -np.inf
     # (i) below the function
     for t in tables:
@@ -333,8 +323,7 @@ def _huber_spot_report(resolution: int = 4001) -> CheckReport:
     1 - eta/2 = 0.75; the grid value must land within HUBER_SPOT_TOL."""
     domain = BoxDomain.symmetric(1)
     table = moreau_envelope(
-        lambda U: np.abs(U[:, 0]), domain, eta=0.5, resolution=resolution,
-        vectorized=True,
+        lambda U: np.abs(U[:, 0]), domain, eta=0.5, resolution=resolution
     )
     at_one = float(table.envelope[-1])  # last node is u = 1.0
     err = abs(at_one - 0.75)
@@ -356,6 +345,7 @@ def run_check_suite(suite: str, seed: int = 0) -> list[CheckReport]:
     """The named suite's reports, deterministic in `seed` (no timestamps)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    check_count("seed", seed, minimum=0)
     reports = []
     if suite in ("sandwich", "all"):
         reports.append(check_sandwich(seed=seed))
@@ -372,13 +362,13 @@ def run_check_suite(suite: str, seed: int = 0) -> list[CheckReport]:
         reports.append(
             check_envelope_properties(
                 lambda U: U[:, 0] ** 2, (1.0, 0.1, 0.01), domain,
-                vectorized=True, name="envelope:quadratic",
+                name="envelope:quadratic",
             )
         )
         reports.append(
             check_envelope_properties(
                 lambda U: np.abs(U[:, 0]), (1.0, 0.1, 0.01), domain,
-                vectorized=True, name="envelope:absolute",
+                name="envelope:absolute",
             )
         )
         reports.append(_huber_spot_report())

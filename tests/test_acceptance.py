@@ -16,10 +16,11 @@ import pytest
 from paraconvex.bench import ExperimentConfig, run_benchmark
 from paraconvex.networks import (
     Bank,
+    MlpParams,
     batch_scores,
     forward_batch,
     nonsmooth_twin,
-    u_bank,
+    u_bank_batch,
 )
 from paraconvex.numerics import BoxDomain, Rng, grid_minimize
 from paraconvex.solver import minimize
@@ -75,8 +76,8 @@ def test_criterion_2_equal_plane_identity():
         row = rng.uniform_in(-1, 1, 4)
         A = np.tile(row, (I, 1))
         b = np.full(I, float(rng.uniform_in(-1, 1, 1)[0]))
-        lse = Bank(n=2, m=2, A=A, b=b, T=0.1)
-        ma = Bank(n=2, m=2, A=A, b=b)
+        lse = Bank(n=2, m=2, mlp=MlpParams([A], [b]), T=0.1)
+        ma = nonsmooth_twin(lse)
         X = rng.uniform_in(-1, 1, 100).reshape(50, 2)
         U = rng.uniform_in(-1, 1, 100).reshape(50, 2)
         gap = forward_batch(lse, X, U) - forward_batch(ma, X, U)
@@ -157,7 +158,7 @@ def test_criterion_4_solver_vs_grid_oracle():
         domain = BoxDomain.symmetric(m)
         pts = 4001 if m == 1 else 401
         # worst lattice distance times the bank's Lipschitz bound
-        A_u, _ = u_bank(net, x)
+        A_u = u_bank_batch(net, x[None])[0][0]
         lip = float(np.max(np.linalg.norm(A_u, axis=1)))
         grid_err = lip * (2.0 / (pts - 1) / 2) * np.sqrt(m)
 
@@ -229,11 +230,10 @@ def test_criterion_7_envelope_properties():
     dom = BoxDomain.symmetric(1)
     etas = (1.0, 0.1, 0.01)
     quad = check_envelope_properties(lambda U: U[:, 0] ** 2, etas, dom,
-                                     resolution=4001, vectorized=True)
+                                     resolution=4001)
     absv = check_envelope_properties(lambda U: np.abs(U[:, 0]), etas, dom,
-                                     resolution=4001, vectorized=True)
-    spot = moreau_envelope(lambda U: np.abs(U[:, 0]), dom, 0.5, 4001,
-                           vectorized=True).envelope[-1]
+                                     resolution=4001)
+    spot = moreau_envelope(lambda U: np.abs(U[:, 0]), dom, 0.5, 4001).envelope[-1]
     dt = time.perf_counter() - t0
     ok = quad.passed and absv.passed and abs(spot - 0.75) <= 1e-3 and dt < 5
     report_line(7, "quadratic smoothing under-approximates monotonically", ok,

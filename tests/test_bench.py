@@ -27,7 +27,7 @@ from paraconvex.bench import (
     _git_rev,
 )
 from paraconvex.exceptions import ConfigError, DimensionMismatch
-from paraconvex.networks import Bank
+from paraconvex.networks import Bank, MlpParams
 from paraconvex.numerics import Rng
 from paraconvex.solver import STATUSES
 from paraconvex.training import Dataset
@@ -353,7 +353,7 @@ class TestRunBenchmark:
 
 class TestSurfaceDump:
     def test_row_count_and_header(self, tmp_path):
-        net = Bank(n=1, m=1, A=np.array([[1.0, 1.0]]), b=np.zeros(1))
+        net = Bank(n=1, m=1, mlp=MlpParams([np.array([[1.0, 1.0]])], [np.zeros(1)]))
         path = tmp_path / "surf.csv"
         surface_dump(net, 3, path)
         lines = path.read_text().strip().split("\n")
@@ -361,7 +361,7 @@ class TestSurfaceDump:
         assert len(lines) == 1 + 9
 
     def test_constant_net(self, tmp_path):
-        net = Bank(n=1, m=1, A=np.zeros((1, 2)), b=np.array([2.5]))
+        net = Bank(n=1, m=1, mlp=MlpParams([np.zeros((1, 2))], [np.array([2.5])]))
         path = tmp_path / "surf.csv"
         surface_dump(net, 4, path)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -378,10 +378,10 @@ class TestSurfaceDump:
         assert table[(0.0, 1.0)] == 0.5
 
     def test_wrong_dims_rejected(self, tmp_path):
-        net = Bank(n=2, m=1, A=np.ones((1, 3)), b=np.zeros(1))
+        net = Bank(n=2, m=1, mlp=MlpParams([np.ones((1, 3))], [np.zeros(1)]))
         with pytest.raises(DimensionMismatch):
             surface_dump(net, 3, tmp_path / "surf.csv")
-        good = Bank(n=1, m=1, A=np.ones((1, 2)), b=np.zeros(1))
+        good = Bank(n=1, m=1, mlp=MlpParams([np.ones((1, 2))], [np.zeros(1)]))
         with pytest.raises(ValueError):
             surface_dump(good, 1, tmp_path / "surf.csv")
 

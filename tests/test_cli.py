@@ -10,7 +10,7 @@ import pytest
 
 import paraconvex
 from paraconvex import cli
-from paraconvex.networks import Bank, forward, load_model, save_model
+from paraconvex.networks import Bank, MlpParams, forward, load_model, save_model
 from paraconvex.training import init_network
 from paraconvex.verification import CheckReport
 
@@ -111,9 +111,8 @@ class TestSolve:
 
     def test_overflowing_condition(self, tmp_path, capsys):
         # the first plane's x-part is 2 * 1e308: the objective overflows
-        net = Bank(n=2, m=2, A=np.array([[1.0, 1.0, 1.0, 0.0],
-                                         [-1.0, 0.0, 0.0, 1.0]]),
-                   b=np.zeros(2))
+        A = np.array([[1.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]])
+        net = Bank(n=2, m=2, mlp=MlpParams([A], [np.zeros(2)]))
         path = tmp_path / "ma.json"
         save_model(net, path)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -206,6 +205,11 @@ class TestCheck:
         _, out2, _ = run_cli(["check", "--suite", "envelope", "--seed", "7"],
                              capsys)
         assert out1 == out2
+
+    def test_negative_seed_rejected(self, capsys):
+        rc, out, err = run_cli(["check", "--suite", "envelope", "--seed", "-1"], capsys)
+        assert rc == 2 and out == ""
+        assert err.strip() == "error: seed must be >= 0"
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

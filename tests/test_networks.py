@@ -25,9 +25,15 @@ from paraconvex.networks import (
     nonsmooth_twin,
     smooth_twin,
     subgrad_u,
-    u_bank,
+    u_bank_batch,
 )
 from paraconvex.training import init_network
+
+
+def _u_bank(net, x):
+    """The affine bank in u at one condition x: row 0 of u_bank_batch."""
+    A_u, c = u_bank_batch(net, x[None])
+    return A_u[0], c[0]
 
 
 def _random_mlp(widths, rng):
@@ -39,14 +45,12 @@ def _random_mlp(widths, rng):
 def _random_plse(n, m, I, T, seed, hidden=(16, 16)):
     rng = np.random.default_rng(seed)
     embed = _random_mlp([n, *hidden, (m + 1) * I], rng)
-    return Bank(n=n, m=m, embed=embed, T=T, seed=seed)
+    return Bank(n=n, m=m, mlp=embed, T=T, seed=seed)
 
 
 def _random_lse(n, m, I, T, seed):
     rng = np.random.default_rng(seed)
-    return Bank(
-        n=n, m=m, A=rng.normal(size=(I, n + m)), b=rng.normal(size=I), T=T, seed=seed
-    )
+    return Bank(n=n, m=m, mlp=_random_mlp([n + m, I], rng), T=T, seed=seed)
 
 
 class TestMlpForward:
@@ -89,15 +93,15 @@ class TestEmbeddedCoeffs:
         embed = _random_mlp([2, 8, 6], rng)
         embed.weights[-1][:] = 0.0
         embed.biases[-1][:] = 0.0
-        net = Bank(n=2, m=1, embed=embed)
-        A, b = u_bank(net, np.array([0.4, -0.9]))
+        net = Bank(n=2, m=1, mlp=embed)
+        A, b = _u_bank(net, np.array([0.4, -0.9]))
         assert_array_equal(A, np.zeros((3, 1)))
         assert_array_equal(b, np.zeros(3))
 
     def test_layout_single_plane(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
-        net = Bank(n=1, m=1, embed=embed)
-        A, b = u_bank(net, np.array([0.0]))
+        net = Bank(n=1, m=1, mlp=embed)
+        A, b = _u_bank(net, np.array([0.0]))
         assert_array_equal(A, [[2.0]])
         assert_array_equal(b, [3.0])
 
@@ -105,15 +109,35 @@ class TestEmbeddedCoeffs:
         embed = MlpParams(
             weights=[np.zeros((6, 1))], biases=[np.arange(1.0, 7.0)]
         )
-        net = Bank(n=1, m=2, embed=embed)
-        A, b = u_bank(net, np.array([0.0]))
+        net = Bank(n=1, m=2, mlp=embed)
+        A, b = _u_bank(net, np.array([0.0]))
         assert_array_equal(A, [[1.0, 2.0], [3.0, 4.0]])
         assert_array_equal(b, [5.0, 6.0])
 
     def test_output_width_validated(self):
         embed = MlpParams(weights=[np.zeros((5, 1))], biases=[np.zeros(5)])
         with pytest.raises(DimensionMismatch):
-            Bank(n=1, m=2, embed=embed)  # 5 outputs, not a multiple of m+1 = 3
+            Bank(n=1, m=2, mlp=embed)  # 5 outputs, not a multiple of m+1 = 3
+
+    def test_kind_follows_the_input_width(self):
+        rng = np.random.default_rng(1)
+        assert Bank(n=2, m=1, mlp=_random_mlp([3, 4], rng)).kind == "ma"
+        assert Bank(n=2, m=1, mlp=_random_mlp([3, 4], rng), T=0.1).kind == "lse"
+        assert Bank(n=2, m=1, mlp=_random_mlp([2, 4], rng)).kind == "pma"
+        assert Bank(n=2, m=1, mlp=_random_mlp([2, 5, 4], rng), T=0.1).kind == "plse"
+
+    def test_joint_input_net_must_be_one_layer(self):
+        # a hidden layer over [x; u] makes an fnn-shaped net, not convex in
+        # u: it must not pass as ma/lse
+        rng = np.random.default_rng(2)
+        with pytest.raises(DimensionMismatch, match="one layer"):
+            Bank(n=2, m=1, mlp=_random_mlp([3, 5, 4], rng))
+
+    def test_input_width_is_n_or_n_plus_m(self):
+        rng = np.random.default_rng(3)
+        for width in (1, 4):  # n = 2, n + m = 3
+            with pytest.raises(DimensionMismatch):
+                Bank(n=2, m=1, mlp=_random_mlp([width, 4], rng))
 
 
 def _two_plane_pma():
@@ -121,14 +145,14 @@ def _two_plane_pma():
     embed = MlpParams(
         weights=[np.zeros((4, 1))], biases=[np.array([1.0, -1.0, 0.0, 0.0])]
     )
-    return Bank(n=1, m=1, embed=embed)
+    return Bank(n=1, m=1, mlp=embed)
 
 
 class TestForward:
     def test_plse_single_plane_collapses(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
         for T in (0.01, 0.1, 1.0, 10.0):
-            net = Bank(n=1, m=1, embed=embed, T=T)
+            net = Bank(n=1, m=1, mlp=embed, T=T)
             assert_allclose(forward(net, np.array([5.0]), np.array([0.5])), 4.0)
 
     def test_pma_max_of_planes(self):
@@ -145,8 +169,8 @@ class TestForward:
         net = Bank(
             n=1,
             m=1,
-            A=np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]),
-            b=np.array([500.0, -500.0]),
+            mlp=MlpParams([np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])],
+                          [np.array([500.0, -500.0])]),
             T=1e-3,
         )
         val = forward(net, np.array([1.0]), np.array([1.0]))
@@ -172,7 +196,7 @@ class TestForward:
             _random_plse(2, 3, 5, 0.1, seed=1),
             nonsmooth_twin(_random_plse(2, 3, 5, 0.1, seed=2)),
             _random_lse(2, 3, 5, 0.5, seed=3),
-            Bank(n=2, m=3, A=rng.normal(size=(4, 5)), b=rng.normal(size=4)),
+            Bank(n=2, m=3, mlp=_random_mlp([5, 4], rng)),
             FeedforwardNet(n=2, m=3, mlp=_random_mlp([5, 8, 1], rng)),
         ]
         X = rng.uniform(-1, 1, size=(6, 2))
@@ -187,7 +211,7 @@ class TestForward:
 class TestGradU:
     def test_single_plane_gradient(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
-        net = Bank(n=1, m=1, embed=embed, T=0.7)
+        net = Bank(n=1, m=1, mlp=embed, T=0.7)
         assert_allclose(grad_u(net, np.array([1.0]), np.array([0.3])), [2.0])
 
     def test_symmetric_bank_cancels(self):
@@ -240,7 +264,7 @@ class TestGradU:
 class TestSubgradU:
     def test_single_plane(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
-        net = Bank(n=1, m=1, embed=embed)
+        net = Bank(n=1, m=1, mlp=embed)
         assert_array_equal(subgrad_u(net, np.array([0.0]), np.array([0.9])), [2.0])
 
     def test_tie_takes_lowest_index(self):
@@ -249,9 +273,8 @@ class TestSubgradU:
 
     def test_active_plane_selected(self):
         # planes: u (value 1 at u=1) and 2u-0.5 (value 1.5): second is active
-        ma = Bank(
-            n=1, m=1, A=np.array([[0.0, 1.0], [0.0, 2.0]]), b=np.array([0.0, -0.5])
-        )
+        mlp = MlpParams([np.array([[0.0, 1.0], [0.0, 2.0]])], [np.array([0.0, -0.5])])
+        ma = Bank(n=1, m=1, mlp=mlp)
         assert_array_equal(subgrad_u(ma, np.array([0.0]), np.array([1.0])), [2.0])
 
     def test_subgradient_inequality(self):
@@ -311,7 +334,7 @@ class TestStructuralProperties:
         for net in (lse, plse):
             x = rng.uniform(-1, 1, size=3)
             u = rng.uniform(-1, 1, size=2)
-            A_u, c = u_bank(net, x)
+            A_u, c = _u_bank(net, x)
             scores = A_u @ u + c
             want = net.T * np.log(np.sum(np.exp(scores / net.T)))
             assert_allclose(forward(net, x, u), want, rtol=1e-12)
@@ -320,21 +343,21 @@ class TestStructuralProperties:
         rng = np.random.default_rng(80)
         net = FeedforwardNet(n=1, m=1, mlp=_random_mlp([2, 4, 1], rng))
         with pytest.raises(UnsupportedNetwork):
-            u_bank(net, np.array([0.0]))
+            u_bank_batch(net, np.array([[0.0]]))
 
 
 class TestTwins:
     def test_twins_share_weights(self):
         plse = _random_plse(2, 1, 4, T=0.1, seed=91)
         pma = nonsmooth_twin(plse)
-        assert pma.embed is plse.embed
+        assert pma.mlp is plse.mlp
         back = smooth_twin(pma, T=0.25)
-        assert back.T == 0.25 and back.embed is plse.embed
+        assert back.T == 0.25 and back.mlp is plse.mlp
 
     def test_bank_twins(self):
         lse = _random_lse(2, 1, 4, T=0.1, seed=92)
         ma = nonsmooth_twin(lse)
-        assert ma.A is lse.A and ma.b is lse.b
+        assert ma.mlp is lse.mlp
         assert smooth_twin(ma, T=0.5).T == 0.5
 
     def test_fnn_has_no_twin(self):
@@ -349,7 +372,7 @@ class TestSerialization:
         rng = np.random.default_rng(7)
         return [
             FeedforwardNet(n=2, m=1, mlp=_random_mlp([3, 8, 8, 1], rng), seed=7),
-            Bank(n=2, m=1, A=rng.normal(size=(4, 3)), b=rng.normal(size=4)),
+            Bank(n=2, m=1, mlp=_random_mlp([3, 4], rng)),
             _random_lse(2, 1, 4, T=0.2, seed=8),
             nonsmooth_twin(_random_plse(2, 1, 4, T=0.2, seed=9)),
             _random_plse(2, 1, 4, T=0.2, seed=10),
@@ -402,11 +425,29 @@ class TestSerialization:
     def test_missing_key_rejected(self, key):
         for net in self._nets():
             doc = model_to_json(net)
-            if doc[key] is None or (key == "layer_widths" and net.kind in ("ma", "lse")):
+            if doc[key] is None:
                 continue  # a key this kind does not use
             del doc[key]
             with pytest.raises(ModelFormatError, match=key):
                 model_from_json(doc)
+
+    def test_layers_must_match_the_kind(self):
+        rng = np.random.default_rng(12)
+        ma_doc = model_to_json(Bank(n=2, m=1, mlp=_random_mlp([3, 4], rng)))
+        pma_doc = model_to_json(nonsmooth_twin(_random_plse(2, 1, 4, T=0.2, seed=13)))
+        for doc, other in ((ma_doc, pma_doc), (pma_doc, ma_doc)):
+            # an ma document with a pma's layers, and the other way round
+            doc = dict(doc, layer_widths=other["layer_widths"], weights=other["weights"])
+            with pytest.raises(ModelFormatError, match=f"a {doc['kind']} model holds"):
+                model_from_json(doc)
+
+    def test_two_layer_lse_rejected(self):
+        rng = np.random.default_rng(14)
+        deep = model_to_json(FeedforwardNet(n=2, m=1, mlp=_random_mlp([3, 5, 1], rng)))
+        doc = dict(model_to_json(_random_lse(2, 1, 1, T=0.2, seed=15)),
+                   layer_widths=deep["layer_widths"], weights=deep["weights"])
+        with pytest.raises(ModelFormatError, match="one layer"):
+            model_from_json(doc)
 
     def test_bad_shapes_rejected(self):
         for net in self._nets():

@@ -12,7 +12,6 @@ from paraconvex.networks import (
     FeedforwardNet,
     MlpParams,
     MlpWorkspace,
-    _mlp_input_grad_batch,
     forward,
     forward_batch,
     grad_u_batch,
@@ -20,8 +19,6 @@ from paraconvex.networks import (
     mlp_forward_batch,
     shifted_lse,
     smooth_twin,
-    softmax_over_T,
-    u_bank,
     u_bank_batch,
 )
 from paraconvex.numerics import BoxDomain, Rng, grid_minimize, sample_uniform_box
@@ -33,6 +30,18 @@ from paraconvex.solver import (
     minimize_batch,
 )
 from paraconvex.training import init_network
+
+
+def softmax_over_T(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
+    top = np.max(scores, axis=axis, keepdims=True)
+    e = np.exp((scores - top) / T)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _u_bank(net, x):
+    """The affine bank in u at one condition x: row 0 of u_bank_batch."""
+    A_u, c = u_bank_batch(net, x[None])
+    return A_u[0], c[0]
 
 
 def _grid_value(net, x, domain, points):
@@ -49,7 +58,7 @@ def _single_plane_plse(slope, offset, T=0.1):
     embed = MlpParams(
         weights=[np.zeros((2, 1))], biases=[np.array([slope, offset])]
     )
-    return Bank(n=1, m=1, embed=embed, T=T)
+    return Bank(n=1, m=1, mlp=embed, T=T)
 
 
 def _symmetric_embed():
@@ -130,7 +139,7 @@ class TestMinimizeSmoothConvex:
         assert res.certificate <= 1e-9
 
     def test_symmetric_planes_center(self):
-        net = Bank(n=1, m=1, embed=_symmetric_embed(), T=0.1)
+        net = Bank(n=1, m=1, mlp=_symmetric_embed(), T=0.1)
         res = minimize(net, np.array([0.0]), BoxDomain.symmetric(1))
         assert abs(res.u_star[0]) <= 1e-6
         assert_allclose(res.value, 0.1 * np.log(2.0), atol=1e-9)
@@ -174,13 +183,13 @@ class TestMinimizeSmoothConvex:
 class TestMinimizePma:
     def test_single_plane_corner(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 0.5])])
-        net = Bank(n=1, m=1, embed=embed)
+        net = Bank(n=1, m=1, mlp=embed)
         res = minimize(net, np.array([0.0]), BoxDomain.symmetric(1))
         assert_allclose(res.u_star, [-1.0], atol=1e-9)
         assert_allclose(res.value, -1.5, atol=1e-9)
 
     def test_symmetric_planes(self):
-        net = Bank(n=1, m=1, embed=_symmetric_embed())
+        net = Bank(n=1, m=1, mlp=_symmetric_embed())
         res = minimize(net, np.array([0.0]), BoxDomain.symmetric(1))
         assert abs(res.u_star[0]) <= 1e-4
         assert abs(res.value) <= 1e-4 * np.log(2.0) + 1e-9
@@ -197,7 +206,7 @@ class TestMinimizePma:
             assert res.value - res.certificate <= gval + 1e-12
             # the solver may legitimately beat the lattice by its
             # discretization error: Lipschitz constant times half-diagonal
-            A_u, _ = u_bank(net, x)
+            A_u, _ = _u_bank(net, x)
             lip = np.linalg.norm(A_u, axis=1).max()
             slack = lip * (2.0 / 400 / 2) * np.sqrt(2)
             assert gval <= res.value + slack + 1e-12
@@ -393,8 +402,8 @@ class TestMinimizeBatch:
 
     def test_overflowing_row_is_none(self):
         # x = 1e308 sends the first plane to +inf; the other rows solve
-        net = Bank(n=1, m=1, A=np.array([[2.0, 1.0], [-1.0, -1.0]]),
-                   b=np.zeros(2))
+        A = np.array([[2.0, 1.0], [-1.0, -1.0]])
+        net = Bank(n=1, m=1, mlp=MlpParams([A], [np.zeros(2)]))
         X = np.array([[0.5], [1e308], [-0.25]])
         dom = BoxDomain.symmetric(1)
         rows = minimize_batch(net, X, dom)
@@ -535,7 +544,7 @@ def _degenerate_bank(case, m):
         A, b = A[:1], b[:1]
     elif case == "scaled":  # one plane a million times the others
         A[0], b[0] = 1e6 * A[0], 1e6 * b[0]
-    return Bank(n=2, m=m, A=A, b=b)
+    return Bank(n=2, m=m, mlp=MlpParams([A], [b]))
 
 
 _LP_CASES = [("ma", 2, 3), ("pma", 2, 3), ("ma", 61, 20), ("pma", 61, 20)] + [
@@ -554,7 +563,7 @@ class TestLpOracle:
         dom, opts = BoxDomain.symmetric(m), SolveOptions()
         batch = minimize_batch(net, X, dom, opts)
         for x, row in zip(X, batch):
-            lp = _epigraph_lp_min(*u_bank(net, x), dom)
+            lp = _epigraph_lp_min(*_u_bank(net, x), dom)
             for res in (row, minimize(net, x, dom, opts)):
                 # value and oracle agree to rounding where the gap is zero
                 assert res.value - lp <= res.certificate + 1e-12 * (1.0 + abs(lp))
@@ -589,7 +598,7 @@ class TestLbfgsbOracle:
         dom, opts = BoxDomain.symmetric(m), SolveOptions()
         batch = minimize_batch(net, X, dom, opts)
         for x, row in zip(X, batch):
-            ref = _lse_lbfgsb_value(*u_bank(net, x), net.T, dom)
+            ref = _lse_lbfgsb_value(*_u_bank(net, x), net.T, dom)
             for res in (row, minimize(net, x, dom, opts)):
                 assert res.value - ref <= res.certificate + 1e-12 * (1.0 + abs(ref))
 
@@ -760,7 +769,9 @@ class TestFusedLoops:
                 biases=[rng.normal(size=b) for b in widths[1:]],
             )
             Z = rng.uniform(-1.0, 1.0, size=(33, widths[0]))
-            out, grad = _mlp_input_grad_batch(mlp, Z)
+            ws = MlpWorkspace(mlp, len(Z))
+            ws.Z[...] = Z
+            out, grad = ws.value_and_grad(len(Z))
             assert_array_equal(out, mlp_forward_batch(mlp, Z)[:, 0])
             assert_array_equal(grad, _where_reference_grad(mlp, Z))
 
@@ -1081,7 +1092,8 @@ class TestBacktrackingLadder:
             A, c, 0.1, SolveOptions(keep_trace=True))
         assert status[0] == solver_module._FAILED
         assert (status[1:] == solver_module._CONVERGED).all()
-        net = Bank(n=1, m=2, A=np.hstack([np.zeros((2, 1)), slopes]), b=offsets, T=0.1)
+        A = np.hstack([np.zeros((2, 1)), slopes])
+        net = Bank(n=1, m=2, mlp=MlpParams([A], [offsets]), T=0.1)
         assert minimize_batch(net, np.zeros((1, 1)), BoxDomain.symmetric(2)) == [None]
 
     @pytest.mark.parametrize("kind,m", [("lse", 3), ("plse", 20)])

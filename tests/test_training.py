@@ -14,7 +14,6 @@ from paraconvex.networks import (
     clone_network,
     forward_batch,
     model_to_json,
-    softmax_over_T,
 )
 from paraconvex.numerics import BoxDomain, Rng, sample_uniform_box
 from paraconvex.training import (
@@ -147,14 +146,15 @@ class TestInitNetwork:
         assert fnn.mlp.layer_widths == [5, 16, 8, 1]
         assert all(np.all(b == 0.0) for b in fnn.mlp.biases)
         plse = init_network("plse", 2, 3, seed=2, I=7, T=0.1, hidden=(16, 8))
-        assert plse.embed.layer_widths == [2, 16, 8, (3 + 1) * 7]
+        assert plse.mlp.layer_widths == [2, 16, 8, (3 + 1) * 7]
         assert plse.T == 0.1 and plse.I == 7
 
     def test_bank_kinds_scalar_xavier_bound(self):
         lse = init_network("lse", 2, 1, seed=3, I=30, T=0.1)
-        assert lse.A.shape == (30, 3) and lse.b.shape == (30,)
-        assert np.all(np.abs(lse.A) <= np.sqrt(3.0))
-        assert np.all(np.abs(lse.b) <= np.sqrt(3.0))
+        assert lse.mlp.layer_widths == [3, 30]
+        A, b = lse.mlp.weights[0], lse.mlp.biases[0]
+        assert np.all(np.abs(A) <= np.sqrt(3.0))
+        assert np.all(np.abs(b) <= np.sqrt(3.0))
 
     def test_determinism_and_seed_field(self):
         a = init_network("pma", 1, 1, seed=5, I=4)
@@ -407,6 +407,12 @@ def _reference_shuffle(rng, n):
     return idx
 
 
+def softmax_over_T(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
+    top = np.max(scores, axis=axis, keepdims=True)
+    e = np.exp((scores - top) / T)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
 def _reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999,
                          eps=1e-8):
     """Adam array by array, each moment rebuilt from allocated temporaries."""
@@ -431,9 +437,10 @@ def _reference_weight_gradients(net, X, U, y):
         return _mlp_backprop(net.mlp, acts, pres, dpred[:, None])
     if net.kind in ("ma", "lse"):
         Z = np.hstack([X, U])
-        scores = Z @ net.A.T + net.b
+        A, b = net.mlp.weights[0], net.mlp.biases[0]
+        scores = Z @ A.T + b
     else:
-        acts, pres = mlp_trace(net.embed, X)
+        acts, pres = mlp_trace(net.mlp, X)
         out = acts[-1]
         A_x = out[:, : net.I * net.m].reshape(B, net.I, net.m)
         scores = np.einsum("bim,bm->bi", A_x, U) + out[:, net.I * net.m :]
@@ -453,7 +460,7 @@ def _reference_weight_gradients(net, X, U, y):
     dout = np.concatenate(
         [(wd[:, :, None] * U[:, None, :]).reshape(B, -1), wd], axis=1
     )
-    return _mlp_backprop(net.embed, acts, pres, dout)
+    return _mlp_backprop(net.mlp, acts, pres, dout)
 
 
 def _reference_train(net, ds, cfg):

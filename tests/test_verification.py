@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from paraconvex import verification
 from paraconvex.exceptions import DimensionMismatch, UnsupportedNetwork
 from paraconvex.networks import (
     Bank,
     FeedforwardNet,
     MlpParams,
     forward_batch,
+    nonsmooth_twin,
 )
 from paraconvex.numerics import BoxDomain, Rng
 from paraconvex.training import init_network
@@ -49,8 +51,8 @@ class TestCheckSandwich:
         for I in (2, 30):
             A = np.tile(np.array([[0.7, -0.3]]), (I, 1))
             b = np.full(I, 0.2)
-            lse = Bank(n=1, m=1, A=A, b=b, T=0.1)
-            ma = Bank(n=1, m=1, A=A, b=b)
+            lse = Bank(n=1, m=1, mlp=MlpParams([A], [b]), T=0.1)
+            ma = nonsmooth_twin(lse)
             X = np.array([[0.5], [-0.9]])
             U = np.array([[0.1], [0.8]])
             gap = forward_batch(lse, X, U) - forward_batch(ma, X, U)
@@ -116,8 +118,10 @@ class TestCheckGradients:
         assert report.max_violation < 1e-5
         assert report.samples == 90
 
-    def test_corrupted_gradient_fails(self):
-        report = check_gradients(trials=5, seed=42, gradient_scale=-1.0)
+    def test_corrupted_gradient_fails(self, monkeypatch):
+        grad_u = verification.grad_u
+        monkeypatch.setattr(verification, "grad_u", lambda *a: -grad_u(*a))
+        report = check_gradients(trials=5, seed=42)
         assert not report.passed
 
     def test_nonsmooth_kind_rejected(self):
@@ -133,22 +137,19 @@ class TestCheckGradients:
 class TestMoreauEnvelope:
     def test_constant_function(self):
         dom = BoxDomain.symmetric(1)
-        t = moreau_envelope(lambda U: np.full(U.shape[0], 3.5), dom, 0.2, 101,
-                            vectorized=True)
+        t = moreau_envelope(lambda U: np.full(U.shape[0], 3.5), dom, 0.2, 101)
         assert_allclose(t.envelope, 3.5)
         # prox of a constant is the point itself
         assert np.array_equal(t.argmin, np.arange(101))
 
     def test_absolute_value_origin(self):
         dom = BoxDomain.symmetric(1)
-        t = moreau_envelope(lambda U: np.abs(U[:, 0]), dom, 0.5, 101,
-                            vectorized=True)
+        t = moreau_envelope(lambda U: np.abs(U[:, 0]), dom, 0.5, 101)
         assert_allclose(t.envelope[50], 0.0, atol=1e-15)  # node 50 is u = 0
 
     def test_huber_value(self):
         dom = BoxDomain.symmetric(1)
-        t = moreau_envelope(lambda U: np.abs(U[:, 0]), dom, 0.5, 4001,
-                            vectorized=True)
+        t = moreau_envelope(lambda U: np.abs(U[:, 0]), dom, 0.5, 4001)
         assert abs(t.envelope[-1] - 0.75) <= 1e-3
 
     def test_quadratic_closed_form(self):
@@ -156,33 +157,25 @@ class TestMoreauEnvelope:
         # u^2/(1+2 eta) holds exactly on [-1, 1]
         dom = BoxDomain.symmetric(1)
         eta = 0.5
-        t = moreau_envelope(lambda U: U[:, 0] ** 2, dom, eta, 2001,
-                            vectorized=True)
+        t = moreau_envelope(lambda U: U[:, 0] ** 2, dom, eta, 2001)
         u = t.nodes[:, 0]
         assert np.max(np.abs(t.envelope - u * u / (1 + 2 * eta))) <= 1e-6
 
-    def test_scalar_callable_path(self):
-        dom = BoxDomain.symmetric(1)
-        a = moreau_envelope(lambda u: float(u[0] ** 2), dom, 0.3, 51)
-        b = moreau_envelope(lambda U: U[:, 0] ** 2, dom, 0.3, 51, vectorized=True)
-        assert np.array_equal(a.envelope, b.envelope)
-
     def test_2d_supported_3d_rejected(self):
         t = moreau_envelope(
-            lambda U: np.sum(U * U, axis=1), BoxDomain.symmetric(2), 0.5, 21,
-            vectorized=True,
+            lambda U: np.sum(U * U, axis=1), BoxDomain.symmetric(2), 0.5, 21
         )
         assert t.nodes.shape == (441, 2)
         with pytest.raises(DimensionMismatch):
             moreau_envelope(lambda U: np.sum(U * U, axis=1),
-                            BoxDomain.symmetric(3), 0.5, 5, vectorized=True)
+                            BoxDomain.symmetric(3), 0.5, 5)
 
     def test_validation(self):
         dom = BoxDomain.symmetric(1)
         with pytest.raises(ValueError):
-            moreau_envelope(lambda U: U[:, 0], dom, 0.0, 11, vectorized=True)
+            moreau_envelope(lambda U: U[:, 0], dom, 0.0, 11)
         with pytest.raises(ValueError):
-            moreau_envelope(lambda U: U[:, 0], dom, 0.5, 1, vectorized=True)
+            moreau_envelope(lambda U: U[:, 0], dom, 0.5, 1)
 
     def test_table_rejects_envelope_above_function(self):
         with pytest.raises(ValueError):
@@ -196,8 +189,7 @@ class TestMoreauEnvelope:
 
     def test_argmin_grid_optimality(self):
         dom = BoxDomain.symmetric(1)
-        t = moreau_envelope(lambda U: np.abs(U[:, 0]), dom, 0.25, 401,
-                            vectorized=True)
+        t = moreau_envelope(lambda U: np.abs(U[:, 0]), dom, 0.25, 401)
         u = t.nodes[:, 0]
         for i in (0, 57, 200, 313, 400):
             j = t.argmin[i]
@@ -212,8 +204,7 @@ class TestCheckEnvelopeProperties:
     def test_quadratic_gaps_strictly_decrease(self):
         dom = BoxDomain.symmetric(1)
         report = check_envelope_properties(
-            lambda U: U[:, 0] ** 2, (1.0, 0.1, 0.01), dom, resolution=2001,
-            vectorized=True,
+            lambda U: U[:, 0] ** 2, (1.0, 0.1, 0.01), dom, resolution=2001
         )
         assert report.passed
         gaps = json.loads(report.notes.split("sup_gaps=")[1])
@@ -224,7 +215,7 @@ class TestCheckEnvelopeProperties:
         # exactly eta/2 below wherever the shift stays inside the box
         dom = BoxDomain.symmetric(1)
         eta = 0.1
-        t = moreau_envelope(lambda U: U[:, 0], dom, eta, 2001, vectorized=True)
+        t = moreau_envelope(lambda U: U[:, 0], dom, eta, 2001)
         interior = t.nodes[:, 0] >= -1.0 + eta
         gap = t.f_values[interior] - t.envelope[interior]
         assert_allclose(gap, eta / 2, atol=1e-12)
@@ -232,8 +223,7 @@ class TestCheckEnvelopeProperties:
     def test_single_eta(self):
         dom = BoxDomain.symmetric(1)
         report = check_envelope_properties(
-            lambda U: np.abs(U[:, 0]), (0.5,), dom, resolution=101,
-            vectorized=True,
+            lambda U: np.abs(U[:, 0]), (0.5,), dom, resolution=101
         )
         assert report.passed
 
@@ -241,7 +231,7 @@ class TestCheckEnvelopeProperties:
         dom = BoxDomain.symmetric(1)
         with pytest.raises(ValueError):
             check_envelope_properties(lambda U: U[:, 0] ** 2, (0.1, 0.1), dom,
-                                      resolution=11, vectorized=True)
+                                      resolution=11)
 
 
 class TestRunCheckSuite:
