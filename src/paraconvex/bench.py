@@ -38,7 +38,6 @@ from .training import (
     Dataset,
     TrainConfig,
     init_network,
-    key_value_lines,
     split_dataset,
     train,
 )
@@ -109,6 +108,8 @@ def parse_dims(text: str) -> tuple:
 
 def parse_kinds(text: str) -> tuple:
     kinds = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not kinds:
+        raise ConfigError("kinds list is empty")
     for kind in kinds:
         if kind not in ALL_KINDS:
             raise ConfigError(f"unknown kind {kind!r}")
@@ -155,6 +156,9 @@ class ExperimentConfig:
         # the training keys fail here, before any cell trains
         TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
                     batch_size=self.batch_size, split_ratio=self.split_ratio)
+        for n, m in self.dims:
+            if int(self.split_ratio * self.budget_for(n, m)[0]) < 1:
+                raise ConfigError(f"split_ratio leaves the {n}x{m} cell no training rows")
 
     def budget_for(self, n: int, m: int) -> tuple[int, int]:
         """(points, epochs) for one cell; high-dim cells are trimmed
@@ -187,6 +191,20 @@ _CONFIG_PARSERS = {
         if type(f.default) in (int, float, str)
     },
 }
+
+
+def key_value_lines(text: str):
+    """(line number, key, value) for each key=value line of a config text,
+    key and value stripped; '#' starts a comment and blank lines are
+    skipped. Raises ConfigError naming the line for any other line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, _, val = line.partition("=")
+        yield lineno, key.strip(), val.strip()
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:

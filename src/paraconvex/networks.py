@@ -12,19 +12,22 @@ log-sum-exp smoothing ("lse"), and their parameterized versions ("pma",
 For fixed x every bank is convex in u by construction: a max or
 log-sum-exp of functions affine in u.
 
+A net's parameters live in one float64 vector, `MlpParams.flat`, and its
+layers are reshaped views of it; that layout is decided here alone.
+
 Evaluation is batch-first: `forward`, `grad_u` and `subgrad_u` are a batch
 of one through the row-wise functions. An MLP's reverse pass
 is one kernel, `MlpWorkspace.backward`, over a trace kept in buffers
 allocated once: the fnn solver takes input gradients from it across its
-sweeps, training takes weight gradients written into its own arrays.
+sweeps, training takes weight gradients written into a net-shaped
+MlpParams.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
 import numpy as np
@@ -35,6 +38,7 @@ from .exceptions import (
     NumericOverflow,
     UnsupportedNetwork,
 )
+from .numerics import check_count
 
 FORMAT_VERSION = 1
 
@@ -47,11 +51,15 @@ class MlpParams:
     """Weights of a feedforward net; LeakyReLU on hidden layers, affine output.
 
     weights[k] has shape (width_{k+1}, width_k); biases[k] has shape
-    (width_{k+1},).
+    (width_{k+1},). The layers given are copied, never aliased, into one
+    float64 vector `flat` (W0, b0, W1, b1, ..., each row-major), and
+    weights and biases become reshaped views of it: writing flat writes
+    every layer.
     """
 
     weights: list
     biases: list
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -63,6 +71,15 @@ class MlpParams:
                 raise DimensionMismatch(f"layer {k}: weight/bias shapes disagree")
             if k > 0 and W.shape[1] != self.weights[k - 1].shape[0]:
                 raise DimensionMismatch(f"layer {k}: input width mismatch")
+        arrays = self.arrays()
+        self.flat = np.concatenate(arrays, axis=None)
+        views = np.split(self.flat, np.cumsum([a.size for a in arrays])[:-1])
+        self.weights = [v.reshape(W.shape) for v, W in zip(views[0::2], self.weights)]
+        self.biases = views[1::2]
+
+    def arrays(self) -> list:
+        """The layers interleaved, [W0, b0, W1, b1, ...]: flat's order."""
+        return [p for W, b in zip(self.weights, self.biases) for p in (W, b)]
 
     @property
     def layer_widths(self) -> list[int]:
@@ -141,16 +158,17 @@ class MlpWorkspace:
         """Trace rows Z[:k]; the outputs (k, n_out), a view."""
         return _forward_layers(self.params, self.Z[:k], self.pres, self.acts)
 
-    def backward(self, k: int, delta, weight_grads: list | None = None):
+    def backward(self, k: int, delta, grads: MlpParams | None = None):
         """Reverse pass through the last forward(k) from delta (k, n_out), the
-        output gradient (None: a scalar output's unit one). Fills weight_grads
-        [dW0, db0, dW1, ...] if given, else returns the input gradients."""
+        output gradient (None: a scalar output's unit one). Fills the layers
+        of grads, an MlpParams shaped like the net, if given, else returns
+        the input gradients."""
         Ws = self.params.weights
         for j in range(len(Ws) - 1, -1, -1):
-            if weight_grads is not None:
+            if grads is not None:
                 inputs = self.Z[:k] if j == 0 else self.acts[j - 1][:k]
-                np.matmul(delta.T, inputs, out=weight_grads[2 * j])
-                np.add.reduce(delta, axis=0, out=weight_grads[2 * j + 1])
+                np.matmul(delta.T, inputs, out=grads.weights[j])
+                np.add.reduce(delta, axis=0, out=grads.biases[j])
                 if j == 0:
                     return None
             if delta is None:
@@ -186,6 +204,8 @@ class FeedforwardNet:
     seed: int | None = None
 
     def __post_init__(self):
+        check_count("n", self.n)
+        check_count("m", self.m)
         if self.mlp.n_in != self.n + self.m or self.mlp.n_out != 1:
             raise DimensionMismatch("fnn mlp must map n+m inputs to one output")
 
@@ -209,6 +229,8 @@ class Bank:
     seed: int | None = None
 
     def __post_init__(self):
+        check_count("n", self.n)
+        check_count("m", self.m)
         if self.parameterized:
             if self.mlp.n_out % (self.m + 1):
                 raise DimensionMismatch(
@@ -428,8 +450,9 @@ def nonsmooth_twin(net: Network) -> Network:
 
 
 def clone_network(net: Network) -> Network:
-    """Deep copy; the clone's weights can be mutated without aliasing."""
-    return copy.deepcopy(net)
+    """A copy with its own parameter vector, so it can be mutated without
+    aliasing the original."""
+    return dataclasses.replace(net, mlp=MlpParams(net.mlp.weights, net.mlp.biases))
 
 
 # --- serialization ---------------------------------------------------------

@@ -6,11 +6,12 @@ biases. All randomness (init, split, shuffles) flows through one seeded Rng,
 so a (seed, data, config) triple reproduces training bit for bit.
 
 Every kind's parameters are the layers of its net `mlp` (a fixed bank's is
-one layer over [x; u]), and the trained copy's are reshaped views into one
-flat float64 buffer. Every step and loss pass of a `train` call runs in one
+one layer over [x; u]), reshaped views of the net's one float64 vector
+`mlp.flat`. Every step and loss pass of a `train` call runs in one
 TrainWorkspace: a step traces the net, writes the output gradient over its
-outputs, makes one reverse pass and ends with one in-place Adam update of
-the buffer. lse/plse take the prediction and softmax weights from one
+outputs, makes one reverse pass into a gradient net shaped like the net and
+ends with one in-place Adam update of `mlp.flat` from the gradient's
+`flat`. lse/plse take the prediction and softmax weights from one
 exponential. It all gives the bits of allocating every array and updating
 array by array.
 """
@@ -97,36 +98,6 @@ class TrainConfig:
             raise ConfigError("adam_eps must be positive")
 
 
-_INT_KEYS = {"epochs", "batch_size", "seed"}
-
-
-def key_value_lines(text: str):
-    """(line number, key, value) for each key=value line of a config text,
-    key and value stripped; '#' starts a comment and blank lines are
-    skipped. Raises ConfigError naming the line for any other line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        yield lineno, key.strip(), val.strip()
-
-
-def parse_train_config(text: str) -> TrainConfig:
-    """key=value lines; '#' starts a comment; unknown keys rejected."""
-    values = {}
-    for lineno, key, val in key_value_lines(text):
-        if key not in TrainConfig.__dataclass_fields__:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    return TrainConfig(**values)
-
-
 @dataclass
 class TrainReport:
     train_losses: list
@@ -203,36 +174,18 @@ def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray,
 def parameters(net: Network) -> list:
     """Live references to the trainable arrays, in the frozen canonical order:
     the layers of net.mlp interleaved, [W0, b0, W1, b1, ...]."""
-    return [p for W, b in zip(net.mlp.weights, net.mlp.biases) for p in (W, b)]
-
-
-def _views(flat: np.ndarray, arrays: list) -> list:
-    """Consecutive views of flat, shaped like arrays."""
-    parts = np.split(flat, np.cumsum([p.size for p in arrays])[:-1])
-    return [v.reshape(p.shape) for v, p in zip(parts, arrays)]
-
-
-def _flatten_parameters(net: Network) -> np.ndarray:
-    """Copy parameters(net) into one float64 buffer, in that order, and
-    rebind the net's arrays to reshaped views of it, so one update of the
-    buffer updates every parameter. Shapes and values are unchanged."""
-    params = parameters(net)
-    flat = np.concatenate(params, axis=None)
-    views = _views(flat, params)
-    net.mlp.weights, net.mlp.biases = views[0::2], views[1::2]
-    return flat
+    return net.mlp.arrays()
 
 
 class TrainWorkspace:
     """A net's buffers for steps over up to `rows` rows and loss passes over
-    up to `loss_rows`: `grads`, views of the flat `grad` shaped like
-    parameters(net); the step's MlpWorkspace `mlp`; and mlp_forward_batch's
-    buffers `loss`."""
+    up to `loss_rows`: `grads`, an MlpParams shaped like the net, and its
+    layers in parameters(net) order, `grad_arrays`; the step's MlpWorkspace
+    `mlp`; and mlp_forward_batch's buffers `loss`."""
 
     def __init__(self, net: Network, rows: int, loss_rows: int = 0):
-        params = parameters(net)
-        self.grad = np.empty(sum(p.size for p in params))
-        self.grads = _views(self.grad, params)
+        self.grads = MlpParams(net.mlp.weights, net.mlp.biases)  # each step overwrites it
+        self.grad_arrays = self.grads.arrays()
         self.mlp = MlpWorkspace(net.mlp, rows)
         self.loss = layer_buffers(net.mlp, loss_rows)
 
@@ -243,8 +196,8 @@ def weight_gradients(
 ) -> list:
     """Gradient of mse_loss w.r.t. parameters(net), same order and shapes.
 
-    Returns the views `grads` of `ws`, or of a workspace made for the call,
-    valid until its next step.
+    Returns the `grad_arrays` of `ws`, or of a workspace made for the call,
+    views of its `grads.flat`, valid until its next step or Adam update.
 
     The max in ma/pma routes gradient to the active plane only (lowest index
     on ties), the standard subgradient choice for max-affine training.
@@ -261,7 +214,7 @@ def weight_gradients(
     # the train loop's loss check owns that failure, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
         _weight_gradients(net, X, U, y, B, ws)
-    return ws.grads
+    return ws.grad_arrays
 
 
 def _weight_gradients(net, X, U, y, B, ws):
@@ -295,66 +248,49 @@ def _weight_gradients(net, X, U, y, B, ws):
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    scratch: list = field(init=False, repr=False, compare=False)  # one per m
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = [np.empty_like(a) for a in self.m]
+        self.scratch = np.empty_like(self.m)
 
     @staticmethod
-    def for_params(params: list) -> "AdamState":
-        return AdamState(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def for_params(p: np.ndarray) -> "AdamState":
+        return AdamState(m=np.zeros_like(p), v=np.zeros_like(p))
 
 
-def adam_step(
-    state: AdamState,
-    params: list,
-    grads: list,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    out: list | None = None,
-) -> list:
-    """One bias-corrected Adam update; advances state in place and returns
-    the new parameter arrays: new ones, or `out` (which may be params), in
-    which case the step is formed in grads and nothing is allocated.
+def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One bias-corrected Adam update of p in place; advances state and
+    overwrites g with the step, allocating nothing.
 
-    The moments are updated in place and each array's step is formed in the
-    state's scratch and one more array, with the rounding of
-    p - lr * m_hat / (sqrt(v_hat) + eps) term for term, so one call over a
-    flat concatenation of arrays equals one call over the arrays.
+    The moments are updated in place and the step is formed in g and the
+    state's scratch, with the rounding of p - lr * m_hat / (sqrt(v_hat) + eps)
+    term for term, so one call over a flat concatenation of arrays equals
+    one call per array.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionMismatch("params, grads, state lengths disagree")
+    if p.shape != g.shape or p.shape != state.m.shape:
+        raise DimensionMismatch(f"shapes {p.shape}, {g.shape}, {state.m.shape} disagree")
     state.t += 1
     t = state.t
     c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
-    new = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise DimensionMismatch(f"param {i}: gradient shape {g.shape} != {p.shape}")
-        m, v, scratch = state.m[i], state.v[i], state.scratch[i]
-        np.multiply(g, 1.0 - beta1, out=scratch)
-        m *= beta1
-        m += scratch  # beta1 * m + (1 - beta1) * g
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - beta2
-        v *= beta2
-        v += scratch  # beta2 * v + (1 - beta2) * (g * g)
-        np.divide(v, c2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += eps  # sqrt(v_hat) + eps
-        step = np.divide(m, c1, out=None if out is None else g)
-        step *= lr
-        step /= scratch  # lr * m_hat / (sqrt(v_hat) + eps)
-        new.append(np.subtract(p, step, out=step if out is None else out[i]))
-    return new
+    m, v, scratch = state.m, state.v, state.scratch
+    np.multiply(g, 1.0 - beta1, out=scratch)
+    m *= beta1
+    m += scratch  # beta1 * m + (1 - beta1) * g
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - beta2
+    v *= beta2
+    v += scratch  # beta2 * v + (1 - beta2) * (g * g)
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps  # sqrt(v_hat) + eps
+    np.divide(m, c1, out=g)
+    g *= lr
+    g /= scratch  # lr * m_hat / (sqrt(v_hat) + eps)
+    p -= g
 
 
 # --- split and train loop --------------------------------------------------
@@ -368,6 +304,8 @@ def split_dataset(ds: Dataset, ratio: float, rng: Rng) -> tuple[Dataset, Dataset
         raise ConfigError("split ratio must lie strictly between 0 and 1")
     perm = rng.shuffle_indices(ds.size)
     cut = int(ratio * ds.size)
+    if cut == 0:
+        raise ConfigError(f"split ratio {ratio} leaves none of {ds.size} rows to train on")
     return ds.subset(perm[:cut]), ds.subset(perm[cut:])
 
 
@@ -384,8 +322,7 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[Network, TrainRe
     rng = Rng(cfg.seed)
     train_ds, test_ds = split_dataset(ds, cfg.split_ratio, rng)
     net = clone_network(net)
-    flat = _flatten_parameters(net)
-    state = AdamState.for_params([flat])
+    state = AdamState.for_params(net.mlp.flat)
     ws = TrainWorkspace(net, min(cfg.batch_size, train_ds.size),
                         max(train_ds.size, test_ds.size))
     train_losses, test_losses, epoch_times = [], [], []
@@ -396,8 +333,8 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[Network, TrainRe
             idx = perm[start : start + cfg.batch_size]
             weight_gradients(net, train_ds.X[idx], train_ds.U[idx],
                              train_ds.y[idx], ws)
-            adam_step(state, [flat], [ws.grad], cfg.learning_rate, cfg.adam_beta1,
-                      cfg.adam_beta2, cfg.adam_eps, out=[flat])
+            adam_step(state, net.mlp.flat, ws.grads.flat, cfg.learning_rate,
+                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
         try:
             tr = mse_loss(net, train_ds.X, train_ds.U, train_ds.y, ws)
             te = mse_loss(net, test_ds.X, test_ds.U, test_ds.y, ws)

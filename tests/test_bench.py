@@ -120,6 +120,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_kinds("plse,unknown")
 
+    def test_empty_training_split_rejected(self):
+        # int(0.05 * 10) = 0 training rows; the trimmed 61x20 budget counts
+        with pytest.raises(ConfigError, match="1x1 cell no training rows"):
+            ExperimentConfig(dims=((1, 1),), d=10, split_ratio=0.05)
+        with pytest.raises(ConfigError, match="61x20 cell no training rows"):
+            ExperimentConfig(dims=((61, 20),), d=10_000, split_ratio=0.0004)
+        assert ExperimentConfig(dims=((1, 1),), d=10, split_ratio=0.1).d == 10
+
     def test_parse_config_text(self):
         cfg = parse_experiment_config(
             "dims = 1x1,2x3\n"
@@ -147,7 +155,7 @@ class TestConfig:
         "dims = 1x1,axb", "kinds = plse,spline", "seeds = 0,one", "hidden = 8,wide",
         "full = maybe", "d = many", "planes = 3.5", "epochs = ten", "batch_size = 6.4e1",
         "surface_resolution = x", "temperature = hot", "learning_rate = 1e-3e",
-        "split_ratio = nine tenths",
+        "split_ratio = nine tenths", "kinds = ,", "epochs",
     ])
     def test_bad_value_names_its_line(self, line):
         with pytest.raises(ConfigError, match=r"^line 1: "):

@@ -144,6 +144,31 @@ class TestSolve:
         assert rc == 2 and out == ""
         assert err.startswith("error:") and key in err
 
+    def test_non_integer_width_is_malformed(self, tmp_path):
+        # the console script path: a clean error line, no traceback
+        with open(os.path.join(GOLDEN, "plse_1x1_trained.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, "m": 1.0}))
+        src = os.path.dirname(os.path.dirname(paraconvex.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "paraconvex.cli", "solve", "--model", str(path),
+             "--x", "0.1"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ("error: malformed model JSON: "
+                               "m must be an integer, got 1.0\n")
+
+    def test_boolean_width_is_malformed(self, tmp_path, capsys):
+        with open(os.path.join(GOLDEN, "plse_1x1_trained.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, "n": True}))
+        rc, out, err = run_cli(["solve", "--model", str(path), "--x", "0.1"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: malformed model JSON: n must be an integer, got True\n"
+
     def test_negative_seed(self, model_path, capsys):
         rc, out, err = run_cli(
             ["solve", "--model", model_path, "--x", "0.1,0.1", "--seed", "-1"], capsys)
@@ -286,6 +311,33 @@ class TestBenchmark:
         rc, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
         assert rc == 2
         assert err.startswith("error: line 9: temperature must be positive")
+
+    @pytest.mark.parametrize("line, bad, message", [
+        # 0.05 * 10 rows leaves the training split empty
+        ("d = 60\n", "d = 10\nsplit_ratio = 0.05\n",
+         "error: split_ratio leaves the 1x1 cell no training rows\n"),
+        ("kinds = ma\n", "kinds =\n", "error: line 2: kinds list is empty\n"),
+    ])
+    def test_empty_split_or_kinds_fails_before_training(self, tmp_path, capsys,
+                                                        monkeypatch, line, bad, message):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(self.CFG.replace(line, bad))
+
+        def trains(cfg):
+            raise AssertionError("a cell trained on a config with an empty list or split")
+
+        monkeypatch.setattr(cli, "run_benchmark", trains)
+        rc, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
+        assert rc == 2 and err == message
+
+    def test_empty_kinds_flag(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text(self.CFG)
+        rc, out, err = run_cli(["benchmark", "--config", str(cfg_path), "--kinds", ",",
+                                "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: kinds list is empty\n"
+        assert not (tmp_path / "out").exists()
 
     def test_exported_model_round_trips(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.cfg"

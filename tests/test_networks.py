@@ -16,6 +16,7 @@ from paraconvex.networks import (
     Bank,
     FeedforwardNet,
     MlpParams,
+    clone_network,
     forward,
     forward_batch,
     grad_u,
@@ -85,6 +86,79 @@ class TestMlpForward:
         with pytest.raises(DimensionMismatch):
             MlpParams(weights=[np.zeros((2, 3)), np.zeros((2, 5))],
                       biases=[np.zeros(2), np.zeros(2)])
+
+
+class TestFlatParameters:
+    """A net's layers are reshaped views of its one vector `flat`."""
+
+    def _net(self):
+        return _random_plse(2, 1, 3, T=0.1, seed=5, hidden=(4,))
+
+    def _rows(self):
+        return np.array([[0.3, -0.2], [0.9, 0.1]]), np.array([[0.5], [-0.4]])
+
+    def test_input_arrays_are_copied(self):
+        rng = np.random.default_rng(4)
+        Ws = [rng.normal(size=(4, 2)), rng.normal(size=(8, 4))]
+        bs = [rng.normal(size=4), rng.normal(size=8)]
+        net = Bank(n=2, m=1, mlp=MlpParams(Ws, bs), T=0.1)
+        before = forward_batch(net, *self._rows())
+        Ws[0][:] = 7.0
+        bs[1][:] = -3.0
+        assert_array_equal(forward_batch(net, *self._rows()), before)
+
+    def test_layers_are_views_of_flat(self):
+        net = self._net()
+        mlp = net.mlp
+        arrays = [p for W, b in zip(mlp.weights, mlp.biases) for p in (W, b)]
+        assert mlp.flat.dtype == np.float64
+        assert mlp.flat.size == sum(p.size for p in arrays)
+        assert_array_equal(mlp.flat, np.concatenate(arrays, axis=None))
+        for p in arrays:
+            assert np.shares_memory(p, mlp.flat) and p.flags.c_contiguous
+        before = forward_batch(net, *self._rows())
+        mlp.flat[-1] += 1.0  # the last offset of the output layer
+        after = forward_batch(net, *self._rows())
+        assert not np.array_equal(after, before)
+
+    def test_clone_has_its_own_flat(self):
+        net = self._net()
+        clone = clone_network(net)
+        assert not np.shares_memory(clone.mlp.flat, net.mlp.flat)
+        assert_array_equal(clone.mlp.flat, net.mlp.flat)
+        assert all(np.shares_memory(W, clone.mlp.flat) for W in clone.mlp.weights)
+        before = forward_batch(net, *self._rows())
+        clone.mlp.flat[:] = 0.0
+        assert_array_equal(forward_batch(net, *self._rows()), before)
+        assert (clone.kind, clone.T, clone.seed) == (net.kind, net.T, net.seed)
+
+    def test_twins_share_flat(self):
+        net = self._net()
+        pma = nonsmooth_twin(net)
+        plse = smooth_twin(pma, T=0.5)
+        assert pma.mlp.flat is net.mlp.flat and plse.mlp.flat is net.mlp.flat
+        before = forward_batch(pma, *self._rows())
+        net.mlp.flat *= 2.0
+        assert not np.array_equal(forward_batch(pma, *self._rows()), before)
+
+
+class TestCounts:
+    """n and m are integers >= 1: a model document that says otherwise is
+    malformed, not a net to solve."""
+
+    @pytest.mark.parametrize("bad", [{"m": 1.0}, {"n": True}, {"m": 0}])
+    def test_bank_rejects(self, bad):
+        rng = np.random.default_rng(6)
+        kw = {"n": 1, "m": 1, **bad}
+        with pytest.raises(ValueError, match="must be"):
+            Bank(mlp=_random_mlp([2, 2], rng), **kw)
+
+    @pytest.mark.parametrize("bad", [{"m": 1.0}, {"n": True}, {"m": 0}])
+    def test_fnn_rejects(self, bad):
+        rng = np.random.default_rng(7)
+        kw = {"n": 1, "m": 1, **bad}
+        with pytest.raises(ValueError, match="must be"):
+            FeedforwardNet(mlp=_random_mlp([2, 3, 1], rng), **kw)
 
 
 class TestEmbeddedCoeffs:

@@ -1,7 +1,8 @@
-"""Tests for datasets, config parsing, init, gradients, Adam, and training."""
+"""Tests for datasets, config, init, gradients, Adam, and training."""
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from paraconvex.training import (
     init_network,
     mse_loss,
     parameters,
-    parse_train_config,
     split_dataset,
     train,
     weight_gradients,
@@ -95,32 +95,6 @@ class TestTrainConfig:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**63), np.int32(5)])
     def test_integer_seeds(self, seed):
         assert TrainConfig(seed=seed).seed == seed
-
-    def test_parse_key_value_text(self):
-        cfg = parse_train_config(
-            """
-            # protocol
-            epochs = 25
-            learning_rate = 5e-4
-            batch_size=32
-            seed = 9   # trailing comment
-            """
-        )
-        assert cfg.epochs == 25 and cfg.learning_rate == 5e-4
-        assert cfg.batch_size == 32 and cfg.seed == 9
-        assert cfg.split_ratio == 0.9  # untouched default
-
-    def test_parse_rejects_unknown_key(self):
-        with pytest.raises(ConfigError):
-            parse_train_config("momentum = 0.9")
-
-    def test_parse_rejects_bad_value(self):
-        with pytest.raises(ConfigError):
-            parse_train_config("epochs = many")
-
-    def test_parse_rejects_bare_line(self):
-        with pytest.raises(ConfigError):
-            parse_train_config("epochs")
 
 
 class TestXavierInit:
@@ -269,35 +243,37 @@ class TestWeightGradients:
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        p = [np.array([1.0, -2.0])]
+        p = np.array([1.0, -2.0])
         st = AdamState.for_params(p)
-        new = adam_step(st, p, [np.zeros(2)], lr=1e-3)
-        assert_array_equal(new[0], p[0])
+        adam_step(st, p, np.zeros(2), lr=1e-3)
+        assert_array_equal(p, [1.0, -2.0])
         assert st.t == 1
 
     def test_first_step_magnitude(self):
         g = 0.5
         lr = 1e-3
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         st = AdamState.for_params(p)
-        new = adam_step(st, p, [np.array([g])], lr=lr)
+        grad = np.array([g])
+        adam_step(st, p, grad, lr=lr)
         # bias correction makes m_hat = g and v_hat = g^2 at t=1
         expected = lr * g / (np.sqrt(g * g) + 1e-8)
-        assert_allclose(p[0][0] - new[0][0], expected, rtol=1e-12)
+        assert_allclose(1.0 - p[0], expected, rtol=1e-12)
+        assert p[0] == 1.0 - grad[0]  # the step is formed in the gradient
 
     def test_sign_symmetry(self):
-        p = [np.array([1.0])]
-        st_pos = AdamState.for_params(p)
-        st_neg = AdamState.for_params(p)
-        up = adam_step(st_pos, p, [np.array([0.5])], lr=1e-3)
-        down = adam_step(st_neg, p, [np.array([-0.5])], lr=1e-3)
-        assert_allclose(1.0 - up[0][0], down[0][0] - 1.0, rtol=1e-12)
+        up, down = np.array([1.0]), np.array([1.0])
+        adam_step(AdamState.for_params(up), up, np.array([0.5]), lr=1e-3)
+        adam_step(AdamState.for_params(down), down, np.array([-0.5]), lr=1e-3)
+        assert_allclose(1.0 - up[0], down[0] - 1.0, rtol=1e-12)
 
     def test_shape_mismatch(self):
-        p = [np.zeros(2)]
+        p = np.zeros(2)
         st = AdamState.for_params(p)
         with pytest.raises(DimensionMismatch):
-            adam_step(st, p, [np.zeros(3)], lr=1e-3)
+            adam_step(st, p, np.zeros(3), lr=1e-3)
+        with pytest.raises(DimensionMismatch):
+            adam_step(AdamState.for_params(np.zeros(3)), p, np.zeros(2), lr=1e-3)
 
 
 class TestTrain:
@@ -356,6 +332,13 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(init_network("fnn", 1, 1, seed=5), ds, cfg)
 
+    def test_empty_training_split_is_a_config_error(self):
+        # not a TrainingDiverged from the loss of no rows
+        ds = _quadratic_dataset(1, 1, 10, 19)
+        with pytest.raises(ConfigError, match="none of 10 rows"):
+            train(init_network("plse", 1, 1, seed=7, I=3, hidden=(4,)), ds,
+                  TrainConfig(epochs=1, split_ratio=0.05))
+
     def test_dims_checked(self):
         ds = _quadratic_dataset(2, 1, 50, 17)
         with pytest.raises(DimensionMismatch):
@@ -411,6 +394,12 @@ def softmax_over_T(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
     top = np.max(scores, axis=axis, keepdims=True)
     e = np.exp((scores - top) / T)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _reference_state(params):
+    """Adam moments kept per array, for _reference_adam_step."""
+    return SimpleNamespace(m=[np.zeros_like(p) for p in params],
+                           v=[np.zeros_like(p) for p in params], t=0)
 
 
 def _reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999,
@@ -471,7 +460,7 @@ def _reference_train(net, ds, cfg):
     tr, te = ds.subset(perm[:cut]), ds.subset(perm[cut:])
     net = clone_network(net)
     params = parameters(net)
-    state = AdamState.for_params(params)
+    state = _reference_state(params)
     train_losses, test_losses = [], []
     for _ in range(cfg.epochs):
         perm = _reference_shuffle(rng, tr.size)
@@ -519,24 +508,17 @@ class TestFastStepMatchesReference:
         rng = np.random.default_rng(11)
         shapes = [(4, 3), (4,), (1, 4), (1,)]
         params = [rng.normal(size=s) for s in shapes]
-        ref_state = AdamState.for_params(params)
+        ref_state = _reference_state(params)
         flat = np.concatenate(params, axis=None)
-        state = AdamState.for_params([flat])
+        state = AdamState.for_params(flat)
         for _ in range(50):
             grads = [rng.normal(scale=rng.uniform(1e-3, 10.0), size=s) for s in shapes]
             params = _reference_adam_step(ref_state, params, grads, 1e-2)
-            (flat,) = adam_step(state, [flat], [np.concatenate(grads, axis=None)], 1e-2)
+            adam_step(state, flat, np.concatenate(grads, axis=None), 1e-2)
             assert_array_equal(flat, np.concatenate(params, axis=None))
-        assert_array_equal(state.m[0], np.concatenate(ref_state.m, axis=None))
-        assert_array_equal(state.v[0], np.concatenate(ref_state.v, axis=None))
+        assert_array_equal(state.m, np.concatenate(ref_state.m, axis=None))
+        assert_array_equal(state.v, np.concatenate(ref_state.v, axis=None))
         assert state.t == ref_state.t == 50
-
-    def test_adam_returns_new_arrays(self):
-        p = [np.array([1.0, 2.0])]
-        st = AdamState.for_params(p)
-        new = adam_step(st, p, [np.array([0.5, -0.5])], lr=1e-3)
-        assert new[0] is not p[0]
-        assert_array_equal(p[0], [1.0, 2.0])
 
 
 KINDS = ["fnn", "ma", "lse", "pma", "plse"]
