@@ -136,6 +136,9 @@ class ExperimentConfig:
     def __post_init__(self):
         self.dims = tuple((int(n), int(m)) for n, m in self.dims)
         self.kinds = tuple(self.kinds)
+        for key in ("kinds", "dims"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} list is empty")
         for seed in self.seeds:
             check_count("seeds", seed, ConfigError, minimum=0)
         self.seeds = tuple(int(s) for s in self.seeds)

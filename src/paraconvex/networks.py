@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
@@ -243,8 +244,11 @@ class Bank:
             )
         if self.I < 1:
             raise ValueError("need at least one plane")
-        if self.T is not None and not self.T > 0:
-            raise ValueError("temperature must be positive")
+        T = self.T
+        if T is not None and (
+            isinstance(T, bool) or not isinstance(T, numbers.Real) or not 0 < T < np.inf
+        ):
+            raise ValueError(f"temperature must be a positive finite number, got {T!r}")
 
     @property
     def parameterized(self) -> bool:

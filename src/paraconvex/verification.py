@@ -118,6 +118,8 @@ def convexity_violation(
 def _convexity_violation(values_at, n, m, x_samples, u_pairs, rng):
     """convexity_violation for values_at(X) -> f, where f(U) evaluates the
     function at the rows of U, grouped u_pairs rows per condition of X."""
+    check_count("x_samples", x_samples)
+    check_count("u_pairs", u_pairs)
     X = rng.uniform_in(-1.0, 1.0, x_samples * n).reshape(-1, n)
     U1 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(-1, m)
     U2 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(-1, m)
@@ -132,13 +134,15 @@ def _convexity_violation(values_at, n, m, x_samples, u_pairs, rng):
 
 
 def _embedded_bank_values(net: Network, X: np.ndarray, u_pairs: int):
-    """pma/plse f(U), equal to forward_batch(net, np.repeat(X, u_pairs,
-    axis=0), U): the bank's net runs once per condition of X and its banks
-    are repeated, scored as forward_batch scores them."""
-    A_u, c = (np.repeat(v, u_pairs, axis=0) for v in u_bank_batch(net, X))
+    """pma/plse f(U), bit-equal to forward_batch(net, np.repeat(X, u_pairs,
+    axis=0), U): the bank's net runs once per condition of X, and that bank
+    is broadcast over the condition's u_pairs rows of U, not repeated."""
+    A_u, c = u_bank_batch(net, X)
 
     def f(U):
-        v = bank_values(np.einsum("bim,bm->bi", A_u, U) + c, net.T)
+        S = np.einsum("xim,xpm->xpi", A_u, U.reshape(len(X), u_pairs, -1))
+        S += c[:, None]
+        v = bank_values(S.reshape(-1, net.I), net.T)
         if not np.isfinite(v).all():
             raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
         return v

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from paraconvex.bench import (
+    BenchmarkReport,
     ExperimentConfig,
     RunResult,
     export_artifacts,
@@ -87,6 +88,11 @@ class TestConfig:
             ExperimentConfig(seeds=())
         with pytest.raises(ConfigError):
             ExperimentConfig(surface_resolution=1)
+
+    @pytest.mark.parametrize("key", ["kinds", "dims"])
+    def test_empty_list_rejected_in_code(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} list is empty$"):
+            ExperimentConfig(**{key: ()})
 
     def test_budget_small_dims_untrimmed(self):
         cfg = ExperimentConfig()
@@ -424,8 +430,8 @@ class TestExportReport:
         assert float(row[1]) >= 0
 
     def test_empty_kinds_header_only(self, tmp_path):
-        cfg = ExperimentConfig(dims=((1, 1),), kinds=())
-        report = run_benchmark(cfg)
+        # a config refuses an empty kinds list, so the report is built directly
+        report = BenchmarkReport(cells=[], metadata={"dims": [[1, 1]], "kinds": []})
         export_report(report, tmp_path)
         lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert len(lines) == 1

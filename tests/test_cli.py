@@ -169,6 +169,17 @@ class TestSolve:
         assert rc == 2 and out == ""
         assert err == "error: malformed model JSON: n must be an integer, got True\n"
 
+    @pytest.mark.parametrize("T", [True, float("inf"), "0.1"])
+    def test_bad_temperature_is_malformed(self, tmp_path, capsys, T):
+        with open(os.path.join(GOLDEN, "plse_1x1_trained.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, "T": T}))
+        rc, out, err = run_cli(["solve", "--model", str(path), "--x", "0.1"], capsys)
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err == ("error: malformed model JSON: temperature must be a "
+                       f"positive finite number, got {T!r}\n")
+
     def test_negative_seed(self, model_path, capsys):
         rc, out, err = run_cli(
             ["solve", "--model", model_path, "--x", "0.1,0.1", "--seed", "-1"], capsys)

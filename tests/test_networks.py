@@ -434,6 +434,14 @@ class TestTwins:
         assert ma.mlp is lse.mlp
         assert smooth_twin(ma, T=0.5).T == 0.5
 
+    @pytest.mark.parametrize("T", [True, np.inf, np.nan, "0.1", 0.0, -0.1])
+    def test_temperature_must_be_positive_finite_number(self, T):
+        plse = _random_plse(2, 1, 4, T=0.1, seed=94)
+        with pytest.raises(ValueError, match="positive finite number"):
+            Bank(n=2, m=1, mlp=plse.mlp, T=T)
+        with pytest.raises(ValueError, match="positive finite number"):
+            smooth_twin(nonsmooth_twin(plse), T)
+
     def test_fnn_has_no_twin(self):
         rng = np.random.default_rng(93)
         net = FeedforwardNet(n=1, m=1, mlp=_random_mlp([2, 4, 1], rng))

@@ -1,6 +1,7 @@
 """Tests for the property checks and the envelope machinery."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,18 +74,46 @@ class TestCheckConvexity:
         assert report.samples == 100 * 100 * 3
 
     @pytest.mark.parametrize("kind", ["pma", "plse"])
-    @pytest.mark.parametrize("dims", [(2, 2), (5, 4)])
+    @pytest.mark.parametrize("dims", [(2, 2), (5, 4), (61, 20)])
     def test_embedded_bank_once_equals_repeated_forward(self, kind, dims):
-        # the bank built once per condition gives the violation that
-        # forward_batch on every repeated condition row gives
+        # the bank built once per condition and broadcast over its u-pairs
+        # gives, bit for bit, the violation that forward_batch on every
+        # repeated condition row gives; 61x20 at the benchmark's I and widths
         n, m = dims
-        net = init_network(kind, n, m, seed=40 + n, I=9, T=0.1, hidden=(16, 12))
+        I, hidden = (30, (64, 64)) if dims == (61, 20) else (9, (16, 12))
+        net = init_network(kind, n, m, seed=40 + n, I=I, T=0.1, hidden=hidden)
         report = check_convexity(net, x_samples=30, u_pairs=40, seed=3)
         viol, count = convexity_violation(
             lambda X, U: forward_batch(net, X, U), n, m, 30, 40, Rng(3)
         )
         assert report.max_violation == viol
         assert report.samples == count == 30 * 40 * 3
+
+    def test_peak_memory_at_benchmark_dims(self):
+        # 60.5 MB when each condition's (30, 20) bank was repeated over its
+        # 100 u-pairs; about 10.6 MB broadcast (NumPy 2.4, Python 3.11)
+        net = init_network("plse", 61, 20, seed=3)
+        check_convexity(net, x_samples=2, u_pairs=2)  # first-call allocations
+        tracemalloc.start()
+        try:
+            check_convexity(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("field, value", [
+        ("x_samples", 0), ("x_samples", -1), ("x_samples", 2.5),
+        ("u_pairs", 0), ("u_pairs", True),
+    ])
+    def test_sample_counts_checked(self, field, value):
+        counts = {"x_samples": 3, "u_pairs": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            check_convexity(init_network("plse", 1, 1, seed=7), **counts)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            check_convexity(init_network("ma", 1, 1, seed=7), **counts)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            convexity_violation(lambda X, U: U[:, 0], 1, 1, rng=Rng(0), **counts)
 
     def test_fnn_rejected(self):
         net = init_network("fnn", 1, 1, seed=7)
