@@ -22,6 +22,7 @@ its line number, before any cell trains.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import platform
 import time
@@ -32,7 +33,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatch, TrainingDiverged
 from .networks import Network, forward_batch, save_model
-from .numerics import BoxDomain, Rng, check_count, sample_uniform_box
+from .numerics import BoxDomain, Rng, check_count, check_temperature, sample_uniform_box
 from .solver import STATUSES, SolveOptions, minimize_batch
 from .training import (
     Dataset,
@@ -148,14 +149,15 @@ class ExperimentConfig:
             if kind not in ALL_KINDS:
                 raise ConfigError(f"unknown kind {kind!r}")
         for key, low in (("d", 10), ("planes", 1), ("surface_resolution", 2)):
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be >= {low}")
+            check_count(key, getattr(self, key), ConfigError, minimum=low)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        if not self.temperature > 0:
+        # a value below range gets the short message the other keys give
+        if isinstance(self.temperature, numbers.Real) and not self.temperature > 0:
             raise ConfigError("temperature must be positive")
-        if any(h < 1 for h in self.hidden):
-            raise ConfigError("hidden widths must be >= 1")
+        check_temperature(self.temperature, ConfigError)
+        for h in self.hidden:
+            check_count("hidden widths", h, ConfigError)
         # the training keys fail here, before any cell trains
         TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
                     batch_size=self.batch_size, split_ratio=self.split_ratio)
@@ -449,22 +451,17 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
 # --- exports -----------------------------------------------------------------
 
 
-def surface_dump(net, resolution: int, path) -> None:
-    """CSV grid (x, u, value) over [-1, 1]^2 for a 1x1 net or a batch
-    callable f(X, U) -> values."""
+def surface_dump(net: Network, resolution: int, path) -> None:
+    """CSV grid (x, u, value) over [-1, 1]^2 for a 1x1 net."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if hasattr(net, "kind"):
-        if net.n != 1 or net.m != 1:
-            raise DimensionMismatch("surface dumps need n = m = 1")
-        fn = lambda X, U: forward_batch(net, X, U)
-    else:
-        fn = net
+    if net.n != 1 or net.m != 1:
+        raise DimensionMismatch("surface dumps need n = m = 1")
     axis = np.linspace(-1.0, 1.0, resolution)
     Xg, Ug = np.meshgrid(axis, axis, indexing="ij")
     X = Xg.reshape(-1, 1)
     U = Ug.reshape(-1, 1)
-    vals = np.asarray(fn(X, U), dtype=np.float64)
+    vals = forward_batch(net, X, U)
     with open(path, "w") as fh:
         fh.write("x,u,f\n")
         for xv, uv, fv in zip(X[:, 0], U[:, 0], vals):

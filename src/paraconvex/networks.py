@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
@@ -39,7 +38,7 @@ from .exceptions import (
     NumericOverflow,
     UnsupportedNetwork,
 )
-from .numerics import check_count
+from .numerics import check_count, check_temperature
 
 FORMAT_VERSION = 1
 
@@ -244,11 +243,8 @@ class Bank:
             )
         if self.I < 1:
             raise ValueError("need at least one plane")
-        T = self.T
-        if T is not None and (
-            isinstance(T, bool) or not isinstance(T, numbers.Real) or not 0 < T < np.inf
-        ):
-            raise ValueError(f"temperature must be a positive finite number, got {T!r}")
+        if self.T is not None:
+            check_temperature(self.T)
 
     @property
     def parameterized(self) -> bool:
@@ -435,14 +431,6 @@ def subgrad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 # --- twins and copies ------------------------------------------------------
-
-
-def smooth_twin(net: Network, T: float) -> Network:
-    """The log-sum-exp bank at temperature T sharing the given bank's
-    coefficients (ma -> lse, pma -> plse)."""
-    if isinstance(net, FeedforwardNet):
-        raise UnsupportedNetwork("fnn has no log-sum-exp twin")
-    return dataclasses.replace(net, T=T)
 
 
 def nonsmooth_twin(net: Network) -> Network:

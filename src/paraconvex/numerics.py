@@ -177,3 +177,9 @@ def check_count(name: str, value, error=ValueError, minimum: int = 1) -> None:
         raise error(f"{name} must be >= {minimum}")
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_temperature(T, error=ValueError) -> None:
+    """Raise `error` unless T is a positive finite real number, not a bool."""
+    if isinstance(T, bool) or not isinstance(T, numbers.Real) or not 0 < T < np.inf:
+        raise error(f"temperature must be a positive finite number, got {T!r}")

@@ -44,10 +44,19 @@ from .networks import (
 )
 from .numerics import BoxDomain, Rng, check_count, sample_uniform_box
 
+# the backtracking line search of every projected-gradient core: a row's
+# first step, the cut on each rejection and Armijo's sufficient-decrease
+# constant c1 (Nocedal & Wright, ch. 3); a step below _MIN_STEP underflows
+_INITIAL_STEP = 1.0
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
 _MIN_STEP = 1e-18
 # line-search candidates scored per lse/plse sweep: three rungs end 98% of
 # accepted steps on the serve-61x20 plse models; four timed no faster
 _LADDER = 3
+# rung k's share of a row's step, _BACKTRACK**k: a power of two, so the
+# product with the step is exact and equals k serial cuts
+_RUNGS = _BACKTRACK ** np.arange(_LADDER)
 # share of the way to the boundary an interior-point step takes
 _TO_BOUNDARY = 0.99
 _EPS = np.finfo(np.float64).eps
@@ -66,9 +75,6 @@ class SolveOptions:
     # bound on ma/pma, the projected-gradient residual on lse/plse, and on
     # fnn both that residual and the value drop of an accepted move
     grad_tolerance: float = 1e-6
-    initial_step: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
     restarts: int = 16
     seed: int = 0
     keep_trace: bool = False
@@ -79,12 +85,6 @@ class SolveOptions:
         check_count("seed", self.seed, minimum=0)
         if not 0.0 < self.grad_tolerance < np.inf:
             raise ValueError("grad_tolerance must be finite and positive")
-        if not 0.0 < self.initial_step < np.inf:
-            raise ValueError("initial_step must be finite and positive")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        if not (0.0 < self.armijo < 1.0):
-            raise ValueError("armijo constant must lie in (0, 1)")
 
 
 @dataclass
@@ -141,13 +141,13 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
     c (B, I) in the `live` rows, from the box centre.
 
     A row's line search starts from its own step s, doubled on acceptance
-    and cut by `backtrack` on each rejection; an accepted candidate's
-    softmax gives the gradient there. Each sweep scores a ladder of _LADDER
-    candidates per active row at once, the steps s, backtrack*s, ... a
-    serial backtracking loop would try in turn, and takes the first rung
-    where that loop stops trying: an Armijo acceptance, a non-finite value
-    (the row fails), or a rejection whose next step underflows; else the
-    last rung's rejection. Convergence and the cap cannot change between
+    and halved on each rejection; an accepted candidate's softmax gives the
+    gradient there. Each sweep scores a ladder of _LADDER candidates per
+    active row at once, the steps s, s/2, s/4, ... a serial backtracking
+    loop would try in turn, and takes the first rung where that loop stops
+    trying: an Armijo acceptance, a non-finite value (the row fails), or a
+    rejection whose next step underflows; else the last rung's rejection.
+    Convergence and the cap cannot change between
     rejections, so the iterates, their count and every status are those of
     one candidate per sweep, in fewer sweeps. A row stops when its
     projected-gradient residual at a unit step is at most grad_tolerance *
@@ -165,7 +165,7 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
     if traces is not None:
         for r, v in zip(rows, f):
             traces[r].append(float(v))
-    s = np.full(len(rows), opts.initial_step)
+    s = np.full(len(rows), _INITIAL_STEP)
     bad = ~np.isfinite(f)
     while rows.size:
         r = u - np.minimum(np.maximum(u - g, lo), hi)  # unit reference step
@@ -188,20 +188,17 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
             if not rows.size:
                 break
         k = rows.size
-        # repeated products, so each rung has the bits of the serial step
-        steps = np.empty((k, _LADDER))
-        steps[:, 0], steps[:, 1:] = s, opts.backtrack
-        np.multiply.accumulate(steps, axis=1, out=steps)
+        steps = s[:, None] * _RUNGS
         cand = u[:, None] - steps[:, :, None] * g[:, None]
         cand = np.minimum(np.maximum(cand, lo), hi)
         # (I, m) @ (m, 1) per rung, the product one candidate per row takes
         S = (A[:, None] @ cand[:, :, :, None])[..., 0] + c[:, None]
         f_cand, p = lse_and_softmax(S.reshape(k * _LADDER, -1), T)
         f_cand = f_cand.reshape(k, _LADDER)
-        accept = f_cand <= f[:, None] + opts.armijo * np.add.reduce(
+        accept = f_cand <= f[:, None] + _ARMIJO * np.add.reduce(
             g[:, None] * (cand - u[:, None]), axis=2)
         bad = ~np.isfinite(f_cand)
-        ends = accept | bad | (opts.backtrack * steps < _MIN_STEP)
+        ends = accept | bad | (_BACKTRACK * steps < _MIN_STEP)
         ends[:, -1] = True
         pick = (np.arange(k), ends.argmax(axis=1))
         accept, bad, step = accept[pick], bad[pick], steps[pick]
@@ -210,7 +207,7 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
         P = p.reshape(k, _LADDER, -1)[pick]
         np.copyto(g, _bank_grad(P, A), where=accept[:, None])
         it += accept
-        s = np.where(accept, 2.0 * step, opts.backtrack * step)
+        s = np.where(accept, 2.0 * step, _BACKTRACK * step)
         if traces is not None:
             for r, v in zip(rows[accept], f[accept]):
                 traces[r].append(float(v))
@@ -364,7 +361,7 @@ def _multistart_batch(net, X, domain, opts, traces):
     fs, G = f0.copy(), g0[:, n:].copy()
     bad = ~np.isfinite(fs)
     failed = bad.reshape(B, R).any(axis=1) if bad.any() else None
-    steps = np.full(B * R, opts.initial_step)
+    steps = np.full(B * R, _INITIAL_STEP)
     done = np.zeros(B * R, dtype=bool)
     scratch, C = np.empty_like(Us), np.empty_like(Us)
     best_u = np.zeros((B, m))
@@ -398,7 +395,7 @@ def _multistart_batch(net, X, domain, opts, traces):
             failed = bad if failed is None else failed | bad
         np.subtract(cand, u, out=t)
         t *= g
-        decrease = f_cand <= f + opts.armijo * np.add.reduce(t, axis=1)
+        decrease = f_cand <= f + _ARMIJO * np.add.reduce(t, axis=1)
         move = decrease & ~d
         tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
         flat = move & (f - f_cand <= tol)
@@ -406,7 +403,7 @@ def _multistart_batch(net, X, domain, opts, traces):
         np.copyto(f, f_cand, where=move)
         np.copyto(g, g_cand[:, n:], where=move[:, None])
         s[move] *= 2.0
-        s[~decrease & ~d] *= opts.backtrack
+        s[~decrease & ~d] *= _BACKTRACK
         d |= flat | (s < _MIN_STEP)
         if traces is not None:
             for b, v in zip(conds, f.reshape(-1, R).min(axis=1)):

@@ -80,9 +80,6 @@ class TrainConfig:
     batch_size: int = 64
     split_ratio: float = 0.9
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         check_count("epochs", self.epochs, ConfigError)
@@ -92,10 +89,6 @@ class TrainConfig:
             raise ConfigError("split_ratio must lie strictly between 0 and 1")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ConfigError("adam_eps must be positive")
 
 
 @dataclass
@@ -171,21 +164,13 @@ def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray,
         return float(np.mean(r * r))
 
 
-def parameters(net: Network) -> list:
-    """Live references to the trainable arrays, in the frozen canonical order:
-    the layers of net.mlp interleaved, [W0, b0, W1, b1, ...]."""
-    return net.mlp.arrays()
-
-
 class TrainWorkspace:
     """A net's buffers for steps over up to `rows` rows and loss passes over
-    up to `loss_rows`: `grads`, an MlpParams shaped like the net, and its
-    layers in parameters(net) order, `grad_arrays`; the step's MlpWorkspace
-    `mlp`; and mlp_forward_batch's buffers `loss`."""
+    up to `loss_rows`: `grads`, an MlpParams shaped like the net; the step's
+    MlpWorkspace `mlp`; and mlp_forward_batch's buffers `loss`."""
 
     def __init__(self, net: Network, rows: int, loss_rows: int = 0):
         self.grads = MlpParams(net.mlp.weights, net.mlp.biases)  # each step overwrites it
-        self.grad_arrays = self.grads.arrays()
         self.mlp = MlpWorkspace(net.mlp, rows)
         self.loss = layer_buffers(net.mlp, loss_rows)
 
@@ -193,11 +178,12 @@ class TrainWorkspace:
 def weight_gradients(
     net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray,
     ws: TrainWorkspace | None = None,
-) -> list:
-    """Gradient of mse_loss w.r.t. parameters(net), same order and shapes.
+) -> MlpParams:
+    """Gradient of mse_loss w.r.t. the parameters of net.mlp, as a net of
+    the same shapes.
 
-    Returns the `grad_arrays` of `ws`, or of a workspace made for the call,
-    views of its `grads.flat`, valid until its next step or Adam update.
+    Returns the `grads` of `ws`, or of a workspace made for the call, valid
+    until its next step or Adam update.
 
     The max in ma/pma routes gradient to the active plane only (lowest index
     on ties), the standard subgradient choice for max-affine training.
@@ -214,7 +200,7 @@ def weight_gradients(
     # the train loop's loss check owns that failure, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
         _weight_gradients(net, X, U, y, B, ws)
-    return ws.grad_arrays
+    return ws.grads
 
 
 def _weight_gradients(net, X, U, y, B, ws):
@@ -245,6 +231,10 @@ def _weight_gradients(net, X, U, y, B, ws):
 
 # --- Adam ------------------------------------------------------------------
 
+# Adam's moment decay rates and denominator guard, as published (Kingma &
+# Ba, 2015)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -261,10 +251,10 @@ class AdamState:
         return AdamState(m=np.zeros_like(p), v=np.zeros_like(p))
 
 
-def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update of p in place; advances state and
-    overwrites g with the step, allocating nothing.
+def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float) -> None:
+    """One bias-corrected Adam update of p in place with the published
+    constants; advances state and overwrites g with the step, allocating
+    nothing.
 
     The moments are updated in place and the step is formed in g and the
     state's scratch, with the rounding of p - lr * m_hat / (sqrt(v_hat) + eps)
@@ -274,7 +264,7 @@ def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float,
     if p.shape != g.shape or p.shape != state.m.shape:
         raise DimensionMismatch(f"shapes {p.shape}, {g.shape}, {state.m.shape} disagree")
     state.t += 1
-    t = state.t
+    t, beta1, beta2 = state.t, _BETA1, _BETA2
     c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
     m, v, scratch = state.m, state.v, state.scratch
     np.multiply(g, 1.0 - beta1, out=scratch)
@@ -286,7 +276,7 @@ def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float,
     v += scratch  # beta2 * v + (1 - beta2) * (g * g)
     np.divide(v, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += eps  # sqrt(v_hat) + eps
+    scratch += _EPS  # sqrt(v_hat) + eps
     np.divide(m, c1, out=g)
     g *= lr
     g /= scratch  # lr * m_hat / (sqrt(v_hat) + eps)
@@ -333,8 +323,7 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[Network, TrainRe
             idx = perm[start : start + cfg.batch_size]
             weight_gradients(net, train_ds.X[idx], train_ds.U[idx],
                              train_ds.y[idx], ws)
-            adam_step(state, net.mlp.flat, ws.grads.flat, cfg.learning_rate,
-                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            adam_step(state, net.mlp.flat, ws.grads.flat, cfg.learning_rate)
         try:
             tr = mse_loss(net, train_ds.X, train_ds.U, train_ds.y, ws)
             te = mse_loss(net, test_ds.X, test_ds.U, test_ds.y, ws)

@@ -27,7 +27,6 @@ from paraconvex.solver import minimize
 from paraconvex.training import (
     init_network,
     mse_loss,
-    parameters,
     weight_gradients,
 )
 from paraconvex.verification import (
@@ -101,9 +100,9 @@ def _fd_weight_error(kind: str, trial: int, h: float = 1e-6) -> float:
         scores = np.sort(batch_scores(net, X, U), axis=1)
         if np.min(scores[:, -1] - scores[:, -2]) > 1e-3:
             break
-    grads = weight_gradients(net, X, U, y)
+    grads = weight_gradients(net, X, U, y).arrays()
     worst = 0.0
-    for p, g in zip(parameters(net), grads):
+    for p, g in zip(net.mlp.arrays(), grads):
         fd = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:

@@ -169,6 +169,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("line,message", [
         ("temperature = -1", "temperature must be positive"),
+        ("temperature = inf", "temperature must be a positive finite number, got inf"),
         ("split_ratio = 1.5", "split_ratio must lie strictly between 0 and 1"),
         ("epochs = 0", "epochs must be >= 1"),
         ("batch_size = 0", "batch_size must be >= 1"),
@@ -182,6 +183,19 @@ class TestConfig:
             parse_experiment_config("kinds = ma\n" + line + "\n")
         key, _, value = line.partition(" = ")
         value = tuple(int(v) for v in value.split(",")) if key == "hidden" else float(value)
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            ExperimentConfig(**{key: value})
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("d", 100.5, "d must be an integer, got 100.5"),
+        ("planes", 2.5, "planes must be an integer, got 2.5"),
+        ("surface_resolution", 2.5, "surface_resolution must be an integer, got 2.5"),
+        ("hidden", (8.5,), "hidden widths must be an integer, got 8.5"),
+        ("temperature", True, "temperature must be a positive finite number, got True"),
+        ("temperature", "0.1", "temperature must be a positive finite number, got '0.1'"),
+    ])
+    def test_bad_value_rejected_in_code(self, key, value, message):
+        # values no config line parses to, rejected before any cell trains
         with pytest.raises(ConfigError, match=rf"^{message}$"):
             ExperimentConfig(**{key: value})
 
@@ -367,12 +381,16 @@ class TestRunBenchmark:
 
 class TestSurfaceDump:
     def test_row_count_and_header(self, tmp_path):
-        net = Bank(n=1, m=1, mlp=MlpParams([np.array([[1.0, 1.0]])], [np.zeros(1)]))
+        # one plane, f = x + 2u, so the columns show which axis is which
+        net = Bank(n=1, m=1, mlp=MlpParams([np.array([[1.0, 2.0]])], [np.zeros(1)]))
         path = tmp_path / "surf.csv"
         surface_dump(net, 3, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "x,u,f"
         assert len(lines) == 1 + 9
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        table = {(r[0], r[1]): r[2] for r in rows}
+        assert table[(-1.0, 0.0)] == -1.0 and table[(0.0, 1.0)] == 2.0
 
     def test_constant_net(self, tmp_path):
         net = Bank(n=1, m=1, mlp=MlpParams([np.zeros((1, 2))], [np.array([2.5])]))
@@ -380,16 +398,6 @@ class TestSurfaceDump:
         surface_dump(net, 4, path)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.all(rows[:, 2] == 2.5)
-
-    def test_target_saddle(self, tmp_path):
-        path = tmp_path / "surf.csv"
-        surface_dump(target_batch, 3, path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        table = {(r[0], r[1]): r[2] for r in rows}
-        assert table[(-1.0, 0.0)] == -0.5
-        assert table[(1.0, 0.0)] == -0.5
-        assert table[(0.0, -1.0)] == 0.5
-        assert table[(0.0, 1.0)] == 0.5
 
     def test_wrong_dims_rejected(self, tmp_path):
         net = Bank(n=2, m=1, mlp=MlpParams([np.ones((1, 3))], [np.zeros(1)]))

@@ -1,5 +1,6 @@
 """Tests for forward evaluation, u-differentiation, twins, serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,7 +25,6 @@ from paraconvex.networks import (
     model_from_json,
     model_to_json,
     nonsmooth_twin,
-    smooth_twin,
     subgrad_u,
     u_bank_batch,
 )
@@ -135,7 +135,7 @@ class TestFlatParameters:
     def test_twins_share_flat(self):
         net = self._net()
         pma = nonsmooth_twin(net)
-        plse = smooth_twin(pma, T=0.5)
+        plse = dataclasses.replace(pma, T=0.5)
         assert pma.mlp.flat is net.mlp.flat and plse.mlp.flat is net.mlp.flat
         before = forward_batch(pma, *self._rows())
         net.mlp.flat *= 2.0
@@ -235,7 +235,7 @@ class TestForward:
         assert forward(net, np.array([0.0]), np.array([-0.8])) == 0.8
 
     def test_plse_equal_arguments(self):
-        net = smooth_twin(_two_plane_pma(), T=0.1)
+        net = dataclasses.replace(_two_plane_pma(), T=0.1)
         got = forward(net, np.array([0.0]), np.array([0.0]))
         assert_allclose(got, 0.1 * np.log(2.0), rtol=1e-12)
 
@@ -289,7 +289,7 @@ class TestGradU:
         assert_allclose(grad_u(net, np.array([1.0]), np.array([0.3])), [2.0])
 
     def test_symmetric_bank_cancels(self):
-        net = smooth_twin(_two_plane_pma(), T=0.1)
+        net = dataclasses.replace(_two_plane_pma(), T=0.1)
         assert_allclose(grad_u(net, np.array([0.0]), np.array([0.0])), [0.0], atol=1e-15)
 
     def test_matches_finite_differences(self):
@@ -425,14 +425,14 @@ class TestTwins:
         plse = _random_plse(2, 1, 4, T=0.1, seed=91)
         pma = nonsmooth_twin(plse)
         assert pma.mlp is plse.mlp
-        back = smooth_twin(pma, T=0.25)
+        back = dataclasses.replace(pma, T=0.25)
         assert back.T == 0.25 and back.mlp is plse.mlp
 
     def test_bank_twins(self):
         lse = _random_lse(2, 1, 4, T=0.1, seed=92)
         ma = nonsmooth_twin(lse)
         assert ma.mlp is lse.mlp
-        assert smooth_twin(ma, T=0.5).T == 0.5
+        assert dataclasses.replace(ma, T=0.5).T == 0.5
 
     @pytest.mark.parametrize("T", [True, np.inf, np.nan, "0.1", 0.0, -0.1])
     def test_temperature_must_be_positive_finite_number(self, T):
@@ -440,13 +440,13 @@ class TestTwins:
         with pytest.raises(ValueError, match="positive finite number"):
             Bank(n=2, m=1, mlp=plse.mlp, T=T)
         with pytest.raises(ValueError, match="positive finite number"):
-            smooth_twin(nonsmooth_twin(plse), T)
+            dataclasses.replace(nonsmooth_twin(plse), T=T)
 
     def test_fnn_has_no_twin(self):
         rng = np.random.default_rng(93)
         net = FeedforwardNet(n=1, m=1, mlp=_random_mlp([2, 4, 1], rng))
         with pytest.raises(UnsupportedNetwork):
-            smooth_twin(net, 0.1)
+            nonsmooth_twin(net)
 
 
 class TestSerialization:

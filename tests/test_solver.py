@@ -1,5 +1,7 @@
 """Tests for the solver routes, their certificates and the batch contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -18,7 +20,6 @@ from paraconvex.networks import (
     lse_and_softmax,
     mlp_forward_batch,
     shifted_lse,
-    smooth_twin,
     u_bank_batch,
 )
 from paraconvex.numerics import BoxDomain, Rng, grid_minimize, sample_uniform_box
@@ -77,17 +78,10 @@ class TestSolveOptions:
         [
             {"max_iters": 0},
             {"grad_tolerance": 0.0},
-            {"initial_step": -1.0},
-            {"backtrack": 1.0},
-            {"armijo": 0.0},
             {"max_iters": -1},
             {"grad_tolerance": float("nan")},
-            {"backtrack": 0.0},
-            {"armijo": 1.0},
             {"restarts": 0},
             {"grad_tolerance": float("inf")},
-            {"initial_step": float("inf")},
-            {"initial_step": float("nan")},
             {"max_iters": float("nan")},
             {"max_iters": float("inf")},
             {"max_iters": 2.5},
@@ -219,7 +213,7 @@ class TestMinimizePma:
         dom = BoxDomain.symmetric(1)
         res = minimize(net, x, dom)
         for T in (0.1, 0.01, 1e-3, 1e-4):
-            twin = smooth_twin(net, T)
+            twin = dataclasses.replace(net, T=T)
             gap = forward(twin, x, res.u_star) - res.value
             assert -1e-9 <= gap <= T * np.log(net.I) + 1e-9
             smooth = minimize(twin, x, dom)
@@ -656,7 +650,7 @@ def _two_pass_pg_batch(A, c, live, T, domain, opts, traces):
             return (p[:, None, :] @ A_b)[:, 0, :]
 
         u = U[b : b + 1]
-        f, g, s = value(u), grad(u), opts.initial_step
+        f, g, s = value(u), grad(u), solver_module._INITIAL_STEP
         if traces is not None:
             traces[b].append(float(f))
         while iters[b] < opts.max_iters:
@@ -669,13 +663,13 @@ def _two_pass_pg_batch(A, c, live, T, domain, opts, traces):
                 break
             cand = np.clip(u - s * g, lo, hi)
             f_cand = value(cand)
-            if f_cand <= f + opts.armijo * np.sum(g * (cand - u), axis=1)[0]:
+            if f_cand <= f + solver_module._ARMIJO * np.sum(g * (cand - u), axis=1)[0]:
                 u, f, g, s = cand, f_cand, grad(cand), 2.0 * s
                 iters[b] += 1
                 if traces is not None:
                     traces[b].append(float(f))
             else:
-                s *= opts.backtrack
+                s *= solver_module._BACKTRACK
         U[b], G[b] = u[0], g[0]
     return U, G, iters, status
 
@@ -690,7 +684,7 @@ def _two_pass_multistart(net, x, domain, opts, relative_stop=True):
     X = np.tile(x, (R, 1))
     Us = sample_uniform_box(domain, R, Rng(opts.seed))
     fs = forward_batch(net, X, Us)
-    steps = np.full(R, opts.initial_step)
+    steps = np.full(R, solver_module._INITIAL_STEP)
     done = np.zeros(R, dtype=bool)
     trace = [float(fs.min())]
     for sweep in range(1, opts.max_iters + 1):
@@ -699,14 +693,14 @@ def _two_pass_multistart(net, x, domain, opts, relative_stop=True):
         done |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs))
         cand = np.clip(Us - steps[:, None] * G, lo, hi)
         f_cand = forward_batch(net, X, cand)
-        decrease = f_cand <= fs + opts.armijo * np.sum(G * (cand - Us), axis=1)
+        decrease = f_cand <= fs + solver_module._ARMIJO * np.sum(G * (cand - Us), axis=1)
         move = decrease & ~done
         tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
         flat = move & (fs - f_cand <= tol)
         flat &= relative_stop
         Us[move], fs[move] = cand[move], f_cand[move]
         steps[move] *= 2.0
-        steps[~decrease & ~done] *= opts.backtrack
+        steps[~decrease & ~done] *= solver_module._BACKTRACK
         done |= flat | (steps < 1e-18)
         trace.append(float(fs.min()))
         if done.all():
@@ -830,7 +824,7 @@ def _allocating_multistart_batch(net, X, domain, opts, traces):
     Us = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))
     fs, G, bad = trace(X_rep, Us)
     failed = None if bad is None else bad.reshape(B, R).any(axis=1)
-    steps = np.full(B * R, opts.initial_step)
+    steps = np.full(B * R, solver_module._INITIAL_STEP)
     done = np.zeros(B * R, dtype=bool)
     best_u, sweeps = np.zeros((B, m)), np.zeros(B, dtype=np.int64)
     status = np.full(B, solver_module._FAILED)
@@ -846,13 +840,13 @@ def _allocating_multistart_batch(net, X, domain, opts, traces):
         if bad is not None:
             bad = bad.reshape(-1, R).any(axis=1)
             failed = bad if failed is None else failed | bad
-        decrease = f_cand <= fs + opts.armijo * (G * (cand - Us)).sum(axis=1)
+        decrease = f_cand <= fs + solver_module._ARMIJO * (G * (cand - Us)).sum(axis=1)
         move = decrease & ~done
         tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
         flat = move & (fs - f_cand <= tol)
         Us[move], fs[move], G[move] = cand[move], f_cand[move], G_cand[move]
         steps[move] *= 2.0
-        steps[~decrease & ~done] *= opts.backtrack
+        steps[~decrease & ~done] *= solver_module._BACKTRACK
         done |= flat | (steps < 1e-18)
         if traces is not None:
             for b, v in zip(conds, fs.reshape(-1, R).min(axis=1)):
@@ -960,7 +954,7 @@ class TestMultistartWorkspace:
 
 def _serial_pg_batch(A, c, live, T, domain, opts, traces):
     """`_pg_batch` scoring one candidate per row and sweep: a rejection cuts
-    the row's step by `backtrack` and the next sweep tries again. The
+    the row's step by _BACKTRACK and the next sweep tries again. The
     reference the ladder must reproduce bit for bit, in more sweeps."""
     lo, hi = domain.lower, domain.upper
     U, iters, status, rows = solver_module._start(live, domain)
@@ -971,7 +965,7 @@ def _serial_pg_batch(A, c, live, T, domain, opts, traces):
     if traces is not None:
         for r, v in zip(rows, f):
             traces[r].append(float(v))
-    s = np.full(len(rows), opts.initial_step)
+    s = np.full(len(rows), solver_module._INITIAL_STEP)
     bad = ~np.isfinite(f)
     while rows.size:
         r = u - np.minimum(np.maximum(u - g, lo), hi)
@@ -997,11 +991,11 @@ def _serial_pg_batch(A, c, live, T, domain, opts, traces):
         cand = np.minimum(np.maximum(u - s[:, None] * g, lo), hi)
         f_cand, p = lse_and_softmax(solver_module._bank_scores(A, cand, c), T)
         bad = ~np.isfinite(f_cand)
-        accept = f_cand <= f + opts.armijo * (g * (cand - u)).sum(axis=1)
+        accept = f_cand <= f + solver_module._ARMIJO * (g * (cand - u)).sum(axis=1)
         u[accept], f[accept] = cand[accept], f_cand[accept]
         g[accept] = solver_module._bank_grad(p[accept], A[accept])
         it[accept] += 1
-        s = np.where(accept, 2.0 * s, opts.backtrack * s)
+        s = np.where(accept, 2.0 * s, solver_module._BACKTRACK * s)
         if traces is not None:
             for r, v in zip(rows[accept], f_cand[accept]):
                 traces[r].append(float(v))
@@ -1048,31 +1042,22 @@ class TestBacktrackingLadder:
                           n=st.integers(1, 3), m=st.sampled_from([1, 3, 20]),
                           I=st.integers(1, 8), B=st.integers(1, 5),
                           seed=st.integers(0, 2**16),
-                          backtrack=st.sampled_from([0.5, 0.3, 0.7]),
                           max_iters=st.sampled_from([3, 500]),
                           keep_trace=st.booleans())
-        def check(kind, n, m, I, B, seed, backtrack, max_iters, keep_trace):
+        def check(kind, n, m, I, B, seed, max_iters, keep_trace):
             A, c, T = _bank_batch(kind, n, m, seed, I=I, B=B)
-            opts = SolveOptions(backtrack=backtrack, max_iters=max_iters,
-                                keep_trace=keep_trace)
+            opts = SolveOptions(max_iters=max_iters, keep_trace=keep_trace)
             _assert_ladder_matches_serial(A, c, T, opts)
 
         check()
 
-    @pytest.mark.parametrize("backtrack", [0.3, 0.7])
-    @pytest.mark.parametrize("keep_trace", [False, True])
-    @pytest.mark.parametrize("kind,m", [("lse", 3), ("plse", 20)])
-    def test_backtrack_not_a_power_of_two(self, kind, m, backtrack, keep_trace):
-        A, c, T = _bank_batch(kind, 2, m, seed=61)
-        opts = SolveOptions(backtrack=backtrack, keep_trace=keep_trace)
-        status = _assert_ladder_matches_serial(A, c, T, opts)
-        assert (status == solver_module._CONVERGED).all()
-
     @pytest.mark.parametrize("kind,m,seed", [
         ("lse", 3, 60), ("plse", 1, 62), ("plse", 3, 61), ("plse", 20, 61)])
-    def test_step_underflow(self, kind, m, seed):
+    def test_step_underflow(self, kind, m, seed, monkeypatch):
         A, c, T = _bank_batch(kind, 2, m, seed)
-        opts = SolveOptions(initial_step=1e-17, armijo=0.9, keep_trace=True)
+        monkeypatch.setattr(solver_module, "_INITIAL_STEP", 1e-17)
+        monkeypatch.setattr(solver_module, "_ARMIJO", 0.9)
+        opts = SolveOptions(keep_trace=True)
         status = _assert_ladder_matches_serial(A, c, T, opts)
         assert (status == solver_module._STEP_UNDERFLOW).any()
 

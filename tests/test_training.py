@@ -25,7 +25,6 @@ from paraconvex.training import (
     adam_step,
     init_network,
     mse_loss,
-    parameters,
     split_dataset,
     train,
     weight_gradients,
@@ -60,7 +59,6 @@ class TestTrainConfig:
         assert cfg.learning_rate == 1e-3
         assert cfg.batch_size == 64
         assert cfg.split_ratio == 0.9
-        assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps) == (0.9, 0.999, 1e-8)
 
     @pytest.mark.parametrize(
         "bad",
@@ -70,7 +68,6 @@ class TestTrainConfig:
             {"split_ratio": 1.0},
             {"learning_rate": 0.0},
             {"batch_size": 0},
-            {"adam_eps": 0.0},
             {"epochs": 2.5},
             {"epochs": float("nan")},
             {"epochs": float("inf")},
@@ -134,7 +131,7 @@ class TestInitNetwork:
         a = init_network("pma", 1, 1, seed=5, I=4)
         b = init_network("pma", 1, 1, seed=5, I=4)
         assert a.seed == 5
-        for p, q in zip(parameters(a), parameters(b)):
+        for p, q in zip(a.mlp.arrays(), b.mlp.arrays()):
             assert_array_equal(p, q)
 
     def test_unknown_kind(self):
@@ -201,7 +198,7 @@ class TestWeightGradients:
         net = init_network("plse", 1, 1, seed=13, I=3, hidden=(4,))
         X, U = np.array([[0.2], [-0.7]]), np.array([[0.5], [0.1]])
         y = forward_batch(net, X, U)
-        for g in weight_gradients(net, X, U, y):
+        for g in weight_gradients(net, X, U, y).arrays():
             assert_allclose(g, np.zeros_like(g), atol=1e-15)
 
     def test_plse_offset_bias_chain(self):
@@ -212,7 +209,7 @@ class TestWeightGradients:
         resid = 0.25
         y = forward_batch(net, X, U) - resid
         grads = weight_gradients(net, X, U, y)
-        out_bias_grad = grads[-1]  # embed final-layer bias, length (m+1)*I = 2
+        out_bias_grad = grads.biases[-1]  # embed final-layer bias, length (m+1)*I = 2
         assert_allclose(out_bias_grad[1], 2 * resid, rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
@@ -224,8 +221,8 @@ class TestWeightGradients:
             X = rng.uniform(-1, 1, (7, 2))
             U = rng.uniform(-1, 1, (7, 2))
             y = rng.uniform(-1, 1, 7)
-            grads = weight_gradients(net, X, U, y)
-            for p, g in zip(parameters(net), grads):
+            grads = weight_gradients(net, X, U, y).arrays()
+            for p, g in zip(net.mlp.arrays(), grads):
                 fd = np.zeros_like(p)
                 it = np.nditer(p, flags=["multi_index"])
                 for _ in it:
@@ -302,9 +299,9 @@ class TestTrain:
     def test_input_net_untouched(self):
         ds = _quadratic_dataset(1, 1, 100, 13)
         net0 = init_network("lse", 1, 1, seed=2, I=4)
-        before = [p.copy() for p in parameters(net0)]
+        before = [p.copy() for p in net0.mlp.arrays()]
         train(net0, ds, TrainConfig(epochs=2, seed=0))
-        for p, q in zip(parameters(net0), before):
+        for p, q in zip(net0.mlp.arrays(), before):
             assert_array_equal(p, q)
 
     def test_report_lengths(self):
@@ -459,7 +456,7 @@ def _reference_train(net, ds, cfg):
     cut = int(cfg.split_ratio * ds.size)
     tr, te = ds.subset(perm[:cut]), ds.subset(perm[cut:])
     net = clone_network(net)
-    params = parameters(net)
+    params = net.mlp.arrays()
     state = _reference_state(params)
     train_losses, test_losses = [], []
     for _ in range(cfg.epochs):
@@ -467,8 +464,7 @@ def _reference_train(net, ds, cfg):
         for start in range(0, tr.size, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             grads = _reference_weight_gradients(net, tr.X[idx], tr.U[idx], tr.y[idx])
-            new = _reference_adam_step(state, params, grads, cfg.learning_rate,
-                                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            new = _reference_adam_step(state, params, grads, cfg.learning_rate)
             for p, q in zip(params, new):
                 p[:] = q
         train_losses.append(mse_loss(net, tr.X, tr.U, tr.y))
@@ -489,7 +485,7 @@ class TestFastStepMatchesReference:
         ref, ref_train, ref_test = _reference_train(net0, ds, cfg)
         assert rep.train_losses == ref_train
         assert rep.test_losses == ref_test
-        for p, q in zip(parameters(net), parameters(ref)):
+        for p, q in zip(net.mlp.arrays(), ref.mlp.arrays()):
             assert p.shape == q.shape and p.flags.c_contiguous
             assert_array_equal(p, q)
         assert model_to_json(net) == model_to_json(ref)
@@ -525,7 +521,7 @@ KINDS = ["fnn", "ma", "lse", "pma", "plse"]
 
 
 def _assert_gradients_equal(net, ws, X, U, y):
-    got = weight_gradients(net, X, U, y, ws)
+    got = weight_gradients(net, X, U, y, ws).arrays()
     ref = _reference_weight_gradients(net, X, U, y)
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
