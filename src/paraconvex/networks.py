@@ -10,7 +10,11 @@ log-sum-exp smoothing ("lse"), and their parameterized versions ("pma",
 "plse"). A `FeedforwardNet` ("fnn") is an unstructured baseline on [x; u].
 
 For fixed x every bank is convex in u by construction: a max or
-log-sum-exp of functions affine in u.
+log-sum-exp of functions affine in u, and every bank is scored that way:
+`u_bank_batch` gives the coefficients A_u(x), c(x) (a fixed bank's
+x-columns fold into c) and `bank_scores` the planes A_u(x) u + c(x), for
+forward values, u-gradients, pma/plse training steps, checks and solver
+values.
 
 A net's parameters live in one float64 vector, `MlpParams.flat`, and its
 layers are reshaped views of it; that layout is decided here alone.
@@ -291,23 +295,30 @@ def _check_rows(net: Network, X, U) -> tuple[np.ndarray, np.ndarray]:
 
 def u_bank_batch(net: Network, X: np.ndarray, buffers=None) -> tuple:
     """Affine banks in u for B conditions: (A_u (B, I, m), c (B, I)), row b
-    giving the plane values A_u[b] @ u + c[b] at X[b].
+    giving the plane values A_u[b] @ u + c[b] at X[b] (see bank_scores).
 
     A fixed bank's planes share one slope matrix, returned as a read-only
     broadcast view, and the x-part of each joint plane folds into the
     offset; a parameterized bank's are its net's outputs, one forward pass
-    for all rows (in mlp_forward_batch's `buffers`).
+    for all rows. Either runs in mlp_forward_batch's `buffers`, if given,
+    and leaves overflow to the caller, as mlp_forward_batch does.
     """
     if isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork("fnn has no affine bank in u")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.n:
         raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
-    if not net.parameterized:
-        W = net.mlp.weights[0]
-        A_u = np.broadcast_to(W[:, net.n :], (X.shape[0], net.I, net.m))
-        return A_u, X @ W[:, : net.n].T + net.mlp.biases[0]
-    return embedded_bank(net, mlp_forward_batch(net.mlp, X, buffers))
+    if net.parameterized:
+        return embedded_bank(net, mlp_forward_batch(net.mlp, X, buffers))
+    B, n, W = X.shape[0], net.n, net.mlp.weights[0]
+    c = None if buffers is None else buffers[0][: B * net.I].reshape(B, net.I)
+    # a C-contiguous (n, I) operand: with the transposed view OpenBLAS gives
+    # a row's bits that depend on the row count (61x20, 30 rows against 60),
+    # and check_convexity's banks must equal forward_batch's on repeated rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.matmul(X, np.ascontiguousarray(W[:, :n].T), out=c)
+        c += net.mlp.biases[0]
+    return np.broadcast_to(W[:, n:], (B, net.I, net.m)), c
 
 
 def embedded_bank(net: Bank, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,20 +330,19 @@ def embedded_bank(net: Bank, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[:, : I * m].reshape(-1, I, m), out[:, I * m :]
 
 
-def _scores_and_slopes(net: Bank, X: np.ndarray, U: np.ndarray, buffers=None) -> tuple:
-    """Plane values (B, I) at rows (X, U) and the slopes in u: (I, m) shared
-    by all rows of a fixed bank, which is scored as its one layer over the
-    joint rows [X, U], or (B, I, m) from u_bank_batch."""
-    if isinstance(net, Bank) and not net.parameterized:
-        scores = mlp_forward_batch(net.mlp, np.hstack([X, U]), buffers)
-        return scores, net.mlp.weights[0][:, net.n :]
-    A_u, c = u_bank_batch(net, X, buffers)
-    return np.einsum("bim,bm->bi", A_u, U) + c, A_u
+def bank_scores(A_u: np.ndarray, U: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Plane values A_u @ u + c (..., I) of banks A_u (..., I, m), c (..., I)
+    at points U (..., m), broadcast over the leading axes: the one scoring
+    of every bank outside the solver cores."""
+    S = np.einsum("...im,...m->...i", A_u, U)
+    S += c
+    return S
 
 
 def batch_scores(net: Network, X: np.ndarray, U: np.ndarray, buffers=None) -> np.ndarray:
     """Plane values (B, I) of a bank at rows (X, U)."""
-    return _scores_and_slopes(net, X, U, buffers)[0]
+    A_u, c = u_bank_batch(net, X, buffers)
+    return bank_scores(A_u, U, c)
 
 
 def shifted_lse(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
@@ -372,27 +382,36 @@ def bank_weights(S: np.ndarray, T: float | None) -> tuple[np.ndarray, np.ndarray
     return S.max(1), onehot
 
 
+# --- evaluation ------------------------------------------------------------
+# Every entry point runs its arithmetic with overflow warnings off and
+# raises NumericOverflow on a non-finite result instead.
+
+
+def _finite(net: Network, out: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(out).all():
+        raise NumericOverflow(f"{net.kind} {what} produced a non-finite value")
+    return out
+
+
 def _weighted_slopes(net: Bank, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Row-wise sum of the plane slopes weighted by bank_weights: the
-    u-gradient of a log-sum-exp bank, the active plane's slope of a max."""
-    S, A_u = _scores_and_slopes(net, X, U)
+    u-gradient of a log-sum-exp bank, the active plane's slope of a max.
+    Overflowed scores raise: a max over them picks no true active plane."""
+    A_u, c = u_bank_batch(net, X)
+    S = _finite(net, bank_scores(A_u, U, c), "scoring")
     return (bank_weights(S, net.T)[1][:, None, :] @ A_u)[:, 0, :]
-
-
-# --- evaluation ------------------------------------------------------------
 
 
 def forward_batch(net: Network, X: np.ndarray, U: np.ndarray, buffers=None) -> np.ndarray:
     """Row-wise predictions (B,) at X (B, n), U (B, m), an MLP running in
     mlp_forward_batch's `buffers`. Raises NumericOverflow on non-finite."""
     X, U = _check_rows(net, X, U)
-    if isinstance(net, FeedforwardNet):
-        out = mlp_forward_batch(net.mlp, np.hstack([X, U]), buffers)[:, 0]
-    else:
-        out = bank_values(batch_scores(net, X, U, buffers), net.T)
-    if not np.isfinite(out).all():
-        raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(net, FeedforwardNet):
+            out = mlp_forward_batch(net.mlp, np.hstack([X, U]), buffers)[:, 0]
+        else:
+            out = bank_values(batch_scores(net, X, U, buffers), net.T)
+    return _finite(net, out, "forward")
 
 
 def forward(net: Network, x: np.ndarray, u: np.ndarray) -> float:
@@ -402,19 +421,23 @@ def forward(net: Network, x: np.ndarray, u: np.ndarray) -> float:
 
 def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Gradient in u for the smooth kinds (lse, plse, fnn), row-wise: X is
-    (B, n), U is (B, m), result (B, m).
+    (B, n), U is (B, m), result (B, m). Raises NumericOverflow on
+    non-finite.
 
     ma/pma are piecewise linear; callers must opt into subgrad_u instead of
     silently receiving one arbitrary subgradient.
     """
     X, U = _check_rows(net, X, U)
-    if isinstance(net, FeedforwardNet):
-        ws = MlpWorkspace(net.mlp, X.shape[0])
-        ws.Z[:, : net.n], ws.Z[:, net.n :] = X, U
-        return ws.value_and_grad(X.shape[0])[1][:, net.n :]
-    if net.T is None:
+    if isinstance(net, Bank) and net.T is None:
         raise UnsupportedNetwork(f"{net.kind} is nonsmooth in u; use subgrad_u")
-    return _weighted_slopes(net, X, U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(net, FeedforwardNet):
+            ws = MlpWorkspace(net.mlp, X.shape[0])
+            ws.Z[:, : net.n], ws.Z[:, net.n :] = X, U
+            out = ws.value_and_grad(X.shape[0])[1][:, net.n :]
+        else:
+            out = _weighted_slopes(net, X, U)
+    return _finite(net, out, "gradient")
 
 
 def grad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -427,7 +450,9 @@ def subgrad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     on ties."""
     if isinstance(net, FeedforwardNet) or net.T is not None:
         raise UnsupportedNetwork(f"{net.kind}: use grad_u for smooth kinds")
-    return _weighted_slopes(net, *_one(net, x, u))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _weighted_slopes(net, *_one(net, x, u))[0]
+    return _finite(net, g, "subgradient")
 
 
 # --- twins and copies ------------------------------------------------------

@@ -21,8 +21,9 @@
 Every row keeps its own iterate and stopping rule and leaves the working
 set when it stops, so the per-call NumPy overhead is paid once per sweep,
 not once per condition and iteration. `minimize` is a batch of one. A
-result's value is scored the way `forward_batch` scores it, and its status
-says why it stopped: "converged", "max_iters" or "step_underflow".
+bank result's value is `networks.bank_scores` of the (A, c) its core
+minimized, so it is `forward_batch` at u* on the same X bit for bit. Its
+status says why it stopped: "converged", "max_iters" or "step_underflow".
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .networks import (
     FeedforwardNet,
     MlpWorkspace,
     Network,
+    bank_scores,
     bank_values,
-    batch_scores,
     lse_and_softmax,
     u_bank_batch,
 )
@@ -454,12 +455,12 @@ def minimize_batch(
     if domain.dim != net.m:
         raise DimensionMismatch("domain dimension must equal the net's m")
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != net.n:
+        raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
     if not np.isfinite(X).all():
         raise NonFiniteInput("conditions must be finite")
     if X.size == 0:
         return []
-    if X.ndim != 2 or X.shape[1] != net.n:
-        raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
     B = X.shape[0]
@@ -477,7 +478,7 @@ def minimize_batch(
                 U, D, iters, status = _lp_batch(A, c, live, domain, opts, traces)
             else:
                 U, G, iters, status = _pg_batch(A, c, live, net.T, domain, opts, traces)
-            values = bank_values(batch_scores(net, X, U), net.T)
+            values = bank_values(bank_scores(A, U, c), net.T)
             if net.T is None:
                 certificates = np.maximum(values - D, 0.0)
             else:

@@ -35,6 +35,7 @@ from .networks import (
     MlpParams,
     MlpWorkspace,
     Network,
+    bank_scores,
     bank_weights,
     clone_network,
     embedded_bank,
@@ -87,8 +88,8 @@ class TrainConfig:
         check_count("seed", self.seed, ConfigError, minimum=0)
         if not (0.0 < self.split_ratio < 1.0):
             raise ConfigError("split_ratio must lie strictly between 0 and 1")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and positive")
 
 
 @dataclass
@@ -221,7 +222,7 @@ def _weight_gradients(net, X, U, y, B, ws):
         np.multiply(w, ((2.0 / B) * (pred - y))[:, None], out=out)
     else:
         A_x, b_x = embedded_bank(net, out)
-        pred, w = bank_weights(np.einsum("bim,bm->bi", A_x, U) + b_x, net.T)
+        pred, w = bank_weights(bank_scores(A_x, U, b_x), net.T)
         # in the bank's layout: d pred / d A_x[i, j] is w_i * u_j and
         # d pred / d b_x[i] is w_i
         np.multiply(w, ((2.0 / B) * (pred - y))[:, None], out=b_x)

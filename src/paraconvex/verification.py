@@ -4,7 +4,8 @@ Four families:
   - sandwich: a log-sum-exp net and its weight-identical max-affine twin
     differ by at least 0 and at most T * log I, everywhere.
   - convexity: every bank-based kind is convex in u at fixed x (midpoint
-    inequality, sampled).
+    inequality, sampled), each condition's bank (A_u(x), c(x)) built once
+    and scored at all its points through `networks.bank_scores`.
   - gradients: analytic u-gradients agree with central finite differences
     away from LeakyReLU kinks.
   - envelope: the Moreau-Yosida envelope of a convex function is a pointwise
@@ -25,6 +26,7 @@ from .networks import (
     FeedforwardNet,
     MlpWorkspace,
     Network,
+    bank_scores,
     bank_values,
     forward,
     forward_batch,
@@ -99,77 +101,43 @@ def check_sandwich(
 _LAMBDAS = (0.25, 0.5, 0.75)
 
 
-def convexity_violation(
-    fn, n: int, m: int, x_samples: int, u_pairs: int, rng: Rng
-) -> tuple[float, int]:
-    """Max midpoint-convexity violation of a batch callable fn(X, U) -> (B,).
-
-    Returns (violation, inequalities tested). Positive violation beyond
-    slack means fn is not convex in u on [-1,1]^m for some sampled x.
-    """
-
-    def on_repeated_conditions(X):
-        X_rep = np.repeat(X, u_pairs, axis=0)
-        return lambda U: fn(X_rep, U)
-
-    return _convexity_violation(on_repeated_conditions, n, m, x_samples, u_pairs, rng)
-
-
-def _convexity_violation(values_at, n, m, x_samples, u_pairs, rng):
-    """convexity_violation for values_at(X) -> f, where f(U) evaluates the
-    function at the rows of U, grouped u_pairs rows per condition of X."""
+def check_convexity(
+    net: Network, x_samples: int = 100, u_pairs: int = 100, seed: int = 0
+) -> CheckReport:
+    """Midpoint convexity in u for a bank-based net: at x_samples random
+    conditions, u_pairs random pairs (u1, u2) each, and every lambda in
+    _LAMBDAS, the largest f(lam u1 + (1 - lam) u2) - lam f(u1) - (1 - lam)
+    f(u2). Each condition's bank is built once and broadcast over its
+    u-pairs; the values are bit-equal to forward_batch on the conditions
+    repeated u_pairs times. Raises NumericOverflow on a non-finite value."""
+    if isinstance(net, FeedforwardNet):
+        raise UnsupportedNetwork("fnn carries no convexity guarantee to check")
     check_count("x_samples", x_samples)
     check_count("u_pairs", u_pairs)
+    rng = Rng(seed)
+    n, m = net.n, net.m
     X = rng.uniform_in(-1.0, 1.0, x_samples * n).reshape(-1, n)
     U1 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(-1, m)
     U2 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(-1, m)
-    f = values_at(X)
-    f1 = f(U1)
-    f2 = f(U2)
-    worst = -np.inf
-    for lam in _LAMBDAS:
-        mid = f(lam * U1 + (1.0 - lam) * U2)
-        worst = max(worst, float(np.max(mid - lam * f1 - (1.0 - lam) * f2)))
-    return worst, x_samples * u_pairs * len(_LAMBDAS)
-
-
-def _embedded_bank_values(net: Network, X: np.ndarray, u_pairs: int):
-    """pma/plse f(U), bit-equal to forward_batch(net, np.repeat(X, u_pairs,
-    axis=0), U): the bank's net runs once per condition of X, and that bank
-    is broadcast over the condition's u_pairs rows of U, not repeated."""
     A_u, c = u_bank_batch(net, X)
+    A_u, c = A_u[:, None], c[:, None]
 
     def f(U):
-        S = np.einsum("xim,xpm->xpi", A_u, U.reshape(len(X), u_pairs, -1))
-        S += c[:, None]
-        v = bank_values(S.reshape(-1, net.I), net.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = bank_scores(A_u, U.reshape(x_samples, u_pairs, m), c)
+            v = bank_values(S.reshape(-1, net.I), net.T)
         if not np.isfinite(v).all():
             raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
         return v
 
-    return f
-
-
-def check_convexity(
-    net: Network, x_samples: int = 100, u_pairs: int = 100, seed: int = 0
-) -> CheckReport:
-    """Midpoint convexity in u for a bank-based net. For pma/plse the
-    bank's net is evaluated once per sampled condition."""
-    if isinstance(net, FeedforwardNet):
-        raise UnsupportedNetwork("fnn carries no convexity guarantee to check")
-    if net.parameterized:
-        worst, count = _convexity_violation(
-            lambda X: _embedded_bank_values(net, X, u_pairs), net.n, net.m,
-            x_samples, u_pairs, Rng(seed),
-        )
-    else:
-        worst, count = convexity_violation(
-            lambda X, U: forward_batch(net, X, U), net.n, net.m, x_samples,
-            u_pairs, Rng(seed),
-        )
+    f1, f2 = f(U1), f(U2)
+    worst = -np.inf
+    for lam in _LAMBDAS:
+        mid = f(lam * U1 + (1.0 - lam) * U2)
+        worst = max(worst, float(np.max(mid - lam * f1 - (1.0 - lam) * f2)))
     return CheckReport(
         name=f"convexity:{net.kind}",
-        samples=count,
+        samples=x_samples * u_pairs * len(_LAMBDAS),
         max_violation=worst,
         passed=worst <= CONVEXITY_SLACK,
         notes=f"n={net.n} m={net.m} I={net.I} lambdas={_LAMBDAS}",

@@ -174,8 +174,9 @@ class TestConfig:
         ("epochs = 0", "epochs must be >= 1"),
         ("batch_size = 0", "batch_size must be >= 1"),
         ("hidden = 8,0", "hidden widths must be >= 1"),
-        ("learning_rate = 0", "learning_rate must be positive"),
-        ("learning_rate = -1e-3", "learning_rate must be positive"),
+        ("learning_rate = 0", "learning_rate must be finite and positive"),
+        ("learning_rate = -1e-3", "learning_rate must be finite and positive"),
+        ("learning_rate = inf", "learning_rate must be finite and positive"),
     ])
     def test_out_of_range_value_names_its_line(self, line, message):
         # rejected while parsing, before run_benchmark trains any cell

@@ -323,6 +323,21 @@ class TestBenchmark:
         assert rc == 2
         assert err.startswith("error: line 9: temperature must be positive")
 
+    def test_infinite_learning_rate_fails_before_training(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # an infinite rate used to train, warn from adam_step and exit 0
+        # with every run "diverged"
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(self.CFG + "learning_rate = inf\n")
+
+        def trains(cfg):
+            raise AssertionError("a cell trained with an infinite learning rate")
+
+        monkeypatch.setattr(cli, "run_benchmark", trains)
+        rc, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
+        assert rc == 2
+        assert err == "error: line 9: learning_rate must be finite and positive\n"
+
     @pytest.mark.parametrize("line, bad, message", [
         # 0.05 * 10 rows leaves the training split empty
         ("d = 60\n", "d = 10\nsplit_ratio = 0.05\n",

@@ -21,6 +21,7 @@ from paraconvex.networks import (
     forward,
     forward_batch,
     grad_u,
+    grad_u_batch,
     mlp_forward_batch,
     model_from_json,
     model_to_json,
@@ -257,6 +258,24 @@ class TestForward:
             # 1e300 * 1e10 overflows the affine map
             forward(net, np.array([1e10]), np.array([0.0]))
 
+    @pytest.mark.parametrize("kind", ["ma", "lse", "pma", "plse"])
+    def test_overflow_is_typed_never_a_warning(self, kind):
+        # I = 3 planes of 2x2 banks, every weight 1.5: each plane's x-term
+        # overflows at x = (1e308, 1e308); a leaked RuntimeWarning is an
+        # error under the suite's filterwarnings
+        n_in, n_out = (2, 9) if kind.startswith("p") else (4, 3)
+        mlp = MlpParams([np.full((n_out, n_in), 1.5)], [np.zeros(n_out)])
+        net = Bank(n=2, m=2, mlp=mlp, T=0.1 if kind.endswith("lse") else None)
+        assert net.kind == kind
+        X, U = np.full((1, 2), 1e308), np.full((1, 2), 0.5)
+        with pytest.raises(NumericOverflow):
+            forward_batch(net, X, U)
+        with pytest.raises(NumericOverflow):
+            if net.T is None:
+                subgrad_u(net, X[0], U[0])
+            else:
+                grad_u_batch(net, X, U)
+
     def test_dimension_mismatch(self):
         net = _two_plane_pma()
         with pytest.raises(DimensionMismatch):
@@ -366,6 +385,13 @@ class TestSubgradU:
         net = _random_plse(1, 1, 3, 0.1, seed=9)
         with pytest.raises(UnsupportedNetwork):
             subgrad_u(net, np.array([0.0]), np.array([0.0]))
+
+    def test_overflowed_scores_raise(self):
+        # at x = 1e308 both planes score +inf, but 3x - u is the larger in
+        # exact arithmetic: the argmax's slope +1 would be the wrong one
+        mlp = MlpParams([np.array([[2.0, 1.0], [3.0, -1.0]])], [np.zeros(2)])
+        with pytest.raises(NumericOverflow):
+            subgrad_u(Bank(n=1, m=1, mlp=mlp), np.array([1e308]), np.array([0.0]))
 
 
 class TestStructuralProperties:

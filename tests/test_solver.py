@@ -296,6 +296,18 @@ class TestDispatch:
                 assert dom.contains(res.u_star)
                 assert res.value == forward(net, x, res.u_star)
 
+    @pytest.mark.parametrize("kind", ["ma", "lse", "pma", "plse"])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (61, 20)])
+    def test_batch_values_are_forward_batch(self, kind, dims):
+        # every row's value is forward_batch's at its u* on the same X, bit
+        # for bit: a bank's solve and its value share one scoring path
+        n, m = dims
+        net = init_network(kind, n, m, seed=60, hidden=(8, 8))
+        X = np.array([Rng(610 + k).uniform_in(-1.0, 1.0, n) for k in range(20)])
+        rows = minimize_batch(net, X, BoxDomain.symmetric(m), SolveOptions(seed=1))
+        U = np.array([row.u_star for row in rows])
+        assert_array_equal([row.value for row in rows], forward_batch(net, X, U))
+
     @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
     @pytest.mark.parametrize("x", [np.float64(0.3), np.zeros((1, 2)), np.zeros(3)],
                              ids=["0-d", "1xn", "wrong-length"])
@@ -446,6 +458,10 @@ class TestMinimizeBatch:
             minimize_batch(net, np.zeros((3, 1)), BoxDomain.symmetric(1))
         with pytest.raises(DimensionMismatch):
             minimize_batch(net, np.zeros((3, 2)), BoxDomain.symmetric(2))
+        # checked before an empty batch returns []
+        for empty in (np.empty((0, 7)), np.empty(0)):
+            with pytest.raises(DimensionMismatch):
+                minimize_batch(net, empty, BoxDomain.symmetric(1))
 
     @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
     def test_non_finite_conditions_rejected(self, kind):

@@ -78,6 +78,7 @@ class TestTrainConfig:
             {"seed": float("nan")},
             {"seed": True},
             {"seed": np.int64(-3)},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_validation(self, bad):
