@@ -345,38 +345,34 @@ def batch_scores(net: Network, X: np.ndarray, U: np.ndarray, buffers=None) -> np
     return bank_scores(A_u, U, c)
 
 
-def shifted_lse(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
-    """T * log sum exp(scores/T), stabilized by subtracting the max first."""
-    top = np.max(scores, axis=axis, keepdims=True)
+def shifted_lse(scores: np.ndarray, T: float) -> np.ndarray:
+    """T * log sum exp(scores/T) over the last axis, stabilized by
+    subtracting the max first."""
+    top = np.max(scores, axis=-1, keepdims=True)
     e = scores - top  # one temporary: a 4,500-row loss pass's is about 1 MB
     e /= T
     np.exp(e, out=e)
-    return T * np.log(np.sum(e, axis=axis)) + np.squeeze(top, axis=axis)
-
-
-def lse_and_softmax(S: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise T-log-sum-exp of scores S (B, I) and its softmax, from one
-    shifted exponential: equal to shifted_lse(S, T, axis=1) and
-    exp((S - max) / T) normalized over each row."""
-    top = S.max(axis=1, keepdims=True)
-    e = np.exp((S - top) / T)
-    total = e.sum(axis=1)
-    return T * np.log(total) + top[:, 0], e / total[:, None]
+    return T * np.log(np.sum(e, axis=-1)) + top[..., 0]
 
 
 def bank_values(S: np.ndarray, T: float | None) -> np.ndarray:
     """Values (B,) of banks at plane scores S (B, I): the max for T None,
     else the T-log-sum-exp. Equal to bank_weights(S, T)[0], without the
     cost of the weights."""
-    return S.max(1) if T is None else shifted_lse(S, T, axis=1)
+    return S.max(1) if T is None else shifted_lse(S, T)
 
 
 def bank_weights(S: np.ndarray, T: float | None) -> tuple[np.ndarray, np.ndarray]:
     """bank_values(S, T) and their weights (B, I) over the planes: for T
     None the one-hot of the argmax (lowest index on ties), else the
-    softmax, from the same exponential as the log-sum-exp."""
+    softmax exp((S - max) / T) normalized over each row, from the same
+    shifted exponential as the log-sum-exp, whose bits equal
+    shifted_lse(S, T)."""
     if T is not None:
-        return lse_and_softmax(S, T)
+        top = S.max(axis=1, keepdims=True)
+        e = np.exp((S - top) / T)
+        total = e.sum(axis=1)
+        return T * np.log(total) + top[:, 0], e / total[:, None]
     onehot = np.zeros_like(S)
     onehot[np.arange(S.shape[0]), np.argmax(S, axis=1)] = 1.0
     return S.max(1), onehot
@@ -511,9 +507,10 @@ def _mlp_from_json(doc: dict) -> MlpParams:
 
 def model_from_json(doc: dict) -> Network:
     """The network a model document describes. Raises ModelFormatError for a
-    document that is not one: a missing key, shapes that disagree, or a
-    kind that disagrees with the stored temperature, layers or plane
-    count."""
+    document that is not one: a missing key, a format_version other than
+    the integer FORMAT_VERSION, a seed that is neither null nor an integer
+    >= 0, shapes that disagree, or a kind that disagrees with the stored
+    temperature, layers or plane count."""
     if not isinstance(doc, dict):
         raise ModelFormatError(f"model JSON is a {type(doc).__name__}, not an object")
     try:
@@ -525,10 +522,13 @@ def model_from_json(doc: dict) -> Network:
 
 
 def _model_from_doc(doc: dict) -> Network:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # a bool is no version
+        raise ValueError(f"unsupported model format_version {version!r}")
     kind, n, m = doc["kind"], doc["n"], doc["m"]
     seed = doc.get("seed")
+    if seed is not None:
+        check_count("seed", seed, minimum=0)
     if kind == "fnn":
         return FeedforwardNet(n=n, m=m, mlp=_mlp_from_json(doc), seed=seed)
     if kind not in _BANK_KINDS:

@@ -1,4 +1,5 @@
-"""Deterministic sampling, box domains, and a brute-force grid oracle.
+"""Deterministic sampling, box domains, one lattice of grid nodes, and a
+brute-force grid oracle over it.
 
 The random number generator is SplitMix64 (Steele, Lea & Flood, "Fast
 Splittable Pseudorandom Number Generators", OOPSLA 2014), chosen because its
@@ -16,13 +17,12 @@ Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, NumericOverflow
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -123,11 +123,15 @@ def sample_uniform_box(domain: BoxDomain, count: int, rng: Rng) -> np.ndarray:
     return domain.lower + (domain.upper - domain.lower) * flat
 
 
-def grid_axes(domain: BoxDomain, points_per_axis: int) -> list[np.ndarray]:
-    return [
+def grid_nodes(domain: BoxDomain, points_per_axis: int) -> np.ndarray:
+    """The (points_per_axis ** dim, dim) nodes of a regular lattice on the
+    box, one per row, in lexicographic order (axis 0 major)."""
+    axes = [
         np.linspace(domain.lower[j], domain.upper[j], points_per_axis)
         for j in range(domain.dim)
     ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def grid_minimize(
@@ -136,14 +140,17 @@ def grid_minimize(
     points_per_axis: int,
     vectorized: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """Exhaustive minimum of `f` over a regular lattice on the box.
+    """Exhaustive minimum of `f` over the grid_nodes lattice on the box.
 
-    Ties go to the lexicographically smallest node index (axis 0 major).
+    Ties go to the first node in lexicographic order (axis 0 major).
     This is an oracle for low dimensions only; the cost is
     points_per_axis ** dim, so dim is capped at GRID_DIM_CAP.
 
-    With vectorized=True, `f` is called once with an (N, dim) array of nodes
-    and must return an (N,) array.
+    With vectorized=True, `f` is called once with the (N, dim) array of
+    nodes and must return an (N,) array; otherwise it is called once per
+    node with a (dim,) array and must return a scalar. Raises
+    NumericOverflow if any value is not finite, since a NaN or an infinity
+    leaves no minimum to report.
     """
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be >= 2")
@@ -152,22 +159,15 @@ def grid_minimize(
         raise DimensionMismatch(
             f"grid oracle limited to dimension <= {GRID_DIM_CAP}, got {m}"
         )
-    axes = grid_axes(domain, points_per_axis)
+    nodes = grid_nodes(domain, points_per_axis)
     if vectorized:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([g.ravel() for g in mesh], axis=-1)
         values = np.asarray(f(nodes), dtype=np.float64)
-        best = int(np.argmin(values))  # argmin takes the first, i.e. lexicographic, tie
-        return nodes[best].copy(), float(values[best])
-    best_val = np.inf
-    best_node = None
-    for combo in itertools.product(*axes):
-        u = np.array(combo, dtype=np.float64)
-        v = float(f(u))
-        if v < best_val:
-            best_val = v
-            best_node = u
-    return best_node, best_val
+    else:
+        values = np.array([float(f(u)) for u in nodes])
+    if not np.isfinite(values).all():
+        raise NumericOverflow("grid oracle: f produced a non-finite value")
+    best = int(np.argmin(values))  # argmin takes the first, i.e. lexicographic, tie
+    return nodes[best].copy(), float(values[best])
 
 
 def check_count(name: str, value, error=ValueError, minimum: int = 1) -> None:

@@ -40,7 +40,7 @@ from .networks import (
     Network,
     bank_scores,
     bank_values,
-    lse_and_softmax,
+    bank_weights,
     u_bank_batch,
 )
 from .numerics import BoxDomain, Rng, check_count, sample_uniform_box
@@ -161,7 +161,7 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
     U, iters, status, rows = _start(live, domain)
     G = np.zeros_like(U)
     A, c, u, it = A[rows], c[rows], U[rows], iters[rows]
-    f, p = lse_and_softmax(_bank_scores(A, u, c), T)
+    f, p = bank_weights(_bank_scores(A, u, c), T)
     g = _bank_grad(p, A)
     if traces is not None:
         for r, v in zip(rows, f):
@@ -194,7 +194,7 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
         cand = np.minimum(np.maximum(cand, lo), hi)
         # (I, m) @ (m, 1) per rung, the product one candidate per row takes
         S = (A[:, None] @ cand[:, :, :, None])[..., 0] + c[:, None]
-        f_cand, p = lse_and_softmax(S.reshape(k * _LADDER, -1), T)
+        f_cand, p = bank_weights(S.reshape(k * _LADDER, -1), T)
         f_cand = f_cand.reshape(k, _LADDER)
         accept = f_cand <= f[:, None] + _ARMIJO * np.add.reduce(
             g[:, None] * (cand - u[:, None]), axis=2)

@@ -8,9 +8,9 @@ Four families:
     and scored at all its points through `networks.bank_scores`.
   - gradients: analytic u-gradients agree with central finite differences
     away from LeakyReLU kinks.
-  - envelope: the Moreau-Yosida envelope of a convex function is a pointwise
-    under-approximation, monotone in the smoothing weight, converging to the
-    function as the weight vanishes.
+  - envelope: the Moreau-Yosida envelope of a convex function of one
+    variable is a pointwise under-approximation, monotone in the smoothing
+    weight, converging to the function as the weight vanishes.
 
 Every check is a pure function of its seed, so reports are bit-reproducible.
 """
@@ -34,7 +34,7 @@ from .networks import (
     nonsmooth_twin,
     u_bank_batch,
 )
-from .numerics import BoxDomain, Rng, check_count, grid_axes
+from .numerics import BoxDomain, Rng, check_count, grid_nodes
 from .training import init_network
 
 SANDWICH_SLACK = 1e-9
@@ -42,6 +42,11 @@ CONVEXITY_SLACK = 1e-9
 GRADIENT_REL_TOL = 1e-5
 ENVELOPE_SLACK = 1e-9
 HUBER_SPOT_TOL = 1e-3
+
+SANDWICH_POINTS = 5  # sampled (x, u) points per sandwich trial
+SANDWICH_HIDDEN = (16, 16)  # embedded-MLP widths of the sandwich's nets
+FD_STEP = 1e-4  # central-difference step of the gradient check
+ENVELOPE_RESOLUTION = 4001  # grid nodes of the envelope checks on [-1, 1]
 
 
 @dataclass
@@ -65,8 +70,6 @@ def check_sandwich(
     I: int = 30,
     T: float = 0.1,
     seed: int = 0,
-    points_per_trial: int = 5,
-    hidden: tuple = (16, 16),
 ) -> CheckReport:
     """Random smooth/nonsmooth twin pairs at random dims up to `dims`:
     0 <= smooth - nonsmooth <= T * log I must hold at every sampled (x, u)."""
@@ -81,15 +84,16 @@ def check_sandwich(
         n = 1 + int(draws[0] * n_max)
         m = 1 + int(draws[1] * m_max)
         net_seed = int(rng.next_uint64(1)[0] % (2**31))
-        plse = init_network("plse", n, m, seed=net_seed, I=I, T=T, hidden=hidden)
+        plse = init_network("plse", n, m, seed=net_seed, I=I, T=T,
+                            hidden=SANDWICH_HIDDEN)
         pma = nonsmooth_twin(plse)
-        X = rng.uniform_in(-1.0, 1.0, points_per_trial * n).reshape(-1, n)
-        U = rng.uniform_in(-1.0, 1.0, points_per_trial * m).reshape(-1, m)
+        X = rng.uniform_in(-1.0, 1.0, SANDWICH_POINTS * n).reshape(-1, n)
+        U = rng.uniform_in(-1.0, 1.0, SANDWICH_POINTS * m).reshape(-1, m)
         gap = forward_batch(plse, X, U) - forward_batch(pma, X, U)
         worst = max(worst, float(np.max(-gap)), float(np.max(gap - upper)))
     return CheckReport(
         name="sandwich",
-        samples=trials * points_per_trial,
+        samples=trials * SANDWICH_POINTS,
         max_violation=worst,
         passed=worst <= SANDWICH_SLACK,
         notes=f"I={I} T={T} dims<=({n_max},{m_max}) bound={upper!r}",
@@ -161,9 +165,9 @@ def check_gradients(
     kinds=("fnn", "lse", "plse"),
     trials: int = 100,
     seed: int = 0,
-    h: float = 1e-4,
 ) -> CheckReport:
-    """Central finite differences vs grad_u at kink-free random points."""
+    """Central finite differences of step FD_STEP vs grad_u at kink-free
+    random points."""
     bad = set(kinds) - {"fnn", "lse", "plse"}
     if bad:
         raise UnsupportedNetwork(f"no smooth u-gradient for kinds {sorted(bad)}")
@@ -177,15 +181,15 @@ def check_gradients(
             x = rng.uniform_in(-1.0, 1.0, 2)
             u = rng.uniform_in(-1.0, 1.0, 2)
             for _ in range(50):  # stay clear of kinks for the FD stencil
-                if _kink_margin(net, x, u) > 100 * h:
+                if _kink_margin(net, x, u) > 100 * FD_STEP:
                     break
                 u = rng.uniform_in(-1.0, 1.0, 2)
             g = grad_u(net, x, u)
             fd = np.zeros_like(u)
             for j in range(u.shape[0]):
                 e = np.zeros_like(u)
-                e[j] = h
-                fd[j] = (forward(net, x, u + e) - forward(net, x, u - e)) / (2 * h)
+                e[j] = FD_STEP
+                fd[j] = (forward(net, x, u + e) - forward(net, x, u - e)) / (2 * FD_STEP)
             rel = float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
             worst = max(worst, rel)
             count += 1
@@ -194,7 +198,7 @@ def check_gradients(
         samples=count,
         max_violation=worst,
         passed=worst < GRADIENT_REL_TOL,
-        notes=f"h={h!r} central differences",
+        notes=f"h={FD_STEP!r} central differences",
     )
 
 
@@ -203,8 +207,9 @@ def check_gradients(
 
 @dataclass
 class EnvelopeTable:
-    """Envelope of f over a box grid: env[i] = min_j ||node_i - node_j||^2/(2 eta)
-    + f(node_j). argmin[i] is the prox point's grid index (first on ties)."""
+    """Envelope of f over a 1-D grid: env[i] = min_j (u_i - u_j)^2/(2 eta)
+    + f(u_j), with nodes (K, 1) holding the u_i. argmin[i] is the prox
+    point's grid index (first on ties)."""
 
     eta: float
     nodes: np.ndarray
@@ -223,31 +228,28 @@ def moreau_envelope(
     eta: float,
     resolution: int,
 ) -> EnvelopeTable:
-    """Grid Moreau-Yosida envelope; dimension capped at 2 (cost is quadratic
-    in the node count). f maps an (N, dim) array of nodes to (N,)."""
+    """Moreau-Yosida envelope of f on `resolution` grid nodes of a 1-D box,
+    by the dense (K, K) table of prox objectives, in row blocks. f maps the
+    (K, 1) array of nodes to (K,). Raises NumericOverflow if any f value is
+    not finite: no property of the envelope can be checked against it."""
     if not eta > 0:
         raise ValueError("eta must be positive")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if domain.dim > 2:
-        raise DimensionMismatch("envelope grid limited to dimension <= 2")
-    axes = grid_axes(domain, resolution)
-    if domain.dim == 1:
-        nodes = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([g.ravel() for g in mesh], axis=-1)
+    if domain.dim != 1:
+        raise DimensionMismatch("envelope grid limited to dimension 1")
+    nodes = grid_nodes(domain, resolution)
     f_vals = np.asarray(f(nodes), dtype=np.float64)
-    K = nodes.shape[0]
+    if not np.isfinite(f_vals).all():
+        raise NumericOverflow("envelope: f produced a non-finite value")
+    u = nodes[:, 0]
+    K = u.shape[0]
     env = np.empty(K)
     arg = np.empty(K, dtype=np.int64)
-    chunk = max(1, int(2**22 // max(K, 1)))  # ~32 MB of float64 per block
+    chunk = max(1, 2**22 // K)  # ~32 MB of float64 per block
     for lo in range(0, K, chunk):
         hi = min(lo + chunk, K)
-        d2 = np.sum(
-            (nodes[lo:hi, None, :] - nodes[None, :, :]) ** 2, axis=-1
-        )
-        obj = d2 / (2.0 * eta) + f_vals[None, :]
+        obj = (u[lo:hi, None] - u) ** 2 / (2.0 * eta) + f_vals
         arg[lo:hi] = np.argmin(obj, axis=1)
         env[lo:hi] = obj[np.arange(hi - lo), arg[lo:hi]]
     return EnvelopeTable(eta=eta, nodes=nodes, f_values=f_vals, envelope=env,
@@ -258,13 +260,14 @@ def check_envelope_properties(
     f,
     etas,
     domain: BoxDomain,
-    resolution: int = 4001,
+    resolution: int = ENVELOPE_RESOLUTION,
     name: str = "envelope",
 ) -> CheckReport:
     """Under-approximation, monotonicity in eta, and sup-gap decrease.
 
     etas must be strictly decreasing; with a single eta only the
-    under-approximation property is testable.
+    under-approximation property is testable. A NaN or infinite f value
+    raises NumericOverflow (from moreau_envelope) rather than passing.
     """
     etas = [float(e) for e in etas]
     if any(b >= a for a, b in zip(etas, etas[1:])):
@@ -290,18 +293,18 @@ def check_envelope_properties(
     )
 
 
-def _huber_spot_report(resolution: int = 4001) -> CheckReport:
+def _huber_spot_report() -> CheckReport:
     """f(u)=|u| with eta=0.5 at u=1 has the closed-form envelope value
     1 - eta/2 = 0.75; the grid value must land within HUBER_SPOT_TOL."""
     domain = BoxDomain.symmetric(1)
     table = moreau_envelope(
-        lambda U: np.abs(U[:, 0]), domain, eta=0.5, resolution=resolution
+        lambda U: np.abs(U[:, 0]), domain, eta=0.5, resolution=ENVELOPE_RESOLUTION
     )
     at_one = float(table.envelope[-1])  # last node is u = 1.0
     err = abs(at_one - 0.75)
     return CheckReport(
         name="envelope:huber-spot",
-        samples=resolution,
+        samples=ENVELOPE_RESOLUTION,
         max_violation=err,
         passed=err <= HUBER_SPOT_TOL,
         notes=f"value_at_1={at_one!r} expected=0.75",

@@ -22,23 +22,35 @@ from paraconvex.bench import (
     run_benchmark,
     surface_dump,
     target_batch,
-    target_function,
-    true_solution,
     _assert_disjoint,
     _git_rev,
+    _run_cell,
 )
 from paraconvex.exceptions import ConfigError, DimensionMismatch
-from paraconvex.networks import Bank, MlpParams
-from paraconvex.numerics import Rng
-from paraconvex.solver import STATUSES
-from paraconvex.training import Dataset
+from paraconvex.networks import Bank, MlpParams, forward_batch
+from paraconvex.numerics import BoxDomain, Rng
+from paraconvex.solver import STATUSES, SolveOptions, minimize_batch
+from paraconvex.training import Dataset, split_dataset
+
+
+def target_function(x, u):
+    """Reference: the target at one (x, u), from dot products."""
+    x = np.asarray(x, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    return float(-(x @ x) / (2 * x.size) + (u @ u) / (2 * u.size))
+
+
+def true_solution(x, n, m):
+    """Reference: the target's minimizer and value over [-1, 1]^m."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.zeros(m), float(-(x @ x) / (2 * n))
 
 
 class TestTargetProblem:
     def test_spot_values(self):
-        assert target_function([0.0], [0.0]) == 0.0
-        assert target_function([1.0], [1.0]) == 0.0
-        assert target_function([1.0], [0.0]) == -0.5
+        X = np.array([[0.0], [1.0], [1.0]])
+        U = np.array([[0.0], [1.0], [0.0]])
+        assert target_batch(X, U).tolist() == [0.0, 0.0, -0.5]
 
     def test_batch_matches_scalar(self):
         rng = Rng(4)
@@ -49,25 +61,40 @@ class TestTargetProblem:
             assert_allclose(batch[i], target_function(X[i], U[i]), rtol=1e-15)
 
     def test_true_solution(self):
-        u, v = true_solution(np.zeros(3), 3, 2)
-        assert np.array_equal(u, np.zeros(2)) and v == 0.0
-        _, v = true_solution(np.array([1.0]), 1, 1)
-        assert v == -0.5
-        _, v = true_solution(np.array([1.0, 1.0]), 2, 4)
-        assert v == -0.5
+        # the minimum -|x|^2/(2n) is the target at u = 0
+        X = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+        assert target_batch(X[:, :3], np.zeros((2, 2))).tolist() == [0.0, -1 / 3]
+        assert target_batch(X[:, :2], np.zeros((2, 4))).tolist() == [0.0, -0.5]
+        assert target_batch(X[:, :1], np.zeros((2, 1))).tolist() == [0.0, -0.5]
 
     def test_true_solution_minimizes_target(self):
         rng = Rng(7)
-        x = rng.uniform_in(-1, 1, 3)
-        u_star, v = true_solution(x, 3, 2)
-        assert_allclose(target_function(x, u_star), v, rtol=1e-15)
-        for _ in range(20):
-            u = rng.uniform_in(-1, 1, 2)
-            assert target_function(x, u) >= v
+        X = np.tile(rng.uniform_in(-1, 1, 3), (20, 1))
+        U = rng.uniform_in(-1, 1, 40).reshape(20, 2)
+        at_zero = target_batch(X, np.zeros((20, 2)))
+        assert (target_batch(X, U) >= at_zero).all()
 
-    def test_true_solution_shape_check(self):
-        with pytest.raises(DimensionMismatch):
-            true_solution(np.zeros(3), 2, 1)
+    @pytest.mark.parametrize("kind", ["plse", "ma", "fnn"])
+    def test_run_errors_match_reference_formulas(self, kind):
+        # a 2x3 run's per-solve errors, recomputed from its net's solves
+        # with the scalar reference formulas, bit for bit
+        cfg = ExperimentConfig(dims=((2, 3),), kinds=(kind,), d=60, epochs=2,
+                               planes=4, hidden=(8, 8))
+        run = _run_cell(cfg, kind, 2, 3, 60, 2, seed=3)
+        ds = make_benchmark_dataset(2, 3, 60, Rng(3).spawn())
+        _, test_ds = split_dataset(ds, cfg.split_ratio, Rng(3))
+        results = minimize_batch(run.net, test_ds.X, BoxDomain.symmetric(3),
+                                 SolveOptions(seed=3))
+        want = {"minimizer_error": [], "value_error": [], "value_error_true": []}
+        for x, res in zip(test_ds.X, results):
+            u_star, value_true = true_solution(x, 2, 3)
+            want["minimizer_error"].append(float(np.linalg.norm(res.u_star - u_star)))
+            want["value_error"].append(abs(res.value - value_true))
+            want["value_error_true"].append(
+                abs(target_function(x, res.u_star) - value_true))
+        assert len(want["value_error"]) == len(test_ds.X) == 6
+        for sample, values in want.items():
+            assert getattr(run, sample) == values, sample
 
 
 class TestConfig:
@@ -118,13 +145,17 @@ class TestConfig:
             parse_dims("3")
         with pytest.raises(ConfigError):
             parse_dims("axb")
-        with pytest.raises(ConfigError):
-            parse_dims("")
+        # an empty list parses; the config rejects it
+        assert parse_dims("") == ()
+        with pytest.raises(ConfigError, match="^dims list is empty$"):
+            ExperimentConfig(dims=parse_dims(""))
 
     def test_parse_kinds(self):
         assert parse_kinds("plse, ma") == ("plse", "ma")
-        with pytest.raises(ConfigError):
-            parse_kinds("plse,unknown")
+        # a name parses; the config checks it
+        assert parse_kinds("plse,unknown") == ("plse", "unknown")
+        with pytest.raises(ConfigError, match="^unknown kind 'unknown'$"):
+            ExperimentConfig(kinds=parse_kinds("plse,unknown"))
 
     def test_empty_training_split_rejected(self):
         # int(0.05 * 10) = 0 training rows; the trimmed 61x20 budget counts
@@ -392,6 +423,22 @@ class TestSurfaceDump:
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         table = {(r[0], r[1]): r[2] for r in rows}
         assert table[(-1.0, 0.0)] == -1.0 and table[(0.0, 1.0)] == 2.0
+
+    @pytest.mark.parametrize("resolution", [2, 7])
+    def test_bytes_match_meshgrid_build(self, tmp_path, resolution):
+        # the reference is the build surface_dump once had: one linspace
+        # axis, meshgrid(indexing="ij"), each grid raveled to a column
+        net = Bank(n=1, m=1, mlp=MlpParams([np.array([[0.3, -1.7], [2.1, 0.4]])],
+                                           [np.array([0.05, -0.2])]), T=0.1)
+        axis = np.linspace(-1.0, 1.0, resolution)
+        Xg, Ug = np.meshgrid(axis, axis, indexing="ij")
+        X, U = Xg.reshape(-1, 1), Ug.reshape(-1, 1)
+        want = "x,u,f\n" + "".join(
+            f"{float(xv)!r},{float(uv)!r},{float(fv)!r}\n"
+            for xv, uv, fv in zip(X[:, 0], U[:, 0], forward_batch(net, X, U)))
+        path = tmp_path / "surf.csv"
+        surface_dump(net, resolution, path)
+        assert path.read_text() == want
 
     def test_constant_net(self, tmp_path):
         net = Bank(n=1, m=1, mlp=MlpParams([np.zeros((1, 2))], [np.array([2.5])]))

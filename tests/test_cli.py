@@ -169,6 +169,21 @@ class TestSolve:
         assert rc == 2 and out == ""
         assert err == "error: malformed model JSON: n must be an integer, got True\n"
 
+    @pytest.mark.parametrize("key, value, why", [
+        ("seed", "abc", "seed must be an integer, got 'abc'"),
+        ("seed", -5, "seed must be >= 0"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("format_version", True, "unsupported model format_version True"),
+    ])
+    def test_bad_metadata_is_malformed(self, tmp_path, capsys, key, value, why):
+        with open(os.path.join(GOLDEN, "plse_1x1_trained.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        rc, out, err = run_cli(["solve", "--model", str(path), "--x", "0.1"], capsys)
+        assert rc == 2 and out == ""
+        assert err == f"error: malformed model JSON: {why}\n"
+
     @pytest.mark.parametrize("T", [True, float("inf"), "0.1"])
     def test_bad_temperature_is_malformed(self, tmp_path, capsys, T):
         with open(os.path.join(GOLDEN, "plse_1x1_trained.json"), encoding="utf-8") as fh:

@@ -17,6 +17,8 @@ from paraconvex.networks import (
     Bank,
     FeedforwardNet,
     MlpParams,
+    bank_values,
+    bank_weights,
     clone_network,
     forward,
     forward_batch,
@@ -26,6 +28,7 @@ from paraconvex.networks import (
     model_from_json,
     model_to_json,
     nonsmooth_twin,
+    shifted_lse,
     subgrad_u,
     u_bank_batch,
 )
@@ -221,6 +224,30 @@ def _two_plane_pma():
         weights=[np.zeros((4, 1))], biases=[np.array([1.0, -1.0, 0.0, 0.0])]
     )
     return Bank(n=1, m=1, mlp=embed)
+
+
+class TestBankWeights:
+    def test_lse_values_and_softmax(self):
+        rng = np.random.default_rng(21)
+        S = rng.normal(size=(7, 5)) * 3.0
+        S[2, :] = 4.0  # an all-tie row
+        for T in (0.01, 0.1, 2.0):
+            values, weights = bank_weights(S, T)
+            # one shifted exponential gives both: the values are
+            # shifted_lse's bits, the weights a softmax of the same shift
+            assert_array_equal(values, shifted_lse(S, T))
+            assert_array_equal(values, bank_values(S, T))
+            e = np.exp((S - S.max(axis=1, keepdims=True)) / T)
+            assert_array_equal(weights, e / e.sum(axis=1)[:, None])
+            assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-15)
+
+    def test_max_values_and_one_hot(self):
+        S = np.array([[1.0, 3.0, 3.0], [-2.0, -5.0, -1.0]])
+        values, weights = bank_weights(S, None)
+        assert_array_equal(values, bank_values(S, None))
+        assert values.tolist() == [3.0, -1.0]
+        # the lowest index wins a tie
+        assert weights.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 class TestForward:
@@ -518,9 +545,22 @@ class TestSerialization:
 
     def test_format_version_checked(self):
         doc = model_to_json(self._nets()[0])
-        doc["format_version"] = 99
-        with pytest.raises(ValueError):
-            model_from_json(doc)
+        for version in (99, True, 1.0, "1", None):
+            doc["format_version"] = version
+            with pytest.raises(ModelFormatError, match="format_version"):
+                model_from_json(doc)
+
+    @pytest.mark.parametrize("seed", ["abc", -5, 1.5, [1], True])
+    def test_bad_seed_rejected(self, seed):
+        for net in self._nets():
+            doc = dict(model_to_json(net), seed=seed)
+            with pytest.raises(ModelFormatError, match="^malformed model JSON: seed"):
+                model_from_json(doc)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2**40])
+    def test_good_seed_kept(self, seed):
+        for net in self._nets():
+            assert model_from_json(dict(model_to_json(net), seed=seed)).seed == seed
 
     def test_unknown_kind_rejected(self):
         doc = model_to_json(self._nets()[0])

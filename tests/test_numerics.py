@@ -1,11 +1,19 @@
 """Tests for the RNG, box domains, and the grid oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from paraconvex.exceptions import DimensionMismatch
-from paraconvex.numerics import BoxDomain, Rng, grid_minimize, sample_uniform_box
+from paraconvex.exceptions import DimensionMismatch, NumericOverflow
+from paraconvex.numerics import (
+    BoxDomain,
+    Rng,
+    grid_minimize,
+    grid_nodes,
+    sample_uniform_box,
+)
 
 
 class TestRng:
@@ -92,6 +100,19 @@ class TestSampleUniformBox:
             sample_uniform_box(BoxDomain.symmetric(1), 0, Rng(0))
 
 
+class TestGridNodes:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_lexicographic_order(self, dim):
+        # the reference is the loop grid_minimize once ran: itertools.product
+        # over the per-axis linspaces, axis 0 major
+        dom = BoxDomain(np.linspace(-1.0, -0.4, dim), np.linspace(0.5, 2.0, dim))
+        axes = [np.linspace(dom.lower[j], dom.upper[j], 4) for j in range(dim)]
+        want = np.array(list(itertools.product(*axes)), dtype=np.float64)
+        nodes = grid_nodes(dom, 4)
+        assert nodes.shape == (4**dim, dim)
+        assert_array_equal(nodes, want)
+
+
 class TestGridMinimize:
     def test_quadratic_hits_center(self):
         dom = BoxDomain.symmetric(1)
@@ -139,6 +160,25 @@ class TestGridMinimize:
     def test_dimension_cap(self):
         with pytest.raises(DimensionMismatch):
             grid_minimize(lambda u: 0.0, BoxDomain.symmetric(5), 3)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises(self, vectorized, bad):
+        # non-finite for u < 0 only: a minimum over the rest would hide it
+        dom = BoxDomain.symmetric(1)
+        if vectorized:
+            f = lambda U: np.where(U[:, 0] < 0, bad, U[:, 0] ** 2)
+        else:
+            f = lambda u: bad if u[0] < 0 else u[0] ** 2
+        with pytest.raises(NumericOverflow):
+            grid_minimize(f, dom, 11, vectorized=vectorized)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_infinite_everywhere_raises(self, vectorized):
+        dom = BoxDomain.symmetric(2)
+        f = (lambda U: np.full(len(U), np.inf)) if vectorized else (lambda u: np.inf)
+        with pytest.raises(NumericOverflow):
+            grid_minimize(f, dom, 5, vectorized=vectorized)
 
     def test_value_not_above_any_node(self):
         # The reported value re-evaluates below f at a random set of nodes.

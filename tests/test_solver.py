@@ -14,10 +14,10 @@ from paraconvex.networks import (
     FeedforwardNet,
     MlpParams,
     MlpWorkspace,
+    bank_weights,
     forward,
     forward_batch,
     grad_u_batch,
-    lse_and_softmax,
     mlp_forward_batch,
     shifted_lse,
     u_bank_batch,
@@ -659,7 +659,7 @@ def _two_pass_pg_batch(A, c, live, T, domain, opts, traces):
         A_b, c_b = A[[b]], c[[b]]
 
         def value(u):
-            return shifted_lse(solver_module._bank_scores(A_b, u, c_b), T, axis=1)[0]
+            return shifted_lse(solver_module._bank_scores(A_b, u, c_b), T)[0]
 
         def grad(u):
             p = softmax_over_T(solver_module._bank_scores(A_b, u, c_b), T)
@@ -976,7 +976,7 @@ def _serial_pg_batch(A, c, live, T, domain, opts, traces):
     U, iters, status, rows = solver_module._start(live, domain)
     G = np.zeros_like(U)
     A, c, u, it = A[rows], c[rows], U[rows], iters[rows]
-    f, p = lse_and_softmax(solver_module._bank_scores(A, u, c), T)
+    f, p = bank_weights(solver_module._bank_scores(A, u, c), T)
     g = solver_module._bank_grad(p, A)
     if traces is not None:
         for r, v in zip(rows, f):
@@ -1005,7 +1005,7 @@ def _serial_pg_batch(A, c, live, T, domain, opts, traces):
             if not rows.size:
                 break
         cand = np.minimum(np.maximum(u - s[:, None] * g, lo), hi)
-        f_cand, p = lse_and_softmax(solver_module._bank_scores(A, cand, c), T)
+        f_cand, p = bank_weights(solver_module._bank_scores(A, cand, c), T)
         bad = ~np.isfinite(f_cand)
         accept = f_cand <= f + solver_module._ARMIJO * (g * (cand - u)).sum(axis=1)
         u[accept], f[accept] = cand[accept], f_cand[accept]

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from paraconvex import verification
-from paraconvex.exceptions import DimensionMismatch, UnsupportedNetwork
+from paraconvex.exceptions import DimensionMismatch, NumericOverflow, UnsupportedNetwork
 from paraconvex.networks import (
     Bank,
     FeedforwardNet,
@@ -205,14 +205,19 @@ class TestMoreauEnvelope:
         u = t.nodes[:, 0]
         assert np.max(np.abs(t.envelope - u * u / (1 + 2 * eta))) <= 1e-6
 
-    def test_2d_supported_3d_rejected(self):
-        t = moreau_envelope(
-            lambda U: np.sum(U * U, axis=1), BoxDomain.symmetric(2), 0.5, 21
-        )
-        assert t.nodes.shape == (441, 2)
-        with pytest.raises(DimensionMismatch):
-            moreau_envelope(lambda U: np.sum(U * U, axis=1),
-                            BoxDomain.symmetric(3), 0.5, 5)
+    def test_only_1d_supported(self):
+        t = moreau_envelope(lambda U: U[:, 0] ** 2, BoxDomain.symmetric(1), 0.5, 21)
+        assert t.nodes.shape == (21, 1)
+        for dim in (2, 3):
+            with pytest.raises(DimensionMismatch):
+                moreau_envelope(lambda U: np.sum(U * U, axis=1),
+                                BoxDomain.symmetric(dim), 0.5, 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises(self, bad):
+        dom = BoxDomain.symmetric(1)
+        with pytest.raises(NumericOverflow):
+            moreau_envelope(lambda U: np.where(U[:, 0] < 0, bad, U[:, 0]), dom, 0.5, 11)
 
     def test_validation(self):
         dom = BoxDomain.symmetric(1)
@@ -263,6 +268,14 @@ class TestCheckEnvelopeProperties:
         interior = t.nodes[:, 0] >= -1.0 + eta
         gap = t.f_values[interior] - t.envelope[interior]
         assert_allclose(gap, eta / 2, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_function_does_not_pass(self, bad):
+        # NaN made every comparison false: the report read passed=True with
+        # max_violation=-inf and sup_gaps=[nan, nan]
+        with pytest.raises(NumericOverflow):
+            check_envelope_properties(lambda U: np.full(len(U), bad), (1.0, 0.1),
+                                      BoxDomain.symmetric(1), resolution=11)
 
     def test_single_eta(self):
         dom = BoxDomain.symmetric(1)
