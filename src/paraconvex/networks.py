@@ -20,11 +20,13 @@ A net's parameters live in one float64 vector, `MlpParams.flat`, and its
 layers are reshaped views of it; that layout is decided here alone.
 
 Evaluation is batch-first: `forward`, `grad_u` and `subgrad_u` are a batch
-of one through the row-wise functions. An MLP's reverse pass
+of one through the row-wise functions. An fnn is evaluated with its
+condition folded into layer 0: `mlp_offset` forms x W0[:, :n]^T + b0 once
+per row, and layer 0 multiplies only the u-columns. An MLP's reverse pass
 is one kernel, `MlpWorkspace.backward`, over a trace kept in buffers
-allocated once: the fnn solver takes input gradients from it across its
-sweeps, training takes weight gradients written into a net-shaped
-MlpParams.
+allocated once: the fnn solver takes u-gradients from it across its
+sweeps, training takes weight gradients of the joint [x; u] trace written
+into a net-shaped MlpParams.
 """
 
 from __future__ import annotations
@@ -98,17 +100,33 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
 
-def layer_buffers(params: MlpParams, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """mlp_forward_batch's buffers for `rows` rows: pre-activations, activations."""
+def layer_buffers(params: MlpParams, rows: int, planes: int) -> tuple:
+    """forward_batch's buffers for `rows` rows: mlp_forward_batch's
+    pre-activations and outputs, then its hidden activations, which a
+    bank's (rows, planes) plane scores reuse once the net has run."""
     widths = [W.shape[0] for W in params.weights]
-    return np.empty(rows * max(widths)), np.empty(rows * max(widths[:-1], default=0))
+    return np.empty(rows * max(widths)), np.empty(rows * max(widths[:-1] + [planes]))
 
 
-def _forward_layers(params: MlpParams, h: np.ndarray, pres=None, acts=None):
+def mlp_offset(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    """Layer 0's part from the leading X.shape[1] inputs plus its bias,
+    X W0[:, :n]^T + b0 (B, width_1): the per-row offset that folds inputs
+    held fixed, such as an fnn's condition x, into layer 0 once."""
+    off = X @ params.weights[0][:, : X.shape[1]].T
+    off += params.biases[0]
+    return off
+
+
+def _forward_layers(params: MlpParams, h: np.ndarray, pres=None, acts=None,
+                    offset=None):
     """Trace rows h into fresh arrays or the first len(h) rows of C-contiguous
-    buffers pres[j], acts[j] (the same bits either way); returns the outputs."""
+    buffers pres[j], acts[j] (the same bits either way); returns the outputs.
+    With an offset (len(h), width_1) from mlp_offset, h holds only the
+    trailing inputs and layer 0 adds the offset in place of its bias."""
     k, last = len(h), len(params.weights) - 1
     for j, (W, b) in enumerate(zip(params.weights, params.biases)):
+        if j == 0 and offset is not None:
+            W, b = W[:, W.shape[1] - h.shape[1] :], offset
         pre = np.matmul(h, W.T, out=None if pres is None else pres[j][:k])
         pre += b
         if j != last:
@@ -117,11 +135,14 @@ def _forward_layers(params: MlpParams, h: np.ndarray, pres=None, acts=None):
     return pre
 
 
-def mlp_forward_batch(params: MlpParams, inputs: np.ndarray, buffers=None) -> np.ndarray:
+def mlp_forward_batch(params: MlpParams, inputs: np.ndarray, buffers=None,
+                      offset=None) -> np.ndarray:
     """(B, n_in) -> (B, n_out). Hidden layers LeakyReLU, output affine. Runs
-    in `buffers` (layer_buffers for >= B rows), returning a view, if given."""
+    in `buffers` (layer_buffers for >= B rows), returning a view, if given.
+    Given mlp_offset's `offset` (B, width_1) of the leading inputs, inputs
+    holds the trailing ones only."""
     h = np.asarray(inputs, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != params.n_in:
+    if h.ndim != 2 or (offset is None and h.shape[1] != params.n_in):
         raise DimensionMismatch(f"expected input width {params.n_in}, got {h.shape}")
     # Callers running large batches again and again keep buffers: a fresh
     # 4,500x64 layer (2.3 MB) is above glibc's mmap threshold and faults in
@@ -132,13 +153,18 @@ def mlp_forward_batch(params: MlpParams, inputs: np.ndarray, buffers=None) -> np
         pres = [buffers[0][: B * len(b)].reshape(B, len(b)) for b in params.biases]
         acts = [buffers[1][: p.size].reshape(p.shape) for p in pres[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_layers(params, h, pres, acts)
+        return _forward_layers(params, h, pres, acts, offset)
 
 
 class MlpWorkspace:
     """Buffers for traces of an MLP over up to `rows` rows and their reverse
     passes: the input Z, and per layer the pre-activation, the activation
     and the gradient with respect to the layer's input.
+
+    With `fixed` > 0 a row's leading `fixed` inputs are folded into layer 0
+    once: the caller writes their mlp_offset into `offset`, Z holds the
+    trailing inputs, and a reverse pass returns the gradient in those alone
+    (weight gradients need fixed = 0).
 
     A pass over k rows reads Z[:k] and uses the first k rows of every
     buffer. Those are C-contiguous, so each matmul sees the operands a
@@ -147,27 +173,31 @@ class MlpWorkspace:
     into Z, runs passes, and compacts by moving its kept rows to the front.
     """
 
-    def __init__(self, params: MlpParams, rows: int):
+    def __init__(self, params: MlpParams, rows: int, fixed: int = 0):
         self.params = params
-        self.Z = np.empty((rows, params.n_in))
+        # the layers as the passes see them: layer 0 on the trailing inputs
+        self.weights = [params.weights[0][:, fixed:], *params.weights[1:]]
+        self.Z = np.empty((rows, params.n_in - fixed))
+        self.offset = np.empty((rows, params.weights[0].shape[0])) if fixed else None
         self.pres = [np.empty((rows, W.shape[0])) for W in params.weights]
         # hidden activations, then the reverse pass's LeakyReLU derivatives
         self.acts = [np.empty((rows, W.shape[0])) for W in params.weights[:-1]]
-        self.grads = [np.empty((rows, W.shape[1])) for W in params.weights]
+        self.grads = [np.empty((rows, W.shape[1])) for W in self.weights]
         # value_and_grad's unit output gradient through the output layer
         if params.n_out == 1:
-            self.unit = np.ones((rows, 1)) @ params.weights[-1]
+            self.unit = np.ones((rows, 1)) @ self.weights[-1]
 
     def forward(self, k: int) -> np.ndarray:
         """Trace rows Z[:k]; the outputs (k, n_out), a view."""
-        return _forward_layers(self.params, self.Z[:k], self.pres, self.acts)
+        offset = None if self.offset is None else self.offset[:k]
+        return _forward_layers(self.params, self.Z[:k], self.pres, self.acts, offset)
 
     def backward(self, k: int, delta, grads: MlpParams | None = None):
         """Reverse pass through the last forward(k) from delta (k, n_out), the
         output gradient (None: a scalar output's unit one). Fills the layers
         of grads, an MlpParams shaped like the net, if given, else returns
-        the input gradients."""
-        Ws = self.params.weights
+        the gradients in the inputs Z holds."""
+        Ws = self.weights
         for j in range(len(Ws) - 1, -1, -1):
             if grads is not None:
                 inputs = self.Z[:k] if j == 0 else self.acts[j - 1][:k]
@@ -191,9 +221,10 @@ class MlpWorkspace:
 
     def value_and_grad(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """One trace of a scalar-output MLP at rows Z[:k]: the outputs (k,),
-        equal to mlp_forward_batch's, and their input gradients (k, n_in)
-        by reverse mode. Both are views into the workspace, valid until the
-        next pass; callers copy from them and do not write to them."""
+        equal to mlp_forward_batch's, and their gradients (k, Z's width) in
+        the inputs Z holds, by reverse mode. Both are views into the
+        workspace, valid until the next pass; callers copy from them and do
+        not write to them."""
         if self.params.n_out != 1:
             raise DimensionMismatch("input gradient defined for scalar outputs only")
         return self.forward(k)[:, 0], self.backward(k, None)
@@ -330,36 +361,40 @@ def embedded_bank(net: Bank, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[:, : I * m].reshape(-1, I, m), out[:, I * m :]
 
 
-def bank_scores(A_u: np.ndarray, U: np.ndarray, c: np.ndarray) -> np.ndarray:
+def bank_scores(A_u: np.ndarray, U: np.ndarray, c: np.ndarray, out=None) -> np.ndarray:
     """Plane values A_u @ u + c (..., I) of banks A_u (..., I, m), c (..., I)
-    at points U (..., m), broadcast over the leading axes: the one scoring
-    of every bank outside the solver cores."""
-    S = np.einsum("...im,...m->...i", A_u, U)
+    at points U (..., m), broadcast over the leading axes, into `out` if
+    given: the one scoring of every bank outside the solver cores."""
+    S = np.einsum("...im,...m->...i", A_u, U, out=out)
     S += c
     return S
 
 
 def batch_scores(net: Network, X: np.ndarray, U: np.ndarray, buffers=None) -> np.ndarray:
-    """Plane values (B, I) of a bank at rows (X, U)."""
+    """Plane values (B, I) of a bank at rows (X, U), in layer_buffers'
+    spent activations buffer if `buffers` are given."""
     A_u, c = u_bank_batch(net, X, buffers)
-    return bank_scores(A_u, U, c)
+    S = None if buffers is None else buffers[1][: len(U) * net.I].reshape(len(U), net.I)
+    return bank_scores(A_u, U, c, S)
 
 
-def shifted_lse(scores: np.ndarray, T: float) -> np.ndarray:
+def shifted_lse(scores: np.ndarray, T: float, out=None) -> np.ndarray:
     """T * log sum exp(scores/T) over the last axis, stabilized by
-    subtracting the max first."""
+    subtracting the max first; the exponentials go to `out` (which may be
+    scores) if given."""
     top = np.max(scores, axis=-1, keepdims=True)
-    e = scores - top  # one temporary: a 4,500-row loss pass's is about 1 MB
+    # a 4,500-row loss pass's is about 1 MB: fresh, it faults in new pages
+    e = np.subtract(scores, top, out=out)
     e /= T
     np.exp(e, out=e)
     return T * np.log(np.sum(e, axis=-1)) + top[..., 0]
 
 
-def bank_values(S: np.ndarray, T: float | None) -> np.ndarray:
+def bank_values(S: np.ndarray, T: float | None, out=None) -> np.ndarray:
     """Values (B,) of banks at plane scores S (B, I): the max for T None,
-    else the T-log-sum-exp. Equal to bank_weights(S, T)[0], without the
-    cost of the weights."""
-    return S.max(1) if T is None else shifted_lse(S, T)
+    else the T-log-sum-exp, exponentiating in `out` if given. Equal to
+    bank_weights(S, T)[0], without the cost of the weights."""
+    return S.max(1) if T is None else shifted_lse(S, T, out)
 
 
 def bank_weights(S: np.ndarray, T: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -404,9 +439,10 @@ def forward_batch(net: Network, X: np.ndarray, U: np.ndarray, buffers=None) -> n
     X, U = _check_rows(net, X, U)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(net, FeedforwardNet):
-            out = mlp_forward_batch(net.mlp, np.hstack([X, U]), buffers)[:, 0]
+            out = mlp_forward_batch(net.mlp, U, buffers, mlp_offset(net.mlp, X))[:, 0]
         else:
-            out = bank_values(batch_scores(net, X, U, buffers), net.T)
+            S = batch_scores(net, X, U, buffers)
+            out = bank_values(S, net.T, out=S)
     return _finite(net, out, "forward")
 
 
@@ -428,9 +464,9 @@ def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         raise UnsupportedNetwork(f"{net.kind} is nonsmooth in u; use subgrad_u")
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(net, FeedforwardNet):
-            ws = MlpWorkspace(net.mlp, X.shape[0])
-            ws.Z[:, : net.n], ws.Z[:, net.n :] = X, U
-            out = ws.value_and_grad(X.shape[0])[1][:, net.n :]
+            ws = MlpWorkspace(net.mlp, X.shape[0], fixed=net.n)
+            ws.offset[...], ws.Z[...] = mlp_offset(net.mlp, X), U
+            out = ws.value_and_grad(X.shape[0])[1]
         else:
             out = _weighted_slopes(net, X, U)
     return _finite(net, out, "gradient")
@@ -510,7 +546,7 @@ def model_from_json(doc: dict) -> Network:
     document that is not one: a missing key, a format_version other than
     the integer FORMAT_VERSION, a seed that is neither null nor an integer
     >= 0, shapes that disagree, or a kind that disagrees with the stored
-    temperature, layers or plane count."""
+    temperature, layers or plane count (an fnn's T and I must be null)."""
     if not isinstance(doc, dict):
         raise ModelFormatError(f"model JSON is a {type(doc).__name__}, not an object")
     try:
@@ -529,11 +565,13 @@ def _model_from_doc(doc: dict) -> Network:
     seed = doc.get("seed")
     if seed is not None:
         check_count("seed", seed, minimum=0)
+    T, I = doc.get("T"), doc["I"]
     if kind == "fnn":
+        if T is not None or I is not None:
+            raise ModelFormatError(f"an fnn model takes null T and I, got T={T!r}, I={I!r}")
         return FeedforwardNet(n=n, m=m, mlp=_mlp_from_json(doc), seed=seed)
     if kind not in _BANK_KINDS:
         raise ValueError(f"unknown network kind {kind!r}")
-    T, I = doc.get("T"), doc["I"]
     if (T is None) != kind.endswith("ma"):
         raise ModelFormatError(
             f"a {kind} model {'needs a' if T is None else 'takes no'} temperature T"

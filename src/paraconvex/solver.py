@@ -13,8 +13,9 @@
     search's in about half the sweeps. Certificate: the first-order gap
     max_v <g, u - v> over the box, which bounds f(u) - min f for convex f.
   - fnn: multi-start projected gradient (nonconvex, no certificate). Each
-    sweep is one MLP value-and-gradient pass into buffers allocated once
-    per solve (`networks.MlpWorkspace`). A LeakyReLU MLP is piecewise
+    sweep is one MLP value-and-gradient pass over the live restarts into
+    buffers allocated once per solve (`networks.MlpWorkspace`), with each
+    condition folded into layer 0 once. A LeakyReLU MLP is piecewise
     linear in u, so the residual seldom vanishes at a kink; a restart also
     stops once an accepted move lowers its value by at most
     grad_tolerance * max(1, |f|), the relative-reduction test of L-BFGS-B.
@@ -41,6 +42,7 @@ from .networks import (
     bank_scores,
     bank_values,
     bank_weights,
+    mlp_offset,
     u_bank_batch,
 )
 from .numerics import BoxDomain, Rng, check_count, sample_uniform_box
@@ -330,50 +332,74 @@ def _multistart_batch(net, X, domain, opts, traces):
     rows per condition, all from the same seeded starts.
 
     The restarts advance in lockstep: each sweep takes one Armijo-tested step
-    per row, halving that row's step on rejection. Iterates only move on
+    per live restart, halving its step on rejection. Iterates only move on
     accepted decrease, so every restart descends monotonically; a moved row
     keeps the gradient from its candidate's trace, one MLP trace per sweep.
     A restart stops when its projected-gradient residual is at most
     grad_tolerance * max(1, |f|), when its step underflows, or when an
     accepted move lowers its value by at most grad_tolerance * max(1, |f|)
-    at the new point. A condition leaves the working set once all its
-    restarts have stopped ("converged"), when the sweep cap is hit
-    ("max_iters"), or when its objective went non-finite, so a lone
-    condition does the same array work as in a batch of its own.
+    at the new point. A stopped restart leaves the MLP pass and the sweep
+    arithmetic; its point and value stay for its condition's argmin and
+    trace. A condition leaves the working set once all its restarts have
+    stopped ("converged"), when the sweep cap is hit ("max_iters"), or when
+    a live restart's value went non-finite.
 
-    A sweep allocates nothing of the rows' size. One MlpWorkspace for the
-    B*R rows holds the MLP input [X_rep, U], its condition columns written
-    once and each sweep's candidates copied into its u-columns; the
-    candidate, residual and Armijo arithmetic write into two scratch arrays,
-    and moves are masked copies. The active rows are the first k of every
-    buffer: a leaving condition's rows are compacted out by moving the kept
-    rows to the front, so each pass sees the arrays a batch of k rows would.
-    Returns (U, values, sweeps, status) per condition, U being its best
-    restart's point.
+    Each condition's layer-0 part x W0[:, :n]^T + b0 is formed once
+    (`networks.mlp_offset`) and repeated over its restarts, so a pass
+    multiplies only the u-columns and returns the u-gradient alone. A sweep
+    allocates nothing of the rows' size: one MlpWorkspace for the B*R rows
+    holds the offsets, and each sweep forms its candidates in the
+    workspace's input rows; the residual and Armijo arithmetic write into
+    a scratch array, and moves are masked copies. The live restarts are the first k rows of every buffer,
+    in restart order: stopping ones are compacted out by moving the kept
+    rows to the front, so each pass sees the arrays a batch of k rows
+    would. Returns (U, values, sweeps, status) per condition, U being its
+    best restart's point and values one pass over the B condition rows, as
+    forward_batch forms them.
     """
     B, R, n, m = len(X), opts.restarts, net.n, domain.dim
     lo, hi = domain.lower, domain.upper
-    conds = np.arange(B)
-    ws = MlpWorkspace(net.mlp, B * R)
-    ws.Z[:, :n] = np.repeat(X, R, axis=0)
-    Us = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))
-    ws.Z[:, n:] = Us
+    ws = MlpWorkspace(net.mlp, B * R, fixed=n)
+    offsets = mlp_offset(net.mlp, X)
+    ws.offset[:] = np.repeat(offsets, R, axis=0)
+    # every restart's point and value by index b*R + r; a live restart's are
+    # written here when it stops
+    U_all = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))
+    ws.Z[:] = U_all
     f0, g0 = ws.value_and_grad(B * R)
-    fs, G = f0.copy(), g0[:, n:].copy()
-    bad = ~np.isfinite(fs)
+    f_all = f0.copy()
+    bad = ~np.isfinite(f_all)
     failed = bad.reshape(B, R).any(axis=1) if bad.any() else None
+    # the live restarts' iterates, values, gradients, steps and indices
+    Us, fs, G = U_all.copy(), f_all.copy(), g0.copy()
     steps = np.full(B * R, _INITIAL_STEP)
-    done = np.zeros(B * R, dtype=bool)
-    scratch, C = np.empty_like(Us), np.empty_like(Us)
+    index = np.arange(B * R)
+    live = np.ones(B * R, dtype=bool)
+    scratch = np.empty_like(Us)
+    conds = np.arange(B)
     best_u = np.zeros((B, m))
     sweeps = np.zeros(B, dtype=np.int64)
     status = np.full(B, _FAILED)
     if traces is not None:
-        for b, v in zip(conds, fs.reshape(B, R).min(axis=1)):
+        for b, v in zip(conds, f_all.reshape(B, R).min(axis=1)):
             traces[b].append(float(v))
+
+    def compact(stop, k):
+        """Keep the stopped rows' points and values, move the other rows of
+        the first k to the front and return their count."""
+        gone = index[:k][stop]
+        if not gone.size:
+            return k
+        U_all[gone], f_all[gone], live[gone] = Us[:k][stop], fs[:k][stop], False
+        first = int(np.argmax(stop))  # the rows before it stay where they are
+        keep = ~stop[first:]
+        for v in (ws.offset, Us, fs, G, steps, index):
+            v[first : k - gone.size] = v[first:k][keep]
+        return k - gone.size
+
     k = B * R
-    u, f, g, s, d, t, cand = (v[:k] for v in (Us, fs, G, steps, done, scratch, C))
     for sweep in range(1, opts.max_iters + 1):
+        u, f, g, t = Us[:k], fs[:k], G[:k], scratch[:k]
         # unit reference step u - clip(u - g)
         np.subtract(u, g, out=t)
         np.maximum(t, lo, out=t)
@@ -381,61 +407,65 @@ def _multistart_batch(net, X, domain, opts, traces):
         np.subtract(u, t, out=t)
         t *= t
         residual = np.sqrt(np.add.reduce(t, axis=1))
-        d |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
-        np.multiply(s[:, None], g, out=cand)
-        np.subtract(u, cand, out=cand)
-        np.maximum(cand, lo, out=cand)
-        np.minimum(cand, hi, out=cand)
-        # formed in a contiguous buffer and copied once: the same four steps
-        # on the strided u-columns of Z measured more than twice as slow
-        ws.Z[:k, n:] = cand
-        f_cand, g_cand = ws.value_and_grad(k)
-        bad = ~np.isfinite(f_cand)
-        if bad.any():
-            bad = bad.reshape(-1, R).any(axis=1)
-            failed = bad if failed is None else failed | bad
-        np.subtract(cand, u, out=t)
-        t *= g
-        decrease = f_cand <= f + _ARMIJO * np.add.reduce(t, axis=1)
-        move = decrease & ~d
-        tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
-        flat = move & (f - f_cand <= tol)
-        np.copyto(u, cand, where=move[:, None])
-        np.copyto(f, f_cand, where=move)
-        np.copyto(g, g_cand[:, n:], where=move[:, None])
-        s[move] *= 2.0
-        s[~decrease & ~d] *= _BACKTRACK
-        d |= flat | (s < _MIN_STEP)
+        stop = residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
+        stopped = stop.any()
+        if stopped:
+            k = compact(stop, k)
+        if k:
+            u, f, g, s, t = (v[:k] for v in (Us, fs, G, steps, scratch))
+            cand = ws.Z[:k]  # the pass reads its input rows from here
+            np.multiply(s[:, None], g, out=cand)
+            np.subtract(u, cand, out=cand)
+            np.maximum(cand, lo, out=cand)
+            np.minimum(cand, hi, out=cand)
+            f_cand, g_cand = ws.value_and_grad(k)
+            bad = ~np.isfinite(f_cand)
+            if bad.any():
+                if failed is None:
+                    failed = np.zeros(B, dtype=bool)
+                failed[index[:k][bad] // R] = True
+            np.subtract(cand, u, out=t)
+            t *= g
+            move = f_cand <= f + _ARMIJO * np.add.reduce(t, axis=1)
+            tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
+            stop = move & (f - f_cand <= tol)
+            np.copyto(u, cand, where=move[:, None])
+            np.copyto(f, f_cand, where=move)
+            np.copyto(g, g_cand, where=move[:, None])
+            s *= np.where(move, 2.0, _BACKTRACK)
+            stop |= s < _MIN_STEP
+            if stop.any():
+                stopped = True
+                k = compact(stop, k)
         if traces is not None:
-            for b, v in zip(conds, f.reshape(-1, R).min(axis=1)):
+            f_all[index[:k]] = fs[:k]
+            for b, v in zip(conds, f_all.reshape(B, R)[conds].min(axis=1)):
                 traces[b].append(float(v))
-        if failed is None and sweep < opts.max_iters and np.count_nonzero(d) < R:
-            continue  # no condition can have all its restarts done yet
-        finished = d.reshape(-1, R).all(axis=1)
+        if not stopped and failed is None and sweep < opts.max_iters:
+            continue  # no condition can have finished
+        finished = ~live.reshape(B, R)[conds].any(axis=1)
         leaving = finished if sweep < opts.max_iters else np.ones_like(finished)
         if failed is not None:
-            leaving = leaving | failed
+            leaving = leaving | failed[conds]
         if not leaving.any():
             continue
         out = conds[leaving]
-        best = np.argmin(f.reshape(-1, R)[leaving], axis=1)
-        best_u[out] = u.reshape(-1, R, m)[leaving, best]
+        # the leaving conditions' live restarts stop where they are
+        ending = np.zeros(B, dtype=bool)
+        ending[out] = True
+        k = compact(ending[index[:k] // R], k)
+        best = np.argmin(f_all.reshape(B, R)[out], axis=1)
+        best_u[out] = U_all.reshape(B, R, m)[out, best]
         sweeps[out] = sweep
         status[out] = np.where(finished[leaving], _CONVERGED, _MAX_ITERS)
         if failed is not None:
-            status[out[failed[leaving]]] = _FAILED
-            failed = failed[~leaving]
-        keep = ~leaving
-        if not keep.any():
+            status[out[failed[out]]] = _FAILED
+            failed = None  # every failed condition has left
+        conds = conds[~leaving]
+        if not conds.size:
             break
-        keep_rows = np.repeat(keep, R)
-        conds = conds[keep]
-        for v in (ws.Z, Us, fs, G, steps, done):
-            v[: conds.size * R] = v[:k][keep_rows]
-        k = conds.size * R
-        u, f, g, s, d, t, cand = (v[:k] for v in (Us, fs, G, steps, done, scratch, C))
-    ws.Z[:B, :n], ws.Z[:B, n:] = X, best_u
-    values = ws.value_and_grad(B)[0]
+    ws.offset[:B], ws.Z[:B] = offsets, best_u
+    values = ws.forward(B)[:, 0]
     status[~np.isfinite(values)] = _FAILED
     return best_u, values, sweeps, status
 
@@ -447,7 +477,8 @@ def minimize_batch(
 
     A row's result does not depend on its batch-mates, except that an fnn
     row may differ from a batch of one in the last bits: a matmul row's bits
-    depend on the row count (B*R against R). A row whose bank or
+    depend on the row count (B condition rows against one, the live
+    restarts of B conditions against those of one). A row whose bank or
     objective goes non-finite comes back as None. Every result's trace
     holds the model value at each iterate (for fnn, the best restart's),
     and its wall_time_s is the batch's wall time divided by B.

@@ -168,12 +168,14 @@ def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray,
 class TrainWorkspace:
     """A net's buffers for steps over up to `rows` rows and loss passes over
     up to `loss_rows`: `grads`, an MlpParams shaped like the net; the step's
-    MlpWorkspace `mlp`; and mlp_forward_batch's buffers `loss`."""
+    MlpWorkspace `mlp`; and forward_batch's buffers `loss`, sized for a
+    bank's plane scores too."""
 
     def __init__(self, net: Network, rows: int, loss_rows: int = 0):
         self.grads = MlpParams(net.mlp.weights, net.mlp.biases)  # each step overwrites it
         self.mlp = MlpWorkspace(net.mlp, rows)
-        self.loss = layer_buffers(net.mlp, loss_rows)
+        planes = net.I if isinstance(net, Bank) else 0
+        self.loss = layer_buffers(net.mlp, loss_rows, planes)
 
 
 def weight_gradients(

@@ -184,6 +184,17 @@ class TestSolve:
         assert rc == 2 and out == ""
         assert err == f"error: malformed model JSON: {why}\n"
 
+    @pytest.mark.parametrize("key, value, got", [("T", "hot", "T='hot', I=None"),
+                                                 ("I", 99, "T=None, I=99")])
+    def test_fnn_metadata_is_malformed(self, tmp_path, capsys, key, value, got):
+        with open(os.path.join(GOLDEN, "fnn_1x1_trained.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        rc, out, err = run_cli(["solve", "--model", str(path), "--x", "0.1"], capsys)
+        assert rc == 2 and out == ""
+        assert err == f"error: malformed model JSON: an fnn model takes null T and I, got {got}\n"
+
     @pytest.mark.parametrize("T", [True, float("inf"), "0.1"])
     def test_bad_temperature_is_malformed(self, tmp_path, capsys, T):
         with open(os.path.join(GOLDEN, "plse_1x1_trained.json"), encoding="utf-8") as fh:

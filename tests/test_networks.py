@@ -562,6 +562,14 @@ class TestSerialization:
         for net in self._nets():
             assert model_from_json(dict(model_to_json(net), seed=seed)).seed == seed
 
+    @pytest.mark.parametrize("key, value", [("T", "hot"), ("T", 0.1), ("I", 99),
+                                            ("I", 0)])
+    def test_fnn_takes_null_temperature_and_plane_count(self, key, value):
+        # a value here would load and be written back as null on saving
+        doc = dict(model_to_json(self._nets()[0]), **{key: value})
+        with pytest.raises(ModelFormatError, match="an fnn model takes null T and I"):
+            model_from_json(doc)
+
     def test_unknown_kind_rejected(self):
         doc = model_to_json(self._nets()[0])
         doc["kind"] = "rbf"

@@ -17,8 +17,8 @@ from paraconvex.networks import (
     bank_weights,
     forward,
     forward_batch,
-    grad_u_batch,
     mlp_forward_batch,
+    mlp_offset,
     shifted_lse,
     u_bank_batch,
 )
@@ -296,11 +296,12 @@ class TestDispatch:
                 assert dom.contains(res.u_star)
                 assert res.value == forward(net, x, res.u_star)
 
-    @pytest.mark.parametrize("kind", ["ma", "lse", "pma", "plse"])
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
     @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (61, 20)])
     def test_batch_values_are_forward_batch(self, kind, dims):
         # every row's value is forward_batch's at its u* on the same X, bit
-        # for bit: a bank's solve and its value share one scoring path
+        # for bit: a bank's solve and its value share one scoring path, and
+        # fnn's value pass folds X into layer 0 as forward_batch does
         n, m = dims
         net = init_network(kind, n, m, seed=60, hidden=(8, 8))
         X = np.array([Rng(610 + k).uniform_in(-1.0, 1.0, n) for k in range(20)])
@@ -691,53 +692,64 @@ def _two_pass_pg_batch(A, c, live, T, domain, opts, traces):
 
 
 def _two_pass_multistart(net, x, domain, opts, relative_stop=True):
-    """Multi-start sweep for one condition that runs the MLP twice per sweep
-    (forward at the candidates, a separate gradient pass at the iterates).
+    """Multi-start sweep for one condition that runs the MLP twice per sweep:
+    a forward pass at the live restarts' candidates, then a separate
+    gradient pass at their iterates, whose rows that moved take the new
+    gradient. Like the solver it forms the layer-0 offset of x once and
+    evaluates only the live restarts, in restart order: a matmul row's bits
+    depend on the row count, so a gradient from a pass over other rows, or
+    an offset formed per restart, could differ in the last bits.
     With relative_stop=False an accepted move never ends a restart, which is
     the earlier rule: sweep until the residual test or the cap. Returns
     (u*, value, sweeps, status, trace)."""
     R, lo, hi = opts.restarts, domain.lower, domain.upper
-    X = np.tile(x, (R, 1))
+    offsets = np.repeat(mlp_offset(net.mlp, x[None, :]), R, axis=0)
     Us = sample_uniform_box(domain, R, Rng(opts.seed))
-    fs = forward_batch(net, X, Us)
+    fs = mlp_forward_batch(net.mlp, Us, offset=offsets)[:, 0]
+    G = _where_reference_grad(net.mlp, Us, offsets)
     steps = np.full(R, solver_module._INITIAL_STEP)
-    done = np.zeros(R, dtype=bool)
+    live = np.ones(R, dtype=bool)
     trace = [float(fs.min())]
     for sweep in range(1, opts.max_iters + 1):
-        G = grad_u_batch(net, X, Us)
         residual = np.linalg.norm(Us - np.clip(Us - G, lo, hi), axis=1)
-        done |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs))
-        cand = np.clip(Us - steps[:, None] * G, lo, hi)
-        f_cand = forward_batch(net, X, cand)
-        decrease = f_cand <= fs + solver_module._ARMIJO * np.sum(G * (cand - Us), axis=1)
-        move = decrease & ~done
-        tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
-        flat = move & (fs - f_cand <= tol)
-        flat &= relative_stop
-        Us[move], fs[move] = cand[move], f_cand[move]
-        steps[move] *= 2.0
-        steps[~decrease & ~done] *= solver_module._BACKTRACK
-        done |= flat | (steps < 1e-18)
+        live &= ~(residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs)))
+        rows = np.flatnonzero(live)
+        if rows.size:
+            u, f, g, s = Us[rows], fs[rows], G[rows], steps[rows]
+            cand = np.clip(u - s[:, None] * g, lo, hi)
+            f_cand = mlp_forward_batch(net.mlp, cand, offset=offsets[rows])[:, 0]
+            move = f_cand <= f + solver_module._ARMIJO * np.sum(g * (cand - u), axis=1)
+            tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
+            flat = move & (f - f_cand <= tol) & relative_stop
+            Us[rows[move]], fs[rows[move]] = cand[move], f_cand[move]
+            G[rows[move]] = _where_reference_grad(net.mlp, Us[rows], offsets[rows])[move]
+            steps[rows] = np.where(move, 2.0 * s, solver_module._BACKTRACK * s)
+            live[rows[flat | (steps[rows] < 1e-18)]] = False
         trace.append(float(fs.min()))
-        if done.all():
+        if not live.any():
             break
     u = Us[np.argmin(fs)]
-    status = "converged" if done.all() else "max_iters"
+    status = "max_iters" if live.any() else "converged"
     return u, forward_batch(net, x[None, :], u[None, :])[0], sweep, status, trace
 
 
-def _where_reference_grad(mlp, Z):
-    """Input gradients (B, n_in) by the reverse pass with the LeakyReLU
-    derivative as a float np.where mask, as a separate function computed it."""
+def _where_reference_grad(mlp, Z, offset=None):
+    """Gradients (B, Z's width) in the inputs Z by the reverse pass with the
+    LeakyReLU derivative as a float np.where mask, as a separate function
+    computed it. Given mlp_offset's offset, Z holds the trailing inputs and
+    layer 0 adds the offset in place of its bias, as in the solver."""
+    Ws, bs = list(mlp.weights), list(mlp.biases)
+    if offset is not None:
+        Ws[0], bs[0] = Ws[0][:, Ws[0].shape[1] - Z.shape[1] :], offset
     pres, h = [], Z
-    for W, b in zip(mlp.weights, mlp.biases):
+    for W, b in zip(Ws, bs):
         pres.append(h @ W.T + b)
         h = np.maximum(LEAKY_SLOPE * pres[-1], pres[-1])
     g = np.ones((len(Z), 1))
-    for k in range(len(mlp.weights) - 1, -1, -1):
-        if k != len(mlp.weights) - 1:
+    for k in range(len(Ws) - 1, -1, -1):
+        if k != len(Ws) - 1:
             g = g * np.where(pres[k] > 0, 1.0, LEAKY_SLOPE)
-        g = g @ mlp.weights[k]
+        g = g @ Ws[k]
     return g
 
 
@@ -822,76 +834,68 @@ class TestFusedLoops:
                 value, sweeps, status, trace)
 
 
-def _allocating_multistart_batch(net, X, domain, opts, traces):
+def _allocating_multistart_batch(net, X, domain, opts, traces, passes=None):
     """The multi-start sweep with fresh arrays for every step and a separate
     forward and np.where-mask reverse pass per trace: the reference the
-    workspace sweep `_multistart_batch` must reproduce bit for bit."""
+    workspace sweep `_multistart_batch` must reproduce bit for bit. It forms
+    each condition's layer-0 offset once and traces only the live restarts,
+    in restart order, as the solver does, since a matmul row's bits depend
+    on the row count. The row count of every trace is appended to
+    `passes`, if given."""
 
-    def trace(X, U):
-        Z = np.hstack([X, U])
-        f = mlp_forward_batch(net.mlp, Z)[:, 0]
-        bad = ~np.isfinite(f)
-        return f, _where_reference_grad(net.mlp, Z)[:, net.n :], bad if bad.any() else None
+    def trace(U, offset):
+        if passes is not None:
+            passes.append(len(U))
+        f = mlp_forward_batch(net.mlp, U, offset=offset)[:, 0]
+        return f, _where_reference_grad(net.mlp, U, offset)
 
     B, R, m = len(X), opts.restarts, domain.dim
     lo, hi = domain.lower, domain.upper
-    conds = np.arange(B)
-    X_rep = np.repeat(X, R, axis=0)
+    offsets = mlp_offset(net.mlp, X)
     Us = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))
-    fs, G, bad = trace(X_rep, Us)
-    failed = None if bad is None else bad.reshape(B, R).any(axis=1)
+    fs, G = trace(Us, np.repeat(offsets, R, axis=0))
+    failed = (~np.isfinite(fs)).reshape(B, R).any(axis=1)
     steps = np.full(B * R, solver_module._INITIAL_STEP)
-    done = np.zeros(B * R, dtype=bool)
+    live, active = np.ones(B * R, dtype=bool), np.ones(B, dtype=bool)
     best_u, sweeps = np.zeros((B, m)), np.zeros(B, dtype=np.int64)
     status = np.full(B, solver_module._FAILED)
     if traces is not None:
-        for b, v in zip(conds, fs.reshape(B, R).min(axis=1)):
+        for b, v in enumerate(fs.reshape(B, R).min(axis=1)):
             traces[b].append(float(v))
     for sweep in range(1, opts.max_iters + 1):
         r = Us - np.minimum(np.maximum(Us - G, lo), hi)
         residual = np.sqrt(np.add.reduce(r * r, axis=1))
-        done |= residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs))
-        cand = np.minimum(np.maximum(Us - steps[:, None] * G, lo), hi)
-        f_cand, G_cand, bad = trace(X_rep, cand)
-        if bad is not None:
-            bad = bad.reshape(-1, R).any(axis=1)
-            failed = bad if failed is None else failed | bad
-        decrease = f_cand <= fs + solver_module._ARMIJO * (G * (cand - Us)).sum(axis=1)
-        move = decrease & ~done
-        tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
-        flat = move & (fs - f_cand <= tol)
-        Us[move], fs[move], G[move] = cand[move], f_cand[move], G_cand[move]
-        steps[move] *= 2.0
-        steps[~decrease & ~done] *= solver_module._BACKTRACK
-        done |= flat | (steps < 1e-18)
+        live &= ~(residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(fs)))
+        rows = np.flatnonzero(live)
+        if rows.size:
+            u, f, g, s = Us[rows], fs[rows], G[rows], steps[rows]
+            cand = np.minimum(np.maximum(u - s[:, None] * g, lo), hi)
+            f_cand, G_cand = trace(cand, offsets[rows // R])
+            failed[rows[~np.isfinite(f_cand)] // R] = True
+            move = f_cand <= f + solver_module._ARMIJO * (g * (cand - u)).sum(axis=1)
+            tol = opts.grad_tolerance * np.maximum(1.0, np.abs(f_cand))
+            flat = move & (f - f_cand <= tol)
+            moved = rows[move]
+            Us[moved], fs[moved], G[moved] = cand[move], f_cand[move], G_cand[move]
+            steps[rows] = np.where(move, 2.0 * s, solver_module._BACKTRACK * s)
+            live[rows[flat | (steps[rows] < 1e-18)]] = False
         if traces is not None:
-            for b, v in zip(conds, fs.reshape(-1, R).min(axis=1)):
-                traces[b].append(float(v))
-        finished = done.reshape(-1, R).all(axis=1)
-        leaving = finished if sweep < opts.max_iters else np.ones_like(finished)
-        if failed is not None:
-            leaving = leaving | failed
-        if not leaving.any():
-            continue
-        out = conds[leaving]
-        best = np.argmin(fs.reshape(-1, R)[leaving], axis=1)
-        best_u[out] = Us.reshape(-1, R, m)[leaving, best]
+            for b in np.flatnonzero(active):
+                traces[b].append(float(fs.reshape(B, R)[b].min()))
+        finished = ~live.reshape(B, R).any(axis=1)
+        out = np.flatnonzero(active & (finished | failed | (sweep == opts.max_iters)))
+        best = np.argmin(fs.reshape(B, R)[out], axis=1)
+        best_u[out] = Us.reshape(B, R, m)[out, best]
         sweeps[out] = sweep
-        status[out] = np.where(finished[leaving], solver_module._CONVERGED,
+        status[out] = np.where(finished[out], solver_module._CONVERGED,
                                solver_module._MAX_ITERS)
-        if failed is not None:
-            status[out[failed[leaving]]] = solver_module._FAILED
-            failed = failed[~leaving]
-        keep = ~leaving
-        if not keep.any():
+        status[out[failed[out]]] = solver_module._FAILED
+        active[out] = False
+        live.reshape(B, R)[out] = False
+        if not active.any():
             break
-        keep_rows = np.repeat(keep, R)
-        conds = conds[keep]
-        X_rep, Us, fs, G, steps, done = (
-            v[keep_rows] for v in (X_rep, Us, fs, G, steps, done))
-    values, _, bad = trace(X, best_u)
-    if bad is not None:
-        status[bad] = solver_module._FAILED
+    values = trace(best_u, offsets)[0]
+    status[~np.isfinite(values)] = solver_module._FAILED
     return best_u, values, sweeps, status
 
 
@@ -952,6 +956,29 @@ class TestMultistartWorkspace:
             assert capped_status == "max_iters"
             assert res.status == "converged" and res.iterations < opts.max_iters
             assert res.value <= capped + 1e-3 * max(1.0, abs(res.value))
+
+    def test_passes_hold_only_live_restarts(self, monkeypatch):
+        # a wrapper counts the rows of every workspace pass: they are the
+        # restarts still live in the reference's sweep, so a stopped restart
+        # leaves the pass; the last pass is the value pass over the B rows
+        net = init_network("fnn", 61, 20, seed=5, hidden=(64, 64))
+        X = np.array([Rng(520 + k).uniform_in(-1.0, 1.0, 61) for k in range(4)])
+        dom, opts = BoxDomain.symmetric(20), SolveOptions(seed=5)
+        counts = []
+
+        class CountingWorkspace(MlpWorkspace):
+            def forward(self, k):
+                counts.append(k)
+                return super().forward(k)
+
+        monkeypatch.setattr(solver_module, "MlpWorkspace", CountingWorkspace)
+        minimize_batch(net, X, dom, opts)
+        live = []
+        _allocating_multistart_batch(net, X, dom, opts, None, live)
+        assert counts == live
+        assert counts[0] == 4 * opts.restarts and counts[-1] == 4
+        sweeps = counts[1:-1]
+        assert sweeps == sorted(sweeps, reverse=True) and sweeps[-1] < sweeps[0]
 
     def test_conditions_leave_at_different_sweeps(self, monkeypatch):
         net = init_network("fnn", 1, 1, seed=7, hidden=(8, 8))
