@@ -19,12 +19,17 @@
     linear in u, so the residual seldom vanishes at a kink; a restart also
     stops once an accepted move lowers its value by at most
     grad_tolerance * max(1, |f|), the relative-reduction test of L-BFGS-B.
+    Every stop is a restart's; each condition's u*, sweep count and status
+    are read from its restarts once, after the sweep loop.
 Every row keeps its own iterate and stopping rule and leaves the working
 set when it stops, so the per-call NumPy overhead is paid once per sweep,
 not once per condition and iteration. `minimize` is a batch of one. A
 bank result's value is `networks.bank_scores` of the (A, c) its core
 minimized, so it is `forward_batch` at u* on the same X bit for bit. Its
-status says why it stopped: "converged", "max_iters" or "step_underflow".
+status says why it stopped, by one rule for every kind: "converged" if its
+stopping tests ended it (for fnn, every restart's), even on the cap
+iteration; else "max_iters" if the cap did (for fnn, if it stopped any
+restart); else "step_underflow".
 """
 
 from __future__ import annotations
@@ -180,8 +185,8 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
             done = rows[stop]
             U[done], G[done], iters[done] = u[stop], g[stop], it[stop]
             status[done] = np.select(
-                [bad[stop], capped[stop], converged[stop]],
-                [_FAILED, _MAX_ITERS, _CONVERGED],
+                [bad[stop], converged[stop], capped[stop]],
+                [_FAILED, _CONVERGED, _MAX_ITERS],
                 _STEP_UNDERFLOW,
             )
             keep = ~stop
@@ -284,8 +289,8 @@ def _lp_batch(A, c, live, domain, opts, traces):
             U[done] = _snapped(A[stop], c[stop], u[stop], f[stop], s[stop], z[stop],
                                domain)
             D[done], iters[done] = bound[stop], it[stop]
-            status[done] = np.select([capped[stop], converged[stop]],
-                                     [_MAX_ITERS, _CONVERGED], _STEP_UNDERFLOW)
+            status[done] = np.select([converged[stop], capped[stop]],
+                                     [_CONVERGED, _MAX_ITERS], _STEP_UNDERFLOW)
             keep = ~stop
             rows, A, c, u, s, z, sz, bound, it = (
                 v[keep] for v in (rows, A, c, u, s, z, sz, bound, it)
@@ -336,61 +341,51 @@ def _multistart_batch(net, X, domain, opts, traces):
     accepted decrease, so every restart descends monotonically; a moved row
     keeps the gradient from its candidate's trace, one MLP trace per sweep.
     A restart stops when its projected-gradient residual is at most
-    grad_tolerance * max(1, |f|), when its step underflows, or when an
+    grad_tolerance * max(1, |f|), when its step underflows, when an
     accepted move lowers its value by at most grad_tolerance * max(1, |f|)
-    at the new point. A stopped restart leaves the MLP pass and the sweep
-    arithmetic; its point and value stay for its condition's argmin and
-    trace. A condition leaves the working set once all its restarts have
-    stopped ("converged"), when the sweep cap is hit ("max_iters"), or when
-    a live restart's value went non-finite.
+    at the new point, after the pass in which a restart of its condition
+    went non-finite (the condition failed), or at the end of the cap sweep
+    (the condition is capped). A stopped restart leaves the MLP pass and
+    the sweep arithmetic. Each condition is read once, after the loop: u*
+    is its restarts' argmin, its sweeps their last stop, and its status
+    _FAILED if it failed, else "max_iters" if capped, else "converged".
 
     Each condition's layer-0 part x W0[:, :n]^T + b0 is formed once
     (`networks.mlp_offset`) and repeated over its restarts, so a pass
-    multiplies only the u-columns and returns the u-gradient alone. A sweep
-    allocates nothing of the rows' size: one MlpWorkspace for the B*R rows
-    holds the offsets, and each sweep forms its candidates in the
-    workspace's input rows; the residual and Armijo arithmetic write into
-    a scratch array, and moves are masked copies. The live restarts are the first k rows of every buffer,
-    in restart order: stopping ones are compacted out by moving the kept
-    rows to the front, so each pass sees the arrays a batch of k rows
-    would. Returns (U, values, sweeps, status) per condition, U being its
-    best restart's point and values one pass over the B condition rows, as
-    forward_batch forms them.
+    multiplies only the u-columns. The live restarts are the first k rows,
+    in restart order, of one MlpWorkspace for the B*R rows: stopping ones
+    are compacted out by moving the kept rows to the front, so each pass
+    sees the arrays a batch of k rows would. Candidates are formed in the
+    workspace's input rows and the step arithmetic in a scratch array, so
+    a sweep allocates nothing of the rows' size. Returns (U, values,
+    sweeps, status) per condition, values as forward_batch forms them.
     """
-    B, R, n, m = len(X), opts.restarts, net.n, domain.dim
+    B, R, m = len(X), opts.restarts, domain.dim
     lo, hi = domain.lower, domain.upper
-    ws = MlpWorkspace(net.mlp, B * R, fixed=n)
+    ws = MlpWorkspace(net.mlp, B * R, fixed=net.n)
     offsets = mlp_offset(net.mlp, X)
     ws.offset[:] = np.repeat(offsets, R, axis=0)
-    # every restart's point and value by index b*R + r; a live restart's are
-    # written here when it stops
+    # every restart's point, value and last sweep by index b*R + r; a live
+    # restart's are written here when it stops
     U_all = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))
     ws.Z[:] = U_all
-    f0, g0 = ws.value_and_grad(B * R)
-    f_all = f0.copy()
-    bad = ~np.isfinite(f_all)
-    failed = bad.reshape(B, R).any(axis=1) if bad.any() else None
-    # the live restarts' iterates, values, gradients, steps and indices
-    Us, fs, G = U_all.copy(), f_all.copy(), g0.copy()
-    steps = np.full(B * R, _INITIAL_STEP)
-    index = np.arange(B * R)
-    live = np.ones(B * R, dtype=bool)
-    scratch = np.empty_like(Us)
-    conds = np.arange(B)
-    best_u = np.zeros((B, m))
-    sweeps = np.zeros(B, dtype=np.int64)
-    status = np.full(B, _FAILED)
+    f_all, G = (v.copy() for v in ws.value_and_grad(B * R))
+    last = np.zeros(B * R, dtype=np.int64)
+    # per condition: a restart's value went non-finite; the cap stopped one
+    failed = ~np.isfinite(f_all).reshape(B, R).all(axis=1)
+    capped = np.zeros(B, dtype=bool)
+    failing = failed.any()  # a failed condition's restarts are still live
+    # the live restarts' iterates, values, gradients (G), steps and indices
+    Us, fs, scratch = U_all.copy(), f_all.copy(), np.empty_like(U_all)
+    steps, index = np.full(B * R, _INITIAL_STEP), np.arange(B * R)
     if traces is not None:
-        for b, v in zip(conds, f_all.reshape(B, R).min(axis=1)):
+        for b, v in enumerate(f_all.reshape(B, R).min(axis=1)):
             traces[b].append(float(v))
 
-    def compact(stop, k):
-        """Keep the stopped rows' points and values, move the other rows of
-        the first k to the front and return their count."""
+    def compact(stop, k, sweep):
+        """Record the stopped rows of the first k, move the rest forward."""
         gone = index[:k][stop]
-        if not gone.size:
-            return k
-        U_all[gone], f_all[gone], live[gone] = Us[:k][stop], fs[:k][stop], False
+        U_all[gone], f_all[gone], last[gone] = Us[:k][stop], fs[:k][stop], sweep
         first = int(np.argmax(stop))  # the rows before it stay where they are
         keep = ~stop[first:]
         for v in (ws.offset, Us, fs, G, steps, index):
@@ -399,6 +394,8 @@ def _multistart_batch(net, X, domain, opts, traces):
 
     k = B * R
     for sweep in range(1, opts.max_iters + 1):
+        if traces is not None:
+            traced = np.unique(index[:k] // R)  # the conditions still live
         u, f, g, t = Us[:k], fs[:k], G[:k], scratch[:k]
         # unit reference step u - clip(u - g)
         np.subtract(u, g, out=t)
@@ -408,9 +405,8 @@ def _multistart_batch(net, X, domain, opts, traces):
         t *= t
         residual = np.sqrt(np.add.reduce(t, axis=1))
         stop = residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
-        stopped = stop.any()
-        if stopped:
-            k = compact(stop, k)
+        if stop.any():
+            k = compact(stop, k, sweep)
         if k:
             u, f, g, s, t = (v[:k] for v in (Us, fs, G, steps, scratch))
             cand = ws.Z[:k]  # the pass reads its input rows from here
@@ -421,9 +417,7 @@ def _multistart_batch(net, X, domain, opts, traces):
             f_cand, g_cand = ws.value_and_grad(k)
             bad = ~np.isfinite(f_cand)
             if bad.any():
-                if failed is None:
-                    failed = np.zeros(B, dtype=bool)
-                failed[index[:k][bad] // R] = True
+                failed[index[:k][bad] // R] = failing = True
             np.subtract(cand, u, out=t)
             t *= g
             move = f_cand <= f + _ARMIJO * np.add.reduce(t, axis=1)
@@ -434,40 +428,24 @@ def _multistart_batch(net, X, domain, opts, traces):
             np.copyto(g, g_cand, where=move[:, None])
             s *= np.where(move, 2.0, _BACKTRACK)
             stop |= s < _MIN_STEP
+            if failing:
+                stop |= failed[index[:k] // R]
+                failing = False
             if stop.any():
-                stopped = True
-                k = compact(stop, k)
+                k = compact(stop, k, sweep)
         if traces is not None:
             f_all[index[:k]] = fs[:k]
-            for b, v in zip(conds, f_all.reshape(B, R)[conds].min(axis=1)):
+            for b, v in zip(traced, f_all.reshape(B, R)[traced].min(axis=1)):
                 traces[b].append(float(v))
-        if not stopped and failed is None and sweep < opts.max_iters:
-            continue  # no condition can have finished
-        finished = ~live.reshape(B, R)[conds].any(axis=1)
-        leaving = finished if sweep < opts.max_iters else np.ones_like(finished)
-        if failed is not None:
-            leaving = leaving | failed[conds]
-        if not leaving.any():
-            continue
-        out = conds[leaving]
-        # the leaving conditions' live restarts stop where they are
-        ending = np.zeros(B, dtype=bool)
-        ending[out] = True
-        k = compact(ending[index[:k] // R], k)
-        best = np.argmin(f_all.reshape(B, R)[out], axis=1)
-        best_u[out] = U_all.reshape(B, R, m)[out, best]
-        sweeps[out] = sweep
-        status[out] = np.where(finished[leaving], _CONVERGED, _MAX_ITERS)
-        if failed is not None:
-            status[out[failed[out]]] = _FAILED
-            failed = None  # every failed condition has left
-        conds = conds[~leaving]
-        if not conds.size:
+        if not k:
             break
-    ws.offset[:B], ws.Z[:B] = offsets, best_u
-    values = ws.forward(B)[:, 0]
-    status[~np.isfinite(values)] = _FAILED
-    return best_u, values, sweeps, status
+    else:  # the cap sweep: whatever is still live stops there
+        capped[index[:k] // R] = True
+        compact(np.ones(k, dtype=bool), k, sweep)
+    U = U_all.reshape(B, R, m)[np.arange(B), np.argmin(f_all.reshape(B, R), axis=1)]
+    ws.offset[:B], ws.Z[:B] = offsets, U
+    status = np.select([failed, capped], [_FAILED, _MAX_ITERS], _CONVERGED)
+    return U, ws.forward(B)[:, 0], last.reshape(B, R).max(axis=1), status
 
 
 def minimize_batch(

@@ -354,6 +354,25 @@ class TestStatus:
         assert res.status == "converged"
         assert_allclose(res.u_star, [0.15], atol=1e-6)
 
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    def test_convergence_on_the_cap_iteration_wins(self, kind):
+        # a cap of exactly the iterations a solve converges in changes
+        # nothing; for fnn the condition's one restart stops on its last
+        # (4th) sweep, which is then the cap sweep
+        if kind == "fnn":
+            net = init_network(kind, 1, 1, seed=7, hidden=(8, 8))
+            x, opts = Rng(70).uniform_in(-1.0, 1.0, 1), SolveOptions(seed=7, restarts=1)
+        else:
+            net = init_network(kind, 2, 3, seed=3, I=8, hidden=(8,))
+            x, opts = Rng(70).uniform_in(-1.0, 1.0, 2), SolveOptions()
+        dom = BoxDomain.symmetric(net.m)
+        res = minimize(net, x, dom, opts)
+        assert res.status == "converged"
+        again = minimize(net, x, dom, dataclasses.replace(opts, max_iters=res.iterations))
+        assert_array_equal(again.u_star, res.u_star)
+        assert (again.value, again.certificate, again.iterations, again.status) == (
+            res.value, res.certificate, res.iterations, "converged")
+
 
 def _bowl_fnn(n, m):
     # sum_j lrelu(u_j - x_1/2) + lrelu(x_1/2 - u_j) = 0.99 sum_j |u_j - x_1/2|
@@ -670,10 +689,12 @@ def _two_pass_pg_batch(A, c, live, T, domain, opts, traces):
         f, g, s = value(u), grad(u), solver_module._INITIAL_STEP
         if traces is not None:
             traces[b].append(float(f))
-        while iters[b] < opts.max_iters:
+        while True:
             residual = np.linalg.norm(u - np.clip(u - g, lo, hi), axis=1)[0]
             if residual <= opts.grad_tolerance * max(1.0, abs(f)):
                 status[b] = solver_module._CONVERGED
+                break
+            if iters[b] >= opts.max_iters:
                 break
             if s < 1e-18:
                 status[b] = solver_module._STEP_UNDERFLOW
@@ -1020,9 +1041,9 @@ def _serial_pg_batch(A, c, live, T, domain, opts, traces):
             done = rows[stop]
             U[done], G[done], iters[done] = u[stop], g[stop], it[stop]
             status[done] = np.select(
-                [bad[stop], capped[stop], converged[stop]],
-                [solver_module._FAILED, solver_module._MAX_ITERS,
-                 solver_module._CONVERGED],
+                [bad[stop], converged[stop], capped[stop]],
+                [solver_module._FAILED, solver_module._CONVERGED,
+                 solver_module._MAX_ITERS],
                 solver_module._STEP_UNDERFLOW,
             )
             keep = ~stop
