@@ -239,6 +239,8 @@ class RunResult:
     train_status: str = "ok"  # or "diverged"
     final_test_mse: float | None = None
     train_time_s: float = 0.0
+    test_losses: list = field(default_factory=list)  # per epoch
+    epoch_times_s: list = field(default_factory=list)
     convexity_violation: float | None = None  # None for fnn or diverged runs
     solver_failures: int = 0
     # solved conditions per solver status, one key per STATUSES entry
@@ -342,6 +344,7 @@ def _run_cell(
         seed=seed,
         final_test_mse=treport.final_test_mse,
         train_time_s=time.perf_counter() - t0,
+        test_losses=treport.test_losses, epoch_times_s=treport.epoch_times_s,
         net=trained,
     )
 

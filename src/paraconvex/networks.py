@@ -26,7 +26,8 @@ per row, and layer 0 multiplies only the u-columns. An MLP's reverse pass
 is one kernel, `MlpWorkspace.backward`, over a trace kept in buffers
 allocated once: the fnn solver takes u-gradients from it across its
 sweeps, training takes weight gradients of the joint [x; u] trace written
-into a net-shaped MlpParams.
+into a net-shaped MlpParams. Those are the only kept buffers; every other
+evaluation allocates its arrays per call.
 """
 
 from __future__ import annotations
@@ -100,14 +101,6 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
 
-def layer_buffers(params: MlpParams, rows: int, planes: int) -> tuple:
-    """forward_batch's buffers for `rows` rows: mlp_forward_batch's
-    pre-activations and outputs, then its hidden activations, which a
-    bank's (rows, planes) plane scores reuse once the net has run."""
-    widths = [W.shape[0] for W in params.weights]
-    return np.empty(rows * max(widths)), np.empty(rows * max(widths[:-1] + [planes]))
-
-
 def mlp_offset(params: MlpParams, X: np.ndarray) -> np.ndarray:
     """Layer 0's part from the leading X.shape[1] inputs plus its bias,
     X W0[:, :n]^T + b0 (B, width_1): the per-row offset that folds inputs
@@ -135,25 +128,19 @@ def _forward_layers(params: MlpParams, h: np.ndarray, pres=None, acts=None,
     return pre
 
 
-def mlp_forward_batch(params: MlpParams, inputs: np.ndarray, buffers=None,
-                      offset=None) -> np.ndarray:
-    """(B, n_in) -> (B, n_out). Hidden layers LeakyReLU, output affine. Runs
-    in `buffers` (layer_buffers for >= B rows), returning a view, if given.
+def mlp_forward_batch(params: MlpParams, inputs: np.ndarray, offset=None) -> np.ndarray:
+    """(B, n_in) -> (B, n_out). Hidden layers LeakyReLU, output affine.
     Given mlp_offset's `offset` (B, width_1) of the leading inputs, inputs
     holds the trailing ones only."""
     h = np.asarray(inputs, dtype=np.float64)
     if h.ndim != 2 or (offset is None and h.shape[1] != params.n_in):
         raise DimensionMismatch(f"expected input width {params.n_in}, got {h.shape}")
-    # Callers running large batches again and again keep buffers: a fresh
-    # 4,500x64 layer (2.3 MB) is above glibc's mmap threshold and faults in
-    # new pages (`np.maximum(0.01*H, H)`: 2.5 ms, 0.43 ms in a kept buffer).
+    # Fresh layers: a caller running one large batch again and again keeps an
+    # MlpWorkspace, as a fresh 4,500x64 layer (2.3 MB) is above glibc's mmap
+    # threshold and faults in new pages each pass.
     # Overflow surfaces at the callers that own finiteness, not as a warning.
-    B, pres, acts = h.shape[0], None, None
-    if buffers is not None:
-        pres = [buffers[0][: B * len(b)].reshape(B, len(b)) for b in params.biases]
-        acts = [buffers[1][: p.size].reshape(p.shape) for p in pres[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_layers(params, h, pres, acts, offset)
+        return _forward_layers(params, h, offset=offset)
 
 
 class MlpWorkspace:
@@ -324,15 +311,14 @@ def _check_rows(net: Network, X, U) -> tuple[np.ndarray, np.ndarray]:
 # --- banks -----------------------------------------------------------------
 
 
-def u_bank_batch(net: Network, X: np.ndarray, buffers=None) -> tuple:
+def u_bank_batch(net: Network, X: np.ndarray) -> tuple:
     """Affine banks in u for B conditions: (A_u (B, I, m), c (B, I)), row b
     giving the plane values A_u[b] @ u + c[b] at X[b] (see bank_scores).
 
     A fixed bank's planes share one slope matrix, returned as a read-only
     broadcast view, and the x-part of each joint plane folds into the
     offset; a parameterized bank's are its net's outputs, one forward pass
-    for all rows. Either runs in mlp_forward_batch's `buffers`, if given,
-    and leaves overflow to the caller, as mlp_forward_batch does.
+    for all rows. Overflow is left to the caller, as mlp_forward_batch does.
     """
     if isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork("fnn has no affine bank in u")
@@ -340,16 +326,15 @@ def u_bank_batch(net: Network, X: np.ndarray, buffers=None) -> tuple:
     if X.ndim != 2 or X.shape[1] != net.n:
         raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
     if net.parameterized:
-        return embedded_bank(net, mlp_forward_batch(net.mlp, X, buffers))
-    B, n, W = X.shape[0], net.n, net.mlp.weights[0]
-    c = None if buffers is None else buffers[0][: B * net.I].reshape(B, net.I)
+        return embedded_bank(net, mlp_forward_batch(net.mlp, X))
+    n, W = net.n, net.mlp.weights[0]
     # a C-contiguous (n, I) operand: with the transposed view OpenBLAS gives
     # a row's bits that depend on the row count (61x20, 30 rows against 60),
     # and check_convexity's banks must equal forward_batch's on repeated rows
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.matmul(X, np.ascontiguousarray(W[:, :n].T), out=c)
+        c = X @ np.ascontiguousarray(W[:, :n].T)
         c += net.mlp.biases[0]
-    return np.broadcast_to(W[:, n:], (B, net.I, net.m)), c
+    return np.broadcast_to(W[:, n:], (X.shape[0], net.I, net.m)), c
 
 
 def embedded_bank(net: Bank, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,40 +346,36 @@ def embedded_bank(net: Bank, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[:, : I * m].reshape(-1, I, m), out[:, I * m :]
 
 
-def bank_scores(A_u: np.ndarray, U: np.ndarray, c: np.ndarray, out=None) -> np.ndarray:
+def bank_scores(A_u: np.ndarray, U: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Plane values A_u @ u + c (..., I) of banks A_u (..., I, m), c (..., I)
-    at points U (..., m), broadcast over the leading axes, into `out` if
-    given: the one scoring of every bank outside the solver cores."""
-    S = np.einsum("...im,...m->...i", A_u, U, out=out)
+    at points U (..., m), broadcast over the leading axes: the one scoring
+    of every bank outside the solver cores."""
+    S = np.einsum("...im,...m->...i", A_u, U)
     S += c
     return S
 
 
-def batch_scores(net: Network, X: np.ndarray, U: np.ndarray, buffers=None) -> np.ndarray:
-    """Plane values (B, I) of a bank at rows (X, U), in layer_buffers'
-    spent activations buffer if `buffers` are given."""
-    A_u, c = u_bank_batch(net, X, buffers)
-    S = None if buffers is None else buffers[1][: len(U) * net.I].reshape(len(U), net.I)
-    return bank_scores(A_u, U, c, S)
+def batch_scores(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Plane values (B, I) of a bank at rows (X, U)."""
+    A_u, c = u_bank_batch(net, X)
+    return bank_scores(A_u, U, c)
 
 
-def shifted_lse(scores: np.ndarray, T: float, out=None) -> np.ndarray:
+def shifted_lse(scores: np.ndarray, T: float) -> np.ndarray:
     """T * log sum exp(scores/T) over the last axis, stabilized by
-    subtracting the max first; the exponentials go to `out` (which may be
-    scores) if given."""
+    subtracting the max first."""
     top = np.max(scores, axis=-1, keepdims=True)
-    # a 4,500-row loss pass's is about 1 MB: fresh, it faults in new pages
-    e = np.subtract(scores, top, out=out)
+    e = scores - top
     e /= T
     np.exp(e, out=e)
     return T * np.log(np.sum(e, axis=-1)) + top[..., 0]
 
 
-def bank_values(S: np.ndarray, T: float | None, out=None) -> np.ndarray:
+def bank_values(S: np.ndarray, T: float | None) -> np.ndarray:
     """Values (B,) of banks at plane scores S (B, I): the max for T None,
-    else the T-log-sum-exp, exponentiating in `out` if given. Equal to
-    bank_weights(S, T)[0], without the cost of the weights."""
-    return S.max(1) if T is None else shifted_lse(S, T, out)
+    else the T-log-sum-exp. Equal to bank_weights(S, T)[0], without the
+    cost of the weights."""
+    return S.max(1) if T is None else shifted_lse(S, T)
 
 
 def bank_weights(S: np.ndarray, T: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -433,16 +414,15 @@ def _weighted_slopes(net: Bank, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     return (bank_weights(S, net.T)[1][:, None, :] @ A_u)[:, 0, :]
 
 
-def forward_batch(net: Network, X: np.ndarray, U: np.ndarray, buffers=None) -> np.ndarray:
-    """Row-wise predictions (B,) at X (B, n), U (B, m), an MLP running in
-    mlp_forward_batch's `buffers`. Raises NumericOverflow on non-finite."""
+def forward_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Row-wise predictions (B,) at X (B, n), U (B, m). Raises
+    NumericOverflow on non-finite."""
     X, U = _check_rows(net, X, U)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(net, FeedforwardNet):
-            out = mlp_forward_batch(net.mlp, U, buffers, mlp_offset(net.mlp, X))[:, 0]
+            out = mlp_forward_batch(net.mlp, U, mlp_offset(net.mlp, X))[:, 0]
         else:
-            S = batch_scores(net, X, U, buffers)
-            out = bank_values(S, net.T, out=S)
+            out = bank_values(batch_scores(net, X, U), net.T)
     return _finite(net, out, "forward")
 
 

@@ -7,13 +7,15 @@ so a (seed, data, config) triple reproduces training bit for bit.
 
 Every kind's parameters are the layers of its net `mlp` (a fixed bank's is
 one layer over [x; u]), reshaped views of the net's one float64 vector
-`mlp.flat`. Every step and loss pass of a `train` call runs in one
-TrainWorkspace: a step traces the net, writes the output gradient over its
-outputs, makes one reverse pass into a gradient net shaped like the net and
-ends with one in-place Adam update of `mlp.flat` from the gradient's
-`flat`. lse/plse take the prediction and softmax weights from one
-exponential. It all gives the bits of allocating every array and updating
-array by array.
+`mlp.flat`. Every step of a `train` call runs in one TrainWorkspace: a
+step traces the net, writes the output gradient over its outputs, makes
+one reverse pass into a gradient net shaped like the net and ends with one
+in-place Adam update of `mlp.flat` from the gradient's `flat`. lse/plse
+take the prediction and softmax weights from one exponential. It all gives
+the bits of allocating every array and updating array by array.
+
+An epoch's training loss is the mean squared residual its steps formed
+before their updates; its one loss pass scores the test split.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .networks import (
     clone_network,
     embedded_bank,
     forward_batch,
-    layer_buffers,
 )
 from .numerics import Rng, check_count
 
@@ -94,11 +95,11 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    train_losses: list
+    train_losses: list  # per epoch, over its steps' pre-update residuals
     test_losses: list
     final_test_mse: float
     wall_time_s: float
-    epoch_times_s: list = field(default_factory=list)  # per epoch, losses included
+    epoch_times_s: list = field(default_factory=list)  # per epoch, test loss included
 
     def to_json(self) -> dict:
         return {"epochs": len(self.train_losses), **asdict(self)}
@@ -155,27 +156,23 @@ def init_network(
 # --- loss and gradients ----------------------------------------------------
 
 
-def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray,
-             ws: TrainWorkspace | None = None) -> float:
-    """MSE at rows (X, U); an MLP runs in the loss buffers of `ws`."""
-    pred = forward_batch(net, X, U, None if ws is None else ws.loss)
-    r = pred - np.asarray(y, dtype=np.float64)
+def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray) -> float:
+    """MSE at rows (X, U), in arrays allocated for the call."""
+    r = forward_batch(net, X, U) - np.asarray(y, dtype=np.float64)
     # an overflowing square is the divergence signal the trainer checks for
     with np.errstate(over="ignore"):
         return float(np.mean(r * r))
 
 
 class TrainWorkspace:
-    """A net's buffers for steps over up to `rows` rows and loss passes over
-    up to `loss_rows`: `grads`, an MlpParams shaped like the net; the step's
-    MlpWorkspace `mlp`; and forward_batch's buffers `loss`, sized for a
-    bank's plane scores too."""
+    """A net's buffers for steps over up to `rows` rows: `grads`, an
+    MlpParams shaped like the net; the step's MlpWorkspace `mlp`; and
+    `sse`, the last step's sum of squared residuals before its update."""
 
-    def __init__(self, net: Network, rows: int, loss_rows: int = 0):
+    def __init__(self, net: Network, rows: int):
         self.grads = MlpParams(net.mlp.weights, net.mlp.biases)  # each step overwrites it
         self.mlp = MlpWorkspace(net.mlp, rows)
-        planes = net.I if isinstance(net, Bank) else 0
-        self.loss = layer_buffers(net.mlp, loss_rows, planes)
+        self.sse = 0.0
 
 
 def weight_gradients(
@@ -186,7 +183,8 @@ def weight_gradients(
     the same shapes.
 
     Returns the `grads` of `ws`, or of a workspace made for the call, valid
-    until its next step or Adam update.
+    until its next step or Adam update, and leaves the batch's sum of
+    squared residuals pred - y in its `sse`.
 
     The max in ma/pma routes gradient to the active plane only (lowest index
     on ties), the standard subgradient choice for max-affine training.
@@ -216,18 +214,23 @@ def _weight_gradients(net, X, U, y, B, ws):
         Z[:, : net.n], Z[:, net.n :] = X, U
     out = ws.mlp.forward(B)
     if isinstance(net, FeedforwardNet):
-        np.subtract(out[:, 0], y, out=out[:, 0])
+        r = np.subtract(out[:, 0], y, out=out[:, 0])
+        ws.sse = float(np.sum(r * r))
         out *= 2.0 / B
     elif not net.parameterized:
         # the outputs are the plane scores; d pred / d score_i is w_i
         pred, w = bank_weights(out, net.T)
-        np.multiply(w, ((2.0 / B) * (pred - y))[:, None], out=out)
+        r = pred - y
+        ws.sse = float(np.sum(r * r))
+        np.multiply(w, ((2.0 / B) * r)[:, None], out=out)
     else:
         A_x, b_x = embedded_bank(net, out)
         pred, w = bank_weights(bank_scores(A_x, U, b_x), net.T)
+        r = pred - y
+        ws.sse = float(np.sum(r * r))
         # in the bank's layout: d pred / d A_x[i, j] is w_i * u_j and
         # d pred / d b_x[i] is w_i
-        np.multiply(w, ((2.0 / B) * (pred - y))[:, None], out=b_x)
+        np.multiply(w, ((2.0 / B) * r)[:, None], out=b_x)
         np.multiply(b_x[:, :, None], U[:, None, :], out=A_x)
     ws.mlp.backward(B, out, ws.grads)
 
@@ -316,20 +319,21 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[Network, TrainRe
     train_ds, test_ds = split_dataset(ds, cfg.split_ratio, rng)
     net = clone_network(net)
     state = AdamState.for_params(net.mlp.flat)
-    ws = TrainWorkspace(net, min(cfg.batch_size, train_ds.size),
-                        max(train_ds.size, test_ds.size))
+    ws = TrainWorkspace(net, min(cfg.batch_size, train_ds.size))
     train_losses, test_losses, epoch_times = [], [], []
     for _ in range(cfg.epochs):
         t_epoch = time.perf_counter()
         perm = rng.shuffle_indices(train_ds.size)
+        sse = 0.0
         for start in range(0, train_ds.size, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             weight_gradients(net, train_ds.X[idx], train_ds.U[idx],
                              train_ds.y[idx], ws)
+            sse += ws.sse
             adam_step(state, net.mlp.flat, ws.grads.flat, cfg.learning_rate)
+        tr = sse / train_ds.size
         try:
-            tr = mse_loss(net, train_ds.X, train_ds.U, train_ds.y, ws)
-            te = mse_loss(net, test_ds.X, test_ds.U, test_ds.y, ws)
+            te = mse_loss(net, test_ds.X, test_ds.U, test_ds.y)
         except NumericOverflow as exc:
             raise TrainingDiverged(str(exc)) from exc
         if not (np.isfinite(tr) and np.isfinite(te)):

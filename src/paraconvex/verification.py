@@ -73,8 +73,7 @@ def check_sandwich(
 ) -> CheckReport:
     """Random smooth/nonsmooth twin pairs at random dims up to `dims`:
     0 <= smooth - nonsmooth <= T * log I must hold at every sampled (x, u)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count("trials", trials)
     rng = Rng(seed)
     n_max, m_max = dims
     upper = T * np.log(I)
@@ -167,7 +166,11 @@ def check_gradients(
     seed: int = 0,
 ) -> CheckReport:
     """Central finite differences of step FD_STEP vs grad_u at kink-free
-    random points."""
+    random points, `trials` per kind."""
+    check_count("trials", trials)
+    kinds = tuple(kinds)  # read once: a generator would be spent by set()
+    if not kinds:
+        raise ValueError("kinds must be nonempty")
     bad = set(kinds) - {"fnn", "lse", "plse"}
     if bad:
         raise UnsupportedNetwork(f"no smooth u-gradient for kinds {sorted(bad)}")
@@ -265,13 +268,13 @@ def check_envelope_properties(
 ) -> CheckReport:
     """Under-approximation, monotonicity in eta, and sup-gap decrease.
 
-    etas must be strictly decreasing; with a single eta only the
-    under-approximation property is testable. A NaN or infinite f value
+    etas must be nonempty and strictly decreasing; with a single eta only
+    the under-approximation property is testable. A NaN or infinite f value
     raises NumericOverflow (from moreau_envelope) rather than passing.
     """
     etas = [float(e) for e in etas]
-    if any(b >= a for a, b in zip(etas, etas[1:])):
-        raise ValueError("etas must be strictly decreasing")
+    if not etas or any(b >= a for a, b in zip(etas, etas[1:])):
+        raise ValueError("etas must be nonempty and strictly decreasing")
     tables = [moreau_envelope(f, domain, eta, resolution) for eta in etas]
     worst = -np.inf
     # (i) below the function

@@ -316,9 +316,10 @@ class TestRunBenchmark:
     def test_json_keys(self, tiny_report):
         _, report = tiny_report
         run_keys = {"seed", "train_status", "final_test_mse", "train_time_s",
-                    "convexity_violation", "solver_failures", "statuses",
-                    "invalid_values", "solve_time_s", "minimizer_error",
-                    "value_error", "value_error_true", "certificate"}
+                    "test_losses", "epoch_times_s", "convexity_violation",
+                    "solver_failures", "statuses", "invalid_values",
+                    "solve_time_s", "minimizer_error", "value_error",
+                    "value_error_true", "certificate"}
         cell_keys = {"kind", "n", "m", "d", "epochs", "mean_solve_time_s",
                      "mean_minimizer_error", "mean_value_error",
                      "mean_value_error_true", "solver_failures", "invalid_values",
@@ -328,7 +329,13 @@ class TestRunBenchmark:
             assert set(doc) == cell_keys
             for run, run_doc in zip(cell.runs, doc["runs"]):
                 assert run.net is not None and set(run_doc) == run_keys
-        assert set(RunResult(seed=0, train_status="diverged").to_json()) == run_keys
+                # every epoch's test loss next to its time
+                assert len(run_doc["test_losses"]) == cell.epochs
+                assert len(run_doc["epoch_times_s"]) == cell.epochs
+                assert run_doc["test_losses"][-1] == run_doc["final_test_mse"]
+        diverged = RunResult(seed=0, train_status="diverged").to_json()
+        assert set(diverged) == run_keys
+        assert diverged["test_losses"] == diverged["epoch_times_s"] == []
 
     def test_trained_convex_kinds_stay_convex(self, tiny_report):
         _, report = tiny_report

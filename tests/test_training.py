@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from paraconvex import training
 from paraconvex.exceptions import ConfigError, DimensionMismatch, TrainingDiverged
 from paraconvex.networks import (
     LEAKY_SLOPE,
@@ -416,12 +417,13 @@ def _reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999,
 
 
 def _reference_weight_gradients(net, X, U, y):
-    """Gradients with the softmax and the log-sum-exp from two exponentials."""
+    """Gradients with the softmax and the log-sum-exp from two exponentials,
+    and the residuals pred - y they are formed from."""
     B = y.shape[0]
     if net.kind == "fnn":
         acts, pres = mlp_trace(net.mlp, np.hstack([X, U]))
-        dpred = (2.0 / B) * (acts[-1][:, 0] - y)
-        return _mlp_backprop(net.mlp, acts, pres, dpred[:, None])
+        r = acts[-1][:, 0] - y
+        return _mlp_backprop(net.mlp, acts, pres, ((2.0 / B) * r)[:, None]), r
     if net.kind in ("ma", "lse"):
         Z = np.hstack([X, U])
         A, b = net.mlp.weights[0], net.mlp.biases[0]
@@ -441,17 +443,20 @@ def _reference_weight_gradients(net, X, U, y):
         w = np.zeros_like(scores)
         w[np.arange(B), np.argmax(scores, axis=1)] = 1.0
         pred = scores.max(1)
-    wd = w * ((2.0 / B) * (pred - y))[:, None]
+    r = pred - y
+    wd = w * ((2.0 / B) * r)[:, None]
     if net.kind in ("ma", "lse"):
-        return [wd.T @ Z, wd.sum(axis=0)]
+        return [wd.T @ Z, wd.sum(axis=0)], r
     dout = np.concatenate(
         [(wd[:, :, None] * U[:, None, :]).reshape(B, -1), wd], axis=1
     )
-    return _mlp_backprop(net.mlp, acts, pres, dout)
+    return _mlp_backprop(net.mlp, acts, pres, dout), r
 
 
 def _reference_train(net, ds, cfg):
-    """The train loop with one Adam update per parameter array."""
+    """The train loop with one Adam update per parameter array. An epoch's
+    training loss is the mean over its rows of the squared residuals each
+    minibatch had before its update."""
     rng = Rng(cfg.seed)
     perm = _reference_shuffle(rng, ds.size)
     cut = int(cfg.split_ratio * ds.size)
@@ -462,13 +467,15 @@ def _reference_train(net, ds, cfg):
     train_losses, test_losses = [], []
     for _ in range(cfg.epochs):
         perm = _reference_shuffle(rng, tr.size)
+        sse = 0.0
         for start in range(0, tr.size, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            grads = _reference_weight_gradients(net, tr.X[idx], tr.U[idx], tr.y[idx])
+            grads, r = _reference_weight_gradients(net, tr.X[idx], tr.U[idx], tr.y[idx])
+            sse += float(np.sum(r * r))
             new = _reference_adam_step(state, params, grads, cfg.learning_rate)
             for p, q in zip(params, new):
                 p[:] = q
-        train_losses.append(mse_loss(net, tr.X, tr.U, tr.y))
+        train_losses.append(sse / tr.size)
         test_losses.append(mse_loss(net, te.X, te.U, te.y))
     return net, train_losses, test_losses
 
@@ -523,11 +530,12 @@ KINDS = ["fnn", "ma", "lse", "pma", "plse"]
 
 def _assert_gradients_equal(net, ws, X, U, y):
     got = weight_gradients(net, X, U, y, ws).arrays()
-    ref = _reference_weight_gradients(net, X, U, y)
+    ref, resid = _reference_weight_gradients(net, X, U, y)
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
         assert g.shape == r.shape
         assert_array_equal(g, r)
+    assert ws.sse == float(np.sum(resid * resid))
 
 
 def _batch(n, m, k, rng):
@@ -536,8 +544,9 @@ def _batch(n, m, k, rng):
 
 
 class TestWorkspace:
-    """One TrainWorkspace serves every step and loss pass of a train call;
-    the gradients it gives must be the reference arithmetic's bit for bit."""
+    """One TrainWorkspace serves every step of a train call; the gradients
+    and the residual sum it gives must be the reference arithmetic's bit for
+    bit."""
 
     def test_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -580,16 +589,6 @@ class TestWorkspace:
             weight_gradients(net, *_batch(1, 1, 5, np.random.default_rng(0)), ws)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_loss_pass_matches_allocating_pass(self, kind):
-        ds = _quadratic_dataset(2, 3, 90, 23)
-        net = init_network(kind, 2, 3, seed=24, I=5, hidden=(9, 6))
-        ws = TrainWorkspace(net, 16, ds.size)
-        for rows in (ds.size, 40, ds.size, 1):
-            sub = ds.subset(np.arange(rows))
-            assert (mse_loss(net, sub.X, sub.U, sub.y, ws)
-                    == mse_loss(net, sub.X, sub.U, sub.y))
-
-    @pytest.mark.parametrize("kind", KINDS)
     def test_repeat_in_process_is_byte_identical(self, kind):
         ds = _quadratic_dataset(2, 3, 150, 31)
         cfg = TrainConfig(epochs=3, batch_size=32, seed=4, learning_rate=1e-2)
@@ -609,7 +608,7 @@ class TestWorkspace:
     @staticmethod
     def _traced_peak(epochs):
         # a cell whose largest array is its parameter vector: 12,152 values
-        # (97 KB), against loss passes over 54 rows and steps of 16
+        # (97 KB), against steps of 16 rows over 54 and loss passes over 6
         ds = _quadratic_dataset(2, 3, 60, 40)
         net = init_network("plse", 2, 3, seed=12, I=30, hidden=(64, 64))
         cfg = TrainConfig(epochs=epochs, batch_size=16, seed=3)
@@ -626,6 +625,38 @@ class TestWorkspace:
         # up to 2 KB for the per-epoch loss and time floats of the report
         assert three <= one + 2048
         assert max(one, three) < self.ALLOCATING_LOOP_PEAK
+
+
+class TestEpochLosses:
+    def test_one_loss_pass_per_epoch_on_the_test_split(self, monkeypatch):
+        ds = _quadratic_dataset(2, 3, 150, 41)
+        cfg = TrainConfig(epochs=3, batch_size=32, seed=6)
+        _, test = split_dataset(ds, cfg.split_ratio, Rng(cfg.seed))
+        passes = []
+
+        def recording_loss(net, X, U, y):
+            passes.append((X.copy(), U.copy(), y.copy()))
+            return mse_loss(net, X, U, y)
+
+        monkeypatch.setattr(training, "mse_loss", recording_loss)
+        train(init_network("plse", 2, 3, seed=2, I=5, hidden=(9,)), ds, cfg)
+        assert len(passes) == cfg.epochs
+        for X, U, y in passes:
+            assert_array_equal(X, test.X)
+            assert_array_equal(U, test.U)
+            assert_array_equal(y, test.y)
+
+    def test_single_batch_epoch_loss_is_the_pre_update_mse(self):
+        # with one step per epoch, the epoch's loss is the MSE of the net
+        # that step started from, summed in the shuffled row order
+        ds = _quadratic_dataset(1, 2, 40, 42)
+        cfg = TrainConfig(epochs=1, batch_size=64, seed=3)
+        net = init_network("lse", 1, 2, seed=4, I=6)
+        train_ds, _ = split_dataset(ds, cfg.split_ratio, Rng(cfg.seed))
+        _, rep = train(net, ds, cfg)
+        (loss,) = rep.train_losses
+        assert_allclose(loss, mse_loss(net, train_ds.X, train_ds.U, train_ds.y),
+                        rtol=1e-12)
 
 
 class TestEpochTimes:

@@ -172,6 +172,10 @@ class TestCheckGradients:
         with pytest.raises(UnsupportedNetwork):
             check_gradients(kinds=("ma",))
 
+    def test_kinds_from_a_generator(self):
+        report = check_gradients(kinds=(k for k in ("lse", "plse")), trials=2)
+        assert report.samples == 4 and report.name == "gradients:lse,plse"
+
     def test_deterministic(self):
         a = check_gradients(trials=10, seed=1)
         b = check_gradients(trials=10, seed=1)
@@ -289,6 +293,19 @@ class TestCheckEnvelopeProperties:
         with pytest.raises(ValueError):
             check_envelope_properties(lambda U: U[:, 0] ** 2, (0.1, 0.1), dom,
                                       resolution=11)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_sandwich(trials=0),
+    lambda: check_gradients(trials=0),
+    lambda: check_gradients(kinds=()),
+    lambda: check_envelope_properties(lambda U: U[:, 0] ** 2, [],
+                                      BoxDomain.symmetric(1), resolution=11),
+], ids=["sandwich-trials", "gradients-trials", "gradients-kinds", "envelope-etas"])
+def test_check_that_samples_nothing_rejected(check):
+    # a report of samples=0 would read passed=True
+    with pytest.raises(ValueError, match="must be"):
+        check()
 
 
 class TestRunCheckSuite:
