@@ -5,6 +5,13 @@ every requested approximator kind on it, solves the box-constrained
 decision problem over the held-out conditions, and exports a metrics
 table plus raw per-condition samples for external plotting.
 
+The unit of work is a (dims, seed) group: it draws the dataset, the net
+seed, the train/test split and every epoch's row order once, and every
+kind trains on them (`training.prepare_split`) before any kind's
+convexity check or solves. A run's `prepare_time_s` is its group's
+preparation, the same for every kind; `train_time_s` is the kind's own
+training. Repeated entries in `dims`, `kinds` or `seeds` are rejected.
+
 Each cell solves all of its held-out conditions in one
 `solver.minimize_batch` call, so the per-solve times in report.csv and
 samples.json are that batch's wall time divided by its number of
@@ -46,7 +53,7 @@ from .training import (
     Dataset,
     TrainConfig,
     init_network,
-    split_dataset,
+    prepare_split,
     train,
 )
 from .verification import check_convexity
@@ -136,6 +143,11 @@ class ExperimentConfig:
         for kind in self.kinds:
             if kind not in ALL_KINDS:
                 raise ConfigError(f"unknown kind {kind!r}")
+        # a repeated entry would train and export the same cell twice
+        for key in ("dims", "kinds", "seeds"):
+            entries = getattr(self, key)
+            if len(set(entries)) < len(entries):
+                raise ConfigError(f"{key} repeats an entry")
         for key, low in (("d", 10), ("planes", 1), ("surface_resolution", 2)):
             check_count(key, getattr(self, key), ConfigError, minimum=low)
         if not self.seeds:
@@ -238,6 +250,7 @@ class RunResult:
     seed: int
     train_status: str = "ok"  # or "diverged"
     final_test_mse: float | None = None
+    prepare_time_s: float = 0.0  # the (dims, seed) group's, shared by its kinds
     train_time_s: float = 0.0
     test_losses: list = field(default_factory=list)  # per epoch
     epoch_times_s: list = field(default_factory=list)
@@ -317,15 +330,14 @@ def _assert_disjoint(train_ds: Dataset, test_ds: Dataset) -> None:
             raise RuntimeError("test condition also present in the training split")
 
 
-def _run_cell(
-    cfg: ExperimentConfig, kind: str, n: int, m: int, d: int, epochs: int, seed: int
-) -> RunResult:
-    rng = Rng(seed)
-    ds = make_benchmark_dataset(n, m, d, rng.spawn())
-    net_seed = int(rng.next_uint64(1)[0] % 2**31)
-    net = init_network(
-        kind, n, m, seed=net_seed, I=cfg.planes, T=cfg.temperature, hidden=cfg.hidden
-    )
+def _run_group(cfg: ExperimentConfig, n: int, m: int, seed: int) -> list[RunResult]:
+    """One RunResult per kind of cfg.kinds for a (dims, seed) group.
+
+    The group draws its dataset, net seed, split and epoch orders once, from
+    (seed, dims) alone, and trains every kind on them before any kind's
+    convexity check or solves.
+    """
+    d, epochs = cfg.budget_for(n, m)
     tcfg = TrainConfig(
         epochs=epochs,
         learning_rate=cfg.learning_rate,
@@ -334,30 +346,45 @@ def _run_cell(
         seed=seed,
     )
     t0 = time.perf_counter()
-    try:
-        trained, treport = train(net, ds, tcfg)
-    except TrainingDiverged:
-        return RunResult(
-            seed=seed, train_status="diverged", train_time_s=time.perf_counter() - t0
+    rng = Rng(seed)
+    ds = make_benchmark_dataset(n, m, d, rng.spawn())
+    net_seed = int(rng.next_uint64(1)[0] % 2**31)
+    split = prepare_split(ds, tcfg)
+    _assert_disjoint(split.train, split.test)
+    prepare_time_s = time.perf_counter() - t0
+
+    runs = []
+    for kind in cfg.kinds:
+        net = init_network(
+            kind, n, m, seed=net_seed, I=cfg.planes, T=cfg.temperature, hidden=cfg.hidden
         )
-    run = RunResult(
-        seed=seed,
-        final_test_mse=treport.final_test_mse,
-        train_time_s=time.perf_counter() - t0,
-        test_losses=treport.test_losses, epoch_times_s=treport.epoch_times_s,
-        net=trained,
-    )
+        run = RunResult(seed=seed, prepare_time_s=prepare_time_s)
+        t0 = time.perf_counter()
+        try:
+            run.net, treport = train(net, split, tcfg)
+        except TrainingDiverged:
+            run.train_status = "diverged"
+        else:
+            run.final_test_mse = treport.final_test_mse
+            run.test_losses, run.epoch_times_s = treport.test_losses, treport.epoch_times_s
+        run.train_time_s = time.perf_counter() - t0
+        runs.append(run)
+    # the training rows and epoch orders go before check_convexity's peak
+    test_ds = split.test
+    del ds, split
+    for kind, run in zip(cfg.kinds, runs):
+        if run.net is not None:
+            _solve_test_split(run, kind, test_ds, n, m)
+    return runs
 
-    # recover the exact split the trainer used: splitting consumes the
-    # first draws of a fresh stream seeded with the training seed
-    train_ds, test_ds = split_dataset(ds, cfg.split_ratio, Rng(seed))
-    _assert_disjoint(train_ds, test_ds)
 
+def _solve_test_split(run: RunResult, kind: str, test_ds: Dataset, n: int, m: int) -> None:
+    """Fill in a trained run's convexity check and per-condition samples."""
     if kind in CONVEX_KINDS:
-        run.convexity_violation = check_convexity(trained, seed=seed).max_violation
+        run.convexity_violation = check_convexity(run.net, seed=run.seed).max_violation
 
     domain = BoxDomain.symmetric(m)
-    results = minimize_batch(trained, test_ds.X, domain, SolveOptions(seed=seed))
+    results = minimize_batch(run.net, test_ds.X, domain, SolveOptions(seed=run.seed))
     for x, res in zip(test_ds.X, results):
         if res is None:
             run.solver_failures += 1
@@ -382,7 +409,6 @@ def _run_cell(
         run.certificate.append(
             res.certificate if np.isfinite(res.certificate) else None
         )
-    return run
 
 
 def _git_rev(root) -> str | None:
@@ -418,16 +444,17 @@ def _environment() -> dict:
 
 
 def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
+    runs = {}  # (kind, n, m) -> its runs in seed order
+    for n, m in cfg.dims:
+        for seed in cfg.seeds:
+            for kind, run in zip(cfg.kinds, _run_group(cfg, n, m, seed)):
+                runs.setdefault((kind, n, m), []).append(run)
     cells = []
     for kind in cfg.kinds:
         for n, m in cfg.dims:
             d, epochs = cfg.budget_for(n, m)
-            runs = [
-                _run_cell(cfg, kind, n, m, d, epochs, seed) for seed in cfg.seeds
-            ]
-            cells.append(
-                BenchmarkCell(kind=kind, n=n, m=m, d=d, epochs=epochs, runs=runs)
-            )
+            cells.append(BenchmarkCell(kind=kind, n=n, m=m, d=d, epochs=epochs,
+                                       runs=runs[kind, n, m]))
     metadata = {
         "dims": [list(dm) for dm in cfg.dims],
         "kinds": list(cfg.kinds),

@@ -16,6 +16,13 @@ the bits of allocating every array and updating array by array.
 
 An epoch's training loss is the mean squared residual its steps formed
 before their updates; its one loss pass scores the test split.
+
+`train` takes a Dataset, which it splits and whose epoch row orders it
+draws from Rng(cfg.seed), or `prepare_split`'s PreparedSplit, those same
+draws made once so that several nets train on one split in one set of
+orders. Either way one loop runs the epochs: it gathers each minibatch and
+runs the epoch's steps through the gradient core under one np.errstate,
+without `weight_gradients`' per-call checks.
 """
 
 from __future__ import annotations
@@ -305,33 +312,74 @@ def split_dataset(ds: Dataset, ratio: float, rng: Rng) -> tuple[Dataset, Dataset
     return ds.subset(perm[:cut]), ds.subset(perm[cut:])
 
 
-def train(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[Network, TrainReport]:
-    """Train a copy of `net` on a 90:10-style internal split of `ds`.
+@dataclass
+class PreparedSplit:
+    """The draws `train` makes from Rng(cfg.seed) before its steps: a
+    dataset's training and test splits and each epoch's order of the
+    training rows. Drawn once, it trains several nets on the same rows in
+    the same orders."""
 
-    The split consumes the first draws of Rng(cfg.seed), so callers can
-    recover the exact same partition via split_dataset(ds, cfg.split_ratio,
-    Rng(cfg.seed)).
-    """
-    if ds.n != net.n or ds.m != net.m:
-        raise DimensionMismatch("dataset dims do not match the network")
-    t0 = time.perf_counter()
+    train: Dataset
+    test: Dataset
+    orders: list  # per epoch, a permutation of range(train.size)
+
+
+def _draws(ds: Dataset, cfg: TrainConfig):
+    # the split takes the first draws of Rng(cfg.seed); each epoch's order
+    # is drawn from the same stream when the generator reaches it
     rng = Rng(cfg.seed)
     train_ds, test_ds = split_dataset(ds, cfg.split_ratio, rng)
+    orders = (rng.shuffle_indices(train_ds.size) for _ in range(cfg.epochs))
+    return train_ds, test_ds, orders
+
+
+def prepare_split(ds: Dataset, cfg: TrainConfig) -> PreparedSplit:
+    """The split and the cfg.epochs row orders `train(net, ds, cfg)` would draw."""
+    train_ds, test_ds, orders = _draws(ds, cfg)
+    return PreparedSplit(train_ds, test_ds, list(orders))
+
+
+def train(
+    net: Network, data: Dataset | PreparedSplit, cfg: TrainConfig
+) -> tuple[Network, TrainReport]:
+    """Train a copy of `net` on a 90:10-style split of a dataset.
+
+    Given a Dataset, the split consumes the first draws of Rng(cfg.seed) and
+    each epoch draws its row order from the same stream as it starts, so
+    callers can recover the exact same partition via split_dataset(ds,
+    cfg.split_ratio, Rng(cfg.seed)). Given prepare_split(ds, cfg), it trains
+    on those same rows in those same orders, bit for bit; cfg.seed and
+    cfg.split_ratio are then not read, and the split must hold cfg.epochs
+    orders.
+    """
+    t0 = time.perf_counter()
+    if isinstance(data, PreparedSplit):
+        train_ds, test_ds, orders = data.train, data.test, data.orders
+        if len(orders) != cfg.epochs:
+            raise ConfigError(f"split holds {len(orders)} epoch orders, "
+                              f"config asks for {cfg.epochs}")
+    else:
+        train_ds, test_ds, orders = _draws(data, cfg)
+    if train_ds.n != net.n or train_ds.m != net.m:
+        raise DimensionMismatch("dataset dims do not match the network")
     net = clone_network(net)
     state = AdamState.for_params(net.mlp.flat)
     ws = TrainWorkspace(net, min(cfg.batch_size, train_ds.size))
+    X, U, y, size = train_ds.X, train_ds.U, train_ds.y, train_ds.size
+    batch = cfg.batch_size
     train_losses, test_losses, epoch_times = [], [], []
-    for _ in range(cfg.epochs):
-        t_epoch = time.perf_counter()
-        perm = rng.shuffle_indices(train_ds.size)
+    t_epoch = time.perf_counter()
+    for perm in orders:
         sse = 0.0
-        for start in range(0, train_ds.size, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            weight_gradients(net, train_ds.X[idx], train_ds.U[idx],
-                             train_ds.y[idx], ws)
-            sse += ws.sse
-            adam_step(state, net.mlp.flat, ws.grads.flat, cfg.learning_rate)
-        tr = sse / train_ds.size
+        # the steps skip weight_gradients' conversions and checks; a run
+        # heading for divergence is caught by the loss check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, size, batch):
+                idx = perm[start : start + batch]
+                _weight_gradients(net, X[idx], U[idx], y[idx], len(idx), ws)
+                sse += ws.sse
+                adam_step(state, net.mlp.flat, ws.grads.flat, cfg.learning_rate)
+        tr = sse / size
         try:
             te = mse_loss(net, test_ds.X, test_ds.U, test_ds.y)
         except NumericOverflow as exc:
@@ -340,7 +388,9 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[Network, TrainRe
             raise TrainingDiverged(f"loss became non-finite (train={tr}, test={te})")
         train_losses.append(tr)
         test_losses.append(te)
-        epoch_times.append(time.perf_counter() - t_epoch)
+        now = time.perf_counter()
+        epoch_times.append(now - t_epoch)
+        t_epoch = now
     report = TrainReport(
         train_losses=train_losses,
         test_losses=test_losses,

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from paraconvex.bench import (
+    ALL_KINDS,
     BenchmarkReport,
     ExperimentConfig,
     RunResult,
@@ -24,10 +25,9 @@ from paraconvex.bench import (
     target_batch,
     _assert_disjoint,
     _git_rev,
-    _run_cell,
 )
 from paraconvex.exceptions import ConfigError, DimensionMismatch
-from paraconvex.networks import Bank, MlpParams, forward_batch
+from paraconvex.networks import Bank, MlpParams, forward_batch, model_to_json
 from paraconvex.numerics import BoxDomain, Rng
 from paraconvex.solver import STATUSES, SolveOptions, minimize_batch
 from paraconvex.training import Dataset, split_dataset
@@ -38,6 +38,15 @@ def target_function(x, u):
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     return float(-(x @ x) / (2 * x.size) + (u @ u) / (2 * u.size))
+
+
+def strip_times(doc):
+    """A report's JSON without its timings: every key naming a time."""
+    if isinstance(doc, dict):
+        return {k: strip_times(v) for k, v in doc.items() if "time" not in k}
+    if isinstance(doc, list):
+        return [strip_times(v) for v in doc]
+    return doc
 
 
 def true_solution(x, n, m):
@@ -79,8 +88,9 @@ class TestTargetProblem:
         # a 2x3 run's per-solve errors, recomputed from its net's solves
         # with the scalar reference formulas, bit for bit
         cfg = ExperimentConfig(dims=((2, 3),), kinds=(kind,), d=60, epochs=2,
-                               planes=4, hidden=(8, 8))
-        run = _run_cell(cfg, kind, 2, 3, 60, 2, seed=3)
+                               seeds=(3,), planes=4, hidden=(8, 8))
+        (cell,) = run_benchmark(cfg).cells
+        (run,) = cell.runs
         ds = make_benchmark_dataset(2, 3, 60, Rng(3).spawn())
         _, test_ds = split_dataset(ds, cfg.split_ratio, Rng(3))
         results = minimize_batch(run.net, test_ds.X, BoxDomain.symmetric(3),
@@ -120,6 +130,20 @@ class TestConfig:
     def test_empty_list_rejected_in_code(self, key):
         with pytest.raises(ConfigError, match=f"^{key} list is empty$"):
             ExperimentConfig(**{key: ()})
+
+    @pytest.mark.parametrize("key,entries", [
+        ("dims", ((1, 1), (2, 3), (1, 1))),
+        ("kinds", ("ma", "ma")),
+        ("seeds", (3, 0, 3)),
+    ])
+    def test_repeated_entry_rejected_in_code(self, key, entries):
+        # each would train the same cell twice and export its model twice
+        with pytest.raises(ConfigError, match=f"^{key} repeats an entry$"):
+            ExperimentConfig(**{key: entries})
+
+    def test_repeated_entry_names_its_line(self):
+        with pytest.raises(ConfigError, match=r"^line 2: kinds repeats an entry$"):
+            parse_experiment_config("d = 60\nkinds = plse, plse\n")
 
     def test_budget_small_dims_untrimmed(self):
         cfg = ExperimentConfig()
@@ -315,7 +339,8 @@ class TestRunBenchmark:
 
     def test_json_keys(self, tiny_report):
         _, report = tiny_report
-        run_keys = {"seed", "train_status", "final_test_mse", "train_time_s",
+        run_keys = {"seed", "train_status", "final_test_mse", "prepare_time_s",
+                    "train_time_s",
                     "test_losses", "epoch_times_s", "convexity_violation",
                     "solver_failures", "statuses", "invalid_values",
                     "solve_time_s", "minimizer_error", "value_error",
@@ -356,19 +381,48 @@ class TestRunBenchmark:
                     assert all(c is not None and c >= 0 for c in run.certificate)
 
     def test_deterministic_up_to_timings(self):
-        def strip_times(doc):
-            if isinstance(doc, dict):
-                return {k: strip_times(v) for k, v in doc.items()
-                        if "time" not in k}
-            if isinstance(doc, list):
-                return [strip_times(v) for v in doc]
-            return doc
-
         cfg = ExperimentConfig(dims=((1, 1),), kinds=("ma",), d=40, epochs=2,
                                seeds=(3,), planes=3, hidden=(4,))
         a = strip_times(run_benchmark(cfg).to_json())
         b = strip_times(run_benchmark(cfg).to_json())
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_each_kind_of_a_group_equals_its_run_alone(self):
+        # every kind trains on its group's shared split and epoch orders,
+        # which are the draws a run of that kind alone makes
+        cfg = dict(dims=((1, 1), (2, 3)), d=40, epochs=2, seeds=(0, 5), planes=3,
+                   hidden=(4,))
+        group = run_benchmark(ExperimentConfig(**cfg))
+        for kind in ALL_KINDS:
+            alone = run_benchmark(ExperimentConfig(kinds=(kind,), **cfg))
+            for n, m in cfg["dims"]:
+                a, b = group.cell(kind, n, m), alone.cell(kind, n, m)
+                assert (json.dumps(strip_times(a.to_json()), sort_keys=True)
+                        == json.dumps(strip_times(b.to_json()), sort_keys=True))
+                for r, s in zip(a.runs, b.runs):
+                    assert model_to_json(r.net) == model_to_json(s.net)
+
+    def test_one_split_and_one_set_of_epoch_orders_per_group(self, monkeypatch):
+        calls = []
+        shuffle = Rng.shuffle_indices
+
+        def counting(self, n):
+            calls.append(n)
+            return shuffle(self, n)
+
+        monkeypatch.setattr(Rng, "shuffle_indices", counting)
+        cfg = ExperimentConfig(dims=((1, 1), (2, 3)), kinds=("plse", "ma", "fnn"),
+                               d=40, epochs=3, seeds=(0, 1), planes=3, hidden=(4,))
+        report = run_benchmark(cfg)
+        groups = len(cfg.dims) * len(cfg.seeds)
+        # one split of the 40 rows, then one order of the 36 training rows
+        # per epoch, whatever the number of kinds
+        assert calls == ([40] + [36] * cfg.epochs) * groups
+        for cell in report.cells:
+            assert [r.prepare_time_s for r in cell.runs] == [
+                report.cell("plse", cell.n, cell.m).runs[i].prepare_time_s
+                for i in range(len(cfg.seeds))]
+            assert all(r.prepare_time_s > 0 for r in cell.runs)
 
     def test_divergence_recorded_not_fatal(self):
         cfg = ExperimentConfig(dims=((1, 1),), kinds=("fnn",), d=40, epochs=2,

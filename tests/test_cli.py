@@ -391,6 +391,15 @@ class TestBenchmark:
         assert err == "error: kinds list is empty\n"
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_kind_flag(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text(self.CFG)
+        rc, out, err = run_cli(["benchmark", "--config", str(cfg_path), "--kinds",
+                                "plse,plse", "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: kinds repeats an entry\n"
+        assert not (tmp_path / "out").exists()
+
     def test_exported_model_round_trips(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.cfg"
         cfg_path.write_text(self.CFG + f"outdir = {tmp_path / 'out'}\n")

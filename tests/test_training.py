@@ -26,6 +26,7 @@ from paraconvex.training import (
     adam_step,
     init_network,
     mse_loss,
+    prepare_split,
     split_dataset,
     train,
     weight_gradients,
@@ -340,8 +341,49 @@ class TestTrain:
 
     def test_dims_checked(self):
         ds = _quadratic_dataset(2, 1, 50, 17)
-        with pytest.raises(DimensionMismatch):
-            train(init_network("fnn", 1, 1, seed=6), ds, TrainConfig(epochs=1))
+        for data in (ds, prepare_split(ds, TrainConfig(epochs=1))):
+            with pytest.raises(DimensionMismatch):
+                train(init_network("fnn", 1, 1, seed=6), data, TrainConfig(epochs=1))
+
+
+class TestPreparedSplit:
+    """prepare_split draws what a train call draws from its seed, so
+    training on it is training on the dataset, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    def test_train_on_prepared_split_equals_train_on_dataset(self, kind):
+        ds = _quadratic_dataset(2, 3, 150, 32)
+        # 135 training rows in batches of 32: a ragged last batch of 7
+        cfg = TrainConfig(epochs=3, batch_size=32, seed=7, learning_rate=1e-2)
+        net0 = init_network(kind, 2, 3, seed=10, I=5, hidden=(9, 6))
+        net_a, rep_a = train(net0, ds, cfg)
+        net_b, rep_b = train(net0, prepare_split(ds, cfg), cfg)
+        assert (json.dumps(model_to_json(net_a), sort_keys=True).encode()
+                == json.dumps(model_to_json(net_b), sort_keys=True).encode())
+        assert rep_a.train_losses == rep_b.train_losses
+        assert rep_a.test_losses == rep_b.test_losses
+
+    def test_split_and_orders_are_the_seed_stream_draws(self):
+        ds = _quadratic_dataset(1, 1, 50, 33)
+        cfg = TrainConfig(epochs=4, seed=9, split_ratio=0.8)
+        split = prepare_split(ds, cfg)
+        rng = Rng(cfg.seed)
+        tr, te = split_dataset(ds, cfg.split_ratio, rng)
+        for got, want in ((split.train, tr), (split.test, te)):
+            assert_array_equal(got.X, want.X)
+            assert_array_equal(got.U, want.U)
+            assert_array_equal(got.y, want.y)
+        assert len(split.orders) == cfg.epochs
+        for order in split.orders:
+            assert_array_equal(order, rng.shuffle_indices(40))
+
+    def test_orders_must_number_the_epochs(self):
+        ds = _quadratic_dataset(1, 1, 50, 34)
+        split = prepare_split(ds, TrainConfig(epochs=2, seed=1))
+        with pytest.raises(ConfigError, match="split holds 2 epoch orders, "
+                                              "config asks for 3"):
+            train(init_network("ma", 1, 1, seed=2, I=3), split,
+                  TrainConfig(epochs=3, seed=1))
 
 
 # --- the per-array training step the fast one must reproduce bit for bit ----
