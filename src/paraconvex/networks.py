@@ -515,9 +515,11 @@ def _mlp_from_json(doc: dict) -> MlpParams:
     if len(layers) != len(widths) - 1:
         raise ModelFormatError(f"{len(widths)} layer widths, {len(layers)} layers")
     Ws, bs = [], []
-    for n_in, n_out, layer in zip(widths, widths[1:], layers):
+    for k, (n_in, n_out, layer) in enumerate(zip(widths, widths[1:], layers)):
         Ws.append(np.array(layer["W"], dtype=np.float64).reshape(n_out, n_in))
         bs.append(np.array(layer["b"], dtype=np.float64))
+        if not (np.isfinite(Ws[k]).all() and np.isfinite(bs[k]).all()):
+            raise ModelFormatError(f"layer {k} holds a non-finite weight or bias")
     return MlpParams(weights=Ws, biases=bs)
 
 
@@ -525,7 +527,8 @@ def model_from_json(doc: dict) -> Network:
     """The network a model document describes. Raises ModelFormatError for a
     document that is not one: a missing key, a format_version other than
     the integer FORMAT_VERSION, a seed that is neither null nor an integer
-    >= 0, shapes that disagree, or a kind that disagrees with the stored
+    >= 0, shapes that disagree, a NaN or infinite weight or bias (which
+    `json.load` accepts), or a kind that disagrees with the stored
     temperature, layers or plane count (an fnn's T and I must be null)."""
     if not isinstance(doc, dict):
         raise ModelFormatError(f"model JSON is a {type(doc).__name__}, not an object")

@@ -387,10 +387,14 @@ def _multistart_batch(net, X, domain, opts, traces):
         gone = index[:k][stop]
         U_all[gone], f_all[gone], last[gone] = Us[:k][stop], fs[:k][stop], sweep
         first = int(np.argmax(stop))  # the rows before it stay where they are
-        keep = ~stop[first:]
-        for v in (ws.offset, Us, fs, G, steps, index):
-            v[first : k - gone.size] = v[first:k][keep]
-        return k - gone.size
+        keep, k = ~stop[first:], k - gone.size
+        for v in (Us, fs, G, steps, index):
+            v[first:k] = v[first : k + gone.size][keep]
+        # a moved row's offset is its condition's; the indices are in range,
+        # and unlike mode="raise", "clip" writes out without a buffer
+        np.take(offsets, index[first:k] // R, axis=0, out=ws.offset[first:k],
+                mode="clip")
+        return k
 
     k = B * R
     for sweep in range(1, opts.max_iters + 1):

@@ -138,26 +138,15 @@ def init_network(
     T: float = 0.1,
     hidden: tuple = (64, 64),
 ) -> Network:
-    """Fresh network of the given kind with Xavier weights and zero biases.
-
-    Fixed banks (ma/lse) draw every plane coefficient of their one layer,
-    offsets included, with the per-scalar Xavier bound (n_in = n_out = 1),
-    i.e. uniform in +-sqrt(3).
-    """
-    rng = Rng(seed)
+    """Fresh network of the given kind with Xavier weights and zero biases."""
+    widths = {"fnn": [n + m, *hidden, 1], "ma": [n + m, I], "lse": [n + m, I],
+              "pma": [n, *hidden, (m + 1) * I], "plse": [n, *hidden, (m + 1) * I]}
+    if kind not in widths:
+        raise ConfigError(f"unknown network kind {kind!r}")
+    mlp = init_mlp(widths[kind], Rng(seed))
     if kind == "fnn":
-        return FeedforwardNet(
-            n=n, m=m, mlp=init_mlp([n + m, *hidden, 1], rng), seed=seed
-        )
-    T = T if kind in ("lse", "plse") else None
-    if kind in ("ma", "lse"):
-        A = rng.uniform_in(-np.sqrt(3.0), np.sqrt(3.0), I * (n + m)).reshape(I, n + m)
-        b = rng.uniform_in(-np.sqrt(3.0), np.sqrt(3.0), I)
-        return Bank(n=n, m=m, mlp=MlpParams([A], [b]), T=T, seed=seed)
-    if kind in ("pma", "plse"):
-        return Bank(n=n, m=m, mlp=init_mlp([n, *hidden, (m + 1) * I], rng), T=T,
-                    seed=seed)
-    raise ConfigError(f"unknown network kind {kind!r}")
+        return FeedforwardNet(n=n, m=m, mlp=mlp, seed=seed)
+    return Bank(n=n, m=m, mlp=mlp, T=T if kind.endswith("lse") else None, seed=seed)
 
 
 # --- loss and gradients ----------------------------------------------------

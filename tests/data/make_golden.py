@@ -7,8 +7,9 @@ initialized and the 3-epoch trained model exactly as `save_model` writes
 them, and a numbers file with the training losses, `forward_batch` values
 of the trained model at fixed points, and `minimize`/`minimize_batch`
 results (traces included) at a few fixed conditions. It uses only the
-public entry points, so the files pin what those return; rerunning it
-must leave them unchanged.
+public entry points, so the files pin what those return. It also writes
+check_seed42.json, what `paraconvex check --seed 42` prints. Rerunning it
+must leave every file unchanged.
 """
 
 import json
@@ -21,8 +22,10 @@ from paraconvex.networks import forward_batch, save_model
 from paraconvex.numerics import BoxDomain, Rng
 from paraconvex.solver import SolveOptions, minimize, minimize_batch
 from paraconvex.training import TrainConfig, init_network, train
+from paraconvex.verification import run_check_suite
 
-HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DATA = os.path.dirname(os.path.abspath(__file__))
+HERE = os.path.join(DATA, "golden")
 KINDS = ("ma", "lse", "pma", "plse", "fnn")
 DIMS = ((1, 1), (2, 3))
 OPTS = dict(keep_trace=True, restarts=4, seed=5, max_iters=60)
@@ -65,6 +68,12 @@ def numbers(kind, n, m, init, trained, report):
     }
 
 
+def check_text():
+    """What `paraconvex check --seed 42` prints."""
+    reports = run_check_suite("all", seed=42)
+    return json.dumps([r.to_json() for r in reports], sort_keys=True, indent=1) + "\n"
+
+
 def main():
     os.makedirs(HERE, exist_ok=True)
     for n, m in DIMS:
@@ -81,6 +90,8 @@ def main():
                 json.dump(numbers(kind, n, m, init, trained, report), fh,
                           sort_keys=True)
                 fh.write("\n")
+    with open(os.path.join(DATA, "check_seed42.json"), "w", encoding="utf-8") as fh:
+        fh.write(check_text())
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from paraconvex.networks import Bank, MlpParams, forward, load_model, save_model
 from paraconvex.training import init_network
 from paraconvex.verification import CheckReport
 
+from banks import unit_variance_bank
+
 
 @pytest.fixture()
 def model_path(tmp_path):
@@ -125,7 +127,7 @@ class TestSolve:
         # one plane's offset overflows to -inf while the top plane stays
         # finite: the solve used to exit 0 with a certificate
         path = tmp_path / "ma.json"
-        save_model(init_network("ma", 2, 2, seed=0, I=6), path)
+        save_model(unit_variance_bank(2, 2, seed=0, I=6), path)
         with np.errstate(over="ignore"):
             rc, out, err = run_cli(
                 ["solve", "--model", str(path), "--x", "1e308,1e308"], capsys)
@@ -205,6 +207,19 @@ class TestSolve:
         assert rc == 2 and out == "" and "Traceback" not in err
         assert err == ("error: malformed model JSON: temperature must be a "
                        f"positive finite number, got {T!r}\n")
+
+    @pytest.mark.parametrize("kind", ["plse", "ma", "fnn"])
+    def test_non_finite_weight_is_malformed(self, tmp_path, capsys, kind):
+        # json.load accepts NaN: the solve used to blame the condition
+        with open(os.path.join(GOLDEN, f"{kind}_1x1_trained.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["weights"][0]["W"][0] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli(["solve", "--model", str(path), "--x", "0.1"], capsys)
+        assert rc == 2 and out == ""
+        assert err == ("error: malformed model JSON: layer 0 holds a non-finite "
+                       "weight or bias\n")
 
     def test_negative_seed(self, model_path, capsys):
         rc, out, err = run_cli(

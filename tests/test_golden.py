@@ -5,9 +5,11 @@ kinds became one Bank type; they pin the model files, training, forward
 values and solver results (traces included) of every kind at 1x1 and 2x3.
 The solver records of the bank kinds were rewritten by the same script when
 ma/pma became an exact LP solve and every value came to be scored as
-`forward_batch` scores it.
+`forward_batch` scores it, and the ma/lse files again when fixed banks came
+to start from `init_mlp` like every other net.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -28,14 +30,16 @@ from paraconvex.networks import (
 from paraconvex.numerics import BoxDomain, Rng
 from paraconvex.solver import SolveOptions, minimize, minimize_batch
 from paraconvex.training import TrainConfig, init_network, train
-from paraconvex.verification import run_check_suite
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 GOLDEN = os.path.join(DATA, "golden")
-KINDS = ("ma", "lse", "pma", "plse", "fnn")
-DIMS = ((1, 1), (2, 3))
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", os.path.join(DATA, "make_golden.py"))
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+KINDS, DIMS, OPTS = make_golden.KINDS, make_golden.DIMS, make_golden.OPTS
+result_doc = make_golden.result_doc
 CASES = [(kind, n, m) for n, m in DIMS for kind in KINDS]
-OPTS = dict(keep_trace=True, restarts=4, seed=5, max_iters=60)
 
 
 def _path(kind, n, m, what):
@@ -45,17 +49,6 @@ def _path(kind, n, m, what):
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
-
-
-def _result_doc(res):
-    return {
-        "u_star": [float(v) for v in res.u_star],
-        "value": res.value,
-        "certificate": float(res.certificate),
-        "iterations": res.iterations,
-        "status": res.status,
-        "trace": [float(v) for v in res.trace],
-    }
 
 
 @pytest.mark.parametrize("kind,n,m", CASES)
@@ -96,14 +89,15 @@ def test_forward_and_solves_reproduce_the_numbers(kind, n, m):
     domain = BoxDomain.symmetric(m)
     opts = SolveOptions(**OPTS)
     conditions = np.array(want["conditions"])
-    got = [_result_doc(minimize(trained, x, domain, opts)) for x in conditions]
+    got = [result_doc(minimize(trained, x, domain, opts)) for x in conditions]
     assert got == want["minimize"]
-    got = [_result_doc(r) for r in minimize_batch(trained, conditions, domain, opts)]
+    got = [result_doc(r) for r in minimize_batch(trained, conditions, domain, opts)]
     assert got == want["minimize_batch"]
 
 
 def test_generator_is_reproducible(tmp_path):
-    """make_golden.py rewrites the very files that are committed."""
+    """make_golden.py rewrites the very files that are committed,
+    check_seed42.json included."""
     script = os.path.join(DATA, "make_golden.py")
     src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
     copy = tmp_path / "make_golden.py"
@@ -112,6 +106,8 @@ def test_generator_is_reproducible(tmp_path):
     subprocess.run([sys.executable, str(copy)], check=True, env=env)
     for name in sorted(os.listdir(GOLDEN)):
         assert _read(tmp_path / "golden" / name) == _read(os.path.join(GOLDEN, name))
+    name = "check_seed42.json"
+    assert _read(tmp_path / name) == _read(os.path.join(DATA, name))
 
 
 class TestKindMustMatchStructure:
@@ -146,7 +142,5 @@ class TestKindMustMatchStructure:
 
 
 def test_check_seed42_matches_the_committed_output():
-    reports = run_check_suite("all", seed=42)
-    text = json.dumps([r.to_json() for r in reports], sort_keys=True, indent=1) + "\n"
     with open(os.path.join(DATA, "check_seed42.json"), encoding="utf-8") as fh:
-        assert text == fh.read()
+        assert make_golden.check_text() == fh.read()

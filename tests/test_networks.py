@@ -605,6 +605,17 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="one layer"):
             model_from_json(doc)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["W", "b"])
+    def test_non_finite_weight_rejected(self, key, bad):
+        # json.load reads NaN and Infinity; the fnn's last layer is layer 2
+        for net, layer in ((self._nets()[0], 2), (self._nets()[2], 0)):
+            doc = model_to_json(net)
+            doc["weights"][layer][key][0] = float(bad)
+            doc = json.loads(json.dumps(doc))
+            with pytest.raises(ModelFormatError, match=f"layer {layer} holds a non-finite"):
+                model_from_json(doc)
+
     def test_bad_shapes_rejected(self):
         for net in self._nets():
             doc = model_to_json(net)

@@ -32,6 +32,8 @@ from paraconvex.solver import (
 )
 from paraconvex.training import init_network
 
+from banks import unit_variance_bank
+
 
 def softmax_over_T(scores: np.ndarray, T: float, axis: int = -1) -> np.ndarray:
     top = np.max(scores, axis=axis, keepdims=True)
@@ -497,7 +499,7 @@ class TestMinimizeBatch:
     def test_overflowed_bank_row_is_none(self):
         # x = 1e308 sends one plane's offset to -inf while the top plane stays
         # finite: a certificate from that bank would bound nothing
-        net = init_network("ma", 2, 2, seed=0, I=6)
+        net = unit_variance_bank(2, 2, seed=0, I=6)
         X = np.array([[0.1, 0.2], [1e308, 1e308]])
         dom = BoxDomain.symmetric(2)
         with np.errstate(over="ignore"):
@@ -511,7 +513,7 @@ class TestMinimizeBatch:
 
     @pytest.mark.parametrize("kind", ["ma", "lse"])
     def test_overflowed_bank_row_leaves_before_the_solve(self, kind, monkeypatch):
-        net = init_network(kind, 2, 2, seed=0, I=6, T=0.1)
+        net = unit_variance_bank(2, 2, seed=0, I=6, T=0.1 if kind == "lse" else None)
         X = np.array([[0.1, 0.2], [1e308, 1e308], [-0.3, 0.5]])
         dom = BoxDomain.symmetric(2)
         opts = SolveOptions(keep_trace=True)
@@ -623,10 +625,16 @@ class TestLbfgsbOracle:
     @pytest.mark.parametrize("kind,n,m", [("lse", 2, 3), ("plse", 2, 3),
                                           ("lse", 61, 20), ("plse", 61, 20)])
     def test_certificate_bounds_the_gap_to_lbfgsb(self, kind, n, m):
-        net = init_network(kind, n, m, seed=41, I=30, hidden=(8, 8))
+        capped = (kind, n) == ("lse", 61)  # ill-conditioned: rows end at the cap
+        if capped:
+            net = unit_variance_bank(n, m, seed=41, I=30, T=0.1)
+        else:
+            net = init_network(kind, n, m, seed=41, I=30, hidden=(8, 8))
         X = np.array([Rng(700 + k).uniform_in(-1.0, 1.0, n) for k in range(20)])
         dom, opts = BoxDomain.symmetric(m), SolveOptions()
         batch = minimize_batch(net, X, dom, opts)
+        if capped:
+            assert any(row.status == "max_iters" for row in batch)
         for x, row in zip(X, batch):
             ref = _lse_lbfgsb_value(*_u_bank(net, x), net.T, dom)
             for res in (row, minimize(net, x, dom, opts)):
@@ -1085,8 +1093,11 @@ def _assert_ladder_matches_serial(A, c, T, opts):
 
 
 def _bank_batch(kind, n, m, seed, I=6, B=4):
-    net = init_network(kind, n, m, seed=seed, I=I, hidden=(8,))
-    X = np.random.default_rng(seed).uniform(-1.0, 1.0, (B, n))
+    return _rows_of(init_network(kind, n, m, seed=seed, I=I, hidden=(8,)), seed, B)
+
+
+def _rows_of(net, seed, B=4):
+    X = np.random.default_rng(seed).uniform(-1.0, 1.0, (B, net.n))
     A, c = u_bank_batch(net, X)
     return np.array(A), c, net.T
 
@@ -1118,7 +1129,10 @@ class TestBacktrackingLadder:
     @pytest.mark.parametrize("kind,m,seed", [
         ("lse", 3, 60), ("plse", 1, 62), ("plse", 3, 61), ("plse", 20, 61)])
     def test_step_underflow(self, kind, m, seed, monkeypatch):
-        A, c, T = _bank_batch(kind, 2, m, seed)
+        if kind == "lse":  # steep planes, so that some row's step underflows
+            A, c, T = _rows_of(unit_variance_bank(2, m, seed, I=6, T=0.1), seed)
+        else:
+            A, c, T = _bank_batch(kind, 2, m, seed)
         monkeypatch.setattr(solver_module, "_INITIAL_STEP", 1e-17)
         monkeypatch.setattr(solver_module, "_ARMIJO", 0.9)
         opts = SolveOptions(keep_trace=True)
@@ -1154,7 +1168,7 @@ class TestBacktrackingLadder:
 
     @pytest.mark.parametrize("keep_trace", [False, True])
     def test_rows_that_run_to_the_cap(self, keep_trace):
-        net = init_network("lse", 61, 20, seed=41, I=30)
+        net = unit_variance_bank(61, 20, seed=41, I=30, T=0.1)
         X = np.array([Rng(410 + k).uniform_in(-1.0, 1.0, 61) for k in range(3)])
         A, c = u_bank_batch(net, X)
         status = _assert_ladder_matches_serial(

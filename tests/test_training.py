@@ -24,6 +24,7 @@ from paraconvex.training import (
     TrainConfig,
     TrainWorkspace,
     adam_step,
+    init_mlp,
     init_network,
     mse_loss,
     prepare_split,
@@ -123,12 +124,13 @@ class TestInitNetwork:
         assert plse.mlp.layer_widths == [2, 16, 8, (3 + 1) * 7]
         assert plse.T == 0.1 and plse.I == 7
 
-    def test_bank_kinds_scalar_xavier_bound(self):
-        lse = init_network("lse", 2, 1, seed=3, I=30, T=0.1)
-        assert lse.mlp.layer_widths == [3, 30]
-        A, b = lse.mlp.weights[0], lse.mlp.biases[0]
-        assert np.all(np.abs(A) <= np.sqrt(3.0))
-        assert np.all(np.abs(b) <= np.sqrt(3.0))
+    def test_bank_kinds_start_from_init_mlp(self):
+        want = init_mlp([3, 30], Rng(3))
+        for kind in ("ma", "lse"):
+            net = init_network(kind, 2, 1, seed=3, I=30, T=0.1)
+            assert net.mlp.layer_widths == [3, 30]
+            assert_array_equal(net.mlp.weights[0], want.weights[0])
+            assert np.all(net.mlp.biases[0] == 0.0)
 
     def test_determinism_and_seed_field(self):
         a = init_network("pma", 1, 1, seed=5, I=4)
