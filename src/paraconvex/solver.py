@@ -3,15 +3,15 @@
 `minimize_batch` solves B conditions in lockstep, one route per kind:
   - ma/pma: the epigraph LP min t s.t. A u + c <= t over the box, by a
     primal-dual interior-point method (Mehrotra predictor-corrector).
-    Certificate: value - D(lam), where lam are the plane multipliers
-    normalized to the simplex, g = A.T lam and D(lam) = lam.c +
-    sum_j min(g_j lo_j, g_j hi_j), a lower bound on the minimum for any
-    such lam by weak duality.
+    Lower bound: D(lam), where lam are the plane multipliers normalized to
+    the simplex, g = A.T lam and D(lam) = lam.c + sum_j min(g_j lo_j,
+    g_j hi_j), a bound on the minimum for any such lam by weak duality.
   - lse/plse: projected gradient with Armijo backtracking. Each sweep
     scores the first _LADDER steps of a row's backtracking at once and keeps
     the rung a serial line search would stop at, so the iterates are that
-    search's in about half the sweeps. Certificate: the first-order gap
-    max_v <g, u - v> over the box, which bounds f(u) - min f for convex f.
+    search's in about half the sweeps. Lower bound: f(u) minus the
+    first-order gap max_v <g, u - v> over the box at an iterate u with
+    gradient g, since f(v) >= f(u) + <g, v - u> for convex f.
   - fnn: multi-start projected gradient (nonconvex, no certificate). Each
     sweep is one MLP value-and-gradient pass over the live restarts into
     buffers allocated once per solve (`networks.MlpWorkspace`), with each
@@ -21,6 +21,8 @@
     grad_tolerance * max(1, |f|), the relative-reduction test of L-BFGS-B.
     Every stop is a restart's; each condition's u*, sweep count and status
     are read from its restarts once, after the sweep loop.
+Every bank row is certified one way: value - D, clamped at 0, where D is
+the best lower bound its core proved over its iterates.
 Every row keeps its own iterate and stopping rule and leaves the working
 set when it stops, so the per-call NumPy overhead is paid once per sweep,
 not once per condition and iteration. `minimize` is a batch of one. A
@@ -123,7 +125,7 @@ def first_order_gap(g: np.ndarray, u: np.ndarray, domain: BoxDomain):
     Nonnegative, and an upper bound on f(u) - min f for convex f. Row-wise
     for (B, m) inputs, one gap per row."""
     terms = np.maximum(g * (u - domain.lower), g * (u - domain.upper))
-    return np.sum(np.maximum(terms, 0.0), axis=-1)
+    return np.add.reduce(np.maximum(terms, 0.0, out=terms), axis=-1)
 
 
 def _bank_scores(A, U, c):
@@ -159,14 +161,15 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
     rejections, so the iterates, their count and every status are those of
     one candidate per sweep, in fewer sweeps. A row stops when its
     projected-gradient residual at a unit step is at most grad_tolerance *
-    max(1, |f|), at max_iters, or when its step underflows. Returns
-    (U, G, iterations, status): the last iterates, their gradients, the
-    accepted steps and STATUSES indices, _FAILED for a row not live or whose
-    objective went non-finite.
+    max(1, |f|), at max_iters, or when its step underflows. Each sweep
+    keeps a row's best lower bound f - first_order_gap(g, u) over its
+    iterates. Returns (U, D, iterations, status): the last iterates, their
+    best bounds, the accepted steps and STATUSES indices, _FAILED for a row
+    not live or whose objective went non-finite.
     """
     lo, hi = domain.lower, domain.upper
     U, iters, status, rows = _start(live, domain)
-    G = np.zeros_like(U)
+    D = np.zeros(len(U))
     A, c, u, it = A[rows], c[rows], U[rows], iters[rows]
     f, p = bank_weights(_bank_scores(A, u, c), T)
     g = _bank_grad(p, A)
@@ -175,7 +178,9 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
             traces[r].append(float(v))
     s = np.full(len(rows), _INITIAL_STEP)
     bad = ~np.isfinite(f)
+    bound = np.full(len(rows), -np.inf)
     while rows.size:
+        bound = np.maximum(bound, f - first_order_gap(g, u, domain))
         r = u - np.minimum(np.maximum(u - g, lo), hi)  # unit reference step
         residual = np.sqrt(np.add.reduce(r * r, axis=1))
         capped = it >= opts.max_iters
@@ -183,15 +188,15 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
         stop = bad | capped | converged | (s < _MIN_STEP)
         if stop.any():
             done = rows[stop]
-            U[done], G[done], iters[done] = u[stop], g[stop], it[stop]
+            U[done], D[done], iters[done] = u[stop], bound[stop], it[stop]
             status[done] = np.select(
                 [bad[stop], converged[stop], capped[stop]],
                 [_FAILED, _CONVERGED, _MAX_ITERS],
                 _STEP_UNDERFLOW,
             )
             keep = ~stop
-            rows, A, c, u, f, g, s, it = (
-                v[keep] for v in (rows, A, c, u, f, g, s, it)
+            rows, A, c, u, f, g, s, it, bound = (
+                v[keep] for v in (rows, A, c, u, f, g, s, it, bound)
             )
             if not rows.size:
                 break
@@ -219,7 +224,7 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
         if traces is not None:
             for r, v in zip(rows[accept], f[accept]):
                 traces[r].append(float(v))
-    return U, G, iters, status
+    return U, D, iters, status
 
 
 def _max_step(v, dv):
@@ -457,10 +462,12 @@ def minimize_batch(
 ) -> list:
     """Solve every condition row of X (B, n) in one lockstep batch.
 
-    A row's result does not depend on its batch-mates, except that an fnn
-    row may differ from a batch of one in the last bits: a matmul row's bits
-    depend on the row count (B condition rows against one, the live
-    restarts of B conditions against those of one). A row whose bank or
+    A row's result does not depend on its batch-mates beyond the last bits,
+    for every kind: a matmul row's bits depend on the row count (the banks
+    or layer-0 offsets of B conditions against one, the live restarts of B
+    conditions against those of one). So a row's u*, value and certificate
+    can differ from a batch of one's there (the tests hold them to 1e-12);
+    its iterations and status do not. A row whose bank or
     objective goes non-finite comes back as None. Every result's trace
     holds the model value at each iterate (for fnn, the best restart's),
     and its wall_time_s is the batch's wall time divided by B.
@@ -490,12 +497,9 @@ def minimize_batch(
             if net.T is None:
                 U, D, iters, status = _lp_batch(A, c, live, domain, opts, traces)
             else:
-                U, G, iters, status = _pg_batch(A, c, live, net.T, domain, opts, traces)
+                U, D, iters, status = _pg_batch(A, c, live, net.T, domain, opts, traces)
             values = bank_values(bank_scores(A, U, c), net.T)
-            if net.T is None:
-                certificates = np.maximum(values - D, 0.0)
-            else:
-                certificates = first_order_gap(G, U, domain)
+            certificates = np.maximum(values - D, 0.0)
     wall = (time.perf_counter() - t0) / B
     return [
         None

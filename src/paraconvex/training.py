@@ -152,9 +152,20 @@ def init_network(
 # --- loss and gradients ----------------------------------------------------
 
 
+def _checked_rows(net: Network, X, U, y) -> tuple:
+    """(X, U, y) as float arrays of shapes (B, n), (B, m) and (B,); numpy
+    would broadcast other shapes into a loss or gradient of the wrong rows."""
+    X, U, y = (np.asarray(a, dtype=np.float64) for a in (X, U, y))
+    if y.ndim != 1 or X.shape != (len(y), net.n) or U.shape != (len(y), net.m):
+        raise DimensionMismatch(f"X, U, y must be (B, {net.n}), (B, {net.m}), (B,); "
+                                f"got {X.shape}, {U.shape}, {y.shape}")
+    return X, U, y
+
+
 def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray) -> float:
     """MSE at rows (X, U), in arrays allocated for the call."""
-    r = forward_batch(net, X, U) - np.asarray(y, dtype=np.float64)
+    X, U, y = _checked_rows(net, X, U, y)
+    r = forward_batch(net, X, U) - y
     # an overflowing square is the divergence signal the trainer checks for
     with np.errstate(over="ignore"):
         return float(np.mean(r * r))
@@ -185,7 +196,7 @@ def weight_gradients(
     The max in ma/pma routes gradient to the active plane only (lowest index
     on ties), the standard subgradient choice for max-affine training.
     """
-    X, U, y = (np.asarray(a, dtype=np.float64) for a in (X, U, y))
+    X, U, y = _checked_rows(net, X, U, y)
     B = y.shape[0]
     if B == 0:
         raise ValueError("batch must be nonempty")

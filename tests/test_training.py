@@ -198,6 +198,26 @@ class TestMseLoss:
         assert_allclose(mse_loss(net, X, U, y), 5.0)
 
 
+class TestMisShapedRows:
+    """mse_loss and weight_gradients must raise on rows that do not line up,
+    not broadcast them: y[:, None] made mse_loss the mean of a (B, B)
+    residual, and X[:1] repeated one condition over the batch."""
+
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    def test_rejected(self, kind):
+        net = init_network(kind, 2, 1, seed=5, I=4, hidden=(6,))
+        X, U, y = _batch(2, 1, 8, np.random.default_rng(6))
+        # one array's rows or y's rank off, each of which numpy broadcasts
+        for args in [(X, U, y[:, None]), (X, U, y[:1]), (X, U, y[0]),
+                     (X[:1], U, y), (X, U[:1], y), (X[:1], U[:1], y)]:
+            with pytest.raises(DimensionMismatch):
+                mse_loss(net, *args)
+            with pytest.raises(DimensionMismatch):
+                weight_gradients(net, *args)
+            with pytest.raises(DimensionMismatch):
+                weight_gradients(net, *args, TrainWorkspace(net, 8))
+
+
 class TestWeightGradients:
     def test_zero_residual_gives_zero_gradient(self):
         net = init_network("plse", 1, 1, seed=13, I=3, hidden=(4,))
