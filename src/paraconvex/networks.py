@@ -151,7 +151,13 @@ class MlpWorkspace:
     With `fixed` > 0 a row's leading `fixed` inputs are folded into layer 0
     once: the caller writes their mlp_offset into `offset`, Z holds the
     trailing inputs, and a reverse pass returns the gradient in those alone
-    (weight gradients need fixed = 0).
+    (weight gradients need fixed = 0, and a scalar output's reverse pass
+    takes delta None, the unit gradient).
+
+    A scalar output's unit gradient through the output layer is that
+    layer's row broadcast over the rows. With folded inputs it is the only
+    output gradient a pass takes, so that layer gets no reverse buffer, and
+    a one-layer net's input gradient is a read-only view of its weights.
 
     A pass over k rows reads Z[:k] and uses the first k rows of every
     buffer. Those are C-contiguous, so each matmul sees the operands a
@@ -169,10 +175,13 @@ class MlpWorkspace:
         self.pres = [np.empty((rows, W.shape[0])) for W in params.weights]
         # hidden activations, then the reverse pass's LeakyReLU derivatives
         self.acts = [np.empty((rows, W.shape[0])) for W in params.weights[:-1]]
-        self.grads = [np.empty((rows, W.shape[1])) for W in self.weights]
-        # value_and_grad's unit output gradient through the output layer
+        # a folded scalar net's passes start from `unit`: no output-layer buffer
+        last = len(self.weights) - (fixed > 0 and params.n_out == 1)
+        self.grads = [np.empty((rows, W.shape[1])) for W in self.weights[:last]]
         if params.n_out == 1:
-            self.unit = np.ones((rows, 1)) @ self.weights[-1]
+            # value_and_grad's unit output gradient through the output layer
+            W = self.weights[-1]
+            self.unit = np.broadcast_to(W, (rows, W.shape[1]))
 
     def forward(self, k: int) -> np.ndarray:
         """Trace rows Z[:k]; the outputs (k, n_out), a view."""
@@ -446,7 +455,8 @@ def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         if isinstance(net, FeedforwardNet):
             ws = MlpWorkspace(net.mlp, X.shape[0], fixed=net.n)
             ws.offset[...], ws.Z[...] = mlp_offset(net.mlp, X), U
-            out = ws.value_and_grad(X.shape[0])[1]
+            # a one-layer net's gradient is a read-only view of its weights
+            out = np.require(ws.value_and_grad(X.shape[0])[1], requirements="W")
         else:
             out = _weighted_slopes(net, X, U)
     return _finite(net, out, "gradient")
@@ -492,7 +502,8 @@ def clone_network(net: Network) -> Network:
 _BANK_KINDS = ("ma", "lse", "pma", "plse")
 
 
-def model_to_json(net: Network) -> dict:
+def _model_header(net: Network) -> dict:
+    """The model document without its "weights"."""
     bank = isinstance(net, Bank)
     return {
         "format_version": FORMAT_VERSION,
@@ -503,6 +514,12 @@ def model_to_json(net: Network) -> dict:
         "T": net.T if bank else None,
         "seed": net.seed,
         "layer_widths": net.mlp.layer_widths,
+    }
+
+
+def model_to_json(net: Network) -> dict:
+    return {
+        **_model_header(net),
         "weights": [
             {"W": W.ravel().tolist(), "b": b.tolist()}
             for W, b in zip(net.mlp.weights, net.mlp.biases)
@@ -567,10 +584,39 @@ def _model_from_doc(doc: dict) -> Network:
     return net
 
 
+_JSON_CHUNK = 4096  # weights formatted per json.dumps call by save_model
+_JSON_ITEM = ",\n    "  # json.dump(..., indent=1)'s separator in a layer's lists
+
+
+def _write_numbers(fh, values: np.ndarray) -> None:
+    """Write the 1-D float array as json.dump(..., indent=1) lays out the
+    list of a layer's "W" or "b" (depth 3). json's C encoder formats it,
+    _JSON_CHUNK values at a time, so no whole-layer list or string is made."""
+    fh.write("[\n    ")
+    for first in range(0, len(values), _JSON_CHUNK):
+        chunk = values[first : first + _JSON_CHUNK].tolist()
+        fh.write((_JSON_ITEM if first else "")
+                 + json.dumps(chunk, separators=(_JSON_ITEM, ":"))[1:-1])
+    fh.write("\n   ]")
+
+
 def save_model(net: Network, path) -> None:
+    """Write model_to_json(net) as json.dump(doc, fh, sort_keys=True,
+    indent=1) lays it out, byte for byte, and a newline. An indenting
+    json.dump runs json's pure-Python encoder over the whole document; here
+    only the header goes through it, and the weights are written layer by
+    layer by _write_numbers."""
+    head = json.dumps(_model_header(net), sort_keys=True, indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(net), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        # "weights" sorts after every header key: it is the document's last
+        fh.write(head[: -len("\n}")] + ',\n "weights": [')
+        for k, (W, b) in enumerate(zip(net.mlp.weights, net.mlp.biases)):
+            fh.write(("," if k else "") + '\n  {\n   "W": ')
+            _write_numbers(fh, W.ravel())
+            fh.write(',\n   "b": ')
+            _write_numbers(fh, b)
+            fh.write("\n  }")
+        fh.write("\n ]\n}\n")
 
 
 def load_model(path) -> Network:

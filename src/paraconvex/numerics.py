@@ -40,21 +40,30 @@ class Rng:
         self._counter = 0
 
     def next_uint64(self, count: int = 1) -> np.ndarray:
-        """Next `count` raw 64-bit outputs as a uint64 array."""
-        ks = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        """Next `count` raw 64-bit outputs as a uint64 array, formed in
+        place in it with one shift buffer as the only other temporary."""
+        z = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         self._counter += count
-        with np.errstate(over="ignore"):
-            z = self.seed + ks * _GOLDEN
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            return z ^ (z >> np.uint64(31))
+        shifted = np.empty_like(z)
+        z *= _GOLDEN
+        z += self.seed
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+            z *= mix
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        return z
 
     def uniform(self, count: int = 1) -> np.ndarray:
-        """`count` doubles uniform in [0, 1)."""
-        return (self.next_uint64(count) >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
+        """`count` doubles uniform in [0, 1), in the raw draw's memory."""
+        z = self.next_uint64(count)
+        z >>= np.uint64(11)  # below 2**53, so the conversion is exact
+        return np.multiply(z, _DOUBLE_SCALE, out=z.view(np.float64))
 
     def uniform_in(self, low: float, high: float, count: int = 1) -> np.ndarray:
-        return low + (high - low) * self.uniform(count)
+        u = self.uniform(count)
+        u *= high - low
+        u += low
+        return u
 
     def shuffle_indices(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), driven by this stream.

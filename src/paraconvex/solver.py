@@ -356,20 +356,21 @@ def _multistart_batch(net, X, domain, opts, traces):
     _FAILED if it failed, else "max_iters" if capped, else "converged".
 
     Each condition's layer-0 part x W0[:, :n]^T + b0 is formed once
-    (`networks.mlp_offset`) and repeated over its restarts, so a pass
-    multiplies only the u-columns. The live restarts are the first k rows,
-    in restart order, of one MlpWorkspace for the B*R rows: stopping ones
-    are compacted out by moving the kept rows to the front, so each pass
-    sees the arrays a batch of k rows would. Candidates are formed in the
-    workspace's input rows and the step arithmetic in a scratch array, so
-    a sweep allocates nothing of the rows' size. Returns (U, values,
-    sweeps, status) per condition, values as forward_batch forms them.
+    (`networks.mlp_offset`) and written into its restarts' workspace rows,
+    so a pass multiplies only the u-columns. The live restarts are the
+    first k rows, in restart order, of one MlpWorkspace for the B*R rows:
+    stopping ones are compacted out by moving the kept rows to the front,
+    so each pass sees the arrays a batch of k rows would. Candidates are
+    formed in the workspace's input rows and the step arithmetic in a
+    scratch array, so a sweep allocates nothing of the rows' size. Returns
+    (U, values, sweeps, status) per condition, values as forward_batch
+    forms them.
     """
     B, R, m = len(X), opts.restarts, domain.dim
     lo, hi = domain.lower, domain.upper
     ws = MlpWorkspace(net.mlp, B * R, fixed=net.n)
     offsets = mlp_offset(net.mlp, X)
-    ws.offset[:] = np.repeat(offsets, R, axis=0)
+    ws.offset.reshape(B, R, -1)[:] = offsets[:, None]  # rows b*R .. b*R + R-1
     # every restart's point, value and last sweep by index b*R + r; a live
     # restart's are written here when it stops
     U_all = np.tile(sample_uniform_box(domain, R, Rng(opts.seed)), (B, 1))

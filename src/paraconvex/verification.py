@@ -5,7 +5,8 @@ Four families:
     differ by at least 0 and at most T * log I, everywhere.
   - convexity: every bank-based kind is convex in u at fixed x (midpoint
     inequality, sampled), each condition's bank (A_u(x), c(x)) built once
-    and scored at all its points through `networks.bank_scores`.
+    and scored at all its points through `networks.bank_scores`, a block
+    of conditions at a time.
   - gradients: analytic u-gradients agree with central finite differences
     away from LeakyReLU kinks.
   - envelope: the Moreau-Yosida envelope of a convex function of one
@@ -102,6 +103,7 @@ def check_sandwich(
 # --- convexity ---------------------------------------------------------------
 
 _LAMBDAS = (0.25, 0.5, 0.75)
+CONVEXITY_BLOCK = 10  # conditions check_convexity scores at a time
 
 
 def check_convexity(
@@ -112,7 +114,10 @@ def check_convexity(
     _LAMBDAS, the largest f(lam u1 + (1 - lam) u2) - lam f(u1) - (1 - lam)
     f(u2). Each condition's bank is built once and broadcast over its
     u-pairs; the values are bit-equal to forward_batch on the conditions
-    repeated u_pairs times. Raises NumericOverflow on a non-finite value."""
+    repeated u_pairs times. The conditions are scored CONVEXITY_BLOCK at a
+    time, so no score array spans them all: past the draws of the u-pairs,
+    memory does not grow with x_samples. Raises NumericOverflow on a
+    non-finite value."""
     if isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork("fnn carries no convexity guarantee to check")
     check_count("x_samples", x_samples)
@@ -120,24 +125,27 @@ def check_convexity(
     rng = Rng(seed)
     n, m = net.n, net.m
     X = rng.uniform_in(-1.0, 1.0, x_samples * n).reshape(-1, n)
-    U1 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(-1, m)
-    U2 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(-1, m)
+    U1 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(x_samples, u_pairs, m)
+    U2 = rng.uniform_in(-1.0, 1.0, x_samples * u_pairs * m).reshape(x_samples, u_pairs, m)
     A_u, c = u_bank_batch(net, X)
     A_u, c = A_u[:, None], c[:, None]
 
-    def f(U):
+    def f(rows, U):
         with np.errstate(over="ignore", invalid="ignore"):
-            S = bank_scores(A_u, U.reshape(x_samples, u_pairs, m), c)
+            S = bank_scores(A_u[rows], U, c[rows])
             v = bank_values(S.reshape(-1, net.I), net.T)
         if not np.isfinite(v).all():
             raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
         return v
 
-    f1, f2 = f(U1), f(U2)
     worst = -np.inf
-    for lam in _LAMBDAS:
-        mid = f(lam * U1 + (1.0 - lam) * U2)
-        worst = max(worst, float(np.max(mid - lam * f1 - (1.0 - lam) * f2)))
+    for first in range(0, x_samples, CONVEXITY_BLOCK):
+        rows = slice(first, first + CONVEXITY_BLOCK)
+        u1, u2 = U1[rows], U2[rows]
+        f1, f2 = f(rows, u1), f(rows, u2)
+        for lam in _LAMBDAS:
+            mid = f(rows, lam * u1 + (1.0 - lam) * u2)
+            worst = max(worst, float(np.max(mid - lam * f1 - (1.0 - lam) * f2)))
     return CheckReport(
         name=f"convexity:{net.kind}",
         samples=x_samples * u_pairs * len(_LAMBDAS),

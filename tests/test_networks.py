@@ -24,10 +24,12 @@ from paraconvex.networks import (
     forward_batch,
     grad_u,
     grad_u_batch,
+    load_model,
     mlp_forward_batch,
     model_from_json,
     model_to_json,
     nonsmooth_twin,
+    save_model,
     shifted_lse,
     subgrad_u,
     u_bank_batch,
@@ -372,6 +374,21 @@ class TestGradU:
                 fd[j] = (forward(net, x, u + e) - forward(net, x, u - e)) / (2 * h)
             assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-9) < 1e-4
 
+    def test_one_layer_fnn_gradient_is_an_owned_writable_array(self):
+        # with no hidden layer the workspace's gradient is a read-only view
+        # of the weights; the caller gets its own copy
+        net = init_network("fnn", 2, 3, seed=4, hidden=())
+        rng = np.random.default_rng(4)
+        X, U = rng.uniform(-1, 1, size=(5, 2)), rng.uniform(-1, 1, size=(5, 3))
+        flat = net.mlp.flat.copy()
+        G = grad_u_batch(net, X, U)
+        assert G.shape == (5, 3) and G.flags.writeable
+        assert not np.shares_memory(G, net.mlp.flat)
+        assert_array_equal(G, np.tile(net.mlp.weights[0][0, 2:], (5, 1)))
+        G[...] = 7.0
+        assert_array_equal(net.mlp.flat, flat)
+        assert_array_equal(grad_u(net, X[0], U[0]), net.mlp.weights[0][0, 2:])
+
     def test_rejected_for_nonsmooth_kinds(self):
         pma = _two_plane_pma()
         with pytest.raises(UnsupportedNetwork):
@@ -632,6 +649,33 @@ class TestSerialization:
                 model_from_json(doc)
         with pytest.raises(ModelFormatError):
             model_from_json([1, 2, 3])
+
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (61, 20)])
+    def test_save_model_writes_json_dump_bytes(self, kind, dims, tmp_path):
+        # at 61x20 a plse's layers hold 3,904, 4,096 and 40,320 weights and
+        # an fnn's first 5,184: below, at and across the 4,096-value chunks
+        net = init_network(kind, *dims, seed=6)
+        save_model(net, tmp_path / "model.json")
+        want = json.dumps(model_to_json(net), sort_keys=True, indent=1) + "\n"
+        assert (tmp_path / "model.json").read_bytes() == want.encode()
+        assert model_to_json(load_model(tmp_path / "model.json")) == model_to_json(net)
+
+    def test_save_model_bytes_on_edge_weights(self, tmp_path):
+        # signed zero, the least subnormal, a huge and an integral weight;
+        # a width-1 layer and a one-plane bank write one-entry lists
+        edge = np.array([-0.0, 5e-324, 1e300, 1.0, -2.0])
+        nets = [
+            FeedforwardNet(n=2, m=3, mlp=MlpParams([edge[None, :], np.array([[-0.0]])],
+                                                   [edge[2:3], edge[1:2]])),
+            Bank(n=1, m=4, mlp=MlpParams([edge[None, :]], [edge[:1]]), T=0.5, seed=0),
+            Bank(n=4, m=1, mlp=MlpParams([edge[:4, None].T, edge[:2, None]],
+                                         [edge[3:4], edge[:2]])),
+        ]
+        for net in nets:
+            save_model(net, tmp_path / "model.json")
+            want = json.dumps(model_to_json(net), sort_keys=True, indent=1) + "\n"
+            assert (tmp_path / "model.json").read_bytes() == want.encode()
 
     def test_json_fields_present(self):
         doc = model_to_json(self._nets()[4])

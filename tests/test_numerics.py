@@ -8,6 +8,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from paraconvex.exceptions import DimensionMismatch, NumericOverflow
 from paraconvex.numerics import (
+    _DOUBLE_SCALE,
+    _GOLDEN,
+    _MIX1,
+    _MIX2,
     BoxDomain,
     Rng,
     grid_minimize,
@@ -16,7 +20,51 @@ from paraconvex.numerics import (
 )
 
 
+def _reference_uint64(seed, start, count):
+    """Outputs start+1 .. start+count of seed's stream by the recurrence
+    written out with a fresh array per step: the reference for Rng's
+    in-place arithmetic."""
+    ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + ks * _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
+
+
+def _reference_uniform(seed, start, count):
+    return (_reference_uint64(seed, start, count) >> np.uint64(11)).astype(
+        np.float64) * _DOUBLE_SCALE
+
+
 class TestRng:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 1234567, 2**63 + 5, 2**64 - 1, -3])
+    def test_draws_equal_the_reference_recurrence(self, seed):
+        # consecutive draws of every method, one stream: each must equal the
+        # reference at its counter, bit for bit; 9,000 and 20,001 span
+        # several of NumPy's 8,192-element casting buffers
+        r, start = Rng(seed), 0
+        for count in (1, 0, 7, 9000, 20001, 2):
+            got = r.next_uint64(count)
+            assert got.dtype == np.uint64
+            assert_array_equal(got, _reference_uint64(seed, start, count))
+            start += count
+            got = r.uniform(count)
+            assert got.dtype == np.float64 and got.flags.writeable
+            assert got.tobytes() == _reference_uniform(seed, start, count).tobytes()
+            start += count
+            got = r.uniform_in(-1.5, 2.25, count)
+            want = -1.5 + (2.25 - -1.5) * _reference_uniform(seed, start, count)
+            assert got.tobytes() == want.tobytes()
+            start += count
+
+    def test_concatenated_draws_equal_one_draw(self):
+        for method in ("next_uint64", "uniform"):
+            a, b = Rng(5), Rng(5)
+            parts = [getattr(a, method)(count) for count in (3, 8192, 1, 10000)]
+            whole = getattr(b, method)(3 + 8192 + 1 + 10000)
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+
     def test_reference_stream(self):
         # SplitMix64 outputs for seed 1234567, computed by hand-applying the
         # published recurrence (see module docstring) with 64-bit wrapping.

@@ -19,6 +19,7 @@ from paraconvex.networks import (
 from paraconvex.numerics import BoxDomain, Rng
 from paraconvex.training import init_network
 from paraconvex.verification import (
+    CONVEXITY_BLOCK,
     CheckReport,
     EnvelopeTable,
     check_convexity,
@@ -95,20 +96,25 @@ class TestCheckConvexity:
         # the bank built once per condition and broadcast over its u-pairs
         # gives, bit for bit, the violation that forward_batch on every
         # repeated condition row gives; 61x20 at the benchmark's I and widths
-        # (a fixed bank ignores the widths)
+        # (a fixed bank ignores the widths). 31 conditions are scored as
+        # three full blocks and a one-condition block
         n, m = dims
         I, hidden = (30, (64, 64)) if dims == (61, 20) else (9, (16, 12))
         net = init_network(kind, n, m, seed=40 + n, I=I, T=0.1, hidden=hidden)
-        report = check_convexity(net, x_samples=30, u_pairs=40, seed=3)
+        x_samples = 3 * CONVEXITY_BLOCK + 1
+        report = check_convexity(net, x_samples=x_samples, u_pairs=40, seed=3)
         viol, count = convexity_violation(
-            lambda X, U: forward_batch(net, X, U), n, m, 30, 40, Rng(3)
+            lambda X, U: forward_batch(net, X, U), n, m, x_samples, 40, Rng(3)
         )
         assert report.max_violation == viol
-        assert report.samples == count == 30 * 40 * 3
+        assert report.samples == count == x_samples * 40 * 3
 
     def test_peak_memory_at_benchmark_dims(self):
         # 60.5 MB when each condition's (30, 20) bank was repeated over its
-        # 100 u-pairs; about 10.6 MB broadcast (NumPy 2.4, Python 3.11)
+        # 100 u-pairs; 10.6 MB broadcast, with both 200,000-value draws made
+        # through full-size temporaries and every condition scored at once;
+        # 4.9 MB with draws formed in place and conditions scored
+        # CONVEXITY_BLOCK at a time (NumPy 2.4, Python 3.11)
         net = init_network("plse", 61, 20, seed=3)
         check_convexity(net, x_samples=2, u_pairs=2)  # first-call allocations
         tracemalloc.start()
@@ -117,7 +123,7 @@ class TestCheckConvexity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 6.5e6
 
     @pytest.mark.parametrize("field, value", [
         ("x_samples", 0), ("x_samples", -1), ("x_samples", 2.5),
