@@ -3,12 +3,10 @@
 from .networks import (
     Bank,
     FeedforwardNet,
-    forward,
     forward_batch,
-    grad_u,
+    grad_u_batch,
     load_model,
     save_model,
-    subgrad_u,
 )
 from .numerics import BoxDomain, Rng
 from .solver import SolveOptions, SolveResult, minimize, minimize_batch
@@ -26,15 +24,13 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "TrainConfig",
-    "forward",
     "forward_batch",
-    "grad_u",
+    "grad_u_batch",
     "init_network",
     "load_model",
     "minimize",
     "minimize_batch",
     "save_model",
-    "subgrad_u",
     "train",
     "run_check_suite",
     "__version__",

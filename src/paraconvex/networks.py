@@ -19,8 +19,9 @@ values.
 A net's parameters live in one float64 vector, `MlpParams.flat`, and its
 layers are reshaped views of it; that layout is decided here alone.
 
-Evaluation is batch-first: `forward`, `grad_u` and `subgrad_u` are a batch
-of one through the row-wise functions. An fnn is evaluated with its
+Evaluation is batch-first: `forward_batch` gives values and `grad_u_batch`
+u-gradients at any number of (x, u) rows; a single point is a batch of one
+row, and ma/pma have no u-gradient. An fnn is evaluated with its
 condition folded into layer 0: `mlp_offset` forms x W0[:, :n]^T + b0 once
 per row, and layer 0 multiplies only the u-columns. An MLP's reverse pass
 is one kernel, `MlpWorkspace.backward`, over a trace kept in buffers
@@ -295,18 +296,6 @@ class Bank:
 Network = Union[FeedforwardNet, Bank]
 
 
-def _check_vec(v, length: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (length,):
-        raise DimensionMismatch(f"{name} must have length {length}, got shape {v.shape}")
-    return v
-
-
-def _one(net: Network, x, u) -> tuple[np.ndarray, np.ndarray]:
-    """(x, u) checked and made a batch of one row each."""
-    return _check_vec(x, net.n, "x")[None, :], _check_vec(u, net.m, "u")[None, :]
-
-
 def _check_rows(net: Network, X, U) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
@@ -414,15 +403,6 @@ def _finite(net: Network, out: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _weighted_slopes(net: Bank, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Row-wise sum of the plane slopes weighted by bank_weights: the
-    u-gradient of a log-sum-exp bank, the active plane's slope of a max.
-    Overflowed scores raise: a max over them picks no true active plane."""
-    A_u, c = u_bank_batch(net, X)
-    S = _finite(net, bank_scores(A_u, U, c), "scoring")
-    return (bank_weights(S, net.T)[1][:, None, :] @ A_u)[:, 0, :]
-
-
 def forward_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Row-wise predictions (B,) at X (B, n), U (B, m). Raises
     NumericOverflow on non-finite."""
@@ -435,9 +415,11 @@ def forward_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     return _finite(net, out, "forward")
 
 
+# No library code calls `forward`: it stays while the benchmark's traced run
+# hooks it by name (perfbench/spans.py), and goes with that hook.
 def forward(net: Network, x: np.ndarray, u: np.ndarray) -> float:
-    """Scalar prediction at (x, u). Raises NumericOverflow on non-finite."""
-    return float(forward_batch(net, *_one(net, x, u))[0])
+    """forward_batch at one point (x, u), as a float."""
+    return float(forward_batch(net, np.asarray(x)[None], np.asarray(u)[None])[0])
 
 
 def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -445,12 +427,12 @@ def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     (B, n), U is (B, m), result (B, m). Raises NumericOverflow on
     non-finite.
 
-    ma/pma are piecewise linear; callers must opt into subgrad_u instead of
-    silently receiving one arbitrary subgradient.
+    ma/pma are piecewise linear in u and raise UnsupportedNetwork rather
+    than return one arbitrary subgradient.
     """
     X, U = _check_rows(net, X, U)
     if isinstance(net, Bank) and net.T is None:
-        raise UnsupportedNetwork(f"{net.kind} is nonsmooth in u; use subgrad_u")
+        raise UnsupportedNetwork(f"{net.kind} is nonsmooth in u: no u-gradient")
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(net, FeedforwardNet):
             ws = MlpWorkspace(net.mlp, X.shape[0], fixed=net.n)
@@ -458,23 +440,11 @@ def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
             # a one-layer net's gradient is a read-only view of its weights
             out = np.require(ws.value_and_grad(X.shape[0])[1], requirements="W")
         else:
-            out = _weighted_slopes(net, X, U)
+            # the plane slopes weighted by the softmax; overflowed scores raise
+            A_u, c = u_bank_batch(net, X)
+            S = _finite(net, bank_scores(A_u, U, c), "scoring")
+            out = (bank_weights(S, net.T)[1][:, None, :] @ A_u)[:, 0, :]
     return _finite(net, out, "gradient")
-
-
-def grad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """grad_u_batch at one point (x, u)."""
-    return grad_u_batch(net, *_one(net, x, u))[0]
-
-
-def subgrad_u(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """A subgradient in u for ma/pma: the active plane's slope, lowest index
-    on ties."""
-    if isinstance(net, FeedforwardNet) or net.T is not None:
-        raise UnsupportedNetwork(f"{net.kind}: use grad_u for smooth kinds")
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _weighted_slopes(net, *_one(net, x, u))[0]
-    return _finite(net, g, "subgradient")
 
 
 # --- twins and copies ------------------------------------------------------

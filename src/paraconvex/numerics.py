@@ -115,7 +115,12 @@ class BoxDomain:
         return BoxDomain(np.full(dim, -r), np.full(dim, r))
 
     def contains(self, u: np.ndarray, atol: float = 0.0) -> bool:
+        """Whether the point u, of shape (dim,), lies in the box widened by
+        atol. Any other shape raises DimensionMismatch rather than being
+        broadcast against the bounds."""
         u = np.asarray(u, dtype=np.float64)
+        if u.shape != (self.dim,):
+            raise DimensionMismatch(f"point must have shape ({self.dim},), got {u.shape}")
         return bool(np.all(u >= self.lower - atol) and np.all(u <= self.upper + atol))
 
 
@@ -125,8 +130,7 @@ def sample_uniform_box(domain: BoxDomain, count: int, rng: Rng) -> np.ndarray:
     Draw order is row-major (point by point, coordinate by coordinate), so a
     given seed yields the same matrix regardless of how callers batch.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_count("count", count)
     m = domain.dim
     flat = rng.uniform(count * m).reshape(count, m)
     return domain.lower + (domain.upper - domain.lower) * flat
@@ -161,8 +165,7 @@ def grid_minimize(
     NumericOverflow if any value is not finite, since a NaN or an infinity
     leaves no minimum to report.
     """
-    if points_per_axis < 2:
-        raise ValueError("points_per_axis must be >= 2")
+    check_count("points_per_axis", points_per_axis, minimum=2)
     m = domain.dim
     if m > GRID_DIM_CAP:
         raise DimensionMismatch(

@@ -10,7 +10,7 @@ import pytest
 
 import paraconvex
 from paraconvex import cli
-from paraconvex.networks import Bank, MlpParams, forward, load_model, save_model
+from paraconvex.networks import Bank, MlpParams, forward_batch, load_model, save_model
 from paraconvex.training import init_network
 from paraconvex.verification import CheckReport
 
@@ -51,7 +51,7 @@ class TestSolve:
         assert rc == 0
         doc = json.loads(out)
         net = load_model(model_path)
-        val = forward(net, np.array([0.1, 0.2]), np.array(doc["u_star"]))
+        val = forward_batch(net, [[0.1, 0.2]], [doc["u_star"]])[0]
         assert val == doc["value"]
 
     def test_deterministic_up_to_wall_time(self, model_path, capsys):

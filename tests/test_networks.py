@@ -22,7 +22,6 @@ from paraconvex.networks import (
     clone_network,
     forward,
     forward_batch,
-    grad_u,
     grad_u_batch,
     load_model,
     mlp_forward_batch,
@@ -31,7 +30,6 @@ from paraconvex.networks import (
     nonsmooth_twin,
     save_model,
     shifted_lse,
-    subgrad_u,
     u_bank_batch,
 )
 from paraconvex.training import init_network
@@ -41,6 +39,15 @@ def _u_bank(net, x):
     """The affine bank in u at one condition x: row 0 of u_bank_batch."""
     A_u, c = u_bank_batch(net, x[None])
     return A_u[0], c[0]
+
+
+def _central_differences(net, x, u, h):
+    """Central differences of step h in u at one point (x, u), its 2m
+    stencil points scored in one forward_batch call."""
+    m = len(u)
+    steps = h * np.eye(m)
+    f = forward_batch(net, np.tile(x, (2 * m, 1)), np.vstack([u + steps, u - steps]))
+    return (f[:m] - f[m:]) / (2 * h)
 
 
 def _random_mlp(widths, rng):
@@ -257,17 +264,16 @@ class TestForward:
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
         for T in (0.01, 0.1, 1.0, 10.0):
             net = Bank(n=1, m=1, mlp=embed, T=T)
-            assert_allclose(forward(net, np.array([5.0]), np.array([0.5])), 4.0)
+            assert_allclose(forward_batch(net, [[5.0]], [[0.5]]), [4.0])
 
     def test_pma_max_of_planes(self):
         net = _two_plane_pma()
-        assert forward(net, np.array([0.0]), np.array([0.5])) == 0.5
-        assert forward(net, np.array([0.0]), np.array([-0.8])) == 0.8
+        assert forward_batch(net, [[0.0], [0.0]], [[0.5], [-0.8]]).tolist() == [0.5, 0.8]
 
     def test_plse_equal_arguments(self):
         net = dataclasses.replace(_two_plane_pma(), T=0.1)
-        got = forward(net, np.array([0.0]), np.array([0.0]))
-        assert_allclose(got, 0.1 * np.log(2.0), rtol=1e-12)
+        got = forward_batch(net, [[0.0]], [[0.0]])
+        assert_allclose(got, [0.1 * np.log(2.0)], rtol=1e-12)
 
     def test_max_shift_stability(self):
         net = Bank(
@@ -277,15 +283,14 @@ class TestForward:
                           [np.array([500.0, -500.0])]),
             T=1e-3,
         )
-        val = forward(net, np.array([1.0]), np.array([1.0]))
-        assert np.isfinite(val)
+        assert np.isfinite(forward_batch(net, [[1.0]], [[1.0]])).all()
 
     def test_overflow_reported(self):
         mp = MlpParams(weights=[np.array([[1e300, 0.0]])], biases=[np.array([0.0])])
         net = FeedforwardNet(n=1, m=1, mlp=mp)
         with pytest.raises(NumericOverflow):
             # 1e300 * 1e10 overflows the affine map
-            forward(net, np.array([1e10]), np.array([0.0]))
+            forward_batch(net, [[1e10]], [[0.0]])
 
     @pytest.mark.parametrize("kind", ["ma", "lse", "pma", "plse"])
     def test_overflow_is_typed_never_a_warning(self, kind):
@@ -299,18 +304,23 @@ class TestForward:
         X, U = np.full((1, 2), 1e308), np.full((1, 2), 0.5)
         with pytest.raises(NumericOverflow):
             forward_batch(net, X, U)
-        with pytest.raises(NumericOverflow):
-            if net.T is None:
-                subgrad_u(net, X[0], U[0])
-            else:
+        if net.T is not None:
+            with pytest.raises(NumericOverflow):
                 grad_u_batch(net, X, U)
 
     def test_dimension_mismatch(self):
         net = _two_plane_pma()
         with pytest.raises(DimensionMismatch):
-            forward(net, np.array([0.0, 1.0]), np.array([0.5]))
+            forward_batch(net, [[0.0, 1.0]], [[0.5]])
         with pytest.raises(DimensionMismatch):
-            forward(net, np.array([0.0]), np.array([0.5, 0.1]))
+            forward_batch(net, [[0.0]], [[0.5, 0.1]])
+        with pytest.raises(DimensionMismatch):
+            forward_batch(net, [[0.0], [1.0]], [[0.5]])
+        # the one-point form takes a point, not a row or a scalar
+        for x, u in (([0.0, 1.0], [0.5]), ([[0.0]], [0.5]), (0.0, [0.5]), ([0.0], 0.5)):
+            with pytest.raises(DimensionMismatch):
+                forward(net, x, u)
+        assert forward(net, [0.0], [0.5]) == 0.5
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -325,7 +335,7 @@ class TestForward:
         U = rng.uniform(-1, 1, size=(6, 3))
         for net in nets:
             batch = forward_batch(net, X, U)
-            single = [forward(net, X[i], U[i]) for i in range(6)]
+            single = [forward_batch(net, X[i : i + 1], U[i : i + 1])[0] for i in range(6)]
             # paths may associate sums differently; agreement is numerical
             assert_allclose(batch, single, rtol=1e-12, atol=1e-12)
 
@@ -334,11 +344,11 @@ class TestGradU:
     def test_single_plane_gradient(self):
         embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
         net = Bank(n=1, m=1, mlp=embed, T=0.7)
-        assert_allclose(grad_u(net, np.array([1.0]), np.array([0.3])), [2.0])
+        assert_allclose(grad_u_batch(net, [[1.0]], [[0.3]]), [[2.0]])
 
     def test_symmetric_bank_cancels(self):
         net = dataclasses.replace(_two_plane_pma(), T=0.1)
-        assert_allclose(grad_u(net, np.array([0.0]), np.array([0.0])), [0.0], atol=1e-15)
+        assert_allclose(grad_u_batch(net, [[0.0]], [[0.0]]), [[0.0]], atol=1e-15)
 
     def test_matches_finite_differences(self):
         h = 1e-4
@@ -350,12 +360,8 @@ class TestGradU:
             rng = np.random.default_rng(1000 + trial)
             x = rng.uniform(-1, 1, size=2)
             u = rng.uniform(-1, 1, size=2)
-            g = grad_u(net, x, u)
-            fd = np.zeros(2)
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                fd[j] = (forward(net, x, u + e) - forward(net, x, u - e)) / (2 * h)
+            g = grad_u_batch(net, x[None], u[None])[0]
+            fd = _central_differences(net, x, u, h)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-5
 
@@ -366,12 +372,8 @@ class TestGradU:
             net = FeedforwardNet(n=2, m=2, mlp=_random_mlp([4, 16, 16, 1], rng))
             x = rng.uniform(-1, 1, size=2)
             u = rng.uniform(-1, 1, size=2)
-            g = grad_u(net, x, u)
-            fd = np.zeros(2)
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                fd[j] = (forward(net, x, u + e) - forward(net, x, u - e)) / (2 * h)
+            g = grad_u_batch(net, x[None], u[None])[0]
+            fd = _central_differences(net, x, u, h)
             assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-9) < 1e-4
 
     def test_one_layer_fnn_gradient_is_an_owned_writable_array(self):
@@ -387,55 +389,15 @@ class TestGradU:
         assert_array_equal(G, np.tile(net.mlp.weights[0][0, 2:], (5, 1)))
         G[...] = 7.0
         assert_array_equal(net.mlp.flat, flat)
-        assert_array_equal(grad_u(net, X[0], U[0]), net.mlp.weights[0][0, 2:])
+        assert_array_equal(grad_u_batch(net, X[:1], U[:1])[0], net.mlp.weights[0][0, 2:])
 
     def test_rejected_for_nonsmooth_kinds(self):
         pma = _two_plane_pma()
         with pytest.raises(UnsupportedNetwork):
-            grad_u(pma, np.array([0.0]), np.array([0.0]))
+            grad_u_batch(pma, [[0.0]], [[0.0]])
         ma = nonsmooth_twin(_random_lse(1, 1, 3, 0.1, seed=5))
         with pytest.raises(UnsupportedNetwork):
-            grad_u(ma, np.array([0.0]), np.array([0.0]))
-
-
-class TestSubgradU:
-    def test_single_plane(self):
-        embed = MlpParams(weights=[np.zeros((2, 1))], biases=[np.array([2.0, 3.0])])
-        net = Bank(n=1, m=1, mlp=embed)
-        assert_array_equal(subgrad_u(net, np.array([0.0]), np.array([0.9])), [2.0])
-
-    def test_tie_takes_lowest_index(self):
-        net = _two_plane_pma()  # planes u and -u tie at u=0
-        assert_array_equal(subgrad_u(net, np.array([0.0]), np.array([0.0])), [1.0])
-
-    def test_active_plane_selected(self):
-        # planes: u (value 1 at u=1) and 2u-0.5 (value 1.5): second is active
-        mlp = MlpParams([np.array([[0.0, 1.0], [0.0, 2.0]])], [np.array([0.0, -0.5])])
-        ma = Bank(n=1, m=1, mlp=mlp)
-        assert_array_equal(subgrad_u(ma, np.array([0.0]), np.array([1.0])), [2.0])
-
-    def test_subgradient_inequality(self):
-        net = nonsmooth_twin(_random_plse(2, 2, 8, 0.1, seed=21))
-        rng = np.random.default_rng(22)
-        x = rng.uniform(-1, 1, size=2)
-        u = rng.uniform(-1, 1, size=2)
-        g = subgrad_u(net, x, u)
-        base = forward(net, x, u)
-        for _ in range(100):
-            up = rng.uniform(-1, 1, size=2)
-            assert forward(net, x, up) >= base + g @ (up - u) - 1e-9
-
-    def test_rejected_for_smooth_kinds(self):
-        net = _random_plse(1, 1, 3, 0.1, seed=9)
-        with pytest.raises(UnsupportedNetwork):
-            subgrad_u(net, np.array([0.0]), np.array([0.0]))
-
-    def test_overflowed_scores_raise(self):
-        # at x = 1e308 both planes score +inf, but 3x - u is the larger in
-        # exact arithmetic: the argmax's slope +1 would be the wrong one
-        mlp = MlpParams([np.array([[2.0, 1.0], [3.0, -1.0]])], [np.zeros(2)])
-        with pytest.raises(NumericOverflow):
-            subgrad_u(Bank(n=1, m=1, mlp=mlp), np.array([1e308]), np.array([0.0]))
+            grad_u_batch(ma, [[0.0]], [[0.0]])
 
 
 class TestStructuralProperties:
@@ -465,11 +427,10 @@ class TestStructuralProperties:
                 x = rng.uniform(-1, 1, size=2)
                 u1 = rng.uniform(-1, 1, size=2)
                 u2 = rng.uniform(-1, 1, size=2)
-                f1 = forward(net, x, u1)
-                f2 = forward(net, x, u2)
-                for lam in lambdas:
-                    mid = forward(net, x, lam * u1 + (1 - lam) * u2)
-                    assert mid <= lam * f1 + (1 - lam) * f2 + 1e-9
+                f1, f2 = forward_batch(net, [x, x], [u1, u2])
+                lam = lambdas[:, None]
+                mid = forward_batch(net, np.tile(x, (len(lambdas), 1)), lam * u1 + (1 - lam) * u2)
+                assert np.all(mid <= lambdas * f1 + (1 - lambdas) * f2 + 1e-9)
 
     def test_u_bank_reproduces_forward(self):
         rng = np.random.default_rng(77)
@@ -481,7 +442,7 @@ class TestStructuralProperties:
             A_u, c = _u_bank(net, x)
             scores = A_u @ u + c
             want = net.T * np.log(np.sum(np.exp(scores / net.T)))
-            assert_allclose(forward(net, x, u), want, rtol=1e-12)
+            assert_allclose(forward_batch(net, x[None], u[None]), [want], rtol=1e-12)
 
     def test_u_bank_rejects_fnn(self):
         rng = np.random.default_rng(80)

@@ -119,6 +119,13 @@ class TestBoxDomain:
         assert not dom.contains(np.array([0.5, -1.0000001]))
         assert dom.contains(np.array([0.5, -1.0000001]), atol=1e-6)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (5, 20)])
+    def test_contains_takes_one_point_of_the_box_dimension(self, shape):
+        # each of these would broadcast against the 20 bounds
+        dom = BoxDomain.symmetric(20)
+        with pytest.raises(DimensionMismatch):
+            dom.contains(np.full(shape, 0.5))
+
 
 class TestSampleUniformBox:
     def test_containment(self):
@@ -146,6 +153,10 @@ class TestSampleUniformBox:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample_uniform_box(BoxDomain.symmetric(1), 0, Rng(0))
+
+    def test_fractional_count_names_the_field(self):
+        with pytest.raises(ValueError, match="count"):
+            sample_uniform_box(BoxDomain.symmetric(1), 2.5, Rng(0))
 
 
 class TestGridNodes:
@@ -208,6 +219,11 @@ class TestGridMinimize:
     def test_dimension_cap(self):
         with pytest.raises(DimensionMismatch):
             grid_minimize(lambda u: 0.0, BoxDomain.symmetric(5), 3)
+
+    @pytest.mark.parametrize("points", [1, 2.5])
+    def test_points_per_axis_validation(self, points):
+        with pytest.raises(ValueError, match="points_per_axis"):
+            grid_minimize(lambda u: 0.0, BoxDomain.symmetric(1), points)
 
     @pytest.mark.parametrize("vectorized", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -16,9 +16,8 @@ from paraconvex.networks import (
     MlpParams,
     MlpWorkspace,
     bank_weights,
-    forward,
     forward_batch,
-    grad_u,
+    grad_u_batch,
     mlp_forward_batch,
     mlp_offset,
     shifted_lse,
@@ -173,7 +172,7 @@ class TestMinimizeSmoothConvex:
         net = init_network("plse", 1, 1, seed=8, I=5)
         x = np.array([0.1])
         res = minimize(net, x, BoxDomain.symmetric(1))
-        assert res.value == forward(net, x, res.u_star)
+        assert res.value == forward_batch(net, x[None], res.u_star[None])[0]
         assert res.certificate >= 0.0
         assert res.wall_time_s >= 0.0
 
@@ -218,7 +217,7 @@ class TestMinimizePma:
         res = minimize(net, x, dom)
         for T in (0.1, 0.01, 1e-3, 1e-4):
             twin = dataclasses.replace(net, T=T)
-            gap = forward(twin, x, res.u_star) - res.value
+            gap = forward_batch(twin, x[None], res.u_star[None])[0] - res.value
             assert -1e-9 <= gap <= T * np.log(net.I) + 1e-9
             smooth = minimize(twin, x, dom)
             assert res.value - res.certificate <= smooth.value + 1e-12
@@ -298,7 +297,7 @@ class TestDispatch:
                 res = minimize(net, x, dom, SolveOptions(seed=1))
                 assert isinstance(res, SolveResult)
                 assert dom.contains(res.u_star)
-                assert res.value == forward(net, x, res.u_star)
+                assert res.value == forward_batch(net, x[None], res.u_star[None])[0]
 
     @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
     @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (61, 20)])
@@ -645,7 +644,8 @@ class TestLbfgsbOracle:
             for res in (row, minimize(net, x, dom, opts)):
                 assert res.value - ref <= res.certificate + 1e-12 * (1.0 + abs(ref))
                 # never looser than the first-order gap at u*
-                gap = first_order_gap(grad_u(net, x, res.u_star), res.u_star, dom)
+                g = grad_u_batch(net, x[None], res.u_star[None])[0]
+                gap = first_order_gap(g, res.u_star, dom)
                 assert res.certificate <= gap + 1e-12 * (1.0 + abs(res.value))
 
 

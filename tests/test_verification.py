@@ -169,14 +169,19 @@ class TestCheckGradients:
         assert report.samples == 90
 
     def test_corrupted_gradient_fails(self, monkeypatch):
-        grad_u = verification.grad_u
-        monkeypatch.setattr(verification, "grad_u", lambda *a: -grad_u(*a))
+        grad_u_batch = verification.grad_u_batch
+        monkeypatch.setattr(verification, "grad_u_batch", lambda *a: -grad_u_batch(*a))
         report = check_gradients(trials=5, seed=42)
         assert not report.passed
 
     def test_nonsmooth_kind_rejected(self):
         with pytest.raises(UnsupportedNetwork):
             check_gradients(kinds=("ma",))
+
+    def test_string_of_kinds_rejected(self):
+        # a string would be read as its characters, "l", "s", "e"
+        with pytest.raises(ValueError, match="kinds"):
+            check_gradients(kinds="lse")
 
     def test_kinds_from_a_generator(self):
         report = check_gradients(kinds=(k for k in ("lse", "plse")), trials=2)
@@ -235,6 +240,10 @@ class TestMoreauEnvelope:
             moreau_envelope(lambda U: U[:, 0], dom, 0.0, 11)
         with pytest.raises(ValueError):
             moreau_envelope(lambda U: U[:, 0], dom, 0.5, 1)
+
+    def test_fractional_resolution_names_the_field(self):
+        with pytest.raises(ValueError, match="resolution"):
+            moreau_envelope(lambda U: U[:, 0], BoxDomain.symmetric(1), 0.5, 2.5)
 
     def test_table_rejects_envelope_above_function(self):
         with pytest.raises(ValueError):
