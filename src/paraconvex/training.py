@@ -236,9 +236,13 @@ def _weight_gradients(net, X, U, y, B, ws):
         r = pred - y
         ws.sse = float(np.sum(r * r))
         # in the bank's layout: d pred / d A_x[i, j] is w_i * u_j and
-        # d pred / d b_x[i] is w_i
+        # d pred / d b_x[i] is w_i. One einsum fills the strided A_x in one
+        # pass; its products are a broadcast multiply's bits, except that
+        # it adds each to +0.0, so an exact-zero product (pma's one-hot w)
+        # is +0.0 where the multiply may give -0.0. The sign of a zero
+        # gradient never reaches Adam's moments (see adam_step)
         np.multiply(w, ((2.0 / B) * r)[:, None], out=b_x)
-        np.multiply(b_x[:, :, None], U[:, None, :], out=A_x)
+        np.einsum("bi,bj->bij", b_x, U, out=A_x)
     ws.mlp.backward(B, out, ws.grads)
 
 
@@ -272,7 +276,9 @@ def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float) -> None
     The moments are updated in place and the step is formed in g and the
     state's scratch, with the rounding of p - lr * m_hat / (sqrt(v_hat) + eps)
     term for term, so one call over a flat concatenation of arrays equals
-    one call per array.
+    one call per array. The sign of a zero in g leaves no trace: m is never
+    -0.0 (it starts at +0.0, and x + -x is +0.0), so adding (1 - beta1) *
+    (+-0.0) keeps its bits, and g * g is +0.0.
     """
     if p.shape != g.shape or p.shape != state.m.shape:
         raise DimensionMismatch(f"shapes {p.shape}, {g.shape}, {state.m.shape} disagree")
@@ -290,8 +296,11 @@ def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float) -> None
     np.divide(v, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += _EPS  # sqrt(v_hat) + eps
-    np.divide(m, c1, out=g)
-    g *= lr
+    if c1 == 1.0:  # from t = 356 on; m / 1.0 is m, so skip the divide
+        np.multiply(m, lr, out=g)
+    else:
+        np.divide(m, c1, out=g)
+        g *= lr
     g /= scratch  # lr * m_hat / (sqrt(v_hat) + eps)
     p -= g
 

@@ -47,6 +47,7 @@ SANDWICH_POINTS = 5  # sampled (x, u) points per sandwich trial
 SANDWICH_HIDDEN = (16, 16)  # embedded-MLP widths of the sandwich's nets
 FD_STEP = 1e-4  # central-difference step of the gradient check
 ENVELOPE_RESOLUTION = 4001  # grid nodes of the envelope checks on [-1, 1]
+ENVELOPE_BLOCK = 2**18  # prox-table entries moreau_envelope forms at a time
 
 
 @dataclass
@@ -235,16 +236,50 @@ class EnvelopeTable:
             raise ValueError("envelope exceeds the source function on the grid")
 
 
+def _segment_minima(u, f_vals, eta, tau, rows, left, right):
+    """Each row's first argmin over its columns left..right of the prox
+    table, the entry there, and the first and last of its columns within
+    tau of that minimum."""
+    width = right - left + 1
+    starts = np.cumsum(width) - width
+    seg = np.repeat(np.arange(rows.size), width)
+    at = np.arange(width.sum())
+    cols = at - starts[seg] + left[seg]
+    obj = (u[rows[seg]] - u[cols]) ** 2 / (2.0 * eta) + f_vals[cols]
+    best = np.minimum.reduceat(obj, starts)[seg]
+    first = np.minimum.reduceat(np.where(obj == best, at, at.size), starts)
+    near = obj <= best + tau
+    down = np.minimum.reduceat(np.where(near, at, at.size), starts)
+    up = np.maximum.reduceat(np.where(near, at, -1), starts)
+    return cols[first], obj[first], cols[down], cols[up]
+
+
 def moreau_envelope(
     f,
     domain: BoxDomain,
     eta: float,
     resolution: int,
 ) -> EnvelopeTable:
-    """Moreau-Yosida envelope of f on `resolution` grid nodes of a 1-D box,
-    by the dense (K, K) table of prox objectives, in row blocks. f maps the
-    (K, 1) array of nodes to (K,). Raises NumericOverflow if any f value is
-    not finite: no property of the envelope can be checked against it."""
+    """Moreau-Yosida envelope of f on `resolution` grid nodes of a 1-D box.
+    f maps the (K, 1) array of nodes to (K,). Raises NumericOverflow if an
+    f value is not finite, as no property of the envelope can be checked
+    against it, or if eta is so small that the square term overflows.
+
+    The table (u_i - u_j)^2/(2 eta) + f_j is Monge for any f, so in real
+    arithmetic a row's first argmin is nondecreasing in i (Aggarwal et al.
+    1987). Divide and conquer searches the middle rows of each level, all
+    at once with `np.minimum.reduceat`, over only the columns their
+    neighbours leave open: O(K log K) entries for the dense table's K^2.
+    Rounding can tie entries that the real table orders, and then the
+    dense table's first argmins can step back. So a row leaves open, to the
+    rows on either side, every column within `tau` of its minimum: `tau`
+    is four bounds on an entry's rounding error, and by the Monge
+    inequality those columns hold every rounded argmin of the rows. Each
+    entry is formed by the dense table's expression, so the envelope and
+    the argmins are its bits. Where every entry is within `tau` of its
+    row's minimum (a constant f with a huge eta), the search forms all K^2
+    entries, ENVELOPE_BLOCK at a time.
+    """
     if not eta > 0:
         raise ValueError("eta must be positive")
     check_count("resolution", resolution, minimum=2)
@@ -258,12 +293,35 @@ def moreau_envelope(
     K = u.shape[0]
     env = np.empty(K)
     arg = np.empty(K, dtype=np.int64)
-    chunk = max(1, 2**22 // K)  # ~32 MB of float64 per block
-    for lo in range(0, K, chunk):
-        hi = min(lo + chunk, K)
-        obj = (u[lo:hi, None] - u) ** 2 / (2.0 * eta) + f_vals
-        arg[lo:hi] = np.argmin(obj, axis=1)
-        env[lo:hi] = obj[np.arange(hi - lo), arg[lo:hi]]
+    # an entry rounds within 2.6 eps of the largest |f| plus the largest
+    # square term, or by a subnormal, scaled by 1 / (2 eta), on underflow
+    with np.errstate(over="ignore"):
+        square = (u[-1] - u[0]) ** 2 / (2.0 * eta)
+    if not np.isfinite(square):
+        raise NumericOverflow(f"envelope: eta={eta!r} overflows the prox objective")
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    tau = (16 * eps * np.max(np.abs(f_vals)) + 16 * eps * square
+           + 4 * (tiny + tiny / (2.0 * eta)))
+    # a level's runs of rows [lo, hi), each with its argmins in the columns
+    # [left, right]; a run's middle row is searched over that segment
+    lo, hi = np.array([0]), np.array([K])
+    left, right = np.array([0]), np.array([K - 1])
+    while lo.size:
+        mid = (lo + hi) // 2
+        down, up = np.empty_like(mid), np.empty_like(mid)
+        # about ENVELOPE_BLOCK entries at a time: where near-ties keep wide
+        # segments open, the search costs up to the dense table's time but
+        # not its memory
+        ends = np.cumsum(right - left + 1) // ENVELOPE_BLOCK
+        for g in np.split(np.arange(mid.size), np.flatnonzero(np.diff(ends)) + 1):
+            arg[mid[g]], env[mid[g]], down[g], up[g] = _segment_minima(
+                u, f_vals, eta, tau, mid[g], left[g], right[g])
+        # the rows above mid may reach mid's last near-minimal column, the
+        # rows below it the first
+        lo, hi = np.concatenate([lo, mid + 1]), np.concatenate([mid, hi])
+        left, right = np.concatenate([left, down]), np.concatenate([up, right])
+        keep = lo < hi
+        lo, hi, left, right = lo[keep], hi[keep], left[keep], right[keep]
     return EnvelopeTable(eta=eta, nodes=nodes, f_values=f_vals, envelope=env,
                          argmin=arg)
 

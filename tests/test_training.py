@@ -553,6 +553,21 @@ class TestFastStepMatchesReference:
         # 135 training rows in batches of 32: a ragged last batch of 7
         cfg = TrainConfig(epochs=4, batch_size=32, seed=5, learning_rate=1e-2)
         net0 = init_network(kind, n, m, seed=8, I=5, T=0.1, hidden=(9, 6))
+        self._assert_train_matches_reference(net0, ds, cfg)
+
+    @pytest.mark.parametrize("kind", ["pma", "plse"])
+    def test_train_bit_identical_at_61x20(self, kind):
+        # the benchmark's bank shape, I = 30 planes of 20 slopes; 135
+        # training rows in batches of 8 make 17 steps an epoch, so 22 epochs
+        # take Adam to step 374, past t = 356 where 1 - 0.9**t rounds to 1.
+        # pma's one-hot plane weights make exact-zero slope gradients
+        ds = _quadratic_dataset(61, 20, 150, 31)
+        cfg = TrainConfig(epochs=22, batch_size=8, seed=6, learning_rate=1e-3)
+        net0 = init_network(kind, 61, 20, seed=9, I=30, T=0.1, hidden=(8, 8))
+        self._assert_train_matches_reference(net0, ds, cfg)
+
+    @staticmethod
+    def _assert_train_matches_reference(net0, ds, cfg):
         net, rep = train(net0, ds, cfg)
         ref, ref_train, ref_test = _reference_train(net0, ds, cfg)
         assert rep.train_losses == ref_train
@@ -560,6 +575,7 @@ class TestFastStepMatchesReference:
         for p, q in zip(net.mlp.arrays(), ref.mlp.arrays()):
             assert p.shape == q.shape and p.flags.c_contiguous
             assert_array_equal(p, q)
+        # the JSON tells -0.0 from 0.0, which assert_array_equal does not
         assert model_to_json(net) == model_to_json(ref)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
@@ -579,14 +595,15 @@ class TestFastStepMatchesReference:
         ref_state = _reference_state(params)
         flat = np.concatenate(params, axis=None)
         state = AdamState.for_params(flat)
-        for _ in range(50):
+        # past t = 356, where 1 - 0.9**t rounds to 1 and the step skips m / c1
+        for _ in range(400):
             grads = [rng.normal(scale=rng.uniform(1e-3, 10.0), size=s) for s in shapes]
             params = _reference_adam_step(ref_state, params, grads, 1e-2)
             adam_step(state, flat, np.concatenate(grads, axis=None), 1e-2)
             assert_array_equal(flat, np.concatenate(params, axis=None))
         assert_array_equal(state.m, np.concatenate(ref_state.m, axis=None))
         assert_array_equal(state.v, np.concatenate(ref_state.v, axis=None))
-        assert state.t == ref_state.t == 50
+        assert state.t == ref_state.t == 400
 
 
 KINDS = ["fnn", "ma", "lse", "pma", "plse"]

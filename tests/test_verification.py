@@ -193,6 +193,22 @@ class TestCheckGradients:
         assert a.to_json() == b.to_json()
 
 
+def dense_envelope(u, f_vals, eta):
+    """Reference arithmetic for moreau_envelope: every row searched over
+    every column of the (K, K) table, in row blocks, with np.argmin's first
+    index on ties. Returns (envelope, argmin)."""
+    K = u.shape[0]
+    env = np.empty(K)
+    arg = np.empty(K, dtype=np.int64)
+    chunk = max(1, 2**22 // K)  # ~32 MB of float64 per block
+    for lo in range(0, K, chunk):
+        hi = min(lo + chunk, K)
+        obj = (u[lo:hi, None] - u) ** 2 / (2.0 * eta) + f_vals
+        arg[lo:hi] = np.argmin(obj, axis=1)
+        env[lo:hi] = obj[np.arange(hi - lo), arg[lo:hi]]
+    return env, arg
+
+
 class TestMoreauEnvelope:
     def test_constant_function(self):
         dom = BoxDomain.symmetric(1)
@@ -241,6 +257,26 @@ class TestMoreauEnvelope:
         with pytest.raises(ValueError):
             moreau_envelope(lambda U: U[:, 0], dom, 0.5, 1)
 
+    def test_peak_memory_bounded_when_every_entry_ties(self):
+        # 1 + (u_i - u_j)**2 / 2e300 rounds to 1 everywhere, so no column
+        # can be ruled out and the search forms every entry; its peak is
+        # 13.0 MB forming ENVELOPE_BLOCK entries at a time, 96.1 MB forming
+        # a level's entries at once (NumPy 2.4, Python 3.11)
+        tracemalloc.start()
+        try:
+            t = moreau_envelope(lambda U: np.ones(len(U)), BoxDomain.symmetric(1),
+                                1e300, 2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(t.argmin, np.zeros(2001, dtype=np.int64))
+        assert peak < 30e6
+
+    def test_overflowing_square_term_raises(self):
+        # (1 - (-1))**2 / (2 * 1e-310) is past the largest float
+        with pytest.raises(NumericOverflow, match="eta"):
+            moreau_envelope(lambda U: U[:, 0], BoxDomain.symmetric(1), 1e-310, 11)
+
     def test_fractional_resolution_names_the_field(self):
         with pytest.raises(ValueError, match="resolution"):
             moreau_envelope(lambda U: U[:, 0], BoxDomain.symmetric(1), 0.5, 2.5)
@@ -266,6 +302,44 @@ class TestMoreauEnvelope:
                 assert obj(j) <= obj(j - 1) + 1e-15
             if j < 400:
                 assert obj(j) <= obj(j + 1) + 1e-15
+
+    def test_matches_dense_table_bit_for_bit(self):
+        # envelope and argmins against dense_envelope over random f,
+        # non-convex and constant ones included
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=120, deadline=None, database=None,
+                             derandomize=True)
+        # rounding ties make this example's dense argmins step back
+        # (444, 445, 444): a search between neighbours' argmins alone
+        # misses it
+        @hypothesis.example(K=466, eta=1e12, shape="steps", seed=0)
+        @hypothesis.given(
+            K=st.one_of(st.integers(2, 64), st.integers(2, 4001)),
+            eta=st.sampled_from([1e-300, 1e-6, 1e-3, 0.01, 0.1, 0.5, 1.0, 100.0,
+                                 1e12, 1e300]),
+            shape=st.sampled_from(["constant", "convex", "noise", "steps", "ulps", "wave"]),
+            seed=st.integers(0, 2**16),
+        )
+        def check(K, eta, shape, seed):
+            rng = np.random.default_rng(seed)
+            u = np.linspace(-1.0, 1.0, K)
+            f_vals = {
+                "constant": np.full(K, rng.normal()),
+                "convex": rng.uniform(0, 3) * u * u + rng.uniform(-1, 1) * np.abs(u - 0.3),
+                "noise": rng.normal(size=K),
+                # few levels, so most rows meet ties
+                "steps": rng.integers(-2, 3, size=K) / 4.0,
+                "ulps": 1.0 + rng.integers(-2, 3, size=K) * 2.0**-50,
+                "wave": np.sin(rng.uniform(1.0, 80.0) * u) + 0.1 * u,
+            }[shape]
+            t = moreau_envelope(lambda U: f_vals, BoxDomain.symmetric(1), eta, K)
+            env, arg = dense_envelope(t.nodes[:, 0], f_vals, eta)
+            assert np.array_equal(t.argmin, arg)
+            assert np.array_equal(t.envelope.view(np.int64), env.view(np.int64))
+
+        check()
 
 
 class TestCheckEnvelopeProperties:
