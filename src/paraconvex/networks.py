@@ -43,6 +43,7 @@ import numpy as np
 from .exceptions import (
     DimensionMismatch,
     ModelFormatError,
+    NonFiniteInput,
     NumericOverflow,
     UnsupportedNetwork,
 )
@@ -299,10 +300,11 @@ Network = Union[FeedforwardNet, Bank]
 def _check_rows(net: Network, X, U) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
-    if X.ndim != 2 or U.ndim != 2 or X.shape[0] != U.shape[0]:
-        raise DimensionMismatch("X and U must be 2-D with equal row counts")
-    if X.shape[1] != net.n or U.shape[1] != net.m:
-        raise DimensionMismatch("column counts must match (n, m)")
+    if X.ndim != 2 or X.shape[1] != net.n or U.shape != (len(X), net.m):
+        raise DimensionMismatch(f"X and U must be (B, {net.n}) and (B, {net.m}), "
+                                f"got {X.shape} and {U.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(U).all()):
+        raise NonFiniteInput("X and U must be finite")
     return X, U
 
 
@@ -405,7 +407,8 @@ def _finite(net: Network, out: np.ndarray, what: str) -> np.ndarray:
 
 def forward_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Row-wise predictions (B,) at X (B, n), U (B, m). Raises
-    NumericOverflow on non-finite."""
+    NonFiniteInput on a non-finite input and NumericOverflow on a
+    non-finite value."""
     X, U = _check_rows(net, X, U)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(net, FeedforwardNet):
@@ -424,8 +427,8 @@ def forward(net: Network, x: np.ndarray, u: np.ndarray) -> float:
 
 def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Gradient in u for the smooth kinds (lse, plse, fnn), row-wise: X is
-    (B, n), U is (B, m), result (B, m). Raises NumericOverflow on
-    non-finite.
+    (B, n), U is (B, m), result (B, m). Raises NonFiniteInput on a
+    non-finite input and NumericOverflow on a non-finite result.
 
     ma/pma are piecewise linear in u and raise UnsupportedNetwork rather
     than return one arbitrary subgradient.

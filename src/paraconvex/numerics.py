@@ -160,10 +160,10 @@ def grid_minimize(
     points_per_axis ** dim, so dim is capped at GRID_DIM_CAP.
 
     With vectorized=True, `f` is called once with the (N, dim) array of
-    nodes and must return an (N,) array; otherwise it is called once per
-    node with a (dim,) array and must return a scalar. Raises
-    NumericOverflow if any value is not finite, since a NaN or an infinity
-    leaves no minimum to report.
+    nodes and must return an (N,) array, else DimensionMismatch; otherwise
+    it is called once per node with a (dim,) array and must return a
+    scalar. Raises NumericOverflow if any value is not finite, since a NaN
+    or an infinity leaves no minimum to report.
     """
     check_count("points_per_axis", points_per_axis, minimum=2)
     m = domain.dim
@@ -172,14 +172,21 @@ def grid_minimize(
             f"grid oracle limited to dimension <= {GRID_DIM_CAP}, got {m}"
         )
     nodes = grid_nodes(domain, points_per_axis)
-    if vectorized:
-        values = np.asarray(f(nodes), dtype=np.float64)
-    else:
-        values = np.array([float(f(u)) for u in nodes])
-    if not np.isfinite(values).all():
-        raise NumericOverflow("grid oracle: f produced a non-finite value")
+    values = node_values(f if vectorized else lambda U: [float(f(u)) for u in U],
+                         nodes, "grid oracle")
     best = int(np.argmin(values))  # argmin takes the first, i.e. lexicographic, tie
     return nodes[best].copy(), float(values[best])
+
+
+def node_values(f, nodes: np.ndarray, who: str) -> np.ndarray:
+    """f of the (N, dim) nodes as an (N,) array: another shape raises
+    DimensionMismatch, a non-finite value NumericOverflow."""
+    values = np.asarray(f(nodes), dtype=np.float64)
+    if values.shape != (len(nodes),):
+        raise DimensionMismatch(f"{who}: f returned {values.shape}, not ({len(nodes)},)")
+    if not np.isfinite(values).all():
+        raise NumericOverflow(f"{who}: f produced a non-finite value")
+    return values
 
 
 def check_count(name: str, value, error=ValueError, minimum: int = 1) -> None:

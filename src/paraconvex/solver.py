@@ -22,7 +22,9 @@
     Every stop is a restart's; each condition's u*, sweep count and status
     are read from its restarts once, after the sweep loop.
 Every bank row is certified one way: value - D, clamped at 0, where D is
-the best lower bound its core proved over its iterates.
+the best lower bound its core proved over its iterates, and converges once
+f - D <= grad_tolerance * max(1, |f|), the duality-gap stop (Boyd &
+Vandenberghe, ch. 11). fnn, with no bound, stops on its residual.
 Every row keeps its own iterate and stopping rule and leaves the working
 set when it stops, so the per-call NumPy overhead is paid once per sweep,
 not once per condition and iteration. `minimize` is a batch of one. A
@@ -81,9 +83,9 @@ _FAILED = -1
 @dataclass
 class SolveOptions:
     max_iters: int = 500
-    # relative, scaled by max(1, |value|); it bounds the value minus the dual
-    # bound on ma/pma, the projected-gradient residual on lse/plse, and on
-    # fnn both that residual and the value drop of an accepted move
+    # relative, scaled by max(1, |value|); it bounds every bank row's
+    # certificate at convergence, and on fnn both the projected-gradient
+    # residual and the value drop of an accepted move
     grad_tolerance: float = 1e-6
     restarts: int = 16
     seed: int = 0
@@ -157,15 +159,15 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
     loop would try in turn, and takes the first rung where that loop stops
     trying: an Armijo acceptance, a non-finite value (the row fails), or a
     rejection whose next step underflows; else the last rung's rejection.
-    Convergence and the cap cannot change between
-    rejections, so the iterates, their count and every status are those of
-    one candidate per sweep, in fewer sweeps. A row stops when its
-    projected-gradient residual at a unit step is at most grad_tolerance *
-    max(1, |f|), at max_iters, or when its step underflows. Each sweep
-    keeps a row's best lower bound f - first_order_gap(g, u) over its
-    iterates. Returns (U, D, iterations, status): the last iterates, their
-    best bounds, the accepted steps and STATUSES indices, _FAILED for a row
-    not live or whose objective went non-finite.
+    Each sweep keeps a row's best lower bound f - first_order_gap(g, u)
+    over its iterates; a row stops once f minus it is at most
+    grad_tolerance * max(1, |f|), at max_iters, or when its step
+    underflows. That bound and the count move only on acceptance, so
+    convergence and the cap cannot change between rejections: the
+    iterates, their count and every status are those of one candidate per
+    sweep, in fewer sweeps. Returns (U, D, iterations, status): the last
+    iterates, their best bounds, the accepted steps and STATUSES indices,
+    _FAILED for a row not live or whose objective went non-finite.
     """
     lo, hi = domain.lower, domain.upper
     U, iters, status, rows = _start(live, domain)
@@ -181,10 +183,8 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
     bound = np.full(len(rows), -np.inf)
     while rows.size:
         bound = np.maximum(bound, f - first_order_gap(g, u, domain))
-        r = u - np.minimum(np.maximum(u - g, lo), hi)  # unit reference step
-        residual = np.sqrt(np.add.reduce(r * r, axis=1))
         capped = it >= opts.max_iters
-        converged = residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
+        converged = f - bound <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
         stop = bad | capped | converged | (s < _MIN_STEP)
         if stop.any():
             done = rows[stop]

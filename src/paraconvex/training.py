@@ -35,6 +35,7 @@ import numpy as np
 from .exceptions import (
     ConfigError,
     DimensionMismatch,
+    NonFiniteInput,
     NumericOverflow,
     TrainingDiverged,
 )
@@ -153,12 +154,15 @@ def init_network(
 
 
 def _checked_rows(net: Network, X, U, y) -> tuple:
-    """(X, U, y) as float arrays of shapes (B, n), (B, m) and (B,); numpy
-    would broadcast other shapes into a loss or gradient of the wrong rows."""
+    """(X, U, y) as finite float arrays of shapes (B, n), (B, m) and (B,);
+    numpy would broadcast other shapes into a loss or gradient of the wrong
+    rows, and a NaN would pass into it unreported."""
     X, U, y = (np.asarray(a, dtype=np.float64) for a in (X, U, y))
     if y.ndim != 1 or X.shape != (len(y), net.n) or U.shape != (len(y), net.m):
         raise DimensionMismatch(f"X, U, y must be (B, {net.n}), (B, {net.m}), (B,); "
                                 f"got {X.shape}, {U.shape}, {y.shape}")
+    if not all(np.isfinite(a).all() for a in (X, U, y)):
+        raise NonFiniteInput("X, U and y must be finite")
     return X, U, y
 
 

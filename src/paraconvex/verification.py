@@ -34,7 +34,7 @@ from .networks import (
     nonsmooth_twin,
     u_bank_batch,
 )
-from .numerics import BoxDomain, Rng, check_count, grid_nodes
+from .numerics import BoxDomain, Rng, check_count, grid_nodes, node_values
 from .training import init_network
 
 SANDWICH_SLACK = 1e-9
@@ -261,9 +261,10 @@ def moreau_envelope(
     resolution: int,
 ) -> EnvelopeTable:
     """Moreau-Yosida envelope of f on `resolution` grid nodes of a 1-D box.
-    f maps the (K, 1) array of nodes to (K,). Raises NumericOverflow if an
-    f value is not finite, as no property of the envelope can be checked
-    against it, or if eta is so small that the square term overflows.
+    f maps the (K, 1) array of nodes to (K,); any other output shape raises
+    DimensionMismatch. Raises NumericOverflow if an f value is not finite,
+    as no property of the envelope can be checked against it, or if eta is
+    so small that the square term overflows.
 
     The table (u_i - u_j)^2/(2 eta) + f_j is Monge for any f, so in real
     arithmetic a row's first argmin is nondecreasing in i (Aggarwal et al.
@@ -286,9 +287,7 @@ def moreau_envelope(
     if domain.dim != 1:
         raise DimensionMismatch("envelope grid limited to dimension 1")
     nodes = grid_nodes(domain, resolution)
-    f_vals = np.asarray(f(nodes), dtype=np.float64)
-    if not np.isfinite(f_vals).all():
-        raise NumericOverflow("envelope: f produced a non-finite value")
+    f_vals = node_values(f, nodes, "envelope")
     u = nodes[:, 0]
     K = u.shape[0]
     env = np.empty(K)
@@ -403,18 +402,9 @@ def run_check_suite(suite: str, seed: int = 0) -> list[CheckReport]:
         for kind in ("fnn", "lse", "plse"):
             reports.append(check_gradients(kinds=(kind,), seed=seed))
     if suite in ("envelope", "all"):
-        domain = BoxDomain.symmetric(1)
-        reports.append(
-            check_envelope_properties(
-                lambda U: U[:, 0] ** 2, (1.0, 0.1, 0.01), domain,
-                name="envelope:quadratic",
-            )
-        )
-        reports.append(
-            check_envelope_properties(
-                lambda U: np.abs(U[:, 0]), (1.0, 0.1, 0.01), domain,
-                name="envelope:absolute",
-            )
-        )
+        for name, f in (("quadratic", lambda U: U[:, 0] ** 2),
+                        ("absolute", lambda U: np.abs(U[:, 0]))):
+            reports.append(check_envelope_properties(
+                f, (1.0, 0.1, 0.01), BoxDomain.symmetric(1), name=f"envelope:{name}"))
         reports.append(_huber_spot_report())
     return reports

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: target problem, config parsing,
 end-to-end runs, and report exports."""
 
+import dataclasses
 import json
 import os
 
@@ -25,12 +26,14 @@ from paraconvex.bench import (
     target_batch,
     _assert_disjoint,
     _git_rev,
+    _solve_test_split,
 )
 from paraconvex.exceptions import ConfigError, DimensionMismatch
 from paraconvex.networks import Bank, MlpParams, forward_batch, model_to_json
 from paraconvex.numerics import BoxDomain, Rng
 from paraconvex.solver import STATUSES, SolveOptions, minimize_batch
-from paraconvex.training import Dataset, split_dataset
+from paraconvex import bench
+from paraconvex.training import Dataset, init_network, split_dataset
 
 
 def target_function(x, u):
@@ -281,6 +284,26 @@ class TestDataset:
         a = make_benchmark_dataset(2, 2, 20, Rng(9))
         b = make_benchmark_dataset(2, 2, 20, Rng(9))
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+class TestSolveTestSplit:
+    def test_failed_and_out_of_box_rows_are_tallied_not_sampled(self, monkeypatch):
+        # a row the solver returned as None and a row whose u* left the box
+        # are counted apart from the samples; perfbench's desk workloads
+        # report both as failed operations
+        net = init_network("plse", 1, 1, seed=0, I=4, hidden=(4,))
+        test_ds = make_benchmark_dataset(1, 1, 3, Rng(2))
+
+        def solve(net, X, domain, opts):
+            solved = minimize_batch(net, X[2:], domain, opts)[0]
+            return [None, dataclasses.replace(solved, u_star=np.array([1.5])), solved]
+
+        monkeypatch.setattr(bench, "minimize_batch", solve)
+        run = RunResult(seed=0, net=net)
+        _solve_test_split(run, "plse", test_ds, 1, 1)
+        assert (run.solver_failures, run.invalid_values) == (1, 1)
+        assert len(run.minimizer_error) == len(run.certificate) == 1
+        assert sum(run.statuses.values()) == 2
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,9 @@ kinds became one Bank type; they pin the model files, training, forward
 values and solver results (traces included) of every kind at 1x1 and 2x3.
 The solver records of the bank kinds were rewritten by the same script when
 ma/pma became an exact LP solve and every value came to be scored as
-`forward_batch` scores it, and the ma/lse files again when fixed banks came
-to start from `init_mlp` like every other net.
+`forward_batch` scores it, the ma/lse files again when fixed banks came
+to start from `init_mlp` like every other net, and the lse_2x3 and plse_1x1
+files when lse/plse rows came to stop on their certificate.
 """
 
 import importlib.util

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from paraconvex.exceptions import (
     DimensionMismatch,
     ModelFormatError,
+    NonFiniteInput,
     NumericOverflow,
     UnsupportedNetwork,
 )
@@ -308,6 +309,20 @@ class TestForward:
             with pytest.raises(NumericOverflow):
                 grad_u_batch(net, X, U)
 
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_not_an_overflow(self, kind, which, bad):
+        # a NaN x was reported as "plse forward produced a non-finite value"
+        net = init_network(kind, 2, 3, seed=3, I=4, hidden=(6,))
+        rows = [np.full((2, 2), 0.25), np.full((2, 3), -0.5)]
+        rows[which][1, 0] = bad
+        with pytest.raises(NonFiniteInput):
+            forward_batch(net, *rows)
+        if kind not in ("ma", "pma"):
+            with pytest.raises(NonFiniteInput):
+                grad_u_batch(net, *rows)
+
     def test_dimension_mismatch(self):
         net = _two_plane_pma()
         with pytest.raises(DimensionMismatch):
@@ -449,6 +464,13 @@ class TestStructuralProperties:
         net = FeedforwardNet(n=1, m=1, mlp=_random_mlp([2, 4, 1], rng))
         with pytest.raises(UnsupportedNetwork):
             u_bank_batch(net, np.array([[0.0]]))
+
+    @pytest.mark.parametrize("kind", ["ma", "plse"])
+    def test_u_bank_rejects_mis_shaped_conditions(self, kind):
+        net = init_network(kind, 2, 1, seed=8, I=3, hidden=(4,))
+        for X in (np.zeros(2), np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((1, 3, 2))):
+            with pytest.raises(DimensionMismatch, match=r"\(B, 2\)"):
+                u_bank_batch(net, X)
 
 
 class TestTwins:

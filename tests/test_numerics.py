@@ -225,6 +225,18 @@ class TestGridMinimize:
         with pytest.raises(ValueError, match="points_per_axis"):
             grid_minimize(lambda u: 0.0, BoxDomain.symmetric(1), points)
 
+    @pytest.mark.parametrize("shape", ["N-1", "N+1", "N,1", "scalar"])
+    def test_output_shape_must_be_one_value_per_node(self, shape):
+        # on a 5x5 grid these (N - 1,) values once returned node (1, 0.5)
+        # and these (N + 1,) values node (-1, -1); a column or a scalar
+        # raised TypeError or IndexError
+        outputs = {"N-1": lambda N: np.arange(N - 1.0)[::-1],
+                   "N+1": lambda N: np.arange(N + 1.0),
+                   "N,1": lambda N: np.zeros((N, 1)), "scalar": lambda N: 0.0}
+        with pytest.raises(DimensionMismatch, match=r"not \(25,\)"):
+            grid_minimize(lambda U: outputs[shape](len(U)), BoxDomain.symmetric(2), 5,
+                          vectorized=True)
+
     @pytest.mark.parametrize("vectorized", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_raises(self, vectorized, bad):

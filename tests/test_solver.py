@@ -1,6 +1,7 @@
 """Tests for the solver routes, their certificates and the batch contract."""
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from paraconvex.networks import (
     bank_weights,
     forward_batch,
     grad_u_batch,
+    load_model,
     mlp_forward_batch,
     mlp_offset,
     shifted_lse,
@@ -377,6 +379,40 @@ class TestStatus:
             res.value, res.certificate, res.iterations, "converged")
 
 
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
+
+
+class TestConvergedMeansCertified:
+    """One stopping rule for every bank core: a row stops as "converged" once
+    its value minus the best lower bound its core proved is within
+    grad_tolerance * max(1, |value|), so its certificate is too. The
+    reported value is scored again after the core stops and may differ from
+    the core's own by a few ulps, which the 4 eps term allows."""
+
+    @pytest.mark.parametrize("source,n,m", [("init", 1, 1), ("init", 2, 3),
+                                            ("init", 61, 20), ("trained", 1, 1),
+                                            ("trained", 2, 3)])
+    @pytest.mark.parametrize("kind", ["ma", "lse", "pma", "plse"])
+    def test_converged_rows_carry_certificates_within_tolerance(self, kind, source,
+                                                                n, m):
+        if source == "trained":
+            net = load_model(os.path.join(_GOLDEN, f"{kind}_{n}x{m}_trained.json"))
+        else:
+            net = init_network(kind, n, m, seed=30, I=30 if m == 20 else 6,
+                               hidden=(8, 8))
+        X = sample_uniform_box(BoxDomain.symmetric(net.n), 50, Rng(net.n + 17))
+        opts = SolveOptions()
+        rows = minimize_batch(net, X, BoxDomain.symmetric(net.m), opts)
+        converged = [row for row in rows if row.status == "converged"]
+        assert converged
+        eps = np.finfo(np.float64).eps
+        violations = [
+            (row.certificate, row.value) for row in converged
+            if row.certificate > (opts.grad_tolerance + 4 * eps) * max(1.0, abs(row.value))
+        ]
+        assert violations == []
+
+
 def _bowl_fnn(n, m):
     # sum_j lrelu(u_j - x_1/2) + lrelu(x_1/2 - u_j) = 0.99 sum_j |u_j - x_1/2|
     W1 = np.zeros((2 * m, n + m))
@@ -709,8 +745,7 @@ def _two_pass_pg_batch(A, c, live, T, domain, opts, traces):
             traces[b].append(float(f))
         while True:
             bound = max(bound, f - first_order_gap(g, u, domain)[0])
-            residual = np.linalg.norm(u - np.clip(u - g, lo, hi), axis=1)[0]
-            if residual <= opts.grad_tolerance * max(1.0, abs(f)):
+            if f - bound <= opts.grad_tolerance * max(1.0, abs(f)):
                 status[b] = solver_module._CONVERGED
                 break
             if iters[b] >= opts.max_iters:
@@ -1079,10 +1114,8 @@ def _serial_pg_batch(A, c, live, T, domain, opts, traces):
     bound = np.full(len(rows), -np.inf)
     while rows.size:
         bound = np.maximum(bound, f - first_order_gap(g, u, domain))
-        r = u - np.minimum(np.maximum(u - g, lo), hi)
-        residual = np.sqrt(np.add.reduce(r * r, axis=1))
         capped = it >= opts.max_iters
-        converged = residual <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
+        converged = f - bound <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
         stop = bad | capped | converged | (s < solver_module._MIN_STEP)
         if stop.any():
             done = rows[stop]

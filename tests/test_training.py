@@ -9,7 +9,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from paraconvex import training
-from paraconvex.exceptions import ConfigError, DimensionMismatch, TrainingDiverged
+from paraconvex.exceptions import (
+    ConfigError,
+    DimensionMismatch,
+    NonFiniteInput,
+    TrainingDiverged,
+)
 from paraconvex.networks import (
     LEAKY_SLOPE,
     MlpParams,
@@ -175,6 +180,11 @@ class TestSplitDataset:
         with pytest.raises(ConfigError):
             split_dataset(ds, 1.0, Rng(0))
 
+    def test_empty_dataset(self):
+        ds = Dataset(n=1, m=1, X=np.empty((0, 1)), U=np.empty((0, 1)), y=np.empty(0))
+        with pytest.raises(ValueError, match="empty"):
+            split_dataset(ds, 0.9, Rng(0))
+
 
 class TestMseLoss:
     def test_perfect_fit_zero(self):
@@ -218,7 +228,30 @@ class TestMisShapedRows:
                 weight_gradients(net, *args, TrainWorkspace(net, 8))
 
 
+class TestNonFiniteRows:
+    """mse_loss and weight_gradients raise NonFiniteInput on a NaN or an
+    infinity in X, U or y, as minimize_batch does on its conditions: a NaN
+    x was reported as a forward overflow, and a NaN y made the loss NaN."""
+
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, kind, which, bad):
+        net = init_network(kind, 2, 1, seed=5, I=4, hidden=(6,))
+        args = list(_batch(2, 1, 8, np.random.default_rng(6)))
+        args[which][3] = bad
+        with pytest.raises(NonFiniteInput):
+            mse_loss(net, *args)
+        with pytest.raises(NonFiniteInput):
+            weight_gradients(net, *args)
+
+
 class TestWeightGradients:
+    def test_empty_batch_rejected(self):
+        net = init_network("plse", 2, 1, seed=5, I=4, hidden=(6,))
+        with pytest.raises(ValueError, match="nonempty"):
+            weight_gradients(net, np.empty((0, 2)), np.empty((0, 1)), np.empty(0))
+
     def test_zero_residual_gives_zero_gradient(self):
         net = init_network("plse", 1, 1, seed=13, I=3, hidden=(4,))
         X, U = np.array([[0.2], [-0.7]]), np.array([[0.5], [0.1]])

@@ -84,6 +84,15 @@ class TestCheckConvexity:
         assert report.passed
         assert abs(report.max_violation) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["ma", "lse"])
+    def test_overflowing_bank_raises(self, kind):
+        # every weight 1e308: a plane's value 1e308 (x + u) overflows where
+        # |x + u| > 1.8, which some of these draws reach
+        mlp = MlpParams([np.full((3, 2), 1e308)], [np.zeros(3)])
+        net = Bank(n=1, m=1, mlp=mlp, T=0.1 if kind == "lse" else None)
+        with pytest.raises(NumericOverflow):
+            check_convexity(net, x_samples=4, u_pairs=4, seed=1)
+
     def test_random_pma_passes(self):
         net = init_network("pma", 2, 2, seed=6, I=8, hidden=(8, 8))
         report = check_convexity(net, seed=4)
@@ -249,6 +258,15 @@ class TestMoreauEnvelope:
         dom = BoxDomain.symmetric(1)
         with pytest.raises(NumericOverflow):
             moreau_envelope(lambda U: np.where(U[:, 0] < 0, bad, U[:, 0]), dom, 0.5, 11)
+
+    @pytest.mark.parametrize("shape", ["K-1", "K+1", "K,1", "scalar"])
+    def test_output_shape_must_be_one_value_per_node(self, shape):
+        # these once broadcast into a ValueError or indexed past the end
+        outputs = {"K-1": lambda K: np.zeros(K - 1), "K+1": lambda K: np.zeros(K + 1),
+                   "K,1": lambda K: np.zeros((K, 1)), "scalar": lambda K: 0.0}
+        with pytest.raises(DimensionMismatch, match=r"not \(11,\)"):
+            moreau_envelope(lambda U: outputs[shape](len(U)), BoxDomain.symmetric(1),
+                            0.5, 11)
 
     def test_validation(self):
         dom = BoxDomain.symmetric(1)
