@@ -6,12 +6,18 @@
     Lower bound: D(lam), where lam are the plane multipliers normalized to
     the simplex, g = A.T lam and D(lam) = lam.c + sum_j min(g_j lo_j,
     g_j hi_j), a bound on the minimum for any such lam by weak duality.
-  - lse/plse: projected gradient with Armijo backtracking. Each sweep
-    scores the first _LADDER steps of a row's backtracking at once and keeps
-    the rung a serial line search would stop at, so the iterates are that
-    search's in about half the sweeps. Lower bound: f(u) minus the
-    first-order gap max_v <g, u - v> over the box at an iterate u with
-    gradient g, since f(v) >= f(u) + <g, v - u> for convex f.
+  - lse/plse: two phases. First, projected gradient with Armijo
+    backtracking for at most _FIRST_ORDER_STEPS accepted steps
+    (`_pg_batch`): each sweep scores the first _LADDER steps of a row's
+    backtracking at once and keeps the rung a serial line search would
+    stop at, so the iterates are that search's in about half the sweeps.
+    Then a row still live continues from its iterate with projected Newton
+    (`_newton_batch`; Bertsekas 1982, the gradient-projection-then-Newton
+    split of More & Toraldo 1991): a damped Newton step on the coordinates
+    not held at a bound, backed by a projected-gradient ladder step where
+    its rungs fail. Lower bound: f(u) minus the first-order gap
+    max_v <g, u - v> over the box at an iterate u with gradient g, since
+    f(v) >= f(u) + <g, v - u> for convex f.
   - fnn: multi-start projected gradient (nonconvex, no certificate). Each
     sweep is one MLP value-and-gradient pass over the live restarts into
     buffers allocated once per solve (`networks.MlpWorkspace`), with each
@@ -39,7 +45,7 @@ restart); else "step_underflow".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,6 +75,13 @@ _LADDER = 3
 # rung k's share of a row's step, _BACKTRACK**k: a power of two, so the
 # product with the step is exact and equals k serial cuts
 _RUNGS = _BACKTRACK ** np.arange(_LADDER)
+# accepted projected-gradient steps an lse/plse row takes before
+# _newton_batch finishes it. Criterion 8 bounds plse's per-solve time at
+# 61x20 over 1x1 by 10, and a Newton sweep costs several gradient sweeps
+# at 61x20 but about one at 1x1: a budget of 20 moves more of the work into
+# Newton sweeps and read a median ratio of 7.7, 40 read 6.2, and 120 no
+# lower (6.1) while giving most of the saving back
+_FIRST_ORDER_STEPS = 40
 # share of the way to the boundary an interior-point step takes
 _TO_BOUNDARY = 0.99
 _EPS = np.finfo(np.float64).eps
@@ -224,6 +237,120 @@ def _pg_batch(A, c, live, T, domain, opts, traces):
         if traces is not None:
             for r, v in zip(rows[accept], f[accept]):
                 traces[r].append(float(v))
+    return U, D, iters, status
+
+
+def _rungs(A, c, u, g, way, steps, T, domain):
+    """The candidates clip(u - steps * way) (k, L, m) of the rows u (k, m)
+    with gradients g along the directions way (k, m), for steps (k, L), as
+    `_pg_batch` forms them: their values (k, L), softmax weights (k, L, I)
+    and first-order changes g.(cand - u) (k, L)."""
+    cand = u[:, None] - steps[:, :, None] * way[:, None]
+    cand = np.minimum(np.maximum(cand, domain.lower), domain.upper)
+    # (I, m) @ (m, 1) per rung, the product one candidate per row takes
+    S = (A[:, None] @ cand[:, :, :, None])[..., 0] + c[:, None]
+    f, p = bank_weights(S.reshape(-1, S.shape[2]), T)
+    drop = np.add.reduce(g[:, None] * (cand - u[:, None]), axis=2)
+    return cand, f.reshape(steps.shape), p.reshape(S.shape), drop
+
+
+def _newton_batch(A, c, live, T, domain, opts, traces, U, D, iters, status):
+    """Projected Newton (Bertsekas 1982) on the T-log-sum-exp of the banks
+    A (B, I, m), c (B, I), continuing the `live` rows from their iterates U,
+    best bounds D and accepted steps iters; the four outputs, status too,
+    are updated in place for those rows.
+
+    A coordinate is fixed while it is at a bound with the gradient pointing
+    out of the box. On the free ones the step d solves the Hessian
+    A^T (diag p - p p^T) A / T plus the free gradient's norm on the
+    diagonal: that damping keeps a singular Hessian (one plane's is 0)
+    solvable, and it is positive on every row still live, since a zero free
+    gradient is a zero first-order gap. Each sweep scores the rungs u - a d,
+    a in _RUNGS, at once, and takes the first that descends and passes
+    Armijo's test. A row none of whose rungs does takes a `_pg_batch` sweep
+    from its own step s instead (s starts at _INITIAL_STEP), so it moves,
+    fails or cuts s as that sweep would. The bound, the stopping tests, the
+    count and the trace are `_pg_batch`'s.
+    """
+    lo, hi = domain.lower, domain.upper
+    rows = np.flatnonzero(live)
+    A, c, u, it, bound = A[rows], c[rows], U[rows], iters[rows], D[rows]
+    f, p = bank_weights(_bank_scores(A, u, c), T)
+    g = _bank_grad(p, A)
+    s = np.full(len(rows), _INITIAL_STEP)
+    bad = ~np.isfinite(f)
+    diag = np.arange(A.shape[2])
+    while rows.size:
+        bound = np.maximum(bound, f - first_order_gap(g, u, domain))
+        capped = it >= opts.max_iters
+        converged = f - bound <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
+        stop = bad | capped | converged | (s < _MIN_STEP)
+        if stop.any():
+            done = rows[stop]
+            U[done], D[done], iters[done] = u[stop], bound[stop], it[stop]
+            status[done] = np.select(
+                [bad[stop], converged[stop], capped[stop]],
+                [_FAILED, _CONVERGED, _MAX_ITERS],
+                _STEP_UNDERFLOW,
+            )
+            keep = ~stop
+            rows, A, c, u, f, p, g, s, it, bound = (
+                v[keep] for v in (rows, A, c, u, f, p, g, s, it, bound)
+            )
+            if not rows.size:
+                break
+        k = rows.size
+        free = ~(((u <= lo) & (g > 0)) | ((u >= hi) & (g < 0)))
+        # A^T (diag p - p p^T) A / T, formed as A^T diag(p) A / T - g g^T / T
+        H = np.swapaxes(A * (p / T)[:, :, None], 1, 2) @ A
+        H -= g[:, :, None] * (g / T)[:, None, :]
+        H *= free[:, :, None] & free[:, None, :]
+        rhs = g * free
+        damping = np.sqrt(np.add.reduce(rhs * rhs, axis=1))
+        H[:, diag, diag] += np.where(free, damping[:, None], 1.0)
+        d = np.linalg.solve(H, rhs[:, :, None])[:, :, 0]
+        cand, f_cand, p_cand, drop = _rungs(A, c, u, g, d, np.tile(_RUNGS, (k, 1)),
+                                            T, domain)
+        # a projected Newton direction need not descend: a rung is taken
+        # only if it does and passes Armijo
+        ends = (drop < 0.0) & (f_cand <= f[:, None] + _ARMIJO * drop)
+        accept = ends.any(axis=1)
+        pick = (np.arange(k), ends.argmax(axis=1))
+        cand, f_cand, p_cand = cand[pick], f_cand[pick], p_cand[pick]
+        bad = np.zeros(k, dtype=bool)
+        rest = np.flatnonzero(~accept)
+        if rest.size:  # these rows take a `_pg_batch` sweep instead
+            steps = s[rest, None] * _RUNGS
+            c_r, f_r, p_r, drop = _rungs(A[rest], c[rest], u[rest], g[rest], g[rest],
+                                         steps, T, domain)
+            ok = f_r <= f[rest, None] + _ARMIJO * drop
+            fail = ~np.isfinite(f_r)
+            ends = ok | fail | (_BACKTRACK * steps < _MIN_STEP)
+            ends[:, -1] = True
+            pick = (np.arange(rest.size), ends.argmax(axis=1))
+            accept[rest], bad[rest], step = ok[pick], fail[pick], steps[pick]
+            cand[rest], f_cand[rest], p_cand[rest] = c_r[pick], f_r[pick], p_r[pick]
+            s[rest] = np.where(accept[rest], 2.0 * step, _BACKTRACK * step)
+        np.copyto(u, cand, where=accept[:, None])
+        np.copyto(f, f_cand, where=accept)
+        np.copyto(p, p_cand, where=accept[:, None])
+        np.copyto(g, _bank_grad(p, A), where=accept[:, None])
+        it += accept
+        if traces is not None:
+            for r, v in zip(rows[accept], f[accept]):
+                traces[r].append(float(v))
+    return U, D, iters, status
+
+
+def _lse_batch(A, c, live, T, domain, opts, traces):
+    """`_pg_batch` for at most _FIRST_ORDER_STEPS accepted steps, then
+    `_newton_batch` on the rows that budget stopped short of max_iters;
+    the same outputs as `_pg_batch`."""
+    first = replace(opts, max_iters=min(opts.max_iters, _FIRST_ORDER_STEPS))
+    U, D, iters, status = _pg_batch(A, c, live, T, domain, first, traces)
+    more = (status == _MAX_ITERS) & (iters < opts.max_iters)
+    if more.any():
+        _newton_batch(A, c, more, T, domain, opts, traces, U, D, iters, status)
     return U, D, iters, status
 
 
@@ -498,7 +625,8 @@ def minimize_batch(
             if net.T is None:
                 U, D, iters, status = _lp_batch(A, c, live, domain, opts, traces)
             else:
-                U, D, iters, status = _pg_batch(A, c, live, net.T, domain, opts, traces)
+                U, D, iters, status = _lse_batch(A, c, live, net.T, domain, opts,
+                                                 traces)
             values = bank_values(bank_scores(A, U, c), net.T)
             certificates = np.maximum(values - D, 0.0)
     wall = (time.perf_counter() - t0) / B

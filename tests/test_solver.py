@@ -16,6 +16,8 @@ from paraconvex.networks import (
     FeedforwardNet,
     MlpParams,
     MlpWorkspace,
+    bank_scores,
+    bank_values,
     bank_weights,
     forward_batch,
     grad_u_batch,
@@ -565,7 +567,7 @@ class TestMinimizeBatch:
             assert res.trace == ref.trace
         # the bad row is dead before the solve: it takes no step and leaves
         # no trace
-        name = "_lp_batch" if kind == "ma" else "_pg_batch"
+        name = "_lp_batch" if kind == "ma" else "_lse_batch"
         core, calls = getattr(solver_module, name), []
 
         def spy(A, c, live, *args):
@@ -684,6 +686,21 @@ class TestLbfgsbOracle:
                 gap = first_order_gap(g, res.u_star, dom)
                 assert res.certificate <= gap + 1e-12 * (1.0 + abs(res.value))
 
+    @pytest.mark.parametrize("kind", ["lse", "plse"])
+    def test_init_rows_at_61x20_converge(self, kind):
+        # the first-order phase alone capped 9 of the 20 lse rows, with
+        # certificates up to 5.9e-4; the Newton phase finishes every row
+        net = init_network(kind, 61, 20, seed=41, I=30, hidden=(8, 8))
+        X = np.array([Rng(700 + k).uniform_in(-1.0, 1.0, 61) for k in range(20)])
+        dom, opts = BoxDomain.symmetric(20), SolveOptions()
+        eps = np.finfo(np.float64).eps
+        for x, row in zip(X, minimize_batch(net, X, dom, opts)):
+            assert row.status == "converged"
+            scale = max(1.0, abs(row.value))
+            assert row.certificate <= (opts.grad_tolerance + 4 * eps) * scale
+            ref = _lse_lbfgsb_value(*_u_bank(net, x), net.T, dom)
+            assert row.value - ref <= row.certificate + 1e-12 * (1.0 + abs(ref))
+
 
 # --- a row's result does not depend on its batch-mates ----------------------
 
@@ -712,6 +729,59 @@ def test_batch_rows_equal_minimize():
             assert (row.iterations, row.status) == (ref.iterations, ref.status)
 
     check()
+
+
+# --- the projected Newton phase of lse/plse solves --------------------------
+
+
+class TestNewtonFinish:
+    """Rows still live after _FIRST_ORDER_STEPS projected-gradient steps are
+    finished by `_newton_batch`."""
+
+    def test_batch_rows_equal_minimize(self):
+        net = init_network("lse", 61, 20, seed=41, I=30)
+        X = np.array([Rng(700 + k).uniform_in(-1.0, 1.0, 61) for k in range(5)])
+        dom, opts = BoxDomain.symmetric(20), SolveOptions()
+        for x, row in zip(X, minimize_batch(net, X, dom, opts)):
+            ref = minimize(net, x, dom, opts)
+            assert row.iterations > solver_module._FIRST_ORDER_STEPS
+            assert (row.iterations, row.status) == (ref.iterations, ref.status)
+            assert_allclose(row.u_star, ref.u_star, rtol=0, atol=1e-12)
+            assert abs(row.value - ref.value) <= 1e-12
+            assert abs(row.certificate - ref.certificate) <= 1e-12
+
+    def test_affine_bank_reaches_its_corner(self):
+        # one plane: the log-sum-exp is that plane and its Hessian is exactly
+        # zero, so only the damping keeps the Newton system nonsingular
+        slopes = np.array([[[2.0, -1.0, 0.5]], [[-0.25, 3.0, -1e-3]]])
+        c = np.array([[0.3], [-1.0]])
+        dom, opts = BoxDomain.symmetric(3), SolveOptions()
+        live = np.ones(2, dtype=bool)
+        U = np.tile(0.5 * (dom.lower + dom.upper), (2, 1))
+        D, iters = np.full(2, -np.inf), np.zeros(2, dtype=np.int64)
+        status = np.full(2, solver_module._FAILED)
+        solver_module._newton_batch(slopes, c, live, 0.1, dom, opts, None,
+                                    U, D, iters, status)
+        assert (status == solver_module._CONVERGED).all()
+        assert_array_equal(U, -np.sign(slopes[:, 0]))
+        assert_allclose(D, c[:, 0] - np.abs(slopes[:, 0]).sum(axis=1), rtol=0,
+                        atol=1e-15)
+
+    def test_no_certificate_above_the_first_order_phase_alone(self):
+        # the ill-conditioned +-sqrt(3) bank: 500 projected-gradient steps
+        # leave every row on the cap, with certificates up to 0.117
+        net = unit_variance_bank(61, 20, seed=41, I=30, T=0.1)
+        X = np.array([Rng(700 + k).uniform_in(-1.0, 1.0, 61) for k in range(20)])
+        dom, opts = BoxDomain.symmetric(20), SolveOptions()
+        A, c = u_bank_batch(net, X)
+        U, D, _, _ = solver_module._pg_batch(A, c, np.ones(20, dtype=bool), net.T,
+                                             dom, opts, None)
+        # the certificate as minimize_batch forms it
+        alone = np.maximum(bank_values(bank_scores(A, U, c), net.T) - D, 0.0)
+        certificates = np.array([row.certificate
+                                 for row in minimize_batch(net, X, dom, opts)])
+        assert (certificates <= alone).all()
+        assert certificates.max() < alone.max()
 
 
 # --- the fused loops against the two-pass loops they replaced ---------------
