@@ -18,7 +18,7 @@ Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -734,48 +734,102 @@ def test_batch_rows_equal_minimize():
 # --- the projected Newton phase of lse/plse solves --------------------------
 
 
-class TestNewtonFinish:
-    """Rows still live after _FIRST_ORDER_STEPS projected-gradient steps are
-    finished by `_newton_batch`."""
+def _sweeps_of_both_phases(net, X, domain, opts):
+    """`minimize_batch` on X, and how many of its sweeps gave a ladder sweep
+    to a row that took no Newton sweep first: a row still in its
+    first-order phase, in a sweep where another row was past it."""
+    calls = []
 
-    def test_batch_rows_equal_minimize(self):
-        net = init_network("lse", 61, 20, seed=41, I=30)
-        X = np.array([Rng(700 + k).uniform_in(-1.0, 1.0, 61) for k in range(5)])
-        dom, opts = BoxDomain.symmetric(20), SolveOptions()
-        for x, row in zip(X, minimize_batch(net, X, dom, opts)):
+    def spy(core):
+        def sweep(A, c, u, *args):
+            calls.append((core, u.copy()))
+            return core(A, c, u, *args)
+        return sweep
+
+    newton, ladder = solver_module._newton, solver_module._ladder
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_newton", spy(newton))
+        mp.setattr(solver_module, "_ladder", spy(ladder))
+        batch = minimize_batch(net, X, domain, opts)
+    mixed = sum(
+        first is newton and then is ladder
+        and not (u_l[:, None] == u_n[None]).all(axis=2).any(axis=1).all()
+        for (first, u_n), (then, u_l) in zip(calls, calls[1:])
+    )
+    return batch, mixed
+
+
+class TestNewtonFinish:
+    """A row still live after _FIRST_ORDER_STEPS projected-gradient steps
+    takes projected Newton sweeps in the same `_lse_batch` loop."""
+
+    @pytest.mark.parametrize("case", ["lse 61x20", "+-sqrt(3) bank", "plse 1x1"])
+    def test_batch_rows_equal_minimize(self, case):
+        # rows reach the budget at different sweeps, so some sweep moves
+        # rows of both phases; on the +-sqrt(3) bank most Newton sweeps fall
+        # back to the ladder
+        if case == "plse 1x1":
+            net = init_network("plse", 1, 1, seed=9, I=12, T=0.01, hidden=(8,))
+            X = np.random.default_rng(9).uniform(-1.0, 1.0, (24, 1))
+        else:
+            if case == "lse 61x20":
+                net, B = init_network("lse", 61, 20, seed=41, I=30), 5
+            else:
+                net, B = unit_variance_bank(61, 20, seed=41, I=30, T=0.1), 20
+            X = np.array([Rng(700 + k).uniform_in(-1.0, 1.0, 61) for k in range(B)])
+        dom, opts = BoxDomain.symmetric(net.m), SolveOptions()
+        batch, mixed = _sweeps_of_both_phases(net, X, dom, opts)
+        assert mixed > 0
+        # the bank's last-bit differences between a batch and a batch of one
+        # grow over hundreds of ill-conditioned steps: u* of its two capped
+        # rows differs by 3.6e-11 and 1.6e-9, and of row 15 by 1.8e-12,
+        # while every value and certificate agrees to 1.2e-13
+        atol = 1e-8 if case == "+-sqrt(3) bank" else 1e-12
+        for x, row in zip(X, batch):
             ref = minimize(net, x, dom, opts)
-            assert row.iterations > solver_module._FIRST_ORDER_STEPS
             assert (row.iterations, row.status) == (ref.iterations, ref.status)
-            assert_allclose(row.u_star, ref.u_star, rtol=0, atol=1e-12)
+            assert_allclose(row.u_star, ref.u_star, rtol=0, atol=atol)
             assert abs(row.value - ref.value) <= 1e-12
             assert abs(row.certificate - ref.certificate) <= 1e-12
 
-    def test_affine_bank_reaches_its_corner(self):
+    def test_ladder_step_restarts_at_the_switch(self):
+        # the acceptance that brings a row to _FIRST_ORDER_STEPS restarts its
+        # ladder step from _INITIAL_STEP; a row that carried its step over
+        # would read 59, 49, 52 and 50 iterations at rows 8, 11, 12 and 13
+        net = init_network("plse", 3, 20, seed=3, I=6, hidden=(8,))
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (22, 3))
+        batch = minimize_batch(net, X, BoxDomain.symmetric(20), SolveOptions())
+        assert [row.iterations for row in batch] == [
+            41, 42, 44, 43, 29, 46, 50, 43, 57, 42, 42, 55, 47, 49, 45, 45, 47, 45,
+            46, 41, 47, 41]
+        assert all(row.status == "converged" for row in batch)
+
+    def test_affine_bank_reaches_its_corner(self, monkeypatch):
         # one plane: the log-sum-exp is that plane and its Hessian is exactly
         # zero, so only the damping keeps the Newton system nonsingular
         slopes = np.array([[[2.0, -1.0, 0.5]], [[-0.25, 3.0, -1e-3]]])
         c = np.array([[0.3], [-1.0]])
         dom, opts = BoxDomain.symmetric(3), SolveOptions()
-        live = np.ones(2, dtype=bool)
-        U = np.tile(0.5 * (dom.lower + dom.upper), (2, 1))
-        D, iters = np.full(2, -np.inf), np.zeros(2, dtype=np.int64)
-        status = np.full(2, solver_module._FAILED)
-        solver_module._newton_batch(slopes, c, live, 0.1, dom, opts, None,
-                                    U, D, iters, status)
+        # no first-order budget: every sweep from the box centre is Newton's
+        monkeypatch.setattr(solver_module, "_FIRST_ORDER_STEPS", 0)
+        U, D, _, status = solver_module._lse_batch(slopes, c, np.ones(2, dtype=bool),
+                                                   0.1, dom, opts, None)
         assert (status == solver_module._CONVERGED).all()
         assert_array_equal(U, -np.sign(slopes[:, 0]))
         assert_allclose(D, c[:, 0] - np.abs(slopes[:, 0]).sum(axis=1), rtol=0,
                         atol=1e-15)
 
-    def test_no_certificate_above_the_first_order_phase_alone(self):
+    def test_no_certificate_above_the_first_order_phase_alone(self, monkeypatch):
         # the ill-conditioned +-sqrt(3) bank: 500 projected-gradient steps
         # leave every row on the cap, with certificates up to 0.117
         net = unit_variance_bank(61, 20, seed=41, I=30, T=0.1)
         X = np.array([Rng(700 + k).uniform_in(-1.0, 1.0, 61) for k in range(20)])
         dom, opts = BoxDomain.symmetric(20), SolveOptions()
         A, c = u_bank_batch(net, X)
-        U, D, _, _ = solver_module._pg_batch(A, c, np.ones(20, dtype=bool), net.T,
-                                             dom, opts, None)
+        with monkeypatch.context() as mp:  # the first-order sweeps alone
+            mp.setattr(solver_module, "_FIRST_ORDER_STEPS", opts.max_iters)
+            U, D, _, _ = solver_module._lse_batch(A, c, np.ones(20, dtype=bool), net.T,
+                                                  dom, opts, None)
         # the certificate as minimize_batch forms it
         alone = np.maximum(bank_values(bank_scores(A, U, c), net.T) - D, 0.0)
         certificates = np.array([row.certificate
@@ -789,9 +843,10 @@ class TestNewtonFinish:
 
 def _two_pass_pg_batch(A, c, live, T, domain, opts, traces):
     """Projected gradient one row at a time that scores an accepted point a
-    second time for its gradient: the reference the fused `_pg_batch` must
-    reproduce. Each row is a batch of one, so the arithmetic is the batch's.
-    A row's bound is the largest f - first_order_gap(g, u) over its iterates."""
+    second time for its gradient: the reference the fused `_lse_batch` must
+    reproduce when its first-order budget is the cap. Each row is a batch of
+    one, so the arithmetic is the batch's. A row's bound is the largest
+    f - first_order_gap(g, u) over its iterates."""
     lo, hi = domain.lower, domain.upper
     U = np.tile(0.5 * (lo + hi), (len(c), 1))
     D = np.zeros(len(c))
@@ -919,11 +974,13 @@ class TestFusedLoops:
         net = init_network(kind, n, m, seed=seed, I=12, hidden=(16,))
         dom = BoxDomain.symmetric(m)
         opts = SolveOptions(max_iters=max_iters, keep_trace=True)
+        # the first-order sweeps alone, up to the cap
+        monkeypatch.setattr(solver_module, "_FIRST_ORDER_STEPS", max_iters)
         for k in range(3):
             x = Rng(seed + k).uniform_in(-1.0, 1.0, n)
             res = minimize(net, x, dom, opts)
             with monkeypatch.context() as mp:
-                mp.setattr(solver_module, "_pg_batch", _two_pass_pg_batch)
+                mp.setattr(solver_module, "_lse_batch", _two_pass_pg_batch)
                 ref = minimize(net, x, dom, opts)
             _assert_same_result(res, ref)
             assert res.certificate == ref.certificate
@@ -1167,9 +1224,10 @@ class TestMultistartWorkspace:
 
 
 def _serial_pg_batch(A, c, live, T, domain, opts, traces):
-    """`_pg_batch` scoring one candidate per row and sweep: a rejection cuts
-    the row's step by _BACKTRACK and the next sweep tries again. The
-    reference the ladder must reproduce bit for bit, in more sweeps."""
+    """`_lse_batch`'s first-order sweeps scoring one candidate per row and
+    sweep: a rejection cuts the row's step by _BACKTRACK and the next sweep
+    tries again. The reference the ladder must reproduce bit for bit, in
+    more sweeps, when the first-order budget is the cap."""
     lo, hi = domain.lower, domain.upper
     U, iters, status, rows = solver_module._start(live, domain)
     D = np.zeros(len(U))
@@ -1217,16 +1275,18 @@ def _serial_pg_batch(A, c, live, T, domain, opts, traces):
 
 
 def _assert_ladder_matches_serial(A, c, T, opts):
-    """Runs both cores on the banks A (B, I, m), c (B, I) and returns the
-    statuses after asserting (U, D, iterations, status) and every trace
-    equal."""
+    """Runs both cores on the banks A (B, I, m), c (B, I), `_lse_batch` with
+    its first-order budget raised to the cap, and returns the statuses after
+    asserting (U, D, iterations, status) and every trace equal."""
     dom = BoxDomain.symmetric(A.shape[2])
     live = np.ones(len(c), dtype=bool)
     results, traces = [], []
-    for core in (solver_module._pg_batch, _serial_pg_batch):
+    for core in (solver_module._lse_batch, _serial_pg_batch):
         trace = [[] for _ in c] if opts.keep_trace else None
-        with np.errstate(over="ignore", invalid="ignore"):
-            results.append(core(A, c, live, T, dom, opts, trace))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_FIRST_ORDER_STEPS", opts.max_iters)
+            with np.errstate(over="ignore", invalid="ignore"):
+                results.append(core(A, c, live, T, dom, opts, trace))
         traces.append(trace)
     for got, ref in zip(*results):
         assert_array_equal(got, ref)
@@ -1245,9 +1305,9 @@ def _rows_of(net, seed, B=4):
 
 
 class TestBacktrackingLadder:
-    """Each `_pg_batch` sweep scores the candidates of up to _LADDER
-    rejections at once; iterates, counts, statuses and traces are the
-    serial line search's bit for bit."""
+    """Each first-order `_lse_batch` sweep scores the candidates of up to
+    _LADDER rejections at once; iterates, counts, statuses and traces are
+    the serial line search's bit for bit."""
 
     def test_property(self):
         hypothesis = pytest.importorskip("hypothesis")
