@@ -114,18 +114,18 @@ def mlp_offset(params: MlpParams, X: np.ndarray) -> np.ndarray:
 
 def _forward_layers(params: MlpParams, h: np.ndarray, pres=None, acts=None,
                     offset=None):
-    """Trace rows h into fresh arrays or the first len(h) rows of C-contiguous
-    buffers pres[j], acts[j] (the same bits either way); returns the outputs.
+    """Trace rows h into fresh arrays or into C-contiguous buffers pres[j],
+    acts[j] of len(h) rows (the same bits either way); returns the outputs.
     With an offset (len(h), width_1) from mlp_offset, h holds only the
     trailing inputs and layer 0 adds the offset in place of its bias."""
-    k, last = len(h), len(params.weights) - 1
+    last = len(params.weights) - 1
     for j, (W, b) in enumerate(zip(params.weights, params.biases)):
         if j == 0 and offset is not None:
             W, b = W[:, W.shape[1] - h.shape[1] :], offset
-        pre = np.matmul(h, W.T, out=None if pres is None else pres[j][:k])
+        pre = np.matmul(h, W.T, out=None if pres is None else pres[j])
         pre += b
         if j != last:
-            h = np.multiply(pre, LEAKY_SLOPE, out=None if acts is None else acts[j][:k])
+            h = np.multiply(pre, LEAKY_SLOPE, out=None if acts is None else acts[j])
             np.maximum(h, pre, out=h)
     return pre
 
@@ -180,41 +180,48 @@ class MlpWorkspace:
         # a folded scalar net's passes start from `unit`: no output-layer buffer
         last = len(self.weights) - (fixed > 0 and params.n_out == 1)
         self.grads = [np.empty((rows, W.shape[1])) for W in self.weights[:last]]
-        if params.n_out == 1:
-            # value_and_grad's unit output gradient through the output layer
-            W = self.weights[-1]
-            self.unit = np.broadcast_to(W, (rows, W.shape[1]))
+        # value_and_grad's unit output gradient through a scalar output layer
+        W = self.weights[-1]
+        self.unit = np.broadcast_to(W, (rows, W.shape[1])) if params.n_out == 1 else None
+        self._k, self._views = None, None
+
+    def _first(self, k: int) -> tuple:
+        """The first k rows of Z, offset, pres, acts, grads and unit (arrays,
+        lists of arrays or None), cut again only when k changes: a pass over
+        a few rows costs about its count of NumPy calls."""
+        if k != self._k:
+            self._k, self._views = k, (
+                self.Z[:k], None if self.offset is None else self.offset[:k],
+                [v[:k] for v in self.pres], [v[:k] for v in self.acts],
+                [v[:k] for v in self.grads], None if self.unit is None else self.unit[:k])
+        return self._views
 
     def forward(self, k: int) -> np.ndarray:
         """Trace rows Z[:k]; the outputs (k, n_out), a view."""
-        offset = None if self.offset is None else self.offset[:k]
-        return _forward_layers(self.params, self.Z[:k], self.pres, self.acts, offset)
+        Z, offset, pres, acts = self._first(k)[:4]
+        return _forward_layers(self.params, Z, pres, acts, offset)
 
     def backward(self, k: int, delta, grads: MlpParams | None = None):
         """Reverse pass through the last forward(k) from delta (k, n_out), the
         output gradient (None: a scalar output's unit one). Fills the layers
         of grads, an MlpParams shaped like the net, if given, else returns
         the gradients in the inputs Z holds."""
-        Ws = self.weights
+        Ws, (Z, _, pres, acts, gs, unit) = self.weights, self._first(k)
         for j in range(len(Ws) - 1, -1, -1):
             if grads is not None:
-                inputs = self.Z[:k] if j == 0 else self.acts[j - 1][:k]
+                inputs = Z if j == 0 else acts[j - 1]
                 np.matmul(delta.T, inputs, out=grads.weights[j])
                 np.add.reduce(delta, axis=0, out=grads.biases[j])
                 if j == 0:
                     return None
-            if delta is None:
-                g = self.unit[:k]
-            else:
-                g = np.matmul(delta, Ws[j], out=self.grads[j][:k])
+            g = unit if delta is None else np.matmul(delta, Ws[j], out=gs[j])
             if j == 0:
                 return g
             # kink at 0 resolved to the shallow branch, as is NaN; the mask
             # is exactly 1.0 or LEAKY_SLOPE
-            delta = self.acts[j - 1][:k]
-            np.greater(self.pres[j - 1][:k], 0.0, out=delta)
-            delta *= 1.0 - LEAKY_SLOPE
-            delta += LEAKY_SLOPE
+            delta = acts[j - 1]
+            np.greater(pres[j - 1], 0.0, out=delta)
+            np.maximum(delta, LEAKY_SLOPE, out=delta)
             np.multiply(g, delta, out=delta)
 
     def value_and_grad(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +230,7 @@ class MlpWorkspace:
         the inputs Z holds, by reverse mode. Both are views into the
         workspace, valid until the next pass; callers copy from them and do
         not write to them."""
-        if self.params.n_out != 1:
+        if self.unit is None:
             raise DimensionMismatch("input gradient defined for scalar outputs only")
         return self.forward(k)[:, 0], self.backward(k, None)
 

@@ -999,6 +999,30 @@ class TestFusedLoops:
             assert_array_equal(out, mlp_forward_batch(mlp, Z)[:, 0])
             assert_array_equal(grad, _where_reference_grad(mlp, Z))
 
+    @pytest.mark.parametrize("fixed", [0, 61])
+    def test_workspace_views_follow_the_row_count(self, fixed):
+        # a workspace caches its buffers' first-k-rows views; passes at
+        # changing row counts equal a fresh workspace's at each count
+        rng = np.random.default_rng(6)
+        widths = [81, 64, 64, 1]
+        mlp = MlpParams(
+            weights=[rng.normal(size=(b, a)) for a, b in zip(widths, widths[1:])],
+            biases=[rng.normal(size=b) for b in widths[1:]],
+        )
+        ws = MlpWorkspace(mlp, 33, fixed=fixed)
+        for k in (33, 5, 33, 1, 33):
+            Z = rng.uniform(-1.0, 1.0, size=(k, widths[0]))
+            fresh = MlpWorkspace(mlp, k, fixed=fixed)
+            for w in (ws, fresh):
+                w.Z[:k] = Z[:, fixed:]
+                if fixed:
+                    w.offset[:k] = mlp_offset(mlp, Z[:, :fixed])
+            out, grad = ws.value_and_grad(k)
+            ref_out, ref_grad = fresh.value_and_grad(k)
+            assert out.shape == (k,) and grad.shape == (k, widths[0] - fixed)
+            assert_array_equal(out, ref_out)
+            assert_array_equal(grad, ref_grad)
+
     @pytest.mark.parametrize("rows", [33, 40])
     def test_workspace_kernel_on_kinks_and_non_finite_rows(self, rows):
         rng = np.random.default_rng(4)
