@@ -29,6 +29,11 @@ allocated once: the fnn solver takes u-gradients from it across its
 sweeps, training takes weight gradients of the joint [x; u] trace written
 into a net-shaped MlpParams. Those are the only kept buffers; every other
 evaluation allocates its arrays per call.
+
+Every entry that takes rows or conditions (`forward_batch`,
+`grad_u_batch`, `u_bank_batch`, the training loss and gradients, `Dataset`
+and the solver) checks them by one rule, `check_rows`: X, U and y are
+(B, n), (B, m) and (B,), and finite.
 """
 
 from __future__ import annotations
@@ -304,15 +309,23 @@ class Bank:
 Network = Union[FeedforwardNet, Bank]
 
 
-def _check_rows(net: Network, X, U) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
-    U = np.asarray(U, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.n or U.shape != (len(X), net.m):
-        raise DimensionMismatch(f"X and U must be (B, {net.n}) and (B, {net.m}), "
-                                f"got {X.shape} and {U.shape}")
-    if not (np.isfinite(X).all() and np.isfinite(U).all()):
-        raise NonFiniteInput("X and U must be finite")
-    return X, U
+def check_rows(n: int, m: int, *rows) -> list:
+    """The rows (X), (X, U) or (X, U, y) as float64 arrays, checked to be
+    (B, n), (B, m) and (B,) and finite: the one check of every entry that
+    takes rows or conditions. Raises DimensionMismatch on other shapes,
+    which numpy would broadcast into values of the wrong rows, and
+    NonFiniteInput on a NaN or an infinity, which would pass into them
+    unreported."""
+    rows = [np.asarray(a, dtype=np.float64) for a in rows]
+    B = rows[0].shape[:1]
+    if [a.shape for a in rows] != [B + (n,), B + (m,), B][: len(rows)]:
+        want = ", ".join((f"(B, {n})", f"(B, {m})", "(B,)")[: len(rows)])
+        raise DimensionMismatch(f"{', '.join('XUy'[: len(rows)])} must be {want}, "
+                                f"got {', '.join(str(a.shape) for a in rows)}")
+    for name, a in zip("XUy", rows):
+        if not np.isfinite(a).all():
+            raise NonFiniteInput(f"{name} must be finite")
+    return rows
 
 
 # --- banks -----------------------------------------------------------------
@@ -325,13 +338,12 @@ def u_bank_batch(net: Network, X: np.ndarray) -> tuple:
     A fixed bank's planes share one slope matrix, returned as a read-only
     broadcast view, and the x-part of each joint plane folds into the
     offset; a parameterized bank's are its net's outputs, one forward pass
-    for all rows. Overflow is left to the caller, as mlp_forward_batch does.
+    for all rows. Conditions check_rows rejects raise its errors; overflow
+    is left to the caller, as mlp_forward_batch does.
     """
     if isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork("fnn has no affine bank in u")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.n:
-        raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
+    (X,) = check_rows(net.n, net.m, X)
     if net.parameterized:
         return embedded_bank(net, mlp_forward_batch(net.mlp, X))
     n, W = net.n, net.mlp.weights[0]
@@ -416,7 +428,7 @@ def forward_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Row-wise predictions (B,) at X (B, n), U (B, m). Raises
     NonFiniteInput on a non-finite input and NumericOverflow on a
     non-finite value."""
-    X, U = _check_rows(net, X, U)
+    X, U = check_rows(net.n, net.m, X, U)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(net, FeedforwardNet):
             out = mlp_forward_batch(net.mlp, U, mlp_offset(net.mlp, X))[:, 0]
@@ -440,7 +452,7 @@ def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     ma/pma are piecewise linear in u and raise UnsupportedNetwork rather
     than return one arbitrary subgradient.
     """
-    X, U = _check_rows(net, X, U)
+    X, U = check_rows(net.n, net.m, X, U)
     if isinstance(net, Bank) and net.T is None:
         raise UnsupportedNetwork(f"{net.kind} is nonsmooth in u: no u-gradient")
     with np.errstate(over="ignore", invalid="ignore"):

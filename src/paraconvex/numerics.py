@@ -109,10 +109,9 @@ class BoxDomain:
         return self.lower.shape[0]
 
     @staticmethod
-    def symmetric(dim: int, radius: float = 1.0) -> "BoxDomain":
-        """[-radius, radius]^dim."""
-        r = float(radius)
-        return BoxDomain(np.full(dim, -r), np.full(dim, r))
+    def symmetric(dim: int) -> "BoxDomain":
+        """[-1, 1]^dim."""
+        return BoxDomain(np.full(dim, -1.0), np.full(dim, 1.0))
 
     def contains(self, u: np.ndarray, atol: float = 0.0) -> bool:
         """Whether the point u, of shape (dim,), lies in the box widened by

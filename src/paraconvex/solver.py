@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonFiniteInput, NumericOverflow
+from .exceptions import DimensionMismatch, NumericOverflow
 from .networks import (
     FeedforwardNet,
     MlpWorkspace,
@@ -54,6 +54,7 @@ from .networks import (
     bank_scores,
     bank_values,
     bank_weights,
+    check_rows,
     mlp_offset,
     u_bank_batch,
 )
@@ -334,7 +335,8 @@ def _lp_batch(A, c, live, domain, opts, traces):
     at max_iters, or, as "step_underflow", once its complementarity gap s.z
     is down to rounding. The certificate takes the best D(lam) seen.
     Returns (U, D, iterations, status): the last iterates, their dual
-    bounds and STATUSES indices, _FAILED for a row not live.
+    bounds and STATUSES indices, _FAILED for a row not live or whose start
+    is not finite.
     """
     lo, hi = domain.lower, domain.upper
     U, iters, status, rows = _start(live, domain)
@@ -349,7 +351,12 @@ def _lp_batch(A, c, live, domain, opts, traces):
     s = np.hstack([(top + spread)[:, None] - S, np.tile(half, (B, 2))])
     z = np.hstack([np.full((B, I), 1.0 / I), np.maximum(-g, 0.0) + balance,
                    np.maximum(g, 0.0) + balance])
-    bound, diag = np.full(B, -np.inf), np.arange(m)
+    # finite banks whose start overflows (top + spread at x = 1e308) would
+    # make K singular for the whole batch: those rows stay failed
+    ok = np.isfinite(s).all(1) & np.isfinite(z).all(1)
+    if np.count_nonzero(ok) < B:
+        rows, A, c, u, it, s, z = (v[ok] for v in (rows, A, c, u, it, s, z))
+    bound, diag = np.full(len(rows), -np.inf), np.arange(m)
     while rows.size:
         f = _bank_scores(A, u, c).max(1)
         lam = z[:, :I] / z[:, :I].sum(1, keepdims=True)
@@ -569,15 +576,12 @@ def minimize_batch(
     1e-8. A row whose bank or
     objective goes non-finite comes back as None. Every result's trace
     holds the model value at each iterate (for fnn, the best restart's),
-    and its wall_time_s is the batch's wall time divided by B.
+    and its wall_time_s is the batch's wall time divided by B. Conditions
+    check_rows rejects raise its errors.
     """
     if domain.dim != net.m:
         raise DimensionMismatch("domain dimension must equal the net's m")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.n:
-        raise DimensionMismatch(f"conditions must be (B, {net.n}), got {X.shape}")
-    if not np.isfinite(X).all():
-        raise NonFiniteInput("conditions must be finite")
+    (X,) = check_rows(net.n, net.m, X)
     if X.size == 0:
         return []
     opts = opts or SolveOptions()

@@ -17,12 +17,14 @@ the bits of allocating every array and updating array by array.
 An epoch's training loss is the mean squared residual its steps formed
 before their updates; its one loss pass scores the test split.
 
-`train` takes a Dataset, which it splits and whose epoch row orders it
-draws from Rng(cfg.seed), or `prepare_split`'s PreparedSplit, those same
-draws made once so that several nets train on one split in one set of
-orders. Either way one loop runs the epochs: it gathers each minibatch and
-runs the epoch's steps through the gradient core under one np.errstate,
-without `weight_gradients`' per-call checks.
+A Dataset's rows pass `networks.check_rows`, as do the rows `mse_loss`
+and `weight_gradients` take. `train` runs on `prepare_split`'s
+PreparedSplit: the split, then every epoch's row order, drawn from
+Rng(cfg.seed). Given a Dataset, it prepares that split itself; a caller
+prepares it once so that several nets train on one split in one set of
+orders. One loop runs the epochs: it gathers each minibatch and runs the
+epoch's steps through the gradient core under one np.errstate, without
+`weight_gradients`' per-call checks.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 from .exceptions import (
     ConfigError,
     DimensionMismatch,
-    NonFiniteInput,
     NumericOverflow,
     TrainingDiverged,
 )
@@ -47,6 +48,7 @@ from .networks import (
     Network,
     bank_scores,
     bank_weights,
+    check_rows,
     clone_network,
     embedded_bank,
     forward_batch,
@@ -56,7 +58,8 @@ from .numerics import Rng, check_count
 
 @dataclass
 class Dataset:
-    """Labeled triples, stored column-wise: X is (N, n), U is (N, m), y is (N,)."""
+    """Labeled triples, stored column-wise: X is (N, n), U is (N, m), y is (N,),
+    as float64 arrays that check_rows passed."""
 
     n: int
     m: int
@@ -65,15 +68,7 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.U = np.asarray(self.U, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        N = self.y.shape[0]
-        if self.X.shape != (N, self.n) or self.U.shape != (N, self.m):
-            raise DimensionMismatch("X, U, y row counts or widths disagree")
-        if not (np.isfinite(self.X).all() and np.isfinite(self.U).all()
-                and np.isfinite(self.y).all()):
-            raise ValueError("dataset entries must be finite")
+        self.X, self.U, self.y = check_rows(self.n, self.m, self.X, self.U, self.y)
 
     @property
     def size(self) -> int:
@@ -153,22 +148,9 @@ def init_network(
 # --- loss and gradients ----------------------------------------------------
 
 
-def _checked_rows(net: Network, X, U, y) -> tuple:
-    """(X, U, y) as finite float arrays of shapes (B, n), (B, m) and (B,);
-    numpy would broadcast other shapes into a loss or gradient of the wrong
-    rows, and a NaN would pass into it unreported."""
-    X, U, y = (np.asarray(a, dtype=np.float64) for a in (X, U, y))
-    if y.ndim != 1 or X.shape != (len(y), net.n) or U.shape != (len(y), net.m):
-        raise DimensionMismatch(f"X, U, y must be (B, {net.n}), (B, {net.m}), (B,); "
-                                f"got {X.shape}, {U.shape}, {y.shape}")
-    if not all(np.isfinite(a).all() for a in (X, U, y)):
-        raise NonFiniteInput("X, U and y must be finite")
-    return X, U, y
-
-
 def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray) -> float:
     """MSE at rows (X, U), in arrays allocated for the call."""
-    X, U, y = _checked_rows(net, X, U, y)
+    X, U, y = check_rows(net.n, net.m, X, U, y)
     r = forward_batch(net, X, U) - y
     # an overflowing square is the divergence signal the trainer checks for
     with np.errstate(over="ignore"):
@@ -200,7 +182,7 @@ def weight_gradients(
     The max in ma/pma routes gradient to the active plane only (lowest index
     on ties), the standard subgradient choice for max-affine training.
     """
-    X, U, y = _checked_rows(net, X, U, y)
+    X, U, y = check_rows(net.n, net.m, X, U, y)
     B = y.shape[0]
     if B == 0:
         raise ValueError("batch must be nonempty")
@@ -337,19 +319,13 @@ class PreparedSplit:
     orders: list  # per epoch, a permutation of range(train.size)
 
 
-def _draws(ds: Dataset, cfg: TrainConfig):
-    # the split takes the first draws of Rng(cfg.seed); each epoch's order
-    # is drawn from the same stream when the generator reaches it
+def prepare_split(ds: Dataset, cfg: TrainConfig) -> PreparedSplit:
+    """The split, from the first draws of Rng(cfg.seed), then cfg.epochs
+    row orders of its training rows from the same stream."""
     rng = Rng(cfg.seed)
     train_ds, test_ds = split_dataset(ds, cfg.split_ratio, rng)
-    orders = (rng.shuffle_indices(train_ds.size) for _ in range(cfg.epochs))
-    return train_ds, test_ds, orders
-
-
-def prepare_split(ds: Dataset, cfg: TrainConfig) -> PreparedSplit:
-    """The split and the cfg.epochs row orders `train(net, ds, cfg)` would draw."""
-    train_ds, test_ds, orders = _draws(ds, cfg)
-    return PreparedSplit(train_ds, test_ds, list(orders))
+    return PreparedSplit(train_ds, test_ds,
+                         [rng.shuffle_indices(train_ds.size) for _ in range(cfg.epochs)])
 
 
 def train(
@@ -357,22 +333,19 @@ def train(
 ) -> tuple[Network, TrainReport]:
     """Train a copy of `net` on a 90:10-style split of a dataset.
 
-    Given a Dataset, the split consumes the first draws of Rng(cfg.seed) and
-    each epoch draws its row order from the same stream as it starts, so
-    callers can recover the exact same partition via split_dataset(ds,
-    cfg.split_ratio, Rng(cfg.seed)). Given prepare_split(ds, cfg), it trains
-    on those same rows in those same orders, bit for bit; cfg.seed and
-    cfg.split_ratio are then not read, and the split must hold cfg.epochs
-    orders.
+    A Dataset trains on prepare_split(ds, cfg): the split takes the first
+    draws of Rng(cfg.seed), so callers can recover the exact same partition
+    via split_dataset(ds, cfg.split_ratio, Rng(cfg.seed)). Given a prepared
+    split, cfg.seed and cfg.split_ratio are not read, and the split must
+    hold cfg.epochs orders.
     """
     t0 = time.perf_counter()
-    if isinstance(data, PreparedSplit):
-        train_ds, test_ds, orders = data.train, data.test, data.orders
-        if len(orders) != cfg.epochs:
-            raise ConfigError(f"split holds {len(orders)} epoch orders, "
-                              f"config asks for {cfg.epochs}")
-    else:
-        train_ds, test_ds, orders = _draws(data, cfg)
+    if isinstance(data, Dataset):
+        data = prepare_split(data, cfg)
+    train_ds, test_ds, orders = data.train, data.test, data.orders
+    if len(orders) != cfg.epochs:
+        raise ConfigError(f"split holds {len(orders)} epoch orders, "
+                          f"config asks for {cfg.epochs}")
     if train_ds.n != net.n or train_ds.m != net.m:
         raise DimensionMismatch("dataset dims do not match the network")
     net = clone_network(net)

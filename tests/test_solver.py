@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from paraconvex.exceptions import DimensionMismatch, NonFiniteInput, NumericOverflow
 from paraconvex import solver as solver_module
+from paraconvex.cli import main as cli_main
 from paraconvex.networks import (
     LEAKY_SLOPE,
     Bank,
@@ -24,6 +25,7 @@ from paraconvex.networks import (
     load_model,
     mlp_forward_batch,
     mlp_offset,
+    save_model,
     shifted_lse,
     u_bank_batch,
 )
@@ -467,21 +469,37 @@ class TestMinimizeBatch:
                 ref = minimize(net, x, dom, opts)
                 assert_allclose(row.trace, ref.trace, rtol=0, atol=1e-12)
 
-    def test_overflowing_row_is_none(self):
-        # x = 1e308 sends the first plane to +inf; the other rows solve
-        A = np.array([[2.0, 1.0], [-1.0, -1.0]])
-        net = Bank(n=1, m=1, mlp=MlpParams([A], [np.zeros(2)]))
-        X = np.array([[0.5], [1e308], [-0.25]])
-        dom = BoxDomain.symmetric(1)
+    @pytest.mark.parametrize("case", ["plane", "start"])
+    def test_overflowing_row_is_none(self, case, tmp_path, capsys):
+        if case == "plane":
+            # x = 1e308 sends the first plane to +inf; the other rows solve
+            A = np.array([[2.0, 1.0], [-1.0, -1.0]])
+            net = Bank(n=1, m=1, mlp=MlpParams([A], [np.zeros(2)]))
+            X = np.array([[0.5], [1e308], [-0.25]])
+        else:
+            # finite planes near 1e308 whose interior-point start overflows:
+            # its slacks were inf and made the whole batch's Newton
+            # matrices singular
+            net = init_network("ma", 2, 3, seed=2, I=6)
+            X = np.array([[0.1, -0.2], [1e308, 1e308]])
+        dom = BoxDomain.symmetric(net.m)
         rows = minimize_batch(net, X, dom)
         assert rows[1] is None
-        for i in (0, 2):
-            ref = minimize(net, X[i], dom)
-            assert rows[i].iterations == ref.iterations
-            assert abs(rows[i].value - ref.value) <= 1e-12
+        for i in range(len(X)):
+            if i != 1:
+                ref = minimize(net, X[i], dom)
+                assert (rows[i].iterations, rows[i].status) == (ref.iterations, ref.status)
+                assert_allclose(rows[i].u_star, ref.u_star, rtol=0, atol=1e-12)
+                assert abs(rows[i].value - ref.value) <= 1e-12
         with pytest.raises(NumericOverflow), np.errstate(over="ignore",
                                                           invalid="ignore"):
             minimize(net, X[1], dom)
+        path = tmp_path / "bank.json"
+        save_model(net, path)
+        x = ",".join(str(float(v)) for v in X[1])
+        assert cli_main(["solve", "--model", str(path), "--x", x]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "non-finite" in err
 
     def test_overflowing_fnn_condition_is_none(self):
         W1 = np.array([[10.0, 1.0], [0.0, -1.0]])

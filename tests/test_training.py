@@ -20,9 +20,12 @@ from paraconvex.networks import (
     MlpParams,
     clone_network,
     forward_batch,
+    grad_u_batch,
     model_to_json,
+    u_bank_batch,
 )
 from paraconvex.numerics import BoxDomain, Rng, sample_uniform_box
+from paraconvex.solver import minimize_batch
 from paraconvex.training import (
     AdamState,
     Dataset,
@@ -55,7 +58,7 @@ class TestDataset:
             Dataset(n=1, m=1, X=np.zeros((3, 1)), U=np.zeros((2, 1)), y=np.zeros(3))
 
     def test_finite_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteInput):
             Dataset(n=1, m=1, X=np.array([[np.nan]]), U=np.zeros((1, 1)),
                     y=np.zeros(1))
 
@@ -208,10 +211,28 @@ class TestMseLoss:
         assert_allclose(mse_loss(net, X, U, y), 5.0)
 
 
+# every other entry that takes rows or conditions: its call on (net, X, U,
+# y), how many of X, U, y it reads, and the kinds it takes
+_ROW_ENTRIES = {
+    "forward_batch": (lambda net, X, U, y: forward_batch(net, X, U), 2,
+                      ("fnn", "ma", "lse", "pma", "plse")),
+    "grad_u_batch": (lambda net, X, U, y: grad_u_batch(net, X, U), 2,
+                     ("lse", "plse", "fnn")),
+    "u_bank_batch": (lambda net, X, U, y: u_bank_batch(net, X), 1,
+                     ("ma", "lse", "pma", "plse")),
+    "minimize_batch": (lambda net, X, U, y: minimize_batch(
+        net, X, BoxDomain.symmetric(net.m)), 1, ("fnn", "ma", "lse", "pma", "plse")),
+    "Dataset": (lambda net, X, U, y: Dataset(net.n, net.m, X, U, y), 3, ("fnn",)),
+}
+_ENTRY_KINDS = [(entry, kind) for entry, (_, _, kinds) in _ROW_ENTRIES.items()
+                for kind in kinds]
+
+
 class TestMisShapedRows:
     """mse_loss and weight_gradients must raise on rows that do not line up,
     not broadcast them: y[:, None] made mse_loss the mean of a (B, B)
-    residual, and X[:1] repeated one condition over the batch."""
+    residual, and X[:1] repeated one condition over the batch. Every other
+    entry that takes rows raises on them by the same check."""
 
     @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
     def test_rejected(self, kind):
@@ -227,11 +248,27 @@ class TestMisShapedRows:
             with pytest.raises(DimensionMismatch):
                 weight_gradients(net, *args, TrainWorkspace(net, 8))
 
+    @pytest.mark.parametrize("entry, kind", _ENTRY_KINDS)
+    def test_rejected_by_every_entry(self, entry, kind):
+        call, reads, _ = _ROW_ENTRIES[entry]
+        net = init_network(kind, 2, 1, seed=5, I=4, hidden=(6,))
+        X, U, y = _batch(2, 1, 8, np.random.default_rng(6))
+        # X one row, of the wrong width or rank; then U's or y's rows off
+        bad = [(X[0], U, y), (X[:, :1], U, y), (X[None], U, y)]
+        if reads >= 2:
+            bad += [(X[:1], U, y), (X, U[:1], y), (X, U[:, 0], y)]
+        if reads == 3:
+            bad += [(X, U, y[:, None]), (X, U, y[:1])]
+        for args in bad:
+            with pytest.raises(DimensionMismatch):
+                call(net, *args)
+
 
 class TestNonFiniteRows:
     """mse_loss and weight_gradients raise NonFiniteInput on a NaN or an
     infinity in X, U or y, as minimize_batch does on its conditions: a NaN
-    x was reported as a forward overflow, and a NaN y made the loss NaN."""
+    x was reported as a forward overflow, and a NaN y made the loss NaN.
+    Every other entry that takes rows raises it by the same check."""
 
     @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
     @pytest.mark.parametrize("which", [0, 1, 2])
@@ -244,6 +281,19 @@ class TestNonFiniteRows:
             mse_loss(net, *args)
         with pytest.raises(NonFiniteInput):
             weight_gradients(net, *args)
+
+    @pytest.mark.parametrize("entry, kind", _ENTRY_KINDS)
+    def test_rejected_by_every_entry(self, entry, kind):
+        # a NaN condition came back from u_bank_batch as a NaN bank, and a
+        # NaN in a Dataset raised a bare ValueError
+        call, reads, _ = _ROW_ENTRIES[entry]
+        net = init_network(kind, 2, 1, seed=5, I=4, hidden=(6,))
+        for which in range(reads):
+            for bad in (np.nan, np.inf, -np.inf):
+                args = list(_batch(2, 1, 8, np.random.default_rng(6)))
+                args[which][3] = bad
+                with pytest.raises(NonFiniteInput):
+                    call(net, *args)
 
 
 class TestWeightGradients:
