@@ -29,7 +29,6 @@ its line number, before any cell trains.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import platform
 import time
@@ -44,7 +43,7 @@ from .numerics import (
     BoxDomain,
     Rng,
     check_count,
-    check_temperature,
+    check_positive,
     grid_nodes,
     sample_uniform_box,
 )
@@ -130,6 +129,10 @@ class ExperimentConfig:
     outdir: str = "bench_out"
 
     def __post_init__(self):
+        for n, m in self.dims:
+            check_count("dims entries", n, ConfigError)
+            check_count("dims entries", m, ConfigError)
+        # Python ints: json cannot write a NumPy integer into the report
         self.dims = tuple((int(n), int(m)) for n, m in self.dims)
         self.kinds = tuple(self.kinds)
         for key in ("kinds", "dims"):
@@ -138,8 +141,6 @@ class ExperimentConfig:
         for seed in self.seeds:
             check_count("seeds", seed, ConfigError, minimum=0)
         self.seeds = tuple(int(s) for s in self.seeds)
-        if any(n < 1 or m < 1 for n, m in self.dims):
-            raise ConfigError("dims entries must be >= 1")
         for kind in self.kinds:
             if kind not in ALL_KINDS:
                 raise ConfigError(f"unknown kind {kind!r}")
@@ -152,10 +153,7 @@ class ExperimentConfig:
             check_count(key, getattr(self, key), ConfigError, minimum=low)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        # a value below range gets the short message the other keys give
-        if isinstance(self.temperature, numbers.Real) and not self.temperature > 0:
-            raise ConfigError("temperature must be positive")
-        check_temperature(self.temperature, ConfigError)
+        check_positive("temperature", self.temperature, ConfigError)
         for h in self.hidden:
             check_count("hidden widths", h, ConfigError)
         # the training keys fail here, before any cell trains
@@ -469,8 +467,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
 
 def surface_dump(net: Network, resolution: int, path) -> None:
     """CSV grid (x, u, value) over [-1, 1]^2 for a 1x1 net."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    check_count("resolution", resolution, minimum=2)
     if net.n != 1 or net.m != 1:
         raise DimensionMismatch("surface dumps need n = m = 1")
     nodes = grid_nodes(BoxDomain.symmetric(2), resolution)

@@ -31,9 +31,10 @@ into a net-shaped MlpParams. Those are the only kept buffers; every other
 evaluation allocates its arrays per call.
 
 Every entry that takes rows or conditions (`forward_batch`,
-`grad_u_batch`, `u_bank_batch`, the training loss and gradients, `Dataset`
-and the solver) checks them by one rule, `check_rows`: X, U and y are
-(B, n), (B, m) and (B,), and finite.
+`grad_u_batch`, `u_bank_batch`, `batch_scores`, the training loss and
+gradients, `Dataset` and the solver) checks them by one rule,
+`check_rows`: X, U and y are (B, n), (B, m) and (B,), and finite. A
+bank's counts and temperature pass numerics' check_count, check_positive.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .exceptions import (
     NumericOverflow,
     UnsupportedNetwork,
 )
-from .numerics import check_count, check_temperature
+from .numerics import check_count, check_positive
 
 FORMAT_VERSION = 1
 
@@ -286,10 +287,9 @@ class Bank:
             raise DimensionMismatch(
                 "a bank's net reads x (n inputs) or is one layer over [x; u] (n+m)"
             )
-        if self.I < 1:
-            raise ValueError("need at least one plane")
+        check_count("I", self.I)
         if self.T is not None:
-            check_temperature(self.T)
+            check_positive("temperature", self.T)
 
     @property
     def parameterized(self) -> bool:
@@ -376,6 +376,7 @@ def bank_scores(A_u: np.ndarray, U: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def batch_scores(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Plane values (B, I) of a bank at rows (X, U)."""
+    X, U = check_rows(net.n, net.m, X, U)
     A_u, c = u_bank_batch(net, X)
     return bank_scores(A_u, U, c)
 
@@ -536,9 +537,10 @@ def model_from_json(doc: dict) -> Network:
     """The network a model document describes. Raises ModelFormatError for a
     document that is not one: a missing key, a format_version other than
     the integer FORMAT_VERSION, a seed that is neither null nor an integer
-    >= 0, shapes that disagree, a NaN or infinite weight or bias (which
-    `json.load` accepts), or a kind that disagrees with the stored
-    temperature, layers or plane count (an fnn's T and I must be null)."""
+    >= 0, a bank's plane count I that is not an integer >= 1, shapes that
+    disagree, a NaN or infinite weight or bias (which `json.load` accepts),
+    or a kind that disagrees with the stored temperature, layers or plane
+    count (an fnn's T and I must be null)."""
     if not isinstance(doc, dict):
         raise ModelFormatError(f"model JSON is a {type(doc).__name__}, not an object")
     try:
@@ -564,6 +566,7 @@ def _model_from_doc(doc: dict) -> Network:
         return FeedforwardNet(n=n, m=m, mlp=_mlp_from_json(doc), seed=seed)
     if kind not in _BANK_KINDS:
         raise ValueError(f"unknown network kind {kind!r}")
+    check_count("I", I)
     if (T is None) != kind.endswith("ma"):
         raise ModelFormatError(
             f"a {kind} model {'needs a' if T is None else 'takes no'} temperature T"

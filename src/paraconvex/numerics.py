@@ -1,5 +1,6 @@
-"""Deterministic sampling, box domains, one lattice of grid nodes, and a
-brute-force grid oracle over it.
+"""Deterministic sampling, box domains, one lattice of grid nodes, a
+brute-force grid oracle over it, and the one check of each kind of
+setting: `check_count` for integers, `check_positive` for real values.
 
 The random number generator is SplitMix64 (Steele, Lea & Flood, "Fast
 Splittable Pseudorandom Number Generators", OOPSLA 2014), chosen because its
@@ -197,7 +198,10 @@ def check_count(name: str, value, error=ValueError, minimum: int = 1) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
 
 
-def check_temperature(T, error=ValueError) -> None:
-    """Raise `error` unless T is a positive finite real number, not a bool."""
-    if isinstance(T, bool) or not isinstance(T, numbers.Real) or not 0 < T < np.inf:
-        raise error(f"temperature must be a positive finite number, got {T!r}")
+def check_positive(name: str, value, error=ValueError, below: float = np.inf) -> None:
+    """Raise `error` naming the field unless value is a real number with
+    0 < value < below: not a bool or a string, and neither NaN nor inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < below:
+        rule = ("be a positive finite number" if below == np.inf
+                else f"lie strictly between 0 and {below}")
+        raise error(f"{name} must {rule}, got {value!r}")

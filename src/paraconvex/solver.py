@@ -58,7 +58,7 @@ from .networks import (
     mlp_offset,
     u_bank_batch,
 )
-from .numerics import BoxDomain, Rng, check_count, sample_uniform_box
+from .numerics import BoxDomain, Rng, check_count, check_positive, sample_uniform_box
 
 # the backtracking line search of every projected-gradient core: a row's
 # first step, the cut on each rejection and Armijo's sufficient-decrease
@@ -106,8 +106,7 @@ class SolveOptions:
         check_count("max_iters", self.max_iters)
         check_count("restarts", self.restarts)
         check_count("seed", self.seed, minimum=0)
-        if not 0.0 < self.grad_tolerance < np.inf:
-            raise ValueError("grad_tolerance must be finite and positive")
+        check_positive("grad_tolerance", self.grad_tolerance)
 
 
 @dataclass
@@ -624,12 +623,10 @@ def minimize_batch(
 def minimize(
     net: Network, x: np.ndarray, domain: BoxDomain, opts: SolveOptions | None = None
 ) -> SolveResult:
-    """`minimize_batch` on the one condition x. Raises NumericOverflow where
-    the batch returns None: the bank or the objective is non-finite."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.n,):
-        raise DimensionMismatch(f"condition must have length {net.n}, got shape {x.shape}")
-    (res,) = minimize_batch(net, x[None, :], domain, opts)
+    """`minimize_batch` on the one condition x of shape (n,), as a batch of
+    one row, so check_rows raises on any other shape. Raises NumericOverflow
+    where the batch returns None: the bank or the objective is non-finite."""
+    (res,) = minimize_batch(net, np.asarray(x, dtype=np.float64)[None], domain, opts)
     if res is None:
         raise NumericOverflow(f"{net.kind} objective is non-finite at this condition")
     return res

@@ -53,7 +53,7 @@ from .networks import (
     embedded_bank,
     forward_batch,
 )
-from .numerics import Rng, check_count
+from .numerics import Rng, check_count, check_positive
 
 
 @dataclass
@@ -90,10 +90,8 @@ class TrainConfig:
         check_count("epochs", self.epochs, ConfigError)
         check_count("batch_size", self.batch_size, ConfigError)
         check_count("seed", self.seed, ConfigError, minimum=0)
-        if not (0.0 < self.split_ratio < 1.0):
-            raise ConfigError("split_ratio must lie strictly between 0 and 1")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ConfigError("learning_rate must be finite and positive")
+        check_positive("split_ratio", self.split_ratio, ConfigError, below=1)
+        check_positive("learning_rate", self.learning_rate, ConfigError)
 
 
 @dataclass
@@ -113,8 +111,8 @@ class TrainReport:
 
 def xavier_init(n_in: int, n_out: int, rng: Rng) -> np.ndarray:
     """(n_out, n_in) matrix, entries uniform in +-sqrt(6)/sqrt(n_in + n_out)."""
-    if n_in < 1 or n_out < 1:
-        raise ValueError("layer widths must be >= 1")
+    for width in (n_in, n_out):
+        check_count("layer widths", width)
     bound = np.sqrt(6.0) / np.sqrt(n_in + n_out)
     return rng.uniform_in(-bound, bound, n_out * n_in).reshape(n_out, n_in)
 
@@ -135,6 +133,7 @@ def init_network(
     hidden: tuple = (64, 64),
 ) -> Network:
     """Fresh network of the given kind with Xavier weights and zero biases."""
+    check_count("I", I)  # xavier_init checks the widths
     widths = {"fnn": [n + m, *hidden, 1], "ma": [n + m, I], "lse": [n + m, I],
               "pma": [n, *hidden, (m + 1) * I], "plse": [n, *hidden, (m + 1) * I]}
     if kind not in widths:
@@ -298,8 +297,7 @@ def split_dataset(ds: Dataset, ratio: float, rng: Rng) -> tuple[Dataset, Dataset
     """Shuffle then prefix split: sizes floor(ratio*N) and the remainder."""
     if ds.size == 0:
         raise ValueError("cannot split an empty dataset")
-    if not (0.0 < ratio < 1.0):
-        raise ConfigError("split ratio must lie strictly between 0 and 1")
+    check_positive("split_ratio", ratio, ConfigError, below=1)
     perm = rng.shuffle_indices(ds.size)
     cut = int(ratio * ds.size)
     if cut == 0:

@@ -34,7 +34,7 @@ from .networks import (
     nonsmooth_twin,
     u_bank_batch,
 )
-from .numerics import BoxDomain, Rng, check_count, grid_nodes, node_values
+from .numerics import BoxDomain, Rng, check_count, check_positive, grid_nodes, node_values
 from .training import init_network
 
 SANDWICH_SLACK = 1e-9
@@ -281,8 +281,7 @@ def moreau_envelope(
     row's minimum (a constant f with a huge eta), the search forms all K^2
     entries, ENVELOPE_BLOCK at a time.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    check_positive("eta", eta)
     check_count("resolution", resolution, minimum=2)
     if domain.dim != 1:
         raise DimensionMismatch("envelope grid limited to dimension 1")

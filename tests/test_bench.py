@@ -4,6 +4,7 @@ end-to-end runs, and report exports."""
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -226,15 +227,15 @@ class TestConfig:
             parse_experiment_config(line + "\n")
 
     @pytest.mark.parametrize("line,message", [
-        ("temperature = -1", "temperature must be positive"),
+        ("temperature = -1", "temperature must be a positive finite number, got -1.0"),
         ("temperature = inf", "temperature must be a positive finite number, got inf"),
-        ("split_ratio = 1.5", "split_ratio must lie strictly between 0 and 1"),
+        ("split_ratio = 1.5", "split_ratio must lie strictly between 0 and 1, got 1.5"),
         ("epochs = 0", "epochs must be >= 1"),
         ("batch_size = 0", "batch_size must be >= 1"),
         ("hidden = 8,0", "hidden widths must be >= 1"),
-        ("learning_rate = 0", "learning_rate must be finite and positive"),
-        ("learning_rate = -1e-3", "learning_rate must be finite and positive"),
-        ("learning_rate = inf", "learning_rate must be finite and positive"),
+        ("learning_rate = 0", "learning_rate must be a positive finite number, got 0.0"),
+        ("learning_rate = -1e-3", "learning_rate must be a positive finite number, got -0.001"),
+        ("learning_rate = inf", "learning_rate must be a positive finite number, got inf"),
     ])
     def test_out_of_range_value_names_its_line(self, line, message):
         # rejected while parsing, before run_benchmark trains any cell
@@ -250,12 +251,18 @@ class TestConfig:
         ("planes", 2.5, "planes must be an integer, got 2.5"),
         ("surface_resolution", 2.5, "surface_resolution must be an integer, got 2.5"),
         ("hidden", (8.5,), "hidden widths must be an integer, got 8.5"),
-        ("temperature", True, "temperature must be a positive finite number, got True"),
-        ("temperature", "0.1", "temperature must be a positive finite number, got '0.1'"),
+        ("dims", ((1.5, 2),), "dims entries must be an integer, got 1.5"),
+        ("dims", ((1, True),), "dims entries must be an integer, got True"),
+        *[(key, value, f"{key} must {rule}, got {value!r}")
+          for key, rule in (("temperature", "be a positive finite number"),
+                            ("learning_rate", "be a positive finite number"),
+                            ("split_ratio", "lie strictly between 0 and 1"))
+          for value in (True, "0.1", float("nan"), 0, -1, float("inf"))],
     ])
     def test_bad_value_rejected_in_code(self, key, value, message):
-        # values no config line parses to, rejected before any cell trains
-        with pytest.raises(ConfigError, match=rf"^{message}$"):
+        # values no config line parses to, rejected before any cell trains:
+        # each real-valued key by one rule, and never a bare TypeError
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
             ExperimentConfig(**{key: value})
 
     @pytest.mark.parametrize("seeds", [(0, -1), (2.5,), (True,)])

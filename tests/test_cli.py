@@ -176,6 +176,9 @@ class TestSolve:
         ("seed", -5, "seed must be >= 0"),
         ("seed", True, "seed must be an integer, got True"),
         ("format_version", True, "unsupported model format_version True"),
+        # a float count would load and be written back as an integer
+        ("I", 6.0, "I must be an integer, got 6.0"),
+        ("I", True, "I must be an integer, got True"),
     ])
     def test_bad_metadata_is_malformed(self, tmp_path, capsys, key, value, why):
         with open(os.path.join(GOLDEN, "plse_1x1_trained.json"), encoding="utf-8") as fh:
@@ -362,7 +365,8 @@ class TestBenchmark:
         monkeypatch.setattr(cli, "run_benchmark", trains)
         rc, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
         assert rc == 2
-        assert err.startswith("error: line 9: temperature must be positive")
+        assert err == ("error: line 9: temperature must be a positive finite number, "
+                       "got -1.0\n")
 
     def test_infinite_learning_rate_fails_before_training(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -377,7 +381,8 @@ class TestBenchmark:
         monkeypatch.setattr(cli, "run_benchmark", trains)
         rc, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
         assert rc == 2
-        assert err == "error: line 9: learning_rate must be finite and positive\n"
+        assert err == ("error: line 9: learning_rate must be a positive finite number, "
+                       "got inf\n")
 
     @pytest.mark.parametrize("line, bad, message", [
         # 0.05 * 10 rows leaves the training split empty

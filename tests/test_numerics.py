@@ -1,12 +1,13 @@
 """Tests for the RNG, box domains, and the grid oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from paraconvex.exceptions import DimensionMismatch, NumericOverflow
+from paraconvex.exceptions import ConfigError, DimensionMismatch, NumericOverflow
 from paraconvex.numerics import (
     _DOUBLE_SCALE,
     _GOLDEN,
@@ -14,6 +15,7 @@ from paraconvex.numerics import (
     _MIX2,
     BoxDomain,
     Rng,
+    check_positive,
     grid_minimize,
     grid_nodes,
     sample_uniform_box,
@@ -157,6 +159,26 @@ class TestSampleUniformBox:
     def test_fractional_count_names_the_field(self):
         with pytest.raises(ValueError, match="count"):
             sample_uniform_box(BoxDomain.symmetric(1), 2.5, Rng(0))
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("value", [1e-300, 0.5, 1, np.float32(2.0), np.int64(3), 1e308])
+    def test_positive_finite_numbers_pass(self, value):
+        check_positive("rate", value)
+
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, np.nan, 0, 0.0, -1,
+                                       np.inf, -np.inf, [0.5]])
+    def test_anything_else_names_the_field(self, value):
+        with pytest.raises(ValueError, match=rf"^rate must be a positive finite number, "
+                                             rf"got {re.escape(repr(value))}$"):
+            check_positive("rate", value)
+
+    @pytest.mark.parametrize("value", [1, 1.0, 1.5, np.nan, 0.0])
+    def test_below_bounds_it_above(self, value):
+        with pytest.raises(ConfigError, match=rf"^ratio must lie strictly between 0 and 1, "
+                                              rf"got {re.escape(repr(value))}$"):
+            check_positive("ratio", value, ConfigError, below=1)
+        check_positive("ratio", 0.999, ConfigError, below=1)
 
 
 class TestGridNodes:

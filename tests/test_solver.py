@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -91,6 +92,10 @@ class TestSolveOptions:
             {"grad_tolerance": float("nan")},
             {"restarts": 0},
             {"grad_tolerance": float("inf")},
+            {"grad_tolerance": True},
+            {"grad_tolerance": "0.1"},
+            {"grad_tolerance": 0},
+            {"grad_tolerance": -1},
             {"max_iters": float("nan")},
             {"max_iters": float("inf")},
             {"max_iters": 2.5},
@@ -322,8 +327,10 @@ class TestDispatch:
     @pytest.mark.parametrize("x", [np.float64(0.3), np.zeros((1, 2)), np.zeros(3)],
                              ids=["0-d", "1xn", "wrong-length"])
     def test_condition_shape_is_a_typed_error(self, kind, x):
+        # check_rows' message on the batch of one minimize hands on
         net = init_network(kind, 2, 1, seed=0, I=3, hidden=(4,))
-        with pytest.raises(DimensionMismatch, match="length 2"):
+        message = f"X must be (B, 2), got {(1, *np.shape(x))}"
+        with pytest.raises(DimensionMismatch, match=rf"^{re.escape(message)}$"):
             minimize(net, x, BoxDomain.symmetric(1))
 
     def test_json_shape(self):

@@ -18,6 +18,7 @@ from paraconvex.exceptions import (
 from paraconvex.networks import (
     LEAKY_SLOPE,
     MlpParams,
+    batch_scores,
     clone_network,
     forward_batch,
     grad_u_batch,
@@ -90,6 +91,8 @@ class TestTrainConfig:
             {"seed": True},
             {"seed": np.int64(-3)},
             {"learning_rate": float("inf")},
+            *[{key: value} for key in ("learning_rate", "split_ratio")
+              for value in (True, "0.1", float("nan"), 0, -1, float("inf"))],
         ],
     )
     def test_validation(self, bad):
@@ -150,6 +153,16 @@ class TestInitNetwork:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             init_network("rbf", 1, 1, seed=0)
+
+    @pytest.mark.parametrize("kind, key, field", [
+        ("fnn", "I", "I"), ("ma", "I", "I"), ("plse", "I", "I"),
+        ("fnn", "hidden", "layer widths"), ("pma", "hidden", "layer widths"),
+    ])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_counts_are_integers(self, kind, key, field, value):
+        # I=True built a one-plane plse; a count names its field
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
+            init_network(kind, 2, 3, seed=1, **{key: value if key == "I" else (4, value)})
 
 
 class TestSplitDataset:
@@ -219,6 +232,8 @@ _ROW_ENTRIES = {
     "grad_u_batch": (lambda net, X, U, y: grad_u_batch(net, X, U), 2,
                      ("lse", "plse", "fnn")),
     "u_bank_batch": (lambda net, X, U, y: u_bank_batch(net, X), 1,
+                     ("ma", "lse", "pma", "plse")),
+    "batch_scores": (lambda net, X, U, y: batch_scores(net, X, U), 2,
                      ("ma", "lse", "pma", "plse")),
     "minimize_batch": (lambda net, X, U, y: minimize_batch(
         net, X, BoxDomain.symmetric(net.m)), 1, ("fnn", "ma", "lse", "pma", "plse")),

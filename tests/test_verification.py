@@ -295,6 +295,11 @@ class TestMoreauEnvelope:
         with pytest.raises(NumericOverflow, match="eta"):
             moreau_envelope(lambda U: U[:, 0], BoxDomain.symmetric(1), 1e-310, 11)
 
+    @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf"), True, "0.1"])
+    def test_eta_is_a_positive_finite_number(self, eta):
+        with pytest.raises(ValueError, match="^eta must be a positive finite number"):
+            moreau_envelope(lambda U: U[:, 0], BoxDomain.symmetric(1), eta, 11)
+
     def test_fractional_resolution_names_the_field(self):
         with pytest.raises(ValueError, match="resolution"):
             moreau_envelope(lambda U: U[:, 0], BoxDomain.symmetric(1), 0.5, 2.5)
