@@ -129,17 +129,19 @@ class ExperimentConfig:
     outdir: str = "bench_out"
 
     def __post_init__(self):
+        # each list read once, so a generator is checked and then kept
+        self.dims, self.kinds, self.seeds, self.hidden = map(
+            tuple, (self.dims, self.kinds, self.seeds, self.hidden))
+        for key in ("kinds", "dims", "seeds"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} list is empty")
         for n, m in self.dims:
             check_count("dims entries", n, ConfigError)
             check_count("dims entries", m, ConfigError)
-        # Python ints: json cannot write a NumPy integer into the report
-        self.dims = tuple((int(n), int(m)) for n, m in self.dims)
-        self.kinds = tuple(self.kinds)
-        for key in ("kinds", "dims"):
-            if not getattr(self, key):
-                raise ConfigError(f"{key} list is empty")
         for seed in self.seeds:
             check_count("seeds", seed, ConfigError, minimum=0)
+        # Python ints: json cannot write a NumPy integer into the report
+        self.dims = tuple((int(n), int(m)) for n, m in self.dims)
         self.seeds = tuple(int(s) for s in self.seeds)
         for kind in self.kinds:
             if kind not in ALL_KINDS:
@@ -151,8 +153,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} repeats an entry")
         for key, low in (("d", 10), ("planes", 1), ("surface_resolution", 2)):
             check_count(key, getattr(self, key), ConfigError, minimum=low)
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
         check_positive("temperature", self.temperature, ConfigError)
         for h in self.hidden:
             check_count("hidden widths", h, ConfigError)

@@ -89,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="minimize a stored model for one condition")
     p_solve.add_argument("--model", required=True, help="model JSON path")
     p_solve.add_argument("--x", required=True, help="condition, comma-separated")
-    p_solve.add_argument("--tol", type=float, default=1e-6)
-    p_solve.add_argument("--max-iters", type=int, default=500)
-    p_solve.add_argument("--restarts", type=int, default=16)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--tol", type=float, default=SolveOptions.grad_tolerance)
+    p_solve.add_argument("--max-iters", type=int, default=SolveOptions.max_iters)
+    p_solve.add_argument("--restarts", type=int, default=SolveOptions.restarts)
+    p_solve.add_argument("--seed", type=int, default=SolveOptions.seed)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_check = sub.add_parser("check", help="run property check suites")

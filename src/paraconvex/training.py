@@ -7,10 +7,12 @@ so a (seed, data, config) triple reproduces training bit for bit.
 
 Every kind's parameters are the layers of its net `mlp` (a fixed bank's is
 one layer over [x; u]), reshaped views of the net's one float64 vector
-`mlp.flat`. Every step of a `train` call runs in one TrainWorkspace: a
-step traces the net, writes the output gradient over its outputs, makes
-one reverse pass into a gradient net shaped like the net and ends with one
-in-place Adam update of `mlp.flat` from the gradient's `flat`. lse/plse
+`mlp.flat`. A `train` call allocates one networks.MlpWorkspace over the
+net and one gradient net shaped like it, and every step runs in them
+through one kernel, `_weight_gradients`: it traces the minibatch, writes
+the output gradient over the outputs, makes one reverse pass into the
+gradient net and returns the batch's sum of squared residuals; then one
+in-place Adam update of `mlp.flat` reads the gradient's `flat`. lse/plse
 take the prediction and softmax weights from one exponential. It all gives
 the bits of allocating every array and updating array by array.
 
@@ -23,8 +25,8 @@ PreparedSplit: the split, then every epoch's row order, drawn from
 Rng(cfg.seed). Given a Dataset, it prepares that split itself; a caller
 prepares it once so that several nets train on one split in one set of
 orders. One loop runs the epochs: it gathers each minibatch and runs the
-epoch's steps through the gradient core under one np.errstate, without
-`weight_gradients`' per-call checks.
+epoch's steps through that kernel under one np.errstate, without
+`weight_gradients`' per-call checks and allocations.
 """
 
 from __future__ import annotations
@@ -156,70 +158,53 @@ def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray) -> float
         return float(np.mean(r * r))
 
 
-class TrainWorkspace:
-    """A net's buffers for steps over up to `rows` rows: `grads`, an
-    MlpParams shaped like the net; the step's MlpWorkspace `mlp`; and
-    `sse`, the last step's sum of squared residuals before its update."""
-
-    def __init__(self, net: Network, rows: int):
-        self.grads = MlpParams(net.mlp.weights, net.mlp.biases)  # each step overwrites it
-        self.mlp = MlpWorkspace(net.mlp, rows)
-        self.sse = 0.0
-
-
-def weight_gradients(
-    net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray,
-    ws: TrainWorkspace | None = None,
-) -> MlpParams:
+def weight_gradients(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray) -> MlpParams:
     """Gradient of mse_loss w.r.t. the parameters of net.mlp, as a net of
-    the same shapes.
-
-    Returns the `grads` of `ws`, or of a workspace made for the call, valid
-    until its next step or Adam update, and leaves the batch's sum of
-    squared residuals pred - y in its `sse`.
+    the same shapes, in arrays allocated for the call.
 
     The max in ma/pma routes gradient to the active plane only (lowest index
     on ties), the standard subgradient choice for max-affine training.
     """
     X, U, y = check_rows(net.n, net.m, X, U, y)
-    B = y.shape[0]
-    if B == 0:
+    if len(y) == 0:
         raise ValueError("batch must be nonempty")
-    if ws is None:
-        ws = TrainWorkspace(net, B)
-    elif B > len(ws.mlp.Z):
-        raise DimensionMismatch(f"batch of {B} rows, workspace for {len(ws.mlp.Z)}")
+    grads = MlpParams(net.mlp.weights, net.mlp.biases)
     # a run heading for divergence may pass non-finite values through here;
     # the train loop's loss check owns that failure, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        _weight_gradients(net, X, U, y, B, ws)
-    return ws.grads
+        _weight_gradients(net, X, U, y, MlpWorkspace(net.mlp, len(y)), grads)
+    return grads
 
 
-def _weight_gradients(net, X, U, y, B, ws):
+def _weight_gradients(net, X, U, y, ws: MlpWorkspace, grads: MlpParams) -> float:
+    """One training step's gradient: trace the B = len(y) rows in ws, an
+    MlpWorkspace over net.mlp (fixed = 0) of at least B rows, write the
+    gradient of the batch's MSE into grads, an MlpParams shaped like the
+    net, and return the batch's sum of squared residuals pred - y."""
+    B = len(y)
     # the net reads x alone (pma/plse) or [x; u]; the output gradient
     # overwrites its outputs
-    Z = ws.mlp.Z[:B]
+    Z = ws.Z[:B]
     if net.mlp.n_in == net.n:
         Z[...] = X
     else:
         Z[:, : net.n], Z[:, net.n :] = X, U
-    out = ws.mlp.forward(B)
+    out = ws.forward(B)
     if isinstance(net, FeedforwardNet):
         r = np.subtract(out[:, 0], y, out=out[:, 0])
-        ws.sse = float(np.sum(r * r))
+        sse = float(np.sum(r * r))
         out *= 2.0 / B
     elif not net.parameterized:
         # the outputs are the plane scores; d pred / d score_i is w_i
         pred, w = bank_weights(out, net.T)
         r = pred - y
-        ws.sse = float(np.sum(r * r))
+        sse = float(np.sum(r * r))
         np.multiply(w, ((2.0 / B) * r)[:, None], out=out)
     else:
         A_x, b_x = embedded_bank(net, out)
         pred, w = bank_weights(bank_scores(A_x, U, b_x), net.T)
         r = pred - y
-        ws.sse = float(np.sum(r * r))
+        sse = float(np.sum(r * r))
         # in the bank's layout: d pred / d A_x[i, j] is w_i * u_j and
         # d pred / d b_x[i] is w_i. One einsum fills the strided A_x in one
         # pass; its products are a broadcast multiply's bits, except that
@@ -228,7 +213,8 @@ def _weight_gradients(net, X, U, y, B, ws):
         # gradient never reaches Adam's moments (see adam_step)
         np.multiply(w, ((2.0 / B) * r)[:, None], out=b_x)
         np.einsum("bi,bj->bij", b_x, U, out=A_x)
-    ws.mlp.backward(B, out, ws.grads)
+    ws.backward(B, out, grads)
+    return sse
 
 
 # --- Adam ------------------------------------------------------------------
@@ -348,7 +334,8 @@ def train(
         raise DimensionMismatch("dataset dims do not match the network")
     net = clone_network(net)
     state = AdamState.for_params(net.mlp.flat)
-    ws = TrainWorkspace(net, min(cfg.batch_size, train_ds.size))
+    ws = MlpWorkspace(net.mlp, min(cfg.batch_size, train_ds.size))
+    grads = MlpParams(net.mlp.weights, net.mlp.biases)  # each step overwrites it
     X, U, y, size = train_ds.X, train_ds.U, train_ds.y, train_ds.size
     batch = cfg.batch_size
     train_losses, test_losses, epoch_times = [], [], []
@@ -360,9 +347,8 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, size, batch):
                 idx = perm[start : start + batch]
-                _weight_gradients(net, X[idx], U[idx], y[idx], len(idx), ws)
-                sse += ws.sse
-                adam_step(state, net.mlp.flat, ws.grads.flat, cfg.learning_rate)
+                sse += _weight_gradients(net, X[idx], U[idx], y[idx], ws, grads)
+                adam_step(state, net.mlp.flat, grads.flat, cfg.learning_rate)
         tr = sse / size
         try:
             te = mse_loss(net, test_ds.X, test_ds.U, test_ds.y)

@@ -75,8 +75,12 @@ def check_sandwich(
     """Random smooth/nonsmooth twin pairs at random dims up to `dims`:
     0 <= smooth - nonsmooth <= T * log I must hold at every sampled (x, u)."""
     check_count("trials", trials)
-    rng = Rng(seed)
     n_max, m_max = dims
+    check_count("dims entries", n_max)
+    check_count("dims entries", m_max)
+    check_count("I", I)
+    check_positive("T", T)
+    rng = Rng(seed)
     upper = T * np.log(I)
     worst = -np.inf
     for _ in range(trials):

@@ -130,10 +130,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(surface_resolution=1)
 
-    @pytest.mark.parametrize("key", ["kinds", "dims"])
+    @pytest.mark.parametrize("key", ["kinds", "dims", "seeds"])
     def test_empty_list_rejected_in_code(self, key):
         with pytest.raises(ConfigError, match=f"^{key} list is empty$"):
             ExperimentConfig(**{key: ()})
+
+    def test_generator_lists_read_once(self):
+        # a generator was consumed by the entry checks and then reported
+        # as empty ("seeds must be nonempty"), or trained every cell with
+        # no hidden layer
+        lists = {"dims": ((1, 1), (2, 3)), "kinds": ("ma", "plse"), "seeds": (0, 1),
+                 "hidden": (8, 4)}
+        made = ExperimentConfig(**{k: (e for e in v) for k, v in lists.items()})
+        assert made == ExperimentConfig(**lists)
+        assert (made.dims, made.kinds, made.seeds, made.hidden) == tuple(lists.values())
 
     @pytest.mark.parametrize("key,entries", [
         ("dims", ((1, 1), (2, 3), (1, 1))),

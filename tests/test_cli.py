@@ -11,6 +11,7 @@ import pytest
 import paraconvex
 from paraconvex import cli
 from paraconvex.networks import Bank, MlpParams, forward_batch, load_model, save_model
+from paraconvex.solver import SolveOptions
 from paraconvex.training import init_network
 from paraconvex.verification import CheckReport
 
@@ -242,6 +243,12 @@ class TestSolve:
             ["solve", "--model", model_path, "--x", "0.1,0.1", "--tol", tol], capsys)
         assert rc == 2 and out == ""
         assert err.startswith("error:") and "grad_tolerance" in err
+
+    def test_defaults_are_solve_options(self):
+        args = cli.build_parser().parse_args(["solve", "--model", "m.json", "--x", "0.1"])
+        opts = SolveOptions()
+        assert (args.tol, args.max_iters, args.restarts, args.seed) == (
+            opts.grad_tolerance, opts.max_iters, opts.restarts, opts.seed)
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")

@@ -18,6 +18,7 @@ from paraconvex.exceptions import (
 from paraconvex.networks import (
     LEAKY_SLOPE,
     MlpParams,
+    MlpWorkspace,
     batch_scores,
     clone_network,
     forward_batch,
@@ -31,7 +32,6 @@ from paraconvex.training import (
     AdamState,
     Dataset,
     TrainConfig,
-    TrainWorkspace,
     adam_step,
     init_mlp,
     init_network,
@@ -260,8 +260,6 @@ class TestMisShapedRows:
                 mse_loss(net, *args)
             with pytest.raises(DimensionMismatch):
                 weight_gradients(net, *args)
-            with pytest.raises(DimensionMismatch):
-                weight_gradients(net, *args, TrainWorkspace(net, 8))
 
     @pytest.mark.parametrize("entry, kind", _ENTRY_KINDS)
     def test_rejected_by_every_entry(self, entry, kind):
@@ -707,14 +705,22 @@ class TestFastStepMatchesReference:
 KINDS = ["fnn", "ma", "lse", "pma", "plse"]
 
 
-def _assert_gradients_equal(net, ws, X, U, y):
-    got = weight_gradients(net, X, U, y, ws).arrays()
+def _assert_gradients_equal(net, ws, grads, X, U, y):
+    sse = training._weight_gradients(net, X, U, y, ws, grads)
     ref, resid = _reference_weight_gradients(net, X, U, y)
+    got = grads.arrays()
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
         assert g.shape == r.shape
         assert_array_equal(g, r)
-    assert ws.sse == float(np.sum(resid * resid))
+    assert sse == float(np.sum(resid * resid))
+
+
+def _gradient_net(net):
+    # filled with NaN, so a layer the kernel leaves unwritten fails the test
+    grads = MlpParams(net.mlp.weights, net.mlp.biases)
+    grads.flat[:] = np.nan
+    return grads
 
 
 def _batch(n, m, k, rng):
@@ -723,9 +729,9 @@ def _batch(n, m, k, rng):
 
 
 class TestWorkspace:
-    """One TrainWorkspace serves every step of a train call; the gradients
-    and the residual sum it gives must be the reference arithmetic's bit for
-    bit."""
+    """One MlpWorkspace and one gradient net serve every step of a train
+    call; the gradients and the residual sum the step kernel gives in them
+    must be the reference arithmetic's bit for bit."""
 
     def test_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -745,27 +751,21 @@ class TestWorkspace:
         )
         def check(kind, n, m, hidden, I, rows, counts, seed):
             net = init_network(kind, n, m, seed=seed, I=I, hidden=tuple(hidden))
-            ws = TrainWorkspace(net, rows)
+            ws, grads = MlpWorkspace(net.mlp, rows), _gradient_net(net)
             rng = np.random.default_rng(seed)
             # batches of one row, full and ragged, in the drawn order
             for k in [min(c, rows) for c in counts] + [rows, 1]:
-                _assert_gradients_equal(net, ws, *_batch(n, m, k, rng))
+                _assert_gradients_equal(net, ws, grads, *_batch(n, m, k, rng))
 
         check()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_batches_of_every_size_in_any_order(self, kind):
         net = init_network(kind, 2, 3, seed=21, I=5, hidden=(9, 6))
-        ws = TrainWorkspace(net, 32)
+        ws, grads = MlpWorkspace(net.mlp, 32), _gradient_net(net)
         rng = np.random.default_rng(22)
         for k in (32, 7, 1, 32, 1, 19, 7):
-            _assert_gradients_equal(net, ws, *_batch(2, 3, k, rng))
-
-    def test_batch_larger_than_workspace(self):
-        net = init_network("plse", 1, 1, seed=1, I=3, hidden=(4,))
-        ws = TrainWorkspace(net, 4)
-        with pytest.raises(DimensionMismatch):
-            weight_gradients(net, *_batch(1, 1, 5, np.random.default_rng(0)), ws)
+            _assert_gradients_equal(net, ws, grads, *_batch(2, 3, k, rng))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_repeat_in_process_is_byte_identical(self, kind):

@@ -1,6 +1,7 @@
 """Tests for the property checks and the envelope machinery."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -407,16 +408,31 @@ class TestCheckEnvelopeProperties:
                                       resolution=11)
 
 
-@pytest.mark.parametrize("check", [
-    lambda: check_sandwich(trials=0),
-    lambda: check_gradients(trials=0),
-    lambda: check_gradients(kinds=()),
-    lambda: check_envelope_properties(lambda U: U[:, 0] ** 2, [],
-                                      BoxDomain.symmetric(1), resolution=11),
-], ids=["sandwich-trials", "gradients-trials", "gradients-kinds", "envelope-etas"])
-def test_check_that_samples_nothing_rejected(check):
-    # a report of samples=0 would read passed=True
-    with pytest.raises(ValueError, match="must be"):
+@pytest.mark.parametrize("check, message", [
+    (lambda: check_sandwich(trials=0), "trials must be >= 1"),
+    (lambda: check_gradients(trials=0), "trials must be >= 1"),
+    (lambda: check_gradients(kinds=()), "kinds must be nonempty"),
+    (lambda: check_envelope_properties(lambda U: U[:, 0] ** 2, [],
+                                       BoxDomain.symmetric(1), resolution=11),
+     "etas must be nonempty and strictly decreasing"),
+    (lambda: check_sandwich(trials=1, T="0.1"),
+     "T must be a positive finite number, got '0.1'"),
+    (lambda: check_sandwich(trials=1, T=0.0), "T must be a positive finite number, got 0.0"),
+    (lambda: check_sandwich(trials=1, dims=(1.5, 2)),
+     "dims entries must be an integer, got 1.5"),
+    (lambda: check_sandwich(trials=1, dims=(0, 2)), "dims entries must be >= 1"),
+    (lambda: check_sandwich(trials=1, dims=(2, True)),
+     "dims entries must be an integer, got True"),
+    (lambda: check_sandwich(trials=1, I=0), "I must be >= 1"),
+    (lambda: check_sandwich(trials=1, I=2.0), "I must be an integer, got 2.0"),
+], ids=["sandwich-trials", "gradients-trials", "gradients-kinds", "envelope-etas",
+        "sandwich-T-string", "sandwich-T-zero", "sandwich-dims-float", "sandwich-dims-zero",
+        "sandwich-dims-bool", "sandwich-I-zero", "sandwich-I-float"])
+def test_check_that_samples_nothing_rejected(check, message):
+    # a report of samples=0 would read passed=True. Unchecked, a sandwich
+    # T of "0.1" raised a bare TypeError, a dims bound of 1.5 or 0 was
+    # truncated into the dims drawn, and I = 0 warned of log(0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check()
 
 
