@@ -90,25 +90,28 @@ def make_benchmark_dataset(n: int, m: int, d: int, rng: Rng) -> Dataset:
 # --- configuration -----------------------------------------------------------
 
 
+def _parse_list(text: str, item) -> tuple:
+    """A comma list's entries, each stripped and read by item; empty ones skipped."""
+    return tuple(item(p.strip()) for p in text.split(",") if p.strip())
+
+
+def _parse_dims_entry(text: str) -> tuple[int, int]:
+    try:
+        n, m = (int(p) for p in text.lower().split("x"))
+    except ValueError:
+        raise ConfigError(f"bad dims entry {text!r}, expected NxM") from None
+    return n, m
+
+
 def parse_dims(text: str) -> tuple:
     """"1x1,61x20" -> ((1, 1), (61, 20)); ExperimentConfig checks the
     list is not empty."""
-    dims = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            n, m = (int(p) for p in part.lower().split("x"))
-        except ValueError:
-            raise ConfigError(f"bad dims entry {part!r}, expected NxM") from None
-        dims.append((n, m))
-    return tuple(dims)
+    return _parse_list(text, _parse_dims_entry)
 
 
 def parse_kinds(text: str) -> tuple:
     """"plse, ma" -> ("plse", "ma"); ExperimentConfig checks the names."""
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+    return _parse_list(text, str)
 
 
 @dataclass
@@ -171,10 +174,6 @@ class ExperimentConfig:
         return min(self.d, REDUCED_D), min(self.epochs, REDUCED_EPOCHS)
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
 def _parse_bool(text: str) -> bool:
     if text.lower() not in ("true", "false", "0", "1"):
         raise ConfigError("full must be boolean")
@@ -185,8 +184,8 @@ def _parse_bool(text: str) -> bool:
 _CONFIG_PARSERS = {
     "dims": parse_dims,
     "kinds": parse_kinds,
-    "seeds": _parse_ints,
-    "hidden": _parse_ints,
+    "seeds": lambda text: _parse_list(text, int),
+    "hidden": lambda text: _parse_list(text, int),
     "full": _parse_bool,
     **{
         f.name: type(f.default)

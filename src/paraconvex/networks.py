@@ -241,6 +241,16 @@ class MlpWorkspace:
         return self.forward(k)[:, 0], self.backward(k, None)
 
 
+def _check_dims_and_seed(net: Network) -> None:
+    """check_count's rule on a net's n, m and seed (None or >= 0); the seed
+    is kept as a Python int, which the model format writes and reads."""
+    check_count("n", net.n)
+    check_count("m", net.m)
+    if net.seed is not None:
+        check_count("seed", net.seed, minimum=0)
+        net.seed = int(net.seed)
+
+
 @dataclass
 class FeedforwardNet:
     kind: ClassVar[str] = "fnn"
@@ -250,8 +260,7 @@ class FeedforwardNet:
     seed: int | None = None
 
     def __post_init__(self):
-        check_count("n", self.n)
-        check_count("m", self.m)
+        _check_dims_and_seed(self)
         if self.mlp.n_in != self.n + self.m or self.mlp.n_out != 1:
             raise DimensionMismatch("fnn mlp must map n+m inputs to one output")
 
@@ -275,8 +284,7 @@ class Bank:
     seed: int | None = None
 
     def __post_init__(self):
-        check_count("n", self.n)
-        check_count("m", self.m)
+        _check_dims_and_seed(self)
         if self.parameterized:
             if self.mlp.n_out % (self.m + 1):
                 raise DimensionMismatch(
@@ -382,19 +390,14 @@ def batch_scores(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def shifted_lse(scores: np.ndarray, T: float) -> np.ndarray:
-    """T * log sum exp(scores/T) over the last axis, stabilized by
-    subtracting the max first."""
-    top = np.max(scores, axis=-1, keepdims=True)
-    e = scores - top
-    e /= T
-    np.exp(e, out=e)
-    return T * np.log(np.sum(e, axis=-1)) + top[..., 0]
+    """T * log sum exp(scores/T) over the planes of scores (B, I): bank_weights'."""
+    return bank_weights(scores, T)[0]
 
 
 def bank_values(S: np.ndarray, T: float | None) -> np.ndarray:
     """Values (B,) of banks at plane scores S (B, I): the max for T None,
-    else the T-log-sum-exp. Equal to bank_weights(S, T)[0], without the
-    cost of the weights."""
+    else the T-log-sum-exp. Equal to bank_weights(S, T)[0]; a max skips
+    the one-hot weights."""
     return S.max(1) if T is None else shifted_lse(S, T)
 
 
@@ -402,8 +405,7 @@ def bank_weights(S: np.ndarray, T: float | None) -> tuple[np.ndarray, np.ndarray
     """bank_values(S, T) and their weights (B, I) over the planes: for T
     None the one-hot of the argmax (lowest index on ties), else the
     softmax exp((S - max) / T) normalized over each row, from the same
-    shifted exponential as the log-sum-exp, whose bits equal
-    shifted_lse(S, T)."""
+    shifted exponential as the log-sum-exp."""
     if T is not None:
         top = S.max(axis=1, keepdims=True)
         e = np.exp((S - top) / T)
@@ -412,6 +414,12 @@ def bank_weights(S: np.ndarray, T: float | None) -> tuple[np.ndarray, np.ndarray
     onehot = np.zeros_like(S)
     onehot[np.arange(S.shape[0]), np.argmax(S, axis=1)] = 1.0
     return S.max(1), onehot
+
+
+def bank_grad(P: np.ndarray, A_u: np.ndarray) -> np.ndarray:
+    """Row-wise P[b] @ A_u[b] (B, m): the u-gradient of banks A_u (B, I, m)
+    whose planes carry the weights P (B, I), such as bank_weights'."""
+    return (P[:, None, :] @ A_u)[:, 0, :]
 
 
 # --- evaluation ------------------------------------------------------------
@@ -466,7 +474,7 @@ def grad_u_batch(net: Network, X: np.ndarray, U: np.ndarray) -> np.ndarray:
             # the plane slopes weighted by the softmax; overflowed scores raise
             A_u, c = u_bank_batch(net, X)
             S = _finite(net, bank_scores(A_u, U, c), "scoring")
-            out = (bank_weights(S, net.T)[1][:, None, :] @ A_u)[:, 0, :]
+            out = bank_grad(bank_weights(S, net.T)[1], A_u)
     return _finite(net, out, "gradient")
 
 
@@ -556,9 +564,7 @@ def _model_from_doc(doc: dict) -> Network:
     if type(version) is not int or version != FORMAT_VERSION:  # a bool is no version
         raise ValueError(f"unsupported model format_version {version!r}")
     kind, n, m = doc["kind"], doc["n"], doc["m"]
-    seed = doc.get("seed")
-    if seed is not None:
-        check_count("seed", seed, minimum=0)
+    seed = doc.get("seed")  # the net checks it
     T, I = doc.get("T"), doc["I"]
     if kind == "fnn":
         if T is not None or I is not None:

@@ -19,6 +19,7 @@ Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ class Rng:
     """SplitMix64 stream. Identical seed gives a bit-identical stream."""
 
     def __init__(self, seed: int):
-        self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        # any integer, NumPy's too (a bare np.int64 & 2**64 - 1 overflows)
+        self.seed = np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
     def next_uint64(self, count: int = 1) -> np.ndarray:

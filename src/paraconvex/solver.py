@@ -51,6 +51,7 @@ from .networks import (
     FeedforwardNet,
     MlpWorkspace,
     Network,
+    bank_grad,
     bank_scores,
     bank_values,
     bank_weights,
@@ -143,11 +144,6 @@ def first_order_gap(g: np.ndarray, u: np.ndarray, domain: BoxDomain):
 def _bank_scores(A, U, c):
     """Plane values (B, I) of banks A (B, I, m), c (B, I) at points U (B, m)."""
     return (A @ U[:, :, None])[:, :, 0] + c
-
-
-def _bank_grad(P, A):
-    """Row-wise P[b] @ A[b]: the gradient (B, m) for softmax weights P (B, I)."""
-    return (P[:, None, :] @ A)[:, 0, :]
 
 
 def _start(live, domain):
@@ -245,7 +241,7 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
     D = np.zeros(len(U))
     A, c, u, it = A[rows], c[rows], U[rows], iters[rows]
     f, p = bank_weights(_bank_scores(A, u, c), T)
-    g = _bank_grad(p, A)
+    g = bank_grad(p, A)
     if traces is not None:
         for r, v in zip(rows, f):
             traces[r].append(float(v))
@@ -286,7 +282,7 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
                                     s[rest], T, domain)
         np.copyto(u, cand, where=accept[:, None])
         np.copyto(f, f_cand, where=accept)
-        np.copyto(g, _bank_grad(p_cand, A), where=accept[:, None])
+        np.copyto(g, bank_grad(p_cand, A), where=accept[:, None])
         it += accept
         if traces is not None:
             for r, v in zip(rows[accept], f[accept]):
@@ -345,7 +341,7 @@ def _lp_batch(A, c, live, domain, opts, traces):
     S = _bank_scores(A, u, c)
     top = S.max(1)
     spread = np.maximum(1.0, top - S.min(1))
-    g = _bank_grad(np.full((B, I), 1.0 / I), A)
+    g = bank_grad(np.full((B, I), 1.0 / I), A)
     balance = (spread / I)[:, None] / half
     s = np.hstack([(top + spread)[:, None] - S, np.tile(half, (B, 2))])
     z = np.hstack([np.full((B, I), 1.0 / I), np.maximum(-g, 0.0) + balance,
@@ -359,7 +355,7 @@ def _lp_batch(A, c, live, domain, opts, traces):
     while rows.size:
         f = _bank_scores(A, u, c).max(1)
         lam = z[:, :I] / z[:, :I].sum(1, keepdims=True)
-        g = _bank_grad(lam, A)
+        g = bank_grad(lam, A)
         # any lam gives a bound, so keep the best one seen
         bound = np.maximum(bound, (lam * c).sum(1) + np.minimum(g * lo, g * hi).sum(1))
         if traces is not None:
@@ -398,7 +394,7 @@ def _lp_batch(A, c, live, domain, opts, traces):
         def direction(rc):
             q = rc / s
             rhs = np.empty((len(rows), m + 1))
-            rhs[:, :m] = _bank_grad(q[:, :I], A) + q[:, I : I + m] - q[:, I + m :]
+            rhs[:, :m] = bank_grad(q[:, :I], A) + q[:, I : I + m] - q[:, I + m :]
             rhs[:, m] = -q[:, :I].sum(1)
             d = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
             du, dt = d[:, :m], d[:, m:]

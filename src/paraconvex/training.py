@@ -32,7 +32,7 @@ epoch's steps through that kernel under one np.errstate, without
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,9 +104,6 @@ class TrainReport:
     wall_time_s: float
     epoch_times_s: list = field(default_factory=list)  # per epoch, test loss included
 
-    def to_json(self) -> dict:
-        return {"epochs": len(self.train_losses), **asdict(self)}
-
 
 # --- initialization --------------------------------------------------------
 
@@ -135,6 +132,7 @@ def init_network(
     hidden: tuple = (64, 64),
 ) -> Network:
     """Fresh network of the given kind with Xavier weights and zero biases."""
+    check_count("seed", seed, minimum=0)  # before Rng masks it to 64 bits
     check_count("I", I)  # xavier_init checks the widths
     widths = {"fnn": [n + m, *hidden, 1], "ma": [n + m, I], "lse": [n + m, I],
               "pma": [n, *hidden, (m + 1) * I], "plse": [n, *hidden, (m + 1) * I]}
@@ -152,6 +150,8 @@ def init_network(
 def mse_loss(net: Network, X: np.ndarray, U: np.ndarray, y: np.ndarray) -> float:
     """MSE at rows (X, U), in arrays allocated for the call."""
     X, U, y = check_rows(net.n, net.m, X, U, y)
+    if len(y) == 0:
+        raise ValueError("batch must be nonempty")
     r = forward_batch(net, X, U) - y
     # an overflowing square is the divergence signal the trainer checks for
     with np.errstate(over="ignore"):
@@ -224,19 +224,13 @@ def _weight_gradients(net, X, U, y, ws: MlpWorkspace, grads: MlpParams) -> float
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
 class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    """Adam's state for updates of parameters shaped like p: the moments m
+    and v at zero, the step count t at 0, and a scratch buffer."""
 
-    def __post_init__(self):
-        self.scratch = np.empty_like(self.m)
-
-    @staticmethod
-    def for_params(p: np.ndarray) -> "AdamState":
-        return AdamState(m=np.zeros_like(p), v=np.zeros_like(p))
+    def __init__(self, p: np.ndarray):
+        self.m, self.v, self.scratch = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
+        self.t = 0
 
 
 def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float) -> None:
@@ -333,7 +327,7 @@ def train(
     if train_ds.n != net.n or train_ds.m != net.m:
         raise DimensionMismatch("dataset dims do not match the network")
     net = clone_network(net)
-    state = AdamState.for_params(net.mlp.flat)
+    state = AdamState(net.mlp.flat)
     ws = MlpWorkspace(net.mlp, min(cfg.batch_size, train_ds.size))
     grads = MlpParams(net.mlp.weights, net.mlp.biases)  # each step overwrites it
     X, U, y, size = train_ds.X, train_ds.U, train_ds.y, train_ds.size

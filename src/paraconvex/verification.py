@@ -80,6 +80,7 @@ def check_sandwich(
     check_count("dims entries", m_max)
     check_count("I", I)
     check_positive("T", T)
+    check_count("seed", seed, minimum=0)
     rng = Rng(seed)
     upper = T * np.log(I)
     worst = -np.inf
@@ -126,6 +127,7 @@ def check_convexity(
         raise UnsupportedNetwork("fnn carries no convexity guarantee to check")
     check_count("x_samples", x_samples)
     check_count("u_pairs", u_pairs)
+    check_count("seed", seed, minimum=0)
     rng = Rng(seed)
     n, m = net.n, net.m
     X = rng.uniform_in(-1.0, 1.0, x_samples * n).reshape(-1, n)
@@ -189,6 +191,7 @@ def check_gradients(
     bad = set(kinds) - {"fnn", "lse", "plse"}
     if bad:
         raise UnsupportedNetwork(f"no smooth u-gradient for kinds {sorted(bad)}")
+    check_count("seed", seed, minimum=0)
     rng = Rng(seed)
     worst = 0.0
     count = 0

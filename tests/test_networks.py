@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -561,6 +562,39 @@ class TestSerialization:
     def test_good_seed_kept(self, seed):
         for net in self._nets():
             assert model_from_json(dict(model_to_json(net), seed=seed)).seed == seed
+
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, 2**64 - 1, np.int64(5)],
+                             ids=["0", "7", "2**31-1", "2**64-1", "np.int64(5)"])
+    def test_every_built_net_loads_back(self, kind, seed, tmp_path):
+        # a NumPy seed overflowed Rng, and a saved net's seed must be one
+        # load_model accepts
+        net = init_network(kind, 2, 1, seed=seed, I=3, hidden=(4,))
+        assert type(net.seed) is int and net.seed == seed
+        save_model(net, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        header = {k: v for k, v in model_to_json(net).items() if k != "weights"}
+        assert {k: v for k, v in model_to_json(loaded).items() if k != "weights"} == header
+        assert_array_equal(loaded.mlp.flat, net.mlp.flat)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("1", "seed must be an integer, got '1'"),
+    ], ids=["negative", "bool", "float", "string"])
+    def test_bad_seed_rejected_when_built(self, seed, message):
+        # each once built a net that save_model wrote and load_model refused,
+        # or raised a bare TypeError from Rng
+        rng = np.random.default_rng(3)
+        builds = [
+            lambda: init_network("plse", 2, 1, seed=seed, I=3, hidden=(4,)),
+            lambda: Bank(n=2, m=1, mlp=_random_mlp([3, 4], rng), seed=seed),
+            lambda: FeedforwardNet(n=2, m=1, mlp=_random_mlp([3, 4, 1], rng), seed=seed),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
 
     @pytest.mark.parametrize("key, value", [("T", "hot"), ("T", 0.1), ("I", 99),
                                             ("I", 0)])

@@ -60,6 +60,12 @@ class TestRng:
             assert got.tobytes() == want.tobytes()
             start += count
 
+    @pytest.mark.parametrize("seed", [np.int64(0), np.int64(42), np.int64(-3),
+                                      np.uint64(2**64 - 1), np.int32(7)])
+    def test_numpy_integer_seed_draws_the_python_int_stream(self, seed):
+        # a NumPy seed raised OverflowError: np.int64 & (2**64 - 1) has no C long
+        assert_array_equal(Rng(seed).next_uint64(5), Rng(int(seed)).next_uint64(5))
+
     def test_concatenated_draws_equal_one_draw(self):
         for method in ("next_uint64", "uniform"):
             a, b = Rng(5), Rng(5)

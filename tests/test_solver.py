@@ -283,6 +283,15 @@ class TestMinimizeFnn:
         assert_array_equal(a.u_star, b.u_star)
         assert a.value == b.value
 
+    def test_numpy_integer_seed_solves_as_its_int(self):
+        # a NumPy seed passed SolveOptions' check, then Rng raised OverflowError
+        net = init_network("fnn", 1, 2, seed=55, hidden=(8, 8))
+        x, dom = np.array([0.2]), BoxDomain.symmetric(2)
+        a = minimize(net, x, dom, SolveOptions(seed=np.int64(9), restarts=3))
+        b = minimize(net, x, dom, SolveOptions(seed=9, restarts=3))
+        assert_array_equal(a.u_star, b.u_star)
+        assert a.value == b.value
+
     def test_monotone_best_value(self):
         net = init_network("fnn", 1, 2, seed=56, hidden=(8, 8))
         res = minimize(net, np.array([0.4]), BoxDomain.symmetric(2),
@@ -1282,7 +1291,7 @@ def _serial_pg_batch(A, c, live, T, domain, opts, traces):
     D = np.zeros(len(U))
     A, c, u, it = A[rows], c[rows], U[rows], iters[rows]
     f, p = bank_weights(solver_module._bank_scores(A, u, c), T)
-    g = solver_module._bank_grad(p, A)
+    g = solver_module.bank_grad(p, A)
     if traces is not None:
         for r, v in zip(rows, f):
             traces[r].append(float(v))
@@ -1314,7 +1323,7 @@ def _serial_pg_batch(A, c, live, T, domain, opts, traces):
         bad = ~np.isfinite(f_cand)
         accept = f_cand <= f + solver_module._ARMIJO * (g * (cand - u)).sum(axis=1)
         u[accept], f[accept] = cand[accept], f_cand[accept]
-        g[accept] = solver_module._bank_grad(p[accept], A[accept])
+        g[accept] = solver_module.bank_grad(p[accept], A[accept])
         it[accept] += 1
         s = np.where(accept, 2.0 * s, solver_module._BACKTRACK * s)
         if traces is not None:

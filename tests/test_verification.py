@@ -425,13 +425,29 @@ class TestCheckEnvelopeProperties:
      "dims entries must be an integer, got True"),
     (lambda: check_sandwich(trials=1, I=0), "I must be >= 1"),
     (lambda: check_sandwich(trials=1, I=2.0), "I must be an integer, got 2.0"),
+    (lambda: check_sandwich(trials=1, seed=-1), "seed must be >= 0"),
+    (lambda: check_sandwich(trials=1, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: check_sandwich(trials=1, seed="1"), "seed must be an integer, got '1'"),
+    (lambda: check_convexity(init_network("lse", 1, 1, seed=0, I=2), 1, 1, seed=-1),
+     "seed must be >= 0"),
+    (lambda: check_convexity(init_network("lse", 1, 1, seed=0, I=2), 1, 1, seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda: check_convexity(init_network("lse", 1, 1, seed=0, I=2), 1, 1, seed="1"),
+     "seed must be an integer, got '1'"),
+    (lambda: check_gradients(trials=1, seed=-1), "seed must be >= 0"),
+    (lambda: check_gradients(trials=1, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: check_gradients(trials=1, seed="1"), "seed must be an integer, got '1'"),
 ], ids=["sandwich-trials", "gradients-trials", "gradients-kinds", "envelope-etas",
         "sandwich-T-string", "sandwich-T-zero", "sandwich-dims-float", "sandwich-dims-zero",
-        "sandwich-dims-bool", "sandwich-I-zero", "sandwich-I-float"])
+        "sandwich-dims-bool", "sandwich-I-zero", "sandwich-I-float",
+        "sandwich-seed-negative", "sandwich-seed-float", "sandwich-seed-string",
+        "convexity-seed-negative", "convexity-seed-float", "convexity-seed-string",
+        "gradients-seed-negative", "gradients-seed-float", "gradients-seed-string"])
 def test_check_that_samples_nothing_rejected(check, message):
     # a report of samples=0 would read passed=True. Unchecked, a sandwich
     # T of "0.1" raised a bare TypeError, a dims bound of 1.5 or 0 was
-    # truncated into the dims drawn, and I = 0 warned of log(0)
+    # truncated into the dims drawn, I = 0 warned of log(0), and a seed of
+    # -1 drew seed 2**64 - 1's stream while 1.5 or "1" raised a TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check()
 
