@@ -17,6 +17,7 @@ import numpy as np
 
 from .bench import (
     ExperimentConfig,
+    _parse_list,
     export_artifacts,
     load_experiment_config,
     parse_dims,
@@ -32,7 +33,7 @@ from .verification import SUITES, run_check_suite
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        vals = [float(p) for p in text.split(",") if p.strip()]
+        vals = _parse_list(text, float)
     except ValueError:
         raise ConfigError(f"bad vector {text!r}, expected comma-separated floats")
     if not vals:

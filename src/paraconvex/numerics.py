@@ -135,7 +135,9 @@ def sample_uniform_box(domain: BoxDomain, count: int, rng: Rng) -> np.ndarray:
     check_count("count", count)
     m = domain.dim
     flat = rng.uniform(count * m).reshape(count, m)
-    return domain.lower + (domain.upper - domain.lower) * flat
+    flat *= domain.upper - domain.lower  # in the draw's memory, as uniform_in
+    flat += domain.lower
+    return flat
 
 
 def grid_nodes(domain: BoxDomain, points_per_axis: int) -> np.ndarray:

@@ -9,10 +9,10 @@
   - lse/plse: projected gradient, then projected Newton, in one sweep loop
     with a per-row switch (Bertsekas 1982; More & Toraldo 1991): a row's
     first _FIRST_ORDER_STEPS accepted steps come from Armijo-backtracking
-    ladder sweeps (`_ladder`), its later ones from damped Newton sweeps on
-    the coordinates not held at a bound (`_newton`). Lower bound: f(u)
-    minus the first-order gap max_v <g, u - v> over the box at an iterate
-    u with gradient g, since f(v) >= f(u) + <g, v - u> for convex f.
+    ladder sweeps (`_ladder`), its later ones from damped Newton sweeps
+    (`_newton`), which score every live row. Lower bound: f(u) minus the
+    first-order gap max_v <g, u - v> over the box at an iterate u with
+    gradient g, since f(v) >= f(u) + <g, v - u> for convex f.
   - fnn: multi-start projected gradient (nonconvex, no certificate). Each
     sweep is one MLP value-and-gradient pass over the live restarts into
     buffers allocated once per solve (`networks.MlpWorkspace`), with each
@@ -226,13 +226,14 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
 
     Each sweep moves a row once: by `_ladder` from its own step s while it
     has fewer than _FIRST_ORDER_STEPS accepted steps, after that by
-    `_newton`, or by `_ladder` where no Newton rung is taken. s starts at
-    _INITIAL_STEP and restarts there on the acceptance that ends the
-    first-order budget. A row keeps its best lower bound
-    f - first_order_gap(g, u) over its iterates, and stops once f minus it
-    is at most grad_tolerance * max(1, |f|), at max_iters, or when s
-    underflows. The bound and the count move only on acceptance, so a
-    ladder sweep's iterates, count and status are the serial line search's.
+    `_newton`, or by `_ladder` where no Newton rung is taken. Once any row
+    is past that budget, `_newton` scores every live row and only the rows
+    past it take a rung. s starts at _INITIAL_STEP and restarts there on
+    the acceptance that ends the first-order budget. A row keeps its best
+    lower bound f - first_order_gap(g, u) over its iterates, and stops once
+    f minus it is at most grad_tolerance * max(1, |f|), at max_iters, or
+    when s underflows. The bound and the count move only on acceptance, so
+    a ladder sweep's iterates, count and status are the serial line search's.
     Returns (U, D, iterations, status): the last iterates, their best
     bounds, the accepted steps and STATUSES indices, _FAILED for a row not
     live or whose objective went non-finite.
@@ -245,11 +246,9 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
     if traces is not None:
         for r, v in zip(rows, f):
             traces[r].append(float(v))
-    s = np.full(len(rows), _INITIAL_STEP)
+    s, bound = np.full(len(rows), _INITIAL_STEP), np.full(len(rows), -np.inf)
     bad = ~np.isfinite(f)
-    bound = np.full(len(rows), -np.inf)
     budget, sweep = _FIRST_ORDER_STEPS, 0  # a row takes at most one step a sweep
-    n = np.count_nonzero(it >= budget)  # rows past the budget, first: Newton reads views
     while rows.size:
         bound = np.maximum(bound, f - first_order_gap(g, u, domain))
         capped = it >= opts.max_iters
@@ -261,20 +260,19 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
             status[done] = np.where(bad[stop], _FAILED, np.where(
                 converged[stop], _CONVERGED,
                 np.where(capped[stop], _MAX_ITERS, _STEP_UNDERFLOW)))
-            keep, n = ~stop, np.count_nonzero(~stop[:n])
+            keep = ~stop
             rows, A, c, u, f, g, s, it, bound = (
-                v[keep] for v in (rows, A, c, u, f, g, s, it, bound)
-            )
+                v[keep] for v in (rows, A, c, u, f, g, s, it, bound))
             if not rows.size:
                 break
         sweep += 1
-        if not n:  # a ladder sweep on the whole arrays, with no gathers
+        past = it >= budget
+        if not np.count_nonzero(past):  # a ladder sweep on the whole arrays
             accept, bad, cand, f_cand, p_cand, s = _ladder(A, c, u, f, g, s, T, domain)
-        else:
-            accept, bad = np.zeros((2, rows.size), dtype=bool)
-            cand, f_cand, p_cand = np.empty_like(u), np.empty_like(f), np.empty_like(c)
-            accept[:n], cand[:n], f_cand[:n], p_cand[:n] = _newton(
-                A[:n], c[:n], u[:n], f[:n], g[:n], T, domain)
+        else:  # Newton scores every row; only the rows past the budget take it
+            accept, cand, f_cand, p_cand = _newton(A, c, u, f, g, T, domain)
+            accept &= past
+            bad = np.zeros(rows.size, dtype=bool)
             rest = np.flatnonzero(~accept)  # every row no Newton rung moved
             if rest.size:
                 (accept[rest], bad[rest], cand[rest], f_cand[rest], p_cand[rest],
@@ -288,14 +286,7 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
             for r, v in zip(rows[accept], f[accept]):
                 traces[r].append(float(v))
         if sweep >= budget:  # the acceptance that ends a row's budget restarts s
-            crossed = accept & (it == budget)
-            s[crossed] = _INITIAL_STEP
-            m = n + np.count_nonzero(crossed)
-            if not crossed[n:m].all():  # keep the rows past the budget first
-                order = np.argsort(it < budget, kind="stable")
-                rows, A, c, u, f, g, s, it, bound, bad = (
-                    v[order] for v in (rows, A, c, u, f, g, s, it, bound, bad))
-            n = m
+            s[accept & (it == budget)] = _INITIAL_STEP
     return U, D, iters, status
 
 

@@ -133,7 +133,8 @@ def init_network(
 ) -> Network:
     """Fresh network of the given kind with Xavier weights and zero biases."""
     check_count("seed", seed, minimum=0)  # before Rng masks it to 64 bits
-    check_count("I", I)  # xavier_init checks the widths
+    for name, value in (("n", n), ("m", m), ("I", I)):  # before the widths use them
+        check_count(name, value)
     widths = {"fnn": [n + m, *hidden, 1], "ma": [n + m, I], "lse": [n + m, I],
               "pma": [n, *hidden, (m + 1) * I], "plse": [n, *hidden, (m + 1) * I]}
     if kind not in widths:

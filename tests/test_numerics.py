@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,25 @@ class TestSampleUniformBox:
     def test_fractional_count_names_the_field(self):
         with pytest.raises(ValueError, match="count"):
             sample_uniform_box(BoxDomain.symmetric(1), 2.5, Rng(0))
+
+    def test_bits_of_lower_plus_width_times_draw(self):
+        dom = BoxDomain(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 5.0]))
+        flat = Rng(11).uniform(40 * 3).reshape(40, 3)
+        want = dom.lower + (dom.upper - dom.lower) * flat
+        assert sample_uniform_box(dom, 40, Rng(11)).tobytes() == want.tobytes()
+
+    def test_peak_is_the_draw_and_its_shift_buffer(self):
+        # the points are formed in the draw's memory, so the peak is the draw
+        # and Rng.next_uint64's shift buffer, with no temporary of their size
+        dom = BoxDomain(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 5.0]))
+        sample_uniform_box(dom, 1, Rng(0))
+        tracemalloc.start()
+        try:
+            pts = sample_uniform_box(dom, 100_000, Rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * pts.nbytes
 
 
 class TestCheckPositive:

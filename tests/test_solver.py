@@ -769,15 +769,19 @@ def test_batch_rows_equal_minimize():
 
 
 def _sweeps_of_both_phases(net, X, domain, opts):
-    """`minimize_batch` on X, and how many of its sweeps gave a ladder sweep
-    to a row that took no Newton sweep first: a row still in its
-    first-order phase, in a sweep where another row was past it."""
+    """`minimize_batch` on X, and how many of its Newton sweeps were followed
+    by a ladder sweep that moved a row whose Newton rung was taken: a row
+    held back by its first-order budget, in a sweep where another row was
+    past it."""
     calls = []
 
     def spy(core):
         def sweep(A, c, u, *args):
-            calls.append((core, u.copy()))
-            return core(A, c, u, *args)
+            out = core(A, c, u, *args)
+            # out[0]: Newton's rung taken or the ladder's step accepted, per
+            # row; a copy, since the loop masks Newton's in place
+            calls.append((core, u.copy(), out[0].copy()))
+            return out
         return sweep
 
     newton, ladder = solver_module._newton, solver_module._ladder
@@ -787,8 +791,8 @@ def _sweeps_of_both_phases(net, X, domain, opts):
         batch = minimize_batch(net, X, domain, opts)
     mixed = sum(
         first is newton and then is ladder
-        and not (u_l[:, None] == u_n[None]).all(axis=2).any(axis=1).all()
-        for (first, u_n), (then, u_l) in zip(calls, calls[1:])
+        and (u_l[moved][:, None] == u_n[taken][None]).all(axis=2).any()
+        for (first, u_n, taken), (then, u_l, moved) in zip(calls, calls[1:])
     )
     return batch, mixed
 

@@ -1,6 +1,7 @@
 """Tests for datasets, config, init, gradients, Adam, and training."""
 
 import json
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -163,6 +164,17 @@ class TestInitNetwork:
         # I=True built a one-plane plse; a count names its field
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
             init_network(kind, 2, 3, seed=1, **{key: value if key == "I" else (4, value)})
+
+    @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
+    @pytest.mark.parametrize("field", ["n", "m"])
+    @pytest.mark.parametrize("value, rule", [(1.5, "be an integer, got 1.5"),
+                                             (-1, "be >= 1")])
+    def test_bad_dims_name_their_field(self, kind, field, value, rule):
+        # checked before the layer widths are built from them, which would
+        # name a width the caller never passed, such as 2.5 or 0
+        dims = {"n": 1, "m": 1, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must {re.escape(rule)}$"):
+            init_network(kind, dims["n"], dims["m"], seed=0)
 
 
 class TestSplitDataset:
