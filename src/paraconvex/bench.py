@@ -66,6 +66,8 @@ DEFAULT_DIMS = ((1, 1), (61, 20), (376, 17))
 REDUCED_DIM_CUTOFF = 16
 REDUCED_D = 2000
 REDUCED_EPOCHS = 30
+# rows of the dataset target_batch squares at a time: 3 MB at 376x17
+_TARGET_BLOCK = 1024
 
 
 # --- target problem ---------------------------------------------------------
@@ -74,10 +76,16 @@ REDUCED_EPOCHS = 30
 def target_batch(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Ground-truth objective -|x|^2/(2n) + |u|^2/(2m) at rows (X, U):
     concave in the condition, convex in the decision. Over [-1, 1]^m its
-    minimizer is u = 0 and its minimum -|x|^2/(2n)."""
-    return -np.sum(X * X, axis=1) / (2 * X.shape[1]) + np.sum(U * U, axis=1) / (
-        2 * U.shape[1]
-    )
+    minimizer is u = 0 and its minimum -|x|^2/(2n). Summed _TARGET_BLOCK
+    rows at a time, so the squares are a block's, not the dataset's; each
+    row's sums are the one-pass sums bit for bit."""
+    y = np.empty(len(X))
+    for first in range(0, len(X), _TARGET_BLOCK):
+        rows = slice(first, first + _TARGET_BLOCK)
+        x, u = X[rows], U[rows]
+        y[rows] = (-np.sum(x * x, axis=1) / (2 * x.shape[1])
+                   + np.sum(u * u, axis=1) / (2 * u.shape[1]))
+    return y
 
 
 def make_benchmark_dataset(n: int, m: int, d: int, rng: Rng) -> Dataset:
@@ -347,6 +355,7 @@ def _run_group(cfg: ExperimentConfig, n: int, m: int, seed: int) -> list[RunResu
     ds = make_benchmark_dataset(n, m, d, rng.spawn())
     net_seed = int(rng.next_uint64(1)[0] % 2**31)
     split = prepare_split(ds, tcfg)
+    del ds  # the splits are copies: training holds them, not the dataset too
     _assert_disjoint(split.train, split.test)
     prepare_time_s = time.perf_counter() - t0
 
@@ -368,7 +377,7 @@ def _run_group(cfg: ExperimentConfig, n: int, m: int, seed: int) -> list[RunResu
         runs.append(run)
     # the training rows and epoch orders go before check_convexity's peak
     test_ds = split.test
-    del ds, split
+    del split
     for kind, run in zip(cfg.kinds, runs):
         if run.net is not None:
             _solve_test_split(run, kind, test_ds, n, m)

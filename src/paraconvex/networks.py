@@ -405,12 +405,15 @@ def bank_weights(S: np.ndarray, T: float | None) -> tuple[np.ndarray, np.ndarray
     """bank_values(S, T) and their weights (B, I) over the planes: for T
     None the one-hot of the argmax (lowest index on ties), else the
     softmax exp((S - max) / T) normalized over each row, from the same
-    shifted exponential as the log-sum-exp."""
+    shifted exponential as the log-sum-exp, formed in one buffer."""
     if T is not None:
         top = S.max(axis=1, keepdims=True)
-        e = np.exp((S - top) / T)
-        total = e.sum(axis=1)
-        return T * np.log(total) + top[:, 0], e / total[:, None]
+        p = np.subtract(S, top)
+        p /= T
+        np.exp(p, out=p)
+        total = p.sum(axis=1)
+        p /= total[:, None]
+        return T * np.log(total) + top[:, 0], p
     onehot = np.zeros_like(S)
     onehot[np.arange(S.shape[0]), np.argmax(S, axis=1)] = 1.0
     return S.max(1), onehot

@@ -30,6 +30,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _DOUBLE_SCALE = 2.0 ** -53
+# outputs a draw forms at a time: its temporaries are one chunk's, 512 KB,
+# not the draw's size
+_DRAW_CHUNK = 2**16
 
 GRID_DIM_CAP = 4
 
@@ -43,24 +46,37 @@ class Rng:
         self._counter = 0
 
     def next_uint64(self, count: int = 1) -> np.ndarray:
-        """Next `count` raw 64-bit outputs as a uint64 array, formed in
-        place in it with one shift buffer as the only other temporary."""
-        z = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
-        self._counter += count
-        shifted = np.empty_like(z)
-        z *= _GOLDEN
-        z += self.seed
-        for shift, mix in ((30, _MIX1), (27, _MIX2)):
-            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
-            z *= mix
-        z ^= np.right_shift(z, np.uint64(31), out=shifted)
-        return z
+        """Next `count` raw 64-bit outputs as a uint64 array."""
+        return self._draw(count, np.uint64)
 
     def uniform(self, count: int = 1) -> np.ndarray:
-        """`count` doubles uniform in [0, 1), in the raw draw's memory."""
-        z = self.next_uint64(count)
-        z >>= np.uint64(11)  # below 2**53, so the conversion is exact
-        return np.multiply(z, _DOUBLE_SCALE, out=z.view(np.float64))
+        """`count` doubles uniform in [0, 1)."""
+        return self._draw(count, np.float64)
+
+    def _draw(self, count: int, dtype) -> np.ndarray:
+        """The next `count` outputs, raw (uint64) or as doubles (float64),
+        formed in place in one array _DRAW_CHUNK at a time. A chunk's
+        counters become its shift buffer, which is freed before a chunk of
+        doubles is converted in place (NumPy copies the overlapping input):
+        so a draw's peak is the draw and one chunk. The stream is
+        counter-based, so the chunks are the one-pass draw bit for bit."""
+        out = np.empty(count, dtype=np.uint64)
+        for start in range(0, count, _DRAW_CHUNK):
+            z = out[start : start + _DRAW_CHUNK]
+            shifted = np.arange(self._counter + 1, self._counter + len(z) + 1,
+                                dtype=np.uint64)
+            self._counter += len(z)
+            np.multiply(shifted, _GOLDEN, out=z)
+            z += self.seed
+            for shift, mix in ((30, _MIX1), (27, _MIX2)):
+                z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+                z *= mix
+            z ^= np.right_shift(z, np.uint64(31), out=shifted)
+            del shifted
+            if dtype is np.float64:
+                z >>= np.uint64(11)  # below 2**53, so the conversion is exact
+                np.multiply(z, _DOUBLE_SCALE, out=z.view(np.float64))
+        return out.view(dtype)
 
     def uniform_in(self, low: float, high: float, count: int = 1) -> np.ndarray:
         u = self.uniform(count)

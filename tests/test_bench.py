@@ -73,6 +73,15 @@ class TestTargetProblem:
         for i in range(4):
             assert_allclose(batch[i], target_function(X[i], U[i]), rtol=1e-15)
 
+    def test_row_blocks_equal_the_one_pass_bytes(self):
+        # target_batch squares _TARGET_BLOCK rows at a time; a partial last
+        # block and strided column views, as a dataset's, keep every bit
+        rows = 2 * bench._TARGET_BLOCK + 5
+        Z = Rng(6).uniform_in(-1, 1, rows * 20).reshape(rows, 20)
+        X, U = Z[:, :17], Z[:, 17:]
+        want = -np.sum(X * X, axis=1) / 34 + np.sum(U * U, axis=1) / 6
+        assert target_batch(X, U).tobytes() == want.tobytes()
+
     def test_true_solution(self):
         # the minimum -|x|^2/(2n) is the target at u = 0
         X = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from paraconvex.exceptions import ConfigError, DimensionMismatch, NumericOverflow
 from paraconvex.numerics import (
     _DOUBLE_SCALE,
+    _DRAW_CHUNK,
     _GOLDEN,
     _MIX1,
     _MIX2,
@@ -60,6 +61,29 @@ class TestRng:
             want = -1.5 + (2.25 - -1.5) * _reference_uniform(seed, start, count)
             assert got.tobytes() == want.tobytes()
             start += count
+
+    @pytest.mark.parametrize("count", [_DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1,
+                                       3 * _DRAW_CHUNK + 5])
+    def test_chunked_draws_equal_the_one_pass_bytes(self, count):
+        # a draw is formed _DRAW_CHUNK outputs at a time; the stream, and the
+        # counter the next draw starts from, are the one-pass reference's
+        r = Rng(77)
+        assert r.next_uint64(count).tobytes() == _reference_uint64(77, 0, count).tobytes()
+        got = r.uniform(count)
+        assert got.tobytes() == _reference_uniform(77, count, count).tobytes()
+        assert_array_equal(r.next_uint64(2), _reference_uint64(77, 2 * count, 2))
+
+    def test_uniform_peak_is_the_draw_and_one_chunk(self):
+        # each chunk is converted in place before the next is drawn: the
+        # peak was two draws when the conversion copied the whole draw
+        Rng(0).uniform(5)
+        tracemalloc.start()
+        try:
+            u = Rng(1).uniform(10 * _DRAW_CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * u.nbytes
 
     @pytest.mark.parametrize("seed", [np.int64(0), np.int64(42), np.int64(-3),
                                       np.uint64(2**64 - 1), np.int32(7)])

@@ -476,6 +476,64 @@ class TestMinimizeBatch:
             else:
                 assert abs(row.certificate - ref.certificate) <= 1e-12
 
+    @pytest.mark.parametrize("kind,block", [("fnn", 12), ("fnn", 2), ("ma", 3),
+                                            ("lse", 3), ("pma", 3), ("plse", 3)])
+    def test_blocks_match_one_block(self, kind, block, monkeypatch):
+        # 7 conditions in blocks of 3, 3 and 1 against one block of 7; fnn
+        # has 4 restarts, so 12 restart rows are 3 conditions, and 2 rows
+        # still hold one condition a block
+        net = init_network(kind, 2, 3, seed=92, I=6, hidden=(8, 8))
+        X = sample_uniform_box(BoxDomain.symmetric(2), 7, Rng(93))
+        dom, opts = BoxDomain.symmetric(3), SolveOptions(seed=4, restarts=4,
+                                                         keep_trace=True)
+        whole = minimize_batch(net, X, dom, opts)
+        sizes, solve_block = [], solver_module._solve_block
+
+        def spy(net, X, *args):
+            sizes.append(len(X))
+            return solve_block(net, X, *args)
+
+        monkeypatch.setattr(solver_module, "_solve_block", spy)
+        monkeypatch.setattr(solver_module,
+                            "_FNN_BLOCK_ROWS" if kind == "fnn" else "_BANK_BLOCK", block)
+        rows = minimize_batch(net, X, dom, opts)
+        assert sizes == ([1] * 7 if block == 2 else [3, 3, 1])
+        assert len(rows) == len(whole)
+        for row, ref in zip(rows, whole):
+            assert (row.iterations, row.status) == (ref.iterations, ref.status)
+            # a trace's values carry the row-count bits of the batch contract
+            assert len(row.trace) == len(ref.trace)
+            assert_allclose(row.trace, ref.trace, rtol=0, atol=1e-12)
+            assert_allclose(row.u_star, ref.u_star, rtol=0, atol=1e-12)
+            assert abs(row.value - ref.value) <= 1e-12
+            if kind == "fnn":
+                assert row.certificate == ref.certificate == np.inf
+            else:
+                assert abs(row.certificate - ref.certificate) <= 1e-12
+        # the conditions are told apart: a dropped or reordered block shows
+        assert len({row.value for row in whole}) == len(X)
+
+    @pytest.mark.parametrize("kind", ["fnn", "plse", "pma"])
+    def test_peak_memory_bounded_in_the_batch(self, kind):
+        # the paper's budget holds out 6,000 conditions a cell; they solve a
+        # block at a time, so the peak grows only by the results: 4.7 -> 5.6
+        # MB (fnn), 14.9 -> 15.8 (plse) and 31.1 -> 32.0 (pma) from 1,200 to
+        # 6,000 conditions, where the whole-batch solve's grew fivefold
+        # (NumPy 2.4, Python 3.11)
+        net = init_network(kind, 61, 20, seed=0)
+        dom, opts = BoxDomain.symmetric(20), SolveOptions(max_iters=3)
+        X = sample_uniform_box(BoxDomain.symmetric(61), 6000, Rng(3))
+        minimize_batch(net, X[:4], dom, opts)  # first-call allocations
+        peaks = []
+        for B in (1200, 6000):
+            tracemalloc.start()
+            try:
+                minimize_batch(net, X[:B], dom, opts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
     def test_traces_match_serial(self):
         for kind in ("fnn", "pma", "plse"):
             net, X, dom, _ = _batch_fixture(kind, 2, 3)
