@@ -8,9 +8,13 @@ table plus raw per-condition samples for external plotting.
 The unit of work is a (dims, seed) group: it draws the dataset, the net
 seed, the train/test split and every epoch's row order once, and every
 kind trains on them (`training.prepare_split`) before any kind's
-convexity check or solves. A run's `prepare_time_s` is its group's
-preparation, the same for every kind; `train_time_s` is the kind's own
-training. Repeated entries in `dims`, `kinds` or `seeds` are rejected.
+convexity check or solves. Through training the group holds one dataset
+and a copy of its test rows; the training rows and epoch orders are row
+indices into the dataset, and the check that no test condition is a
+training one holds a hash per training row, not the row. A run's
+`prepare_time_s` is its group's preparation, the same for every kind;
+`train_time_s` is the kind's own training. Repeated entries in `dims`,
+`kinds` or `seeds` are rejected.
 
 Each cell solves all of its held-out conditions in one
 `solver.minimize_batch` call, so the per-solve times in report.csv and
@@ -50,6 +54,7 @@ from .numerics import (
 from .solver import STATUSES, SolveOptions, minimize_batch
 from .training import (
     Dataset,
+    PreparedSplit,
     TrainConfig,
     init_network,
     prepare_split,
@@ -326,13 +331,23 @@ class BenchmarkReport:
         return next((c for c in self.cells if (c.kind, c.n, c.m) == (kind, n, m)), None)
 
 
-def _assert_disjoint(train_ds: Dataset, test_ds: Dataset) -> None:
-    # split_dataset partitions a permutation, so overlap would mean a bug
-    # upstream; metrics must never touch training conditions
-    train_keys = {row.tobytes() for row in train_ds.X}
-    for row in test_ds.X:
-        if row.tobytes() in train_keys:
-            raise RuntimeError("test condition also present in the training split")
+def _row_key(row: np.ndarray) -> int:
+    """A hash of a condition row's bytes."""
+    return hash(row.tobytes())
+
+
+def _assert_disjoint(split: PreparedSplit) -> None:
+    # the split partitions a permutation, so overlap would mean a bug
+    # upstream; metrics must never touch training conditions. Only the
+    # training rows' hashes are held; a test row whose hash is among them
+    # is compared byte for byte with the training rows
+    X, rows = split.data.X, split.rows
+    train_keys = {_row_key(X[i]) for i in rows}
+    for row in split.test.X:
+        if _row_key(row) in train_keys:
+            key = row.tobytes()
+            if any(X[i].tobytes() == key for i in rows):
+                raise RuntimeError("test condition also present in the training split")
 
 
 def _run_group(cfg: ExperimentConfig, n: int, m: int, seed: int) -> list[RunResult]:
@@ -355,8 +370,8 @@ def _run_group(cfg: ExperimentConfig, n: int, m: int, seed: int) -> list[RunResu
     ds = make_benchmark_dataset(n, m, d, rng.spawn())
     net_seed = int(rng.next_uint64(1)[0] % 2**31)
     split = prepare_split(ds, tcfg)
-    del ds  # the splits are copies: training holds them, not the dataset too
-    _assert_disjoint(split.train, split.test)
+    del ds  # the split holds it through training, with a copy of its test rows
+    _assert_disjoint(split)
     prepare_time_s = time.perf_counter() - t0
 
     runs = []
@@ -375,7 +390,8 @@ def _run_group(cfg: ExperimentConfig, n: int, m: int, seed: int) -> list[RunResu
             run.test_losses, run.epoch_times_s = treport.test_losses, treport.epoch_times_s
         run.train_time_s = time.perf_counter() - t0
         runs.append(run)
-    # the training rows and epoch orders go before check_convexity's peak
+    # the dataset and epoch orders go before check_convexity's peak; the
+    # test rows are the split's own copy
     test_ds = split.test
     del split
     for kind, run in zip(cfg.kinds, runs):

@@ -199,19 +199,18 @@ def _ladder(A, c, u, f, g, s, T, domain):
             np.where(accept, 2.0 * step, _BACKTRACK * step))
 
 
-def _newton(A, c, u, f, g, T, domain):
-    """One projected Newton sweep of the rows u (k, m) with values f and
-    gradients g. A coordinate is fixed while it is at a bound with the
-    gradient pointing out of the box. On the free ones the step d solves
-    the Hessian A^T (diag p - p p^T) A / T, p the softmax weights at u,
-    plus the free gradient's norm on the diagonal: that damping keeps a
+def _newton(A, c, u, f, g, p, T, domain):
+    """One projected Newton sweep of the rows u (k, m) with values f,
+    gradients g and softmax weights p (k, I). A coordinate is fixed while
+    it is at a bound with the gradient pointing out of the box. On the free
+    ones the step d solves the Hessian A^T (diag p - p p^T) A / T plus the
+    free gradient's norm on the diagonal: that damping keeps a
     singular Hessian (one plane's is 0) solvable, and it is positive on
     every row still live, since a zero free gradient is a zero first-order
     gap. The rungs u - a d, a in _RUNGS, are scored at once. Returns
     whether a rung descends and passes Armijo's test, and the first such
     rung's candidate, value and softmax weights."""
     k, diag = len(u), np.arange(u.shape[1])
-    p = bank_weights(_bank_scores(A, u, c), T)[1]
     free = ~(((u <= domain.lower) & (g > 0)) | ((u >= domain.upper) & (g < 0)))
     # A^T (diag p - p p^T) A / T, formed as A^T diag(p) A / T - g g^T / T
     H = np.swapaxes(A * (p / T)[:, :, None], 1, 2) @ A
@@ -244,6 +243,8 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
     f minus it is at most grad_tolerance * max(1, |f|), at max_iters, or
     when s underflows. The bound and the count move only on acceptance, so
     a ladder sweep's iterates, count and status are the serial line search's.
+    A row carries the softmax weights of its start or its last accepted
+    candidate, which `_newton` takes instead of scoring the bank again.
     Returns (U, D, iterations, status): the last iterates, their best
     bounds, the accepted steps and STATUSES indices, _FAILED for a row not
     live or whose objective went non-finite.
@@ -271,8 +272,8 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
                 converged[stop], _CONVERGED,
                 np.where(capped[stop], _MAX_ITERS, _STEP_UNDERFLOW)))
             keep = ~stop
-            rows, A, c, u, f, g, s, it, bound = (
-                v[keep] for v in (rows, A, c, u, f, g, s, it, bound))
+            rows, A, c, u, f, g, p, s, it, bound = (
+                v[keep] for v in (rows, A, c, u, f, g, p, s, it, bound))
             if not rows.size:
                 break
         sweep += 1
@@ -280,7 +281,7 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
         if not np.count_nonzero(past):  # a ladder sweep on the whole arrays
             accept, bad, cand, f_cand, p_cand, s = _ladder(A, c, u, f, g, s, T, domain)
         else:  # Newton scores every row; only the rows past the budget take it
-            accept, cand, f_cand, p_cand = _newton(A, c, u, f, g, T, domain)
+            accept, cand, f_cand, p_cand = _newton(A, c, u, f, g, p, T, domain)
             accept &= past
             bad = np.zeros(rows.size, dtype=bool)
             rest = np.flatnonzero(~accept)  # every row no Newton rung moved
@@ -290,6 +291,7 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
                                     s[rest], T, domain)
         np.copyto(u, cand, where=accept[:, None])
         np.copyto(f, f_cand, where=accept)
+        np.copyto(p, p_cand, where=accept[:, None])
         np.copyto(g, bank_grad(p_cand, A), where=accept[:, None])
         it += accept
         if traces is not None:

@@ -24,9 +24,12 @@ and `weight_gradients` take. `train` runs on `prepare_split`'s
 PreparedSplit: the split, then every epoch's row order, drawn from
 Rng(cfg.seed). Given a Dataset, it prepares that split itself; a caller
 prepares it once so that several nets train on one split in one set of
-orders. One loop runs the epochs: it gathers each minibatch and runs the
-epoch's steps through that kernel under one np.errstate, without
-`weight_gradients`' per-call checks and allocations.
+orders. The split copies only the test rows: the training rows stay in
+the dataset, named by their row indices, and each epoch's order is a
+list of dataset row indices. One loop runs the epochs: it gathers each
+minibatch from the dataset through its order and runs the epoch's steps
+through that kernel under one np.errstate, without `weight_gradients`'
+per-call checks and allocations.
 """
 
 from __future__ import annotations
@@ -274,37 +277,46 @@ def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray, lr: float) -> None
 # --- split and train loop --------------------------------------------------
 
 
-def split_dataset(ds: Dataset, ratio: float, rng: Rng) -> tuple[Dataset, Dataset]:
-    """Shuffle then prefix split: sizes floor(ratio*N) and the remainder."""
-    if ds.size == 0:
+def _split_rows(size: int, ratio: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """The training and test row indices of a size-row dataset: a shuffle,
+    then a prefix of floor(ratio * size) rows and the remainder."""
+    if size == 0:
         raise ValueError("cannot split an empty dataset")
     check_positive("split_ratio", ratio, ConfigError, below=1)
-    perm = rng.shuffle_indices(ds.size)
-    cut = int(ratio * ds.size)
+    perm = rng.shuffle_indices(size)
+    cut = int(ratio * size)
     if cut == 0:
-        raise ConfigError(f"split ratio {ratio} leaves none of {ds.size} rows to train on")
-    return ds.subset(perm[:cut]), ds.subset(perm[cut:])
+        raise ConfigError(f"split ratio {ratio} leaves none of {size} rows to train on")
+    return perm[:cut], perm[cut:]
+
+
+def split_dataset(ds: Dataset, ratio: float, rng: Rng) -> tuple[Dataset, Dataset]:
+    """Shuffle then prefix split: copies of floor(ratio*N) rows and the remainder."""
+    train_rows, test_rows = _split_rows(ds.size, ratio, rng)
+    return ds.subset(train_rows), ds.subset(test_rows)
 
 
 @dataclass
 class PreparedSplit:
     """The draws `train` makes from Rng(cfg.seed) before its steps: a
-    dataset's training and test splits and each epoch's order of the
-    training rows. Drawn once, it trains several nets on the same rows in
-    the same orders."""
+    dataset's training rows, a copy of its test rows and each epoch's order
+    of the training rows. Drawn once, it trains several nets on the same
+    rows in the same orders. The training rows are not copied:
+    data.subset(rows) is split_dataset's training split."""
 
-    train: Dataset
+    data: Dataset
+    rows: np.ndarray  # the training rows' indices into data
     test: Dataset
-    orders: list  # per epoch, a permutation of range(train.size)
+    orders: list  # per epoch, rows[perm] for a permutation perm of range(len(rows))
 
 
 def prepare_split(ds: Dataset, cfg: TrainConfig) -> PreparedSplit:
     """The split, from the first draws of Rng(cfg.seed), then cfg.epochs
     row orders of its training rows from the same stream."""
     rng = Rng(cfg.seed)
-    train_ds, test_ds = split_dataset(ds, cfg.split_ratio, rng)
-    return PreparedSplit(train_ds, test_ds,
-                         [rng.shuffle_indices(train_ds.size) for _ in range(cfg.epochs)])
+    rows, test_rows = _split_rows(ds.size, cfg.split_ratio, rng)
+    orders = [rows[rng.shuffle_indices(len(rows))] for _ in range(cfg.epochs)]
+    return PreparedSplit(ds, rows, ds.subset(test_rows), orders)
 
 
 def train(
@@ -316,32 +328,35 @@ def train(
     draws of Rng(cfg.seed), so callers can recover the exact same partition
     via split_dataset(ds, cfg.split_ratio, Rng(cfg.seed)). Given a prepared
     split, cfg.seed and cfg.split_ratio are not read, and the split must
-    hold cfg.epochs orders.
+    hold cfg.epochs orders. Each minibatch is gathered from the dataset's
+    rows through its epoch's order, so no copy of the training split is
+    made.
     """
     t0 = time.perf_counter()
     if isinstance(data, Dataset):
         data = prepare_split(data, cfg)
-    train_ds, test_ds, orders = data.train, data.test, data.orders
+    ds, test_ds, orders = data.data, data.test, data.orders
     if len(orders) != cfg.epochs:
         raise ConfigError(f"split holds {len(orders)} epoch orders, "
                           f"config asks for {cfg.epochs}")
-    if train_ds.n != net.n or train_ds.m != net.m:
+    if ds.n != net.n or ds.m != net.m:
         raise DimensionMismatch("dataset dims do not match the network")
     net = clone_network(net)
     state = AdamState(net.mlp.flat)
-    ws = MlpWorkspace(net.mlp, min(cfg.batch_size, train_ds.size))
+    size = len(data.rows)
+    ws = MlpWorkspace(net.mlp, min(cfg.batch_size, size))
     grads = MlpParams(net.mlp.weights, net.mlp.biases)  # each step overwrites it
-    X, U, y, size = train_ds.X, train_ds.U, train_ds.y, train_ds.size
+    X, U, y = ds.X, ds.U, ds.y
     batch = cfg.batch_size
     train_losses, test_losses, epoch_times = [], [], []
     t_epoch = time.perf_counter()
-    for perm in orders:
+    for order in orders:
         sse = 0.0
         # the steps skip weight_gradients' conversions and checks; a run
         # heading for divergence is caught by the loss check below
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, size, batch):
-                idx = perm[start : start + batch]
+                idx = order[start : start + batch]
                 sse += _weight_gradients(net, X[idx], U[idx], y[idx], ws, grads)
                 adam_step(state, net.mlp.flat, grads.flat, cfg.learning_rate)
         tr = sse / size

@@ -34,7 +34,14 @@ from paraconvex.networks import Bank, MlpParams, forward_batch, model_to_json
 from paraconvex.numerics import BoxDomain, Rng
 from paraconvex.solver import STATUSES, SolveOptions, minimize_batch
 from paraconvex import bench
-from paraconvex.training import Dataset, init_network, split_dataset
+from paraconvex.training import (
+    Dataset,
+    PreparedSplit,
+    TrainConfig,
+    init_network,
+    prepare_split,
+    split_dataset,
+)
 
 
 def target_function(x, u):
@@ -486,8 +493,20 @@ class TestRunBenchmark:
         X = np.arange(6, dtype=np.float64).reshape(3, 2)
         ds = Dataset(2, 1, X, np.zeros((3, 1)), np.zeros(3))
         with pytest.raises(RuntimeError):
-            _assert_disjoint(ds, ds.subset(np.array([1])))
-        _assert_disjoint(ds.subset(np.array([0, 2])), ds.subset(np.array([1])))
+            _assert_disjoint(PreparedSplit(ds, np.arange(3), ds.subset(np.array([1])), []))
+        _assert_disjoint(PreparedSplit(ds, np.array([0, 2]), ds.subset(np.array([1])), []))
+
+    def test_disjointness_guard_compares_rows_on_a_key_collision(self, monkeypatch):
+        # every row hashes alike, so every test row is compared exactly
+        monkeypatch.setattr(bench, "_row_key", lambda row: 0)
+        ds = make_benchmark_dataset(3, 2, 40, Rng(8))
+        split = prepare_split(ds, TrainConfig(epochs=1, seed=2))
+        _assert_disjoint(split)
+        # one test row equal to a training row, the others unchanged
+        test = split.test.subset(np.arange(split.test.size))
+        test.X[2] = ds.X[split.rows[5]]
+        with pytest.raises(RuntimeError, match="also present in the training split"):
+            _assert_disjoint(PreparedSplit(ds, split.rows, test, split.orders))
 
     def test_metadata_flags_decisions(self, tiny_report):
         _, report = tiny_report

@@ -514,13 +514,32 @@ class TestPreparedSplit:
         split = prepare_split(ds, cfg)
         rng = Rng(cfg.seed)
         tr, te = split_dataset(ds, cfg.split_ratio, rng)
-        for got, want in ((split.train, tr), (split.test, te)):
+        for got, want in ((split.data.subset(split.rows), tr), (split.test, te)):
             assert_array_equal(got.X, want.X)
             assert_array_equal(got.U, want.U)
             assert_array_equal(got.y, want.y)
         assert len(split.orders) == cfg.epochs
         for order in split.orders:
-            assert_array_equal(order, rng.shuffle_indices(40))
+            # dataset row indices: the training rows in the stream's order
+            assert_array_equal(np.sort(order), np.sort(split.rows))
+            assert_array_equal(order, split.rows[rng.shuffle_indices(40)])
+
+    def test_peak_memory_is_a_fraction_of_the_dataset(self):
+        # 20,000 rows of a 61x20 cell, 13.1 MB: copying the training split
+        # alone would be 0.9 of it; the test copy is 0.1, each epoch's order
+        # 0.011
+        ds = _quadratic_dataset(61, 20, 20_000, 35)
+        data_bytes = ds.X.nbytes + ds.U.nbytes + ds.y.nbytes
+        cfg = TrainConfig(epochs=2, seed=5)
+        prepare_split(_quadratic_dataset(1, 1, 50, 36), cfg)  # first-call set-up
+        tracemalloc.start()
+        try:
+            split = prepare_split(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert split.data is ds
+        assert peak < 0.3 * data_bytes
 
     def test_orders_must_number_the_epochs(self):
         ds = _quadratic_dataset(1, 1, 50, 34)
