@@ -145,12 +145,20 @@ class ExperimentConfig:
     outdir: str = "bench_out"
 
     def __post_init__(self):
-        # each list read once, so a generator is checked and then kept
-        self.dims, self.kinds, self.seeds, self.hidden = map(
-            tuple, (self.dims, self.kinds, self.seeds, self.hidden))
+        # each list read once, so a generator is checked and then kept; a
+        # string or a scalar is not a list, nor is one dims pair
+        for key in ("dims", "kinds", "seeds", "hidden"):
+            value = getattr(self, key)
+            if isinstance(value, str) or not np.iterable(value):
+                raise ConfigError(f"{key} must be a list, got {value!r}")
+            setattr(self, key, tuple(value))
         for key in ("kinds", "dims", "seeds"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} list is empty")
+        try:
+            self.dims = tuple((n, m) for n, m in self.dims)
+        except (TypeError, ValueError):
+            raise ConfigError(f"dims must be (n, m) pairs, got {self.dims!r}") from None
         for n, m in self.dims:
             check_count("dims entries", n, ConfigError)
             check_count("dims entries", m, ConfigError)
@@ -238,10 +246,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    try:
-        return ExperimentConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

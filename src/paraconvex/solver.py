@@ -233,34 +233,35 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
     """Projected gradient, then projected Newton, on the T-log-sum-exp of the
     banks A (B, I, m), c (B, I) in the `live` rows, from the box centre.
 
-    Each sweep moves a row once: by `_ladder` from its own step s while it
-    has fewer than _FIRST_ORDER_STEPS accepted steps, after that by
-    `_newton`, or by `_ladder` where no Newton rung is taken. Once any row
-    is past that budget, `_newton` scores every live row and only the rows
-    past it take a rung. s starts at _INITIAL_STEP and restarts there on
-    the acceptance that ends the first-order budget. A row keeps its best
-    lower bound f - first_order_gap(g, u) over its iterates, and stops once
-    f minus it is at most grad_tolerance * max(1, |f|), at max_iters, or
-    when s underflows. The bound and the count move only on acceptance, so
-    a ladder sweep's iterates, count and status are the serial line search's.
-    A row carries the softmax weights of its start or its last accepted
-    candidate, which `_newton` takes instead of scoring the bank again.
-    Returns (U, D, iterations, status): the last iterates, their best
-    bounds, the accepted steps and STATUSES indices, _FAILED for a row not
-    live or whose objective went non-finite.
+    A row carries its iterate u, value f, softmax weights p, step s, step
+    count and best bound, not its gradient: each sweep's top forms
+    g = bank_grad(p, A) once and traces f of the rows that moved (all at the
+    start). A sweep moves a row once: by `_ladder` from s while it has fewer
+    than _FIRST_ORDER_STEPS accepted steps, then by `_newton`, or by
+    `_ladder` where no Newton rung is taken; once any row is past that
+    budget, `_newton` scores every live row and only those past it take a
+    rung. s starts at _INITIAL_STEP and restarts there when the budget ends.
+    The bound is the best f - first_order_gap(g, u) over the row's iterates;
+    a row stops once f minus it is at most grad_tolerance * max(1, |f|), at
+    max_iters, when s underflows, or, failed, once its start or a ladder
+    rung scores a non-finite value. The bound and the count move only on
+    acceptance, so a ladder sweep's iterates, count and status are the
+    serial line search's. Returns (U, D, iterations, status): the last
+    iterates, their best bounds, the accepted steps and STATUSES indices,
+    _FAILED for a row not live or failed.
     """
     U, iters, status, rows = _start(live, domain)
     D = np.zeros(len(U))
     A, c, u, it = A[rows], c[rows], U[rows], iters[rows]
     f, p = bank_weights(_bank_scores(A, u, c), T)
-    g = bank_grad(p, A)
-    if traces is not None:
-        for r, v in zip(rows, f):
-            traces[r].append(float(v))
     s, bound = np.full(len(rows), _INITIAL_STEP), np.full(len(rows), -np.inf)
-    bad = ~np.isfinite(f)
+    bad, accept = ~np.isfinite(f), np.ones(len(rows), dtype=bool)
     budget, sweep = _FIRST_ORDER_STEPS, 0  # a row takes at most one step a sweep
     while rows.size:
+        g = bank_grad(p, A)
+        if traces is not None:  # the rows that moved, or all at the start
+            for r, v in zip(rows[accept], f[accept]):
+                traces[r].append(float(v))
         bound = np.maximum(bound, f - first_order_gap(g, u, domain))
         capped = it >= opts.max_iters
         converged = f - bound <= opts.grad_tolerance * np.maximum(1.0, np.abs(f))
@@ -268,9 +269,8 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
         if np.count_nonzero(stop):
             done = rows[stop]
             U[done], D[done], iters[done] = u[stop], bound[stop], it[stop]
-            status[done] = np.where(bad[stop], _FAILED, np.where(
-                converged[stop], _CONVERGED,
-                np.where(capped[stop], _MAX_ITERS, _STEP_UNDERFLOW)))
+            status[done] = np.select((bad[stop], converged[stop], capped[stop]),
+                                     (_FAILED, _CONVERGED, _MAX_ITERS), _STEP_UNDERFLOW)
             keep = ~stop
             rows, A, c, u, f, g, p, s, it, bound = (
                 v[keep] for v in (rows, A, c, u, f, g, p, s, it, bound))
@@ -292,11 +292,7 @@ def _lse_batch(A, c, live, T, domain, opts, traces):
         np.copyto(u, cand, where=accept[:, None])
         np.copyto(f, f_cand, where=accept)
         np.copyto(p, p_cand, where=accept[:, None])
-        np.copyto(g, bank_grad(p_cand, A), where=accept[:, None])
         it += accept
-        if traces is not None:
-            for r, v in zip(rows[accept], f[accept]):
-                traces[r].append(float(v))
         if sweep >= budget:  # the acceptance that ends a row's budget restarts s
             s[accept & (it == budget)] = _INITIAL_STEP
     return U, D, iters, status
@@ -331,10 +327,11 @@ def _lp_batch(A, c, live, domain, opts, traces):
     system in (du, dt) for the affine and then the centred direction. A row
     stops once value - D(lam) is at most grad_tolerance * max(1, |value|),
     at max_iters, or, as "step_underflow", once its complementarity gap s.z
-    is down to rounding. The certificate takes the best D(lam) seen.
+    is down to rounding. The certificate takes the best D(lam) seen. A row
+    whose start is not finite (a finite bank near 1e308) fails at the first
+    stop test, before a system it would make singular batch-wide is built.
     Returns (U, D, iterations, status): the last iterates, their dual
-    bounds and STATUSES indices, _FAILED for a row not live or whose start
-    is not finite.
+    bounds and STATUSES indices, _FAILED for a row not live or failed.
     """
     lo, hi = domain.lower, domain.upper
     U, iters, status, rows = _start(live, domain)
@@ -349,12 +346,8 @@ def _lp_batch(A, c, live, domain, opts, traces):
     s = np.hstack([(top + spread)[:, None] - S, np.tile(half, (B, 2))])
     z = np.hstack([np.full((B, I), 1.0 / I), np.maximum(-g, 0.0) + balance,
                    np.maximum(g, 0.0) + balance])
-    # finite banks whose start overflows (top + spread at x = 1e308) would
-    # make K singular for the whole batch: those rows stay failed
-    ok = np.isfinite(s).all(1) & np.isfinite(z).all(1)
-    if np.count_nonzero(ok) < B:
-        rows, A, c, u, it, s, z = (v[ok] for v in (rows, A, c, u, it, s, z))
-    bound, diag = np.full(len(rows), -np.inf), np.arange(m)
+    bad = ~(np.isfinite(s).all(1) & np.isfinite(z).all(1))
+    bound, diag = np.full(B, -np.inf), np.arange(m)
     while rows.size:
         f = _bank_scores(A, u, c).max(1)
         lam = z[:, :I] / z[:, :I].sum(1, keepdims=True)
@@ -369,18 +362,17 @@ def _lp_batch(A, c, live, domain, opts, traces):
         capped = it >= opts.max_iters
         converged = f - bound <= opts.grad_tolerance * scale
         stalled = sz.sum(1) <= _EPS * scale  # the gap left is rounding
-        stop = capped | converged | stalled
+        stop = bad | capped | converged | stalled
         if np.count_nonzero(stop):
             done = rows[stop]
             U[done] = _snapped(A[stop], c[stop], u[stop], f[stop], s[stop], z[stop],
                                domain)
             D[done], iters[done] = bound[stop], it[stop]
-            status[done] = np.where(converged[stop], _CONVERGED,
-                                    np.where(capped[stop], _MAX_ITERS, _STEP_UNDERFLOW))
+            status[done] = np.select((bad[stop], converged[stop], capped[stop]),
+                                     (_FAILED, _CONVERGED, _MAX_ITERS), _STEP_UNDERFLOW)
             keep = ~stop
-            rows, A, c, u, s, z, sz, bound, it = (
-                v[keep] for v in (rows, A, c, u, s, z, sz, bound, it)
-            )
+            rows, A, c, u, s, z, sz, bound, it, bad = (
+                v[keep] for v in (rows, A, c, u, s, z, sz, bound, it, bad))
             if not rows.size:
                 break
         w = z / s
@@ -554,7 +546,7 @@ def _multistart_batch(net, X, domain, opts, traces):
         compact(np.ones(k, dtype=bool), k, sweep)
     U = U_all.reshape(B, R, m)[np.arange(B), np.argmin(f_all.reshape(B, R), axis=1)]
     ws.offset[:B], ws.Z[:B] = offsets, U
-    status = np.where(failed, _FAILED, np.where(capped, _MAX_ITERS, _CONVERGED))
+    status = np.select((failed, capped), (_FAILED, _MAX_ITERS), _CONVERGED)
     return U, ws.forward(B)[:, 0], last.reshape(B, R).max(axis=1), status
 
 

@@ -299,6 +299,16 @@ class TestConfig:
             with pytest.raises(ConfigError, match=r"^line 2: seeds must be >= 0$"):
                 parse_experiment_config("kinds = ma\nseeds = 0,-1\n")
 
+    @pytest.mark.parametrize("key,value", [
+        ("kinds", "plse"), ("seeds", 0), ("hidden", 64), ("dims", (1, 1)), ("dims", "1x1"),
+    ])
+    def test_non_list_rejected_in_code(self, key, value):
+        # a string, a scalar or a single pair where a list belongs, each
+        # rejected by name: read as a list, "plse" would be the kinds p, l,
+        # s, e, and the others would raise a bare TypeError or ValueError
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            ExperimentConfig(**{key: value})
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "bench.cfg"
         path.write_text("d = 64\nkinds = ma\n")
