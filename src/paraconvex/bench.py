@@ -13,8 +13,10 @@ and a copy of its test rows; the training rows and epoch orders are row
 indices into the dataset, and the check that no test condition is a
 training one holds a hash per training row, not the row. A run's
 `prepare_time_s` is its group's preparation, the same for every kind;
-`train_time_s` is the kind's own training. Repeated entries in `dims`,
-`kinds` or `seeds` are rejected.
+`train_time_s` is the kind's own training. Each cell trains by
+`ExperimentConfig.train_config`. `dims`, `kinds`, `seeds` and `hidden`
+pass `numerics.check_list`, and repeated entries in the first three are
+rejected.
 
 Each cell solves all of its held-out conditions in one
 `solver.minimize_batch` call, so the per-solve times in report.csv and
@@ -26,8 +28,8 @@ samples.json record; a cell reports `mean_<sample>` for each of SAMPLES,
 pooled over its runs' valid solves on the test split, and tallies solver
 failures and non-finite or out-of-box outputs apart. A run also counts
 its solved conditions per solver status (`statuses`). A config line that
-does not parse, or whose value is out of range, raises ConfigError naming
-its line number, before any cell trains.
+does not parse, whose value is out of range, or whose key an earlier line
+set, raises ConfigError naming its line number, before any cell trains.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .numerics import (
     BoxDomain,
     Rng,
     check_count,
+    check_list,
     check_positive,
     grid_nodes,
     sample_uniform_box,
@@ -145,13 +148,8 @@ class ExperimentConfig:
     outdir: str = "bench_out"
 
     def __post_init__(self):
-        # each list read once, so a generator is checked and then kept; a
-        # string or a scalar is not a list, nor is one dims pair
         for key in ("dims", "kinds", "seeds", "hidden"):
-            value = getattr(self, key)
-            if isinstance(value, str) or not np.iterable(value):
-                raise ConfigError(f"{key} must be a list, got {value!r}")
-            setattr(self, key, tuple(value))
+            setattr(self, key, check_list(key, getattr(self, key), ConfigError))
         for key in ("kinds", "dims", "seeds"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} list is empty")
@@ -181,11 +179,16 @@ class ExperimentConfig:
         for h in self.hidden:
             check_count("hidden widths", h, ConfigError)
         # the training keys fail here, before any cell trains
-        TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
-                    batch_size=self.batch_size, split_ratio=self.split_ratio)
+        self.train_config(self.epochs, 0)
         for n, m in self.dims:
             if int(self.split_ratio * self.budget_for(n, m)[0]) < 1:
                 raise ConfigError(f"split_ratio leaves the {n}x{m} cell no training rows")
+
+    def train_config(self, epochs: int, seed: int) -> TrainConfig:
+        """The TrainConfig of a cell trained for `epochs` from `seed`."""
+        return TrainConfig(epochs=epochs, learning_rate=self.learning_rate,
+                           batch_size=self.batch_size, split_ratio=self.split_ratio,
+                           seed=seed)
 
     def budget_for(self, n: int, m: int) -> tuple[int, int]:
         """(points, epochs) for one cell; high-dim cells are trimmed
@@ -216,28 +219,26 @@ _CONFIG_PARSERS = {
 }
 
 
-def key_value_lines(text: str):
-    """(line number, key, value) for each key=value line of a config text,
-    key and value stripped; '#' starts a comment and blank lines are
-    skipped. Raises ConfigError naming the line for any other line."""
+def parse_experiment_config(text: str) -> ExperimentConfig:
+    """key=value lines; '#' starts a comment, blank lines are skipped. A
+    line that is not key=value, an unknown key, a key set twice, or a bad
+    or out-of-range value raises ConfigError naming the line."""
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        yield lineno, key.strip(), val.strip()
-
-
-def parse_experiment_config(text: str) -> ExperimentConfig:
-    """key=value lines; # starts a comment; unknown keys, unparsable values
-    and values out of range rejected with the line number."""
-    values = {}
-    for lineno, key, val in key_value_lines(text):
+        key, val = (part.strip() for part in line.split("=", 1))
         parse = _CONFIG_PARSERS.get(key)
         if parse is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        # a second line would silently override the first
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key} is set twice, "
+                              f"first on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = parse(val)
             # every check is on one key, so a value is checked on its line
@@ -363,13 +364,7 @@ def _run_group(cfg: ExperimentConfig, n: int, m: int, seed: int) -> list[RunResu
     convexity check or solves.
     """
     d, epochs = cfg.budget_for(n, m)
-    tcfg = TrainConfig(
-        epochs=epochs,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        split_ratio=cfg.split_ratio,
-        seed=seed,
-    )
+    tcfg = cfg.train_config(epochs, seed)
     t0 = time.perf_counter()
     rng = Rng(seed)
     ds = make_benchmark_dataset(n, m, d, rng.spawn())

@@ -11,8 +11,8 @@ log-sum-exp smoothing ("lse"), and their parameterized versions ("pma",
 
 For fixed x every bank is convex in u by construction: a max or
 log-sum-exp of functions affine in u, and every bank is scored that way:
-`u_bank_batch` gives the coefficients A_u(x), c(x) (a fixed bank's
-x-columns fold into c) and `bank_scores` the planes A_u(x) u + c(x), for
+`u_bank_batch` gives the coefficients A_u(x), c(x) (a fixed bank's c is
+`mlp_offset` of x) and `bank_scores` the planes A_u(x) u + c(x), for
 forward values, u-gradients, pma/plse training steps, checks and solver
 values.
 
@@ -112,8 +112,11 @@ class MlpParams:
 def mlp_offset(params: MlpParams, X: np.ndarray) -> np.ndarray:
     """Layer 0's part from the leading X.shape[1] inputs plus its bias,
     X W0[:, :n]^T + b0 (B, width_1): the per-row offset that folds inputs
-    held fixed, such as an fnn's condition x, into layer 0 once."""
-    off = X @ params.weights[0][:, : X.shape[1]].T
+    held fixed, an fnn's or a fixed bank's condition x, into layer 0 once."""
+    # a C-contiguous (n, width_1) operand: with the transposed view OpenBLAS
+    # gives a row's bits that depend on the row count (61x20, 30 rows against
+    # 60), and check_convexity's banks must equal forward_batch's on repeated rows
+    off = X @ np.ascontiguousarray(params.weights[0][:, : X.shape[1]].T)
     off += params.biases[0]
     return off
 
@@ -343,25 +346,19 @@ def u_bank_batch(net: Network, X: np.ndarray) -> tuple:
     """Affine banks in u for B conditions: (A_u (B, I, m), c (B, I)), row b
     giving the plane values A_u[b] @ u + c[b] at X[b] (see bank_scores).
 
-    A fixed bank's planes share one slope matrix, returned as a read-only
-    broadcast view, and the x-part of each joint plane folds into the
-    offset; a parameterized bank's are its net's outputs, one forward pass
-    for all rows. Conditions check_rows rejects raise its errors; overflow
-    is left to the caller, as mlp_forward_batch does.
+    A fixed bank's planes share one slope matrix, a read-only broadcast
+    view, and their offsets are mlp_offset(X); a parameterized bank's are
+    its net's outputs, one pass for all rows. Conditions check_rows
+    rejects raise its errors; overflow is left to the caller.
     """
     if isinstance(net, FeedforwardNet):
         raise UnsupportedNetwork("fnn has no affine bank in u")
     (X,) = check_rows(net.n, net.m, X)
     if net.parameterized:
         return embedded_bank(net, mlp_forward_batch(net.mlp, X))
-    n, W = net.n, net.mlp.weights[0]
-    # a C-contiguous (n, I) operand: with the transposed view OpenBLAS gives
-    # a row's bits that depend on the row count (61x20, 30 rows against 60),
-    # and check_convexity's banks must equal forward_batch's on repeated rows
     with np.errstate(over="ignore", invalid="ignore"):
-        c = X @ np.ascontiguousarray(W[:, :n].T)
-        c += net.mlp.biases[0]
-    return np.broadcast_to(W[:, n:], (X.shape[0], net.I, net.m)), c
+        c = mlp_offset(net.mlp, X)
+    return np.broadcast_to(net.mlp.weights[0][:, net.n :], (len(X), net.I, net.m)), c
 
 
 def embedded_bank(net: Bank, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
 """Deterministic sampling, box domains, one lattice of grid nodes, a
-brute-force grid oracle over it, and the one check of each kind of
-setting: `check_count` for integers, `check_positive` for real values.
+brute-force grid oracle over it, and the one check of each kind of setting:
+`check_count` for integers, `check_positive` for reals, `check_list` for lists.
 
 The random number generator is SplitMix64 (Steele, Lea & Flood, "Fast
 Splittable Pseudorandom Number Generators", OOPSLA 2014), chosen because its
@@ -225,3 +225,11 @@ def check_positive(name: str, value, error=ValueError, below: float = np.inf) ->
         rule = ("be a positive finite number" if below == np.inf
                 else f"lie strictly between 0 and {below}")
         raise error(f"{name} must {rule}, got {value!r}")
+
+
+def check_list(name: str, value, error=ValueError) -> tuple:
+    """value as a tuple, read once; raise `error` naming the field for a
+    string or a value that is not iterable ("plse" is no list of kinds)."""
+    if isinstance(value, str) or not np.iterable(value):
+        raise error(f"{name} must be a list, got {value!r}")
+    return tuple(value)

@@ -152,8 +152,9 @@ def first_order_gap(g: np.ndarray, u: np.ndarray, domain: BoxDomain):
 
 
 def _bank_scores(A, U, c):
-    """Plane values (B, I) of banks A (B, I, m), c (B, I) at points U (B, m)."""
-    return (A @ U[:, :, None])[:, :, 0] + c
+    """Plane values (..., I) of banks A (..., I, m), c (..., I) at points
+    U (..., m), broadcast: one (I, m) @ (m, 1) product per point."""
+    return (A @ U[..., None])[..., 0] + c
 
 
 def _start(live, domain):
@@ -171,8 +172,7 @@ def _rungs(A, c, u, g, way, steps, T, domain):
     g.(cand - u) (k, L)."""
     cand = u[:, None] - steps[:, :, None] * way[:, None]
     cand = np.minimum(np.maximum(cand, domain.lower), domain.upper)
-    # (I, m) @ (m, 1) per rung, the product one candidate per row takes
-    S = (A[:, None] @ cand[:, :, :, None])[..., 0] + c[:, None]
+    S = _bank_scores(A[:, None], cand, c[:, None])
     f, p = bank_weights(S.reshape(-1, S.shape[2]), T)
     drop = np.add.reduce(g[:, None] * (cand - u[:, None]), axis=2)
     return cand, f.reshape(steps.shape), p.reshape(S.shape), drop

@@ -58,7 +58,7 @@ from .networks import (
     embedded_bank,
     forward_batch,
 )
-from .numerics import Rng, check_count, check_positive
+from .numerics import Rng, check_count, check_list, check_positive
 
 
 @dataclass
@@ -138,6 +138,7 @@ def init_network(
     check_count("seed", seed, minimum=0)  # before Rng masks it to 64 bits
     for name, value in (("n", n), ("m", m), ("I", I)):  # before the widths use them
         check_count(name, value)
+    hidden = check_list("hidden", hidden)
     widths = {"fnn": [n + m, *hidden, 1], "ma": [n + m, I], "lse": [n + m, I],
               "pma": [n, *hidden, (m + 1) * I], "plse": [n, *hidden, (m + 1) * I]}
     if kind not in widths:

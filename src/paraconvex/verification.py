@@ -27,6 +27,7 @@ from .networks import (
     FeedforwardNet,
     MlpWorkspace,
     Network,
+    _finite,
     bank_scores,
     bank_values,
     forward_batch,
@@ -34,7 +35,8 @@ from .networks import (
     nonsmooth_twin,
     u_bank_batch,
 )
-from .numerics import BoxDomain, Rng, check_count, check_positive, grid_nodes, node_values
+from .numerics import (BoxDomain, Rng, check_count, check_list, check_positive, grid_nodes,
+                       node_values)
 from .training import init_network
 
 SANDWICH_SLACK = 1e-9
@@ -140,9 +142,7 @@ def check_convexity(
         with np.errstate(over="ignore", invalid="ignore"):
             S = bank_scores(A_u[rows], U, c[rows])
             v = bank_values(S.reshape(-1, net.I), net.T)
-        if not np.isfinite(v).all():
-            raise NumericOverflow(f"{net.kind} forward produced a non-finite value")
-        return v
+        return _finite(net, v, "forward")
 
     worst = -np.inf
     for first in range(0, x_samples, CONVEXITY_BLOCK):
@@ -183,9 +183,7 @@ def check_gradients(
     kink-free random points, `trials` per kind. Each trial scores its 2m
     stencil points in one forward_batch call."""
     check_count("trials", trials)
-    if isinstance(kinds, str):
-        raise ValueError(f"kinds must be a sequence of kind names, not the string {kinds!r}")
-    kinds = tuple(kinds)  # read once: a generator would be spent by set()
+    kinds = check_list("kinds", kinds)
     if not kinds:
         raise ValueError("kinds must be nonempty")
     bad = set(kinds) - {"fnn", "lse", "plse"}
@@ -344,7 +342,7 @@ def check_envelope_properties(
     the under-approximation property is testable. A NaN or infinite f value
     raises NumericOverflow (from moreau_envelope) rather than passing.
     """
-    etas = [float(e) for e in etas]
+    etas = [float(e) for e in check_list("etas", etas)]
     if not etas or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("etas must be nonempty and strictly decreasing")
     tables = [moreau_envelope(f, domain, eta, resolution) for eta in etas]

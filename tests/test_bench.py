@@ -234,6 +234,25 @@ class TestConfig:
         assert cfg.d == 100 and cfg.seeds == (0, 1, 2)
         assert cfg.full and cfg.learning_rate == 0.5 and cfg.hidden == (8, 8)
 
+    def test_blank_and_comment_lines_are_skipped(self):
+        text = "\n# a comment\nd = 100\n\n   # indented\nkinds = ma  # trailing\n"
+        cfg = parse_experiment_config(text)
+        assert cfg.d == 100 and cfg.kinds == ("ma",)
+        # skipped lines still count toward the line numbers
+        with pytest.raises(ConfigError, match=r"^line 3: bad value for d: 'many'$"):
+            parse_experiment_config("\n# a comment\nd = many\n")
+
+    @pytest.mark.parametrize("text, key", [
+        ("d = 100\nd = 200\n", "d"),
+        ("kinds = plse\nkinds = ma\n", "kinds"),
+    ], ids=["scalar", "list"])
+    def test_repeated_key_names_both_lines(self, text, key):
+        # the second line silently overrode the first: d = 200, or only ma
+        # trained
+        with pytest.raises(ConfigError, match=rf"^line 2: {key} is set twice, "
+                                              rf"first on line 1$"):
+            parse_experiment_config(text)
+
     def test_parse_config_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_experiment_config("momentum = 0.9\n")
@@ -639,6 +658,18 @@ class TestExportReport:
         assert (tmp_path / "a" / "samples.json").read_bytes() == (
             tmp_path / "b" / "samples.json"
         ).read_bytes()
+
+    def test_cell_with_no_trained_run_exports_no_model(self, tmp_path):
+        # every run diverges: the report is written, but there is no model
+        # or surface to ship
+        cfg = ExperimentConfig(dims=((1, 1),), kinds=("fnn",), d=40, epochs=2,
+                               seeds=(0, 1), hidden=(8, 8), learning_rate=1e60)
+        report = run_benchmark(cfg)
+        assert all(r.net is None for r in report.cells[0].runs)
+        export_artifacts(report, cfg, tmp_path)
+        assert (tmp_path / "report.csv").exists() and (tmp_path / "samples.json").exists()
+        assert os.listdir(tmp_path / "models") == []
+        assert not (tmp_path / "surface_fnn.csv").exists()
 
     def test_diverged_cell_leaves_blank_csv_cells(self, tmp_path):
         cfg = ExperimentConfig(dims=((1, 1),), kinds=("fnn",), d=40, epochs=2,

@@ -10,6 +10,7 @@ import pytest
 
 import paraconvex
 from paraconvex import cli
+from paraconvex.bench import BenchmarkReport
 from paraconvex.networks import Bank, MlpParams, forward_batch, load_model, save_model
 from paraconvex.solver import SolveOptions
 from paraconvex.training import init_network
@@ -348,6 +349,22 @@ class TestBenchmark:
         assert doc["metadata"]["kinds"] == ["fnn"]
         assert doc["metadata"]["full"] is True
         assert (outdir / "models" / "fnn_1x1.json").exists()
+
+    def test_dims_flag_overrides_the_config(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text(self.CFG)
+        seen = []
+
+        def trains(cfg):
+            seen.append(cfg)
+            return BenchmarkReport(cells=[], metadata={"dims": [[2, 3], [1, 1]], "kinds": []})
+
+        monkeypatch.setattr(cli, "run_benchmark", trains)
+        rc, out, _ = run_cli(["benchmark", "--config", str(cfg_path), "--dims", "2x3,1x1",
+                              "--out", str(tmp_path / "out")], capsys)
+        assert rc == 0 and json.loads(out)["cells"] == 0
+        assert seen[0].dims == ((2, 3), (1, 1))
+        assert seen[0].kinds == ("ma",) and seen[0].d == 60  # the config's
 
     def test_bad_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.cfg"

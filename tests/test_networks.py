@@ -19,6 +19,7 @@ from paraconvex.networks import (
     Bank,
     FeedforwardNet,
     MlpParams,
+    MlpWorkspace,
     bank_values,
     bank_weights,
     clone_network,
@@ -101,6 +102,21 @@ class TestMlpForward:
         with pytest.raises(DimensionMismatch):
             MlpParams(weights=[np.zeros((2, 3)), np.zeros((2, 5))],
                       biases=[np.zeros(2), np.zeros(2)])
+
+    @pytest.mark.parametrize("weights, biases", [
+        ([np.zeros((2, 3))], []),
+        ([np.zeros((2, 3)), np.zeros((1, 2))], [np.zeros(2)]),
+        ([], []),
+    ])
+    def test_one_bias_vector_per_weight_matrix(self, weights, biases):
+        with pytest.raises(DimensionMismatch, match="one bias vector per weight matrix"):
+            MlpParams(weights=weights, biases=biases)
+
+    def test_value_and_grad_needs_a_scalar_output(self):
+        ws = MlpWorkspace(MlpParams(weights=[np.zeros((2, 3))], biases=[np.zeros(2)]), 4)
+        ws.Z[:] = 0.0
+        with pytest.raises(DimensionMismatch, match="scalar outputs only"):
+            ws.value_and_grad(4)
 
 
 class TestFlatParameters:
@@ -227,6 +243,12 @@ class TestEmbeddedCoeffs:
         for width in (1, 4):  # n = 2, n + m = 3
             with pytest.raises(DimensionMismatch):
                 Bank(n=2, m=1, mlp=_random_mlp([width, 4], rng))
+
+    @pytest.mark.parametrize("widths", [[2, 4, 1], [3, 4, 2], [3, 2]])
+    def test_fnn_net_maps_n_plus_m_inputs_to_one_output(self, widths):
+        rng = np.random.default_rng(4)
+        with pytest.raises(DimensionMismatch, match=r"n\+m inputs to one output"):
+            FeedforwardNet(n=2, m=1, mlp=_random_mlp(widths, rng))
 
 
 def _two_plane_pma():

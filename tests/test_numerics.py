@@ -17,6 +17,7 @@ from paraconvex.numerics import (
     _MIX2,
     BoxDomain,
     Rng,
+    check_list,
     check_positive,
     grid_minimize,
     grid_nodes,
@@ -229,6 +230,19 @@ class TestCheckPositive:
                                               rf"got {re.escape(repr(value))}$"):
             check_positive("ratio", value, ConfigError, below=1)
         check_positive("ratio", 0.999, ConfigError, below=1)
+
+
+class TestCheckList:
+    def test_entries_read_once_into_a_tuple(self):
+        assert check_list("kinds", (k for k in ("ma", "lse"))) == ("ma", "lse")
+        assert check_list("seeds", [0, 1]) == (0, 1)
+        assert check_list("seeds", np.arange(2)) == (0, 1)
+
+    @pytest.mark.parametrize("value", ["plse", "", 64, 0.5, None])
+    def test_string_or_scalar_names_the_field(self, value):
+        with pytest.raises(ConfigError, match=rf"^kinds must be a list, "
+                                              rf"got {re.escape(repr(value))}$"):
+            check_list("kinds", value, ConfigError)
 
 
 class TestGridNodes:

@@ -165,6 +165,14 @@ class TestInitNetwork:
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
             init_network(kind, 2, 3, seed=1, **{key: value if key == "I" else (4, value)})
 
+    @pytest.mark.parametrize("hidden", [64, "64"], ids=["int", "string"])
+    def test_hidden_must_be_a_list(self, hidden):
+        # 64 raised a bare TypeError, and "64" was read as the widths '6'
+        # and '4', rejected as "layer widths must be an integer, got '6'"
+        with pytest.raises(ValueError, match=rf"^hidden must be a list, "
+                                             rf"got {re.escape(repr(hidden))}$"):
+            init_network("plse", 2, 3, seed=1, hidden=hidden)
+
     @pytest.mark.parametrize("kind", ["fnn", "ma", "lse", "pma", "plse"])
     @pytest.mark.parametrize("field", ["n", "m"])
     @pytest.mark.parametrize("value, rule", [(1.5, "be an integer, got 1.5"),

@@ -452,6 +452,23 @@ def test_check_that_samples_nothing_rejected(check, message):
         check()
 
 
+def _squares(U):
+    return U[:, 0] ** 2
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: check_envelope_properties(_squares, "1", BoxDomain.symmetric(1), resolution=11),
+     "etas must be a list, got '1'"),
+    (lambda: check_envelope_properties(_squares, 0.5, BoxDomain.symmetric(1), resolution=11),
+     "etas must be a list, got 0.5"),
+    (lambda: check_gradients(kinds=5), "kinds must be a list, got 5"),
+], ids=["envelope-etas-string", "envelope-etas-scalar", "gradients-kinds-scalar"])
+def test_non_list_setting_rejected(check, message):
+    # the string "1" ran as the etas (1.0,); 0.5 and 5 raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check()
+
+
 class TestRunCheckSuite:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
